@@ -207,13 +207,12 @@ def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
                 - 2.0 * (p[i0:i1, None, None] * p[None, :, None]) * cos_th[None, None, :]
             out[i0:i1] = spline(np.sqrt(np.maximum(k2, 0.0))) @ cw
         return out
-    sw = 0.5 * w
     for i0 in range(0, n, 64):
         i1 = min(i0 + 64, n)
         k2 = p2[i0:i1, None, None] + p2[None, :, None] \
             - 2.0 * (p[i0:i1, None, None] * p[None, :, None]) * x[None, None, :]
-        out[i0:i1] = (spline(np.sqrt(np.maximum(k2, 0.0))) @ sw) * math.sqrt(2.0 / math.pi)
-    return out * 0.5  # (1/sqrt(2 pi)) * GL over s in [-1, 1]
+        out[i0:i1] = spline(np.sqrt(np.maximum(k2, 0.0))) @ w
+    return out / math.sqrt(2.0 * math.pi)  # GL over s in [-1, 1]
 
 
 def build_matrix(V: RadialPotential, params: KernelParams, grid: SWaveDiscretization,

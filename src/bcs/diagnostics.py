@@ -4,6 +4,11 @@ dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
 dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth
 quantifies how well a sampled sweep follows the declared growth law.
+Both forms take their radial transforms from fixed position-space rules
+(potentials.radial_rule), so a transform at many momenta is one matrix
+product: in d = 1 the transform of V j1 is a dot product at every outer
+node, and in d = 2 the even-reflected kernel Vhat(|p - q|) + Vhat(p + q)
+factorizes over the transverse coordinate y.
 rhs_weak_coupling_d3 computes the zero-coupling limit of the
 three-dimensional boundary energy as three separate position-space terms,
 an independent route to the number boundary3d.criterion produces from the
@@ -17,46 +22,42 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special as _sp
 from scipy.interpolate import CubicSpline
 
 from .boundary3d import DIRICHLET, normalize_bc
 from .kernels import KernelParams, bt_radial_shifted
-from .potentials import RadialPotential, StepPotential, fourier_hat
-from .quad import (Decay, QuadSpec, QuadratureError, integrate_finite,
-                   integrate_oscillatory_tail)
-from .special import bessel_j0, j_d
-
-
-def _potential_spec(V: RadialPotential, abs_tol=1e-13, rel_tol=1e-10) -> QuadSpec:
-    sing = (V.R,) if isinstance(V, StepPotential) else ()
-    return QuadSpec(abs_tol=abs_tol, rel_tol=rel_tol, singular_points=sing)
+from .potentials import RadialPotential, fourier_hat, radial_edges, radial_rule
+from .quad import (Decay, QuadSpec, QuadratureError, gauss_panels,
+                   integrate_finite, integrate_oscillatory_tail)
+from .special import j_d
 
 
 def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=1 potential; grows like 1/T.
 
-    Evaluates Vhat(0) times the line integral of B_T(p,0)^2 |(V j1)^(p)|^2,
-    with the transform of V j1 computed per node as a cosine transform.
-    Panel breaks at p = sqrt(mu) and at the thermal shells |p^2 - mu| =
-    T 10^k keep the Fermi peak resolved; the far tail is extended by
-    octaves until its analytic bound is negligible.
+    Evaluates Vhat(0) times the line integral of B_T(p,0)^2 |(V j1)^(p)|^2.
+    The transform of V j1 is a cosine transform, a dot product with
+    potentials.radial_rule sized to the upper end of each integration
+    segment.  Panel breaks at p = sqrt(mu) and at the thermal shells
+    |p^2 - mu| = T 10^k keep the Fermi peak resolved; the far tail is
+    extended by octaves until its analytic bound is negligible.
     """
     if V.d != 1:
         raise ValueError("dt_form_d1 needs a d=1 potential")
     params = KernelParams(T=float(T), mu=float(mu))
     mu = params.mu
     root_mu = math.sqrt(mu)
-    rc = V.cutoff_radius()
-    inner = _potential_spec(V)
 
-    def w(p):
-        res = integrate_finite(
-            lambda r: V.value(r) * math.cos(root_mu * r) * math.cos(p * r),
-            0.0, rc, inner)
-        return (2.0 / math.pi) * res.value
+    def integrand(p_hi):
+        """|B_T(p, 0) (V j1)^(p)|^2 for p up to p_hi."""
+        r, wr = radial_rule(V, p_hi + root_mu)
+        g = (2.0 / math.pi) * wr * V.value(r) * np.cos(root_mu * r)
 
-    def f(p):
-        return (bt_radial_shifted(p * p - mu, params) * w(p)) ** 2
+        def f(p):
+            w = float(np.dot(g, np.cos(p * r)))
+            return (bt_radial_shifted(p * p - mu, params) * w) ** 2
+        return f
 
     pts = [root_mu]
     s = params.T
@@ -67,10 +68,10 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     p0 = 2.0 * root_mu
     spec0 = QuadSpec(abs_tol=1e-12, rel_tol=1e-9, max_evals=200_000,
                      singular_points=tuple(sorted(p for p in pts if p < p0)))
-    total = integrate_finite(f, 0.0, p0, spec0).value
+    total = integrate_finite(integrand(p0), 0.0, p0, spec0).value
 
-    w_bound = (2.0 / math.pi) * integrate_finite(
-        lambda r: abs(V.value(r)), 0.0, rc, inner).value
+    r, wr = radial_rule(V, 0.0)
+    w_bound = (2.0 / math.pi) * float(np.dot(wr, np.abs(V.value(r))))
     p = p0
     # Beyond sqrt(2 mu) the kernel factor is at most 2/p^2, so the remaining
     # tail is bounded by 4 w_bound^2 / (3 p^3); extend by octaves until that
@@ -78,24 +79,11 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     while 4.0 * w_bound ** 2 / (3.0 * p ** 3) > max(1e-12, 1e-9 * abs(total)):
         spec_t = QuadSpec(abs_tol=max(1e-12, 1e-10 * abs(total)), rel_tol=1e-6,
                           max_evals=200_000)
-        total += integrate_finite(f, p, 2.0 * p, spec_t).value
+        total += integrate_finite(integrand(2.0 * p), p, 2.0 * p, spec_t).value
         p *= 2.0
         if p > 1e9 * max(root_mu, 1.0):
             raise QuadratureError("transform tail did not become negligible")
     return 2.0 * fourier_hat(V, 0.0) * total
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_nodes(edges):
-    """Gauss-Legendre 16 nodes and weights for a panel decomposition."""
-    e = np.asarray(edges, dtype=float)
-    mid = 0.5 * (e[1:] + e[:-1])
-    half = 0.5 * (e[1:] - e[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS).ravel()
-    return nodes, weights
 
 
 def _refined_edges(length, base, features):
@@ -125,96 +113,148 @@ def _refined_edges(length, base, features):
     return out
 
 
-def _vj2_hat(V: RadialPotential, mu: float, s: float) -> float:
-    """Radial transform of V j2 at momentum s (2-D convention)."""
-    root_mu = math.sqrt(mu)
-    spec = _potential_spec(V)
-    return integrate_finite(
-        lambda r: V.value(r) * bessel_j0(root_mu * r) * bessel_j0(s * r) * r,
-        0.0, V.cutoff_radius(), spec).value
+def _line_integral(V: RadialPotential, y: np.ndarray) -> np.ndarray:
+    """U(y) = integral of V(sqrt(x^2 + y^2)) over the x line, 0 < y < cutoff.
+
+    Runs in s with x = y sinh s, r = y cosh s, on panels at most half a
+    unit of s wide that also break at the images of the radial panels.
+    """
+    r_edges = radial_edges(V, 0.0)
+    out = np.empty_like(y)
+    for i, yi in enumerate(y):
+        s_edges = np.arccosh(np.append(1.0, r_edges[r_edges > yi] / yi))
+        s, ws = gauss_panels(np.union1d(s_edges, np.arange(0.0, s_edges[-1], 0.5)))
+        c = np.cosh(s)
+        out[i] = 2.0 * yi * np.dot(ws * c, V.value(yi * c))
+    return out
+
+
+def _transverse_rule(V: RadialPotential, k_max: float):
+    """Nodes y and weights of the measure U(y) dy on [0, cutoff], exact
+    enough for integrands with frequencies in y up to k_max, and a mask of
+    the panels that keep the plain Gauss nodes.
+
+    U carries y^2 log y terms at 0 unless V is smooth in r^2, and a jump of
+    V or of its n-th derivative at b gives U a (b - y)^(n + 1/2) end.  So
+    the first panel, halved, runs in t with y = h t^2, and the panel [a, b]
+    below each break and below the cutoff runs in t with
+    y = b - (b - a) t^2; both ends are smooth in t.
+    """
+    edges = radial_edges(V, k_max)
+    edges = np.insert(edges, 1, 0.5 * edges[1])
+    y, wy = gauss_panels(edges)
+    plain = np.ones(len(edges) - 1, dtype=bool)
+    ends = np.flatnonzero(np.isin(edges[1:], (*V.breakpoints, edges[-1])))
+    for k, side in [(0, 0), *((k, 1) for k in ends)]:
+        # t runs from the singular end c of the panel to its other end o
+        c, o = edges[k + side], edges[k + 1 - side]
+        blk = slice(16 * k, 16 * k + 16)
+        t = (y[blk] - c) / (o - c)
+        wy[blk] *= 2.0 * t
+        y[blk] = c + (o - c) * t * t
+        plain[k] = False
+    return edges, y, wy * _line_integral(V, y), plain
 
 
 @lru_cache(maxsize=4)
 def _d2_tables(V: RadialPotential, mu: float):
-    """Momentum cutoff, transform splines and the coarse kernel grid shared
-    by every dt_form_d2 temperature for one (V, mu) pair."""
+    """Momentum cutoff, the V j2 transform spline and the transverse rule
+    shared by every dt_form_d2 temperature for one (V, mu) pair.
+
+    The rule comes whole, for the rows that share one q grid, and split for
+    the others: its substituted nodes, and its plain panels grouped by
+    width, so that cos(q (m + h x)) = cos(q m) cos(q h x) - sin(q m) sin(q h x)
+    needs cosines only at the panel midpoints m and the offsets h x.
+    """
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
     rs = V.range_scale
 
     # Push the cutoff until the transform envelope, damped by the two
     # off-shell kernel factors, is negligible against the on-shell scale.
+    # The envelope's tail beyond P is about P times its value there when it
+    # decays like a power of k (the step's does, like k^(-11/2)).
     vref = max(abs(fourier_hat(V, 0.5 * j / rs)) for j in range(11))
     P = root_mu + 5.0 / rs
     while max(abs(fourier_hat(V, P + 0.5 * j / rs)) for j in range(11)) \
-            * (mu / (P * P - mu)) ** 2 > 1e-8 * vref:
+            * (mu / (P * P - mu)) ** 2 * P * rs > 1e-8 * vref:
         P += 5.0 / rs
         if P > root_mu + 400.0 / rs:
             raise QuadratureError(
                 "transform tail not negligible within the momentum cutoff cap")
 
-    h = 0.35 / rc
+    # (V j2)^(s) = integral of V(r) J0(sqrt(mu) r) J0(s r) r dr, splined on a
+    # grid fine enough to keep its error below 1e-9 of its peak
+    h = 0.35 / rc / 16.0
     smax = math.sqrt(2.0) * P + 2.0 * h
     s_grid = np.linspace(0.0, smax, int(math.ceil(smax / h)) + 1)
-    w_spline = CubicSpline(s_grid, [_vj2_hat(V, mu, float(s)) for s in s_grid])
-    kmax = 2.0 * P + 2.0 * h
-    k_grid = np.linspace(0.0, kmax, int(math.ceil(kmax / h)) + 1)
-    vhat_spline = CubicSpline(k_grid, [fourier_hat(V, float(k)) for k in k_grid])
-    coarse = np.linspace(0.0, P, int(math.ceil(P / h)) + 1)
-    return P, w_spline, vhat_spline, coarse
+    r, wr = radial_rule(V, smax + root_mu)
+    g = wr * V.value(r) * _sp.j0(root_mu * r) * r
+    w_vals = np.concatenate([_sp.j0(np.outer(s_grid[i0:i0 + 256], r)) @ g
+                             for i0 in range(0, len(s_grid), 256)])
+
+    edges, y, uy, plain = _transverse_rule(V, 2.0 * P)
+    uy *= 2.0 / math.pi
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    odd = np.repeat(~plain, 16)
+    groups = []
+    for width in np.unique(np.round(half[plain] / rc, 12)):
+        k = np.flatnonzero(plain & (np.round(half / rc, 12) == width))
+        offsets = gauss_panels([-half[k[0]], half[k[0]]])[0]
+        groups.append((mid[k], offsets, uy.reshape(-1, 16)[k]))
+    return P, CubicSpline(s_grid, w_vals), y, uy, (y[odd], uy[odd], groups)
 
 
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=2 potential; grows like ln(mu/T)^3.
 
-    Iterated integral over (p1, p2, q2).  For each p1 node the transverse
-    double integral is evaluated on Gauss panels refined geometrically
-    toward the Fermi circle crossing, with the smooth convolution factor
-    interpolated from a coarse grid; the radial transforms of V and V j2
-    come from splines shared across temperatures.
+    Iterated integral over p1 of a transverse double integral over (p2, q2)
+    of u(p2) [Vhat(|p2 - q2|) + Vhat(p2 + q2)] u(q2), where u carries the
+    transform of V j2 and B_T.  The kernel is the cosine transform
+    (2/pi) * integral of U(y) cos(p2 y) cos(q2 y) dy of the line integral
+    U(y) of V, so the double integral is (2/pi) sum_m U_m c_m^2 with
+    c_m = sum_j u_j cos(q_j y_m) on a fixed transverse rule.  The q nodes
+    are Gauss panels refined geometrically toward the Fermi circle
+    crossing; every p1 outside the Fermi circle shares one q grid, so those
+    rows go through a matrix product in blocks.
     """
     if V.d != 2:
         raise ValueError("dt_form_d2 needs a d=2 potential")
     params = KernelParams(T=float(T), mu=float(mu))
     T, mu = params.T, params.mu
     root_mu = math.sqrt(mu)
-    P, w_spline, vhat_spline, coarse = _d2_tables(V, mu)
-    base = min(2.0 / V.cutoff_radius(), 0.25 * root_mu)
+    P, w_spline, y, uy, (y_odd, uy_odd, groups) = _d2_tables(V, mu)
+    base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
     sqrt_T = math.sqrt(T)
 
     p1_edges = _refined_edges(P, base, [(root_mu, 0.25 * T / root_mu)])
-    p1_nodes, p1_weights = _panel_nodes(p1_edges)
+    p1_nodes, p1_weights = gauss_panels(p1_edges)
+
+    def u_rows(p1, q, wq):
+        s_sq = p1[:, None] ** 2 + q * q
+        return w_spline(np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
 
     total = 0.0
-    for p1, w1 in zip(p1_nodes, p1_weights):
-        a1 = p1 * p1 - mu
-        qstar = math.sqrt(-a1) if a1 < 0.0 else 0.0
-        q_edges = _refined_edges(P, base,
-                                 [(qstar, 0.5 * T / max(qstar, sqrt_T))])
-        q, wq = _panel_nodes(q_edges)
-        s_sq = p1 * p1 + q * q
-        u = w_spline(np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
-        kern = vhat_spline(np.abs(coarse[:, None] - q)) \
-            + vhat_spline(coarse[:, None] + q)
-        i_fine = CubicSpline(coarse, kern @ u)(q)
-        total += float(w1) * float(np.dot(u, i_fine))
+    inside = p1_nodes * p1_nodes < mu
+    for p1, w1 in zip(p1_nodes[inside], p1_weights[inside]):
+        qstar = math.sqrt(mu - p1 * p1)
+        q, wq = gauss_panels(_refined_edges(
+            P, base, [(qstar, 0.5 * T / max(qstar, sqrt_T))]))
+        u = u_rows(np.array([p1]), q, wq)[0]
+        c = np.cos(np.outer(y_odd, q)) @ u
+        row = float(np.dot(uy_odd, c * c))
+        for m, offsets, w in groups:
+            qm, qh = np.outer(m, q), np.outer(offsets, q)
+            c = (np.cos(qm) * u) @ np.cos(qh).T - (np.sin(qm) * u) @ np.sin(qh).T
+            row += float(np.sum(w * c * c))
+        total += float(w1) * row
+    q, wq = gauss_panels(_refined_edges(P, base, [(0.0, 0.5 * T / sqrt_T)]))
+    cos_yq = np.cos(np.outer(y, q))
+    p1_out, w1_out = p1_nodes[~inside], p1_weights[~inside]
+    for i0 in range(0, len(p1_out), 48):
+        c = cos_yq @ u_rows(p1_out[i0:i0 + 48], q, wq).T
+        total += float(np.dot(uy @ (c * c), w1_out[i0:i0 + 48]))
     return 4.0 * total
-
-
-def d2_integrand(V: RadialPotential, T: float, mu: float,
-                 p1: float, p2: float, q2: float) -> float:
-    """Pointwise integrand of dt_form_d2's transverse double integral, the
-    even-reflected kernel included.  Symmetric under p2 <-> q2; exposed so
-    that symmetry and brute-force cross-checks need no spline machinery."""
-    if V.d != 2:
-        raise ValueError("d2_integrand needs a d=2 potential")
-    params = KernelParams(T=float(T), mu=float(mu))
-    wp = _vj2_hat(V, mu, math.hypot(p1, p2))
-    wq = _vj2_hat(V, mu, math.hypot(p1, q2))
-    bp = bt_radial_shifted(p1 * p1 + p2 * p2 - mu, params)
-    bq = bt_radial_shifted(p1 * p1 + q2 * q2 - mu, params)
-    kern = fourier_hat(V, abs(p2 - q2)) + fourier_hat(V, p2 + q2)
-    return wp * bp * kern * bq * wq
 
 
 @lru_cache(maxsize=8)
@@ -278,7 +318,7 @@ def rhs_weak_coupling_d3(V: RadialPotential, mu: float, bc) -> RhsBreakdown:
         raise ValueError(f"chemical potential must be positive, got {mu}")
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
-    outer = _potential_spec(V, abs_tol=1e-12, rel_tol=1e-10)
+    outer = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, singular_points=V.breakpoints)
     mid = QuadSpec(abs_tol=1e-11, rel_tol=1e-9, max_evals=60000)
 
     g = _fullline_spline(root_mu * rc * (1.0 + 1e-9))

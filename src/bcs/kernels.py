@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadSpec, integrate_finite
+from .quad import gauss_panels
 
 _LN2 = math.log(2.0)
 
@@ -131,55 +131,25 @@ def tanh_inequality_gap(x, y):
 def m_mu(params: KernelParams, d: int) -> float:
     """Fermi-shell mass: integral of B_T(t, 0) t^(d-1) over 0 < t < sqrt(2 mu).
 
-    Inside the Fermi shell |t^2 - mu| < mu/2 the integral runs in the shifted
-    variable a = t^2 - mu, with breakpoints at the exact thermal shells
-    a = +/- T 10^k (the split build_grid makes), so they stay distinct when
-    T << mu; in t they would round onto sqrt(mu) once T is below about
-    1e-13 mu.  Outside the shell it runs in t, where the integrand stays
-    smooth at both endpoints for every d (in a, d = 1 would carry an
-    integrable 1/sqrt singularity at a = -mu).
+    One fixed Gauss-Legendre evaluation.  Inside the Fermi shell
+    |t^2 - mu| < mu/2 the integral runs in the shifted variable a = t^2 - mu
+    on panels whose edges double from +/- T out to +/- mu/2 (0 and +/- T
+    exact, the split build_grid makes), so the thermal layer stays resolved
+    when T << mu; in t the edges would round onto sqrt(mu) once T is below
+    about 1e-13 mu.  Outside the shell it runs in t on four panels a side,
+    where the integrand stays smooth at both endpoints for every d (in a,
+    d = 1 would carry an integrable 1/sqrt singularity at a = -mu).
     """
     if d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
     T, mu = params.T, params.mu
     half = 0.5 * mu
-
-    def f_t(t):
-        return float(bt_radial_shifted(t * t - mu, params)) * t ** (d - 1)
-
-    def f_a(a):
-        # dt = da / 2t, so t^(d-1) dt = (mu + a)^((d-2)/2) da / 2
-        return 0.5 * float(bt_radial_shifted(a, params)) * (mu + a) ** (0.5 * d - 1.0)
-
-    pts = [0.0]
-    scale = T
-    while scale < half:
-        pts += [-scale, scale]
-        scale *= 10.0
-    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, max_evals=200_000)
-    shell = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, max_evals=200_000,
-                     singular_points=tuple(sorted(pts)))
-    return (integrate_finite(f_t, 0.0, math.sqrt(half), spec).value
-            + integrate_finite(f_a, -half, half, shell).value
-            + integrate_finite(f_t, math.sqrt(mu + half), math.sqrt(2.0 * mu), spec).value)
-
-
-def fit_kt_sandwich(params: KernelParams, n: int = 40):
-    """Fit constants with C1 (T + p^2 + q^2) <= K <= C2 (p^2 + q^2 + 1) over
-    physical momenta and T in [T0, 10 T0].
-
-    Returns (C1, C2) for inspection rather than assertion: C2 blows up like
-    the near-cancellation peak 2T cosh^2(mu/2T) as T0 is lowered.
-    """
-    T0, mu = params.T, params.mu
-    p2_grid = np.concatenate([[0.0], np.geomspace(1e-3 * mu, 1e2 * mu, n)])
-    c1, c2 = math.inf, 0.0
-    for T in np.geomspace(T0, 10.0 * T0, 5):
-        par = KernelParams(T=float(T), mu=mu)
-        for p2 in p2_grid:
-            for q2 in p2_grid:
-                k = kt(p2 - mu, q2 - mu, par)
-                if math.isfinite(k):
-                    c1 = min(c1, k / (T + p2 + q2))
-                    c2 = max(c2, k / (p2 + q2 + 1.0))
-    return float(c1), float(c2)
+    ladder = T * 2.0 ** np.arange(max(0, math.ceil(math.log2(half / T))))
+    edges = np.concatenate([[0.0], ladder, [half]])
+    a, wa = gauss_panels(np.concatenate([-edges[:0:-1], edges]))
+    # dt = da / 2t, so t^(d-1) dt = (mu + a)^((d-2)/2) da / 2
+    total = 0.5 * np.dot(wa, bt_radial_shifted(a, params) * (mu + a) ** (0.5 * d - 1.0))
+    for lo, hi in ((0.0, math.sqrt(half)), (math.sqrt(mu + half), math.sqrt(2.0 * mu))):
+        t, wt = gauss_panels(np.linspace(lo, hi, 5))
+        total += np.dot(wt, bt_radial_shifted(t * t - mu, params) * t ** (d - 1))
+    return float(total)

@@ -1,9 +1,12 @@
 """Radial potential profiles in d = 1, 2, 3 and the spherically reduced
 quantities built from them: Fourier transforms, moments, the Fermi-surface
-coupling e_mu, and its angular-momentum decomposition."""
+coupling e_mu, and its angular-momentum decomposition.  radial_rule is the
+fixed Gauss-Legendre rule on [0, cutoff] that turns a radial transform of V
+into a dot product."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -12,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .quad import QuadSpec, integrate_finite
+from .quad import QuadSpec, gauss_panels, integrate_finite
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -43,6 +46,12 @@ class RadialPotential:
     def range_scale(self) -> float:
         """Characteristic decay length, used to size momentum cutoffs."""
         raise NotImplementedError
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Radii where the profile or one of its derivatives jumps;
+        quadrature panels break there."""
+        return ()
 
     def is_nonnegative(self) -> bool:
         raise NotImplementedError
@@ -124,6 +133,10 @@ class StepPotential(RadialPotential):
     def range_scale(self):
         return self.R
 
+    @property
+    def breakpoints(self):
+        return (self.R,)
+
     def is_nonnegative(self):
         return self.a >= 0
 
@@ -156,9 +169,23 @@ class TabulatedPotential(RadialPotential):
         if abs(v[-1]) > 1e-12 * vmax:
             raise ValueError("tabulated potential has not decayed at its last node")
         from scipy.interpolate import PchipInterpolator
-        object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
+        interp = PchipInterpolator(r, v, extrapolate=False)
+        object.__setattr__(self, "_interp", interp)
+        # knots and per-piece coefficients, lowest order first, for scalars
+        object.__setattr__(self, "_knots", interp.x.tolist())
+        object.__setattr__(self, "_pieces", list(zip(*interp.c[::-1].tolist())))
 
     def value(self, r):
+        knots = self._knots
+        if type(r) is float and knots[0] <= r <= knots[-1]:
+            # scalar path for adaptive-quadrature integrands: the power sum
+            # the interpolant evaluates, without the array overhead
+            i = min(bisect.bisect_right(knots, r), len(knots) - 1) - 1
+            s, z, out = r - knots[i], 1.0, 0.0
+            for c in self._pieces[i]:
+                out += c * z
+                z *= s
+            return out
         r = np.asarray(r, dtype=float)
         r_last = self.r_values[-1]
         if np.any(r > r_last):
@@ -182,6 +209,10 @@ class TabulatedPotential(RadialPotential):
         after_peak = below[below >= int(np.argmax(v))]
         i = int(after_peak[0]) if len(after_peak) else len(r) - 1
         return float(max(r[i], r[-1] / 8.0))
+
+    @property
+    def breakpoints(self):
+        return tuple(self.r_values[1:-1])
 
     def is_nonnegative(self):
         return bool(np.min(np.asarray(self.v_values)) >= -1e-12 * np.max(np.abs(self.v_values)))
@@ -227,16 +258,35 @@ def to_config(V: RadialPotential) -> dict:
     raise ValueError(f"unregistered potential type {type(V).__name__}")
 
 
-def v_of_r(V: RadialPotential, r):
-    """Pointwise radial values V(r), elementwise."""
-    return V.value(r)
+def _spec(V: RadialPotential) -> QuadSpec:
+    return QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_points=V.breakpoints)
+
+
+def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
+    """Panel edges on [0, cutoff] that break at V.breakpoints and are at most
+    range_scale and 8 / k_max wide, so their count grows like k_max * cutoff.
+    A 16-node panel then integrates V(r) cos(k r) to machine precision for
+    every k up to k_max."""
+    rc = V.cutoff_radius()
+    h = min(V.range_scale, 8.0 / k_max) if k_max > 0.0 else V.range_scale
+    knots = [0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc]
+    edges = [0.0]
+    for lo, hi in zip(knots, knots[1:]):
+        edges.extend(np.linspace(lo, hi, int(math.ceil((hi - lo) / h)) + 1)[1:])
+    return np.asarray(edges)
+
+
+def radial_rule(V: RadialPotential, k_max: float):
+    """Nodes r and weights w of the fixed Gauss-Legendre rule on
+    radial_edges(V, k_max): a radial transform of V at any momenta up to
+    k_max is then a dot product of w V(r) with the transform's kernel."""
+    return gauss_panels(radial_edges(V, k_max))
 
 
 @lru_cache(maxsize=256)
 def _radial_moment(V: RadialPotential, n: int) -> float:
     rc = V.cutoff_radius()
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12,
-                    singular_points=(V.R,) if isinstance(V, StepPotential) else ())
+    spec = _spec(V)
     return integrate_finite(lambda r: V.value(r) * r ** n, 0.0, rc, spec).value
 
 
@@ -257,8 +307,7 @@ def fourier_hat(V: RadialPotential, k) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     rc = V.cutoff_radius()
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12,
-                    singular_points=(V.R,) if isinstance(V, StepPotential) else ())
+    spec = _spec(V)
     c = math.sqrt(2.0 / math.pi)
     if V.d == 1:
         return integrate_finite(lambda r: V.value(r) * math.cos(k * r), 0.0, rc, spec).value * c
@@ -278,32 +327,10 @@ def e_mu(V: RadialPotential, mu: float) -> float:
     if mu <= 0:
         raise ValueError("mu must be positive")
     rc = V.cutoff_radius()
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12,
-                    singular_points=(V.R,) if isinstance(V, StepPotential) else ())
+    spec = _spec(V)
     d = V.d
     return integrate_finite(
         lambda r: V.value(r) * j_d(r, mu, d) ** 2 * r ** (d - 1), 0.0, rc, spec).value
-
-
-def e_mu_sphere_average(V: RadialPotential, mu: float) -> float:
-    """e_mu computed from the momentum side, as the Fermi-sphere average of
-    Vhat over pair separations; cross-checks the position-space route."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    s2mu = math.sqrt(2.0 * mu)
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    if V.d == 1:
-        return (fourier_hat(V, 0.0) + fourier_hat(V, 2.0 * math.sqrt(mu))) * inv_sqrt_2pi
-    spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=4000)
-    if V.d == 2:
-        r = integrate_finite(
-            lambda th: fourier_hat(V, 2.0 * math.sqrt(mu) * abs(math.sin(0.5 * th))),
-            0.0, math.pi, spec)
-        return r.value / math.pi
-    r = integrate_finite(
-        lambda s: fourier_hat(V, s2mu * math.sqrt(max(1.0 - s, 0.0))),
-        -1.0, 1.0, spec)
-    return r.value * inv_sqrt_2pi
 
 
 def vmu_spectrum(V: RadialPotential, mu: float, ell_max: int) -> np.ndarray:

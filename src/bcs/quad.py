@@ -1,4 +1,5 @@
-"""Adaptive 1-D quadrature: finite panels with singular breaks, declared-decay
+"""1-D quadrature: adaptive finite panels with singular breaks, a fixed
+Gauss-Legendre panel rule for vectorized integrands, declared-decay
 semi-infinite integrals, and oscillatory tails summed over half-periods."""
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec | None = None) -> Qua
         return QuadResult(value, err, evals, converged=False,
                           message=f"accuracy not reached: {out[3]}")
     return QuadResult(value, err, evals)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def gauss_panels(edges):
+    """Nodes and weights of the 16-point Gauss-Legendre rule on every panel
+    between consecutive ``edges``, concatenated in order."""
+    e = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def _refine_minimum(g, lo, hi, iters=80):

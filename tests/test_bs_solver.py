@@ -8,6 +8,7 @@ import pytest
 import oracles
 from bcs.bs_solver import (
     SolverError,
+    _w_matrix,
     a_t0,
     angular_average_vhat,
     build_grid,
@@ -18,7 +19,8 @@ from bcs.bs_solver import (
     top_eigenvalue,
 )
 from bcs.kernels import KernelParams
-from bcs.potentials import GaussianPotential, StepPotential, e_mu
+from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
+                            TabulatedPotential, e_mu)
 
 GAUSS3 = GaussianPotential(d=3, a=1.0, ell=1.0)
 
@@ -70,6 +72,33 @@ def test_angular_average_step_potential():
     for p, q in [(0.5, 0.5), (1.0, 2.0)]:
         ref = oracles.wd_position_space(V.value, rc, 3, p, q)
         assert angular_average_vhat(V, p, q) == pytest.approx(ref, abs=1e-7)
+
+
+def _potential(kind, d):
+    if kind == "gaussian":
+        return GaussianPotential(d=d, a=1.0, ell=1.0)
+    if kind == "exponential":
+        return ExponentialPotential(d=d, a=1.0, ell=1.0)
+    if kind == "step":
+        return StepPotential(d=d, a=1.0, R=1.0)
+    r = np.linspace(0.0, 8.0, 9)
+    v = np.exp(-r) * (1.0 + 0.3 * r)
+    v[-1] = 0.0
+    return TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_w_matrix_matches_angular_average(kind, d):
+    # Regression: the generic d = 3 branch once returned exactly half of w_3;
+    # only the Gaussian, which takes the closed form there, escaped.
+    V = _potential(kind, d)
+    p = np.array([0.3, 0.9, 1.4])
+    W = _w_matrix(V, p)
+    for i, pi in enumerate(p):
+        for j, pj in enumerate(p):
+            ref = angular_average_vhat(V, float(pi), float(pj))
+            assert W[i, j] == pytest.approx(ref, rel=1e-6), (i, j)
 
 
 def test_build_matrix_symmetric_bit_for_bit():

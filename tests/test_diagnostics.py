@@ -10,13 +10,12 @@ from bcs.boundary3d import criterion
 from bcs.diagnostics import (
     GrowthFit,
     RhsBreakdown,
-    d2_integrand,
     dt_form_d1,
     dt_form_d2,
     fit_growth,
     rhs_weak_coupling_d3,
 )
-from bcs.potentials import GaussianPotential
+from bcs.potentials import ExponentialPotential, GaussianPotential, StepPotential
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
 GAUSS2 = GaussianPotential(d=2, a=1.0, ell=4.0)
@@ -35,6 +34,15 @@ def test_dt_d1_frozen_values():
 def test_dt_d1_matches_brute_oracle():
     mine = dt_form_d1(GAUSS1, 1e-2, 1.0)
     brute = oracles.dt_d1_brute(GAUSS1.value, GAUSS1.cutoff_radius(), 1e-2, 1.0)
+    assert mine == pytest.approx(brute, rel=1e-6)
+
+
+@pytest.mark.parametrize("V", [StepPotential(d=1, a=1.0, R=1.0),
+                               ExponentialPotential(d=1, a=1.0, ell=1.0)],
+                         ids=["step", "exponential"])
+def test_dt_d1_matches_brute_oracle_non_gaussian(V):
+    mine = dt_form_d1(V, 1e-2, 1.0)
+    brute = oracles.dt_d1_brute(V.value, V.cutoff_radius(), 1e-2, 1.0)
     assert mine == pytest.approx(brute, rel=1e-6)
 
 
@@ -77,10 +85,28 @@ def test_dt_d2_log_cubed_ratios():
         assert got == pytest.approx(ref, rel=1e-7)
 
 
+def test_dt_d2_gaussian_matches_direct_sum():
+    vhat, vj2 = oracles.gaussian_d2_transforms(1.0, 1.0)
+    ref = oracles.dt_d2_direct(vhat, vj2, 1e-2, 1.0, fermi_width=0.02,
+                               p_max=12.0, tail_width=0.5)
+    V = GaussianPotential(d=2, a=1.0, ell=1.0)
+    assert dt_form_d2(V, 1e-2, 1.0) == pytest.approx(ref, rel=1e-7)
+
+
+def test_dt_d2_step_matches_direct_sum():
+    # The step's transforms decay like powers of k, so this also checks
+    # that the momentum cutoff leaves a negligible tail.
+    vhat, vj2 = oracles.step_d2_transforms(1.0, 1.0, 1.0)
+    ref = oracles.dt_d2_direct(vhat, vj2, 0.1, 1.0, fermi_width=0.05,
+                               p_max=120.0, tail_width=1.0)
+    V = StepPotential(d=2, a=1.0, R=1.0)
+    assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(ref, rel=1e-7)
+
+
 def test_dt_d2_integrand_symmetric_in_transverse_momenta():
     for p1, p2, q2 in [(0.3, 0.7, 1.1), (1.0, 0.1, 2.0), (0.05, 1.4, 0.2)]:
-        a = d2_integrand(GAUSS2, 1e-2, 1.0, p1, p2, q2)
-        b = d2_integrand(GAUSS2, 1e-2, 1.0, p1, q2, p2)
+        a = oracles.d2_integrand(GAUSS2, 1e-2, 1.0, p1, p2, q2)
+        b = oracles.d2_integrand(GAUSS2, 1e-2, 1.0, p1, q2, p2)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -88,7 +114,7 @@ def test_dt_d2_wrong_dimension_rejected():
     with pytest.raises(ValueError, match="needs a d=2"):
         dt_form_d2(GAUSS3, 1e-2, 1.0)
     with pytest.raises(ValueError, match="needs a d=2"):
-        d2_integrand(GAUSS1, 1e-2, 1.0, 0.1, 0.2, 0.3)
+        oracles.d2_integrand(GAUSS1, 1e-2, 1.0, 0.1, 0.2, 0.3)
 
 
 def test_dt_forms_grow_as_temperature_drops():

@@ -14,7 +14,6 @@ from bcs.potentials import (
     StepPotential,
     TabulatedPotential,
     e_mu,
-    e_mu_sphere_average,
     fourier_hat,
     from_config,
     moment,
@@ -168,7 +167,9 @@ def test_moments_closed_forms():
 def test_e_mu_two_routes_agree():
     for d, mu in ((1, 1.0), (2, 1.3), (3, 0.7), (3, 2.0)):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
-        assert abs(e_mu(V, mu) - e_mu_sphere_average(V, mu)) < 1e-9
+        ref = oracles.e_mu_sphere_average(
+            lambda k, d=d: oracles.gaussian_hat_closed(1.0, 1.0, d, k), d, mu)
+        assert abs(e_mu(V, mu) - ref) < 1e-9
 
 
 def test_e_mu_d1_closed_form():
@@ -183,8 +184,6 @@ def test_e_mu_d1_closed_form():
 def test_e_mu_validation():
     with pytest.raises(ValueError, match="mu must be positive"):
         e_mu(GaussianPotential(d=3), 0.0)
-    with pytest.raises(ValueError, match="mu must be positive"):
-        e_mu_sphere_average(GaussianPotential(d=3), -1.0)
 
 
 def test_vmu_spectrum_matches_addition_theorem_oracle():
