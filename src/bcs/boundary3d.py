@@ -3,7 +3,9 @@
 The boundary density splits into four closed-form terms t1..t4 whose signed
 sums give the Dirichlet and Neumann profiles m3.  The criterion weighs a
 radial potential against m3; its sign decides whether the half-space
-supports pairing at a higher temperature than the bulk.
+supports pairing at a higher temperature than the bulk.  mtilde_direct
+evaluates the underlying line integral without the spherical reduction and
+is kept purely as a cross-check for the closed forms.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .potentials import RadialPotential, to_config
 from .quad import Decay, QuadSpec, integrate_finite, integrate_oscillatory_tail
-from .special import cosine_integral_cin, sine_integral
+from .special import cosine_integral_cin, j_d, sine_integral
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -160,6 +162,62 @@ def m3_profile(x_max: float, step: float, bc, threads: int = 1):
     return list(zip(xs, vals))
 
 
+_MT_SPEC = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=60000)
+
+
+def mtilde_direct(r, mu: float, bc) -> float:
+    """Boundary density at a single point, from its defining line integral.
+
+    ``r`` is a 3-vector.  The integral over the first coordinate splits at
+    +-|r1|: inside, the reflected combination |j3 -+ j3(|r|)|^2 is kept
+    literally; outside, substituting the radial distance turns the tail
+    into sin^2(sqrt(mu) s) against a monotone algebraic weight.  The upper
+    sign (Dirichlet) subtracts the point term (pi/sqrt(mu)) j3(|r|)^2.
+
+    Much slower than m3 and only sensible as a cross-check: the spherical
+    average of this quantity is m3_scaled.
+    """
+    b = normalize_bc(bc)
+    sgn = 1.0 if b == DIRICHLET else -1.0
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"chemical potential must be positive, got {mu}")
+    r1, r2, r3 = (float(c) for c in r)
+    rho = math.hypot(r2, r3)
+    rn = math.hypot(r1, rho)
+    root_mu = math.sqrt(mu)
+    jr = j_d(rn, mu, 3)
+    point_term = -sgn * (math.pi / root_mu) * jr * jr
+
+    if root_mu * rn < 1e-12:
+        # Degenerate at the origin: the indicator window is empty and the
+        # remaining full-line integral of j3^2 is 2/sqrt(mu) exactly.
+        return 2.0 / root_mu + point_term
+
+    # Outside the window: 2 int_{|r|}^inf sin^2(rt mu s) / (s sqrt(s^2-rho^2)) ds
+    # times 2/(pi mu), with an inverse-square-root endpoint when r1 = 0.
+    def outer_weight(s):
+        return 1.0 / (s * math.sqrt((s - rho) * (s + rho)))
+
+    def outer_integrand(s):
+        return math.sin(root_mu * s) ** 2 * outer_weight(s)
+
+    s0 = rn + max(rn, rho, 4.0 * math.pi / root_mu)
+    fin = integrate_finite(outer_integrand, rn, s0, _MT_SPEC)
+    tail = integrate_oscillatory_tail(outer_weight, root_mu, s0, _MT_SPEC,
+                                      kind="sin2", decay=Decay.algebraic(2))
+    outside = 4.0 / (math.pi * mu) * (fin.value + tail.value)
+
+    if r1 == 0.0:
+        return outside + point_term
+
+    def window_integrand(z):
+        jz = j_d(math.hypot(z, rho), mu, 3)
+        return jz * jz - (jz - sgn * jr) ** 2
+
+    win = integrate_finite(window_integrand, 0.0, abs(r1), _MT_SPEC)
+    return outside + 2.0 * win.value + point_term
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Outcome of the boundary criterion for one potential.
@@ -201,7 +259,7 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius(1e-16)
     spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, max_evals=60000,
-                    singular_points=V.breakpoints)
+                    singular_points=V.jumps)
     pref = 4.0 * math.pi / root_mu
     signs = _TERM_SIGNS[b]
     per_term = {}

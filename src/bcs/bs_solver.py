@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 from .kernels import KernelParams, bt_radial_shifted
 from .potentials import (GaussianPotential, RadialPotential, e_mu,
                          fourier_hat)
-from .quad import QuadSpec, integrate_finite
+from .quad import QuadSpec, gauss_panels, integrate_finite
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -66,21 +66,6 @@ class SWaveDiscretization:
         return len(self.nodes)
 
 
-@lru_cache(maxsize=64)
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_nodes(edges, n_per_panel):
-    """Gauss-Legendre nodes/weights on each [edges[k], edges[k+1]]."""
-    x, w = _gl(n_per_panel)
-    lo = np.asarray(edges[:-1])[:, None]
-    hi = np.asarray(edges[1:])[:, None]
-    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
-    weights = 0.5 * (hi - lo) * w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
 def _geometric_edges(width, cap, growth):
     edges = [0.0, width]
     while edges[-1] < cap:
@@ -112,7 +97,7 @@ def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
     w_in = min(T, 1e-3 * mu)
     u_edges = _split(_geometric_edges(w_in, 0.5 * mu, growth), refine_level)
 
-    u_nodes, u_w = _panel_nodes(u_edges, n_per_panel)
+    u_nodes, u_w = gauss_panels(u_edges, n_per_panel)
     ps, ws, sh = [], [], []
     for sign in (1.0, -1.0):
         a = sign * u_nodes
@@ -129,7 +114,7 @@ def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
     hi_edges = _split(np.linspace(p_hi, p_max, max(3, math.ceil((p_max - p_hi) / width)) + 1),
                       refine_level)
     for edges in (lo_edges, hi_edges):
-        p, w = _panel_nodes(edges, n_per_panel)
+        p, w = gauss_panels(edges, n_per_panel)
         ps.append(p)
         ws.append(w)
         sh.append(p * p - mu)
@@ -194,7 +179,7 @@ def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
         return (spline(np.abs(p[:, None] - p[None, :]))
                 + spline(p[:, None] + p[None, :])) / math.sqrt(2.0 * math.pi)
     ns = 64
-    x, w = _gl(ns)
+    x, w = gauss_panels([-1.0, 1.0], ns)
     out = np.empty((n, n))
     p2 = p * p
     if d == 2:

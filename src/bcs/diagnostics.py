@@ -4,8 +4,8 @@ dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
 dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth
 quantifies how well a sampled sweep follows the declared growth law.
-Both forms take their radial transforms from fixed position-space rules
-(potentials.radial_rule), so a transform at many momenta is one matrix
+Both forms take their radial transforms from fixed Gauss-Legendre rules on
+potentials.radial_edges, so a transform at many momenta is one matrix
 product: in d = 1 the transform of V j1 is a dot product at every outer
 node, and in d = 2 the even-reflected kernel Vhat(|p - q|) + Vhat(p + q)
 factorizes over the transverse coordinate y.
@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 
 from .boundary3d import DIRICHLET, normalize_bc
 from .kernels import KernelParams, bt_radial_shifted
-from .potentials import RadialPotential, fourier_hat, radial_edges, radial_rule
+from .potentials import RadialPotential, fourier_hat, radial_edges
 from .quad import (Decay, QuadSpec, QuadratureError, gauss_panels,
                    integrate_finite, integrate_oscillatory_tail)
 from .special import j_d
@@ -37,11 +37,11 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=1 potential; grows like 1/T.
 
     Evaluates Vhat(0) times the line integral of B_T(p,0)^2 |(V j1)^(p)|^2.
-    The transform of V j1 is a cosine transform, a dot product with
-    potentials.radial_rule sized to the upper end of each integration
-    segment.  Panel breaks at p = sqrt(mu) and at the thermal shells
-    |p^2 - mu| = T 10^k keep the Fermi peak resolved; the far tail is
-    extended by octaves until its analytic bound is negligible.
+    The transform of V j1 is a cosine transform, a dot product with the
+    Gauss-Legendre rule on potentials.radial_edges sized to the upper end of
+    each integration segment.  Panel breaks at p = sqrt(mu) and at the
+    thermal shells |p^2 - mu| = T 10^k keep the Fermi peak resolved; the far
+    tail is extended by octaves until its analytic bound is negligible.
     """
     if V.d != 1:
         raise ValueError("dt_form_d1 needs a d=1 potential")
@@ -51,7 +51,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
 
     def integrand(p_hi):
         """|B_T(p, 0) (V j1)^(p)|^2 for p up to p_hi."""
-        r, wr = radial_rule(V, p_hi + root_mu)
+        r, wr = gauss_panels(radial_edges(V, p_hi + root_mu))
         g = (2.0 / math.pi) * wr * V.value(r) * np.cos(root_mu * r)
 
         def f(p):
@@ -70,7 +70,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
                      singular_points=tuple(sorted(p for p in pts if p < p0)))
     total = integrate_finite(integrand(p0), 0.0, p0, spec0).value
 
-    r, wr = radial_rule(V, 0.0)
+    r, wr = gauss_panels(radial_edges(V, 0.0))
     w_bound = (2.0 / math.pi) * float(np.dot(wr, np.abs(V.value(r))))
     p = p0
     # Beyond sqrt(2 mu) the kernel factor is at most 2/p^2, so the remaining
@@ -188,7 +188,7 @@ def _d2_tables(V: RadialPotential, mu: float):
     h = 0.35 / rc / 16.0
     smax = math.sqrt(2.0) * P + 2.0 * h
     s_grid = np.linspace(0.0, smax, int(math.ceil(smax / h)) + 1)
-    r, wr = radial_rule(V, smax + root_mu)
+    r, wr = gauss_panels(radial_edges(V, smax + root_mu))
     g = wr * V.value(r) * _sp.j0(root_mu * r) * r
     w_vals = np.concatenate([_sp.j0(np.outer(s_grid[i0:i0 + 256], r)) @ g
                              for i0 in range(0, len(s_grid), 256)])
@@ -318,7 +318,7 @@ def rhs_weak_coupling_d3(V: RadialPotential, mu: float, bc) -> RhsBreakdown:
         raise ValueError(f"chemical potential must be positive, got {mu}")
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
-    outer = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, singular_points=V.breakpoints)
+    outer = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, singular_points=V.jumps)
     mid = QuadSpec(abs_tol=1e-11, rel_tol=1e-9, max_evals=60000)
 
     g = _fullline_spline(root_mu * rc * (1.0 + 1e-9))

@@ -153,3 +153,24 @@ def m_mu(params: KernelParams, d: int) -> float:
         t, wt = gauss_panels(np.linspace(lo, hi, 5))
         total += np.dot(wt, bt_radial_shifted(t * t - mu, params) * t ** (d - 1))
     return float(total)
+
+
+def fit_kt_sandwich(params: KernelParams, n: int = 40):
+    """Fit constants with C1 (T + p^2 + q^2) <= K <= C2 (p^2 + q^2 + 1) over
+    physical momenta and T in [T0, 10 T0].
+
+    Returns (C1, C2) for inspection rather than assertion: C2 blows up like
+    the near-cancellation peak 2T cosh^2(mu/2T) as T0 is lowered.
+    """
+    T0, mu = params.T, params.mu
+    p2_grid = np.concatenate([[0.0], np.geomspace(1e-3 * mu, 1e2 * mu, n)])
+    c1, c2 = math.inf, 0.0
+    for T in np.geomspace(T0, 10.0 * T0, 5):
+        par = KernelParams(T=float(T), mu=mu)
+        for p2 in p2_grid:
+            for q2 in p2_grid:
+                k = kt(p2 - mu, q2 - mu, par)
+                if math.isfinite(k):
+                    c1 = min(c1, k / (T + p2 + q2))
+                    c2 = max(c2, k / (p2 + q2 + 1.0))
+    return float(c1), float(c2)

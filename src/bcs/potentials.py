@@ -1,12 +1,11 @@
 """Radial potential profiles in d = 1, 2, 3 and the spherically reduced
 quantities built from them: Fourier transforms, moments, the Fermi-surface
-coupling e_mu, and its angular-momentum decomposition.  radial_rule is the
-fixed Gauss-Legendre rule on [0, cutoff] that turns a radial transform of V
-into a dot product."""
+coupling e_mu, and its angular-momentum decomposition.  radial_edges lays
+out the panels of a fixed Gauss-Legendre rule on [0, cutoff] that turns a
+radial transform of V into a dot product."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .quad import QuadSpec, gauss_panels, integrate_finite
+from .quad import QuadSpec, integrate_finite
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -48,10 +47,16 @@ class RadialPotential:
         raise NotImplementedError
 
     @property
-    def breakpoints(self) -> tuple:
-        """Radii where the profile or one of its derivatives jumps;
-        quadrature panels break there."""
+    def jumps(self) -> tuple:
+        """Radii where the profile itself jumps; adaptive quadrature breaks
+        there."""
         return ()
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Radii where the profile or one of its derivatives jumps; the
+        panels of a fixed rule break there."""
+        return self.jumps
 
     def is_nonnegative(self) -> bool:
         raise NotImplementedError
@@ -134,7 +139,7 @@ class StepPotential(RadialPotential):
         return self.R
 
     @property
-    def breakpoints(self):
+    def jumps(self):
         return (self.R,)
 
     def is_nonnegative(self):
@@ -169,31 +174,20 @@ class TabulatedPotential(RadialPotential):
         if abs(v[-1]) > 1e-12 * vmax:
             raise ValueError("tabulated potential has not decayed at its last node")
         from scipy.interpolate import PchipInterpolator
-        interp = PchipInterpolator(r, v, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        # knots and per-piece coefficients, lowest order first, for scalars
-        object.__setattr__(self, "_knots", interp.x.tolist())
-        object.__setattr__(self, "_pieces", list(zip(*interp.c[::-1].tolist())))
+        object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
 
     def value(self, r):
-        knots = self._knots
-        if type(r) is float and knots[0] <= r <= knots[-1]:
-            # scalar path for adaptive-quadrature integrands: the power sum
-            # the interpolant evaluates, without the array overhead
-            i = min(bisect.bisect_right(knots, r), len(knots) - 1) - 1
-            s, z, out = r - knots[i], 1.0, 0.0
-            for c in self._pieces[i]:
-                out += c * z
-                z *= s
-            return out
         r = np.asarray(r, dtype=float)
         r_last = self.r_values[-1]
-        if np.any(r > r_last):
+        beyond = r > r_last
+        if beyond.any():
             warnings.warn(
                 f"evaluating tabulated potential beyond its last node r={r_last}; using 0",
                 ExtrapolationWarning, stacklevel=2)
-        out = self._interp(np.clip(r, self.r_values[0], r_last))
-        out = np.where(r > r_last, 0.0, out)
+        # array methods, not np.any/np.clip/np.where: adaptive quadrature
+        # calls this once per scalar node, where their dispatch dominates
+        out = self._interp(r.clip(self.r_values[0], r_last))
+        out[beyond] = 0.0
         return out if out.ndim else float(out)
 
     def cutoff_radius(self, eps=1e-16):
@@ -259,7 +253,7 @@ def to_config(V: RadialPotential) -> dict:
 
 
 def _spec(V: RadialPotential) -> QuadSpec:
-    return QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_points=V.breakpoints)
+    return QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_points=V.jumps)
 
 
 def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
@@ -274,13 +268,6 @@ def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     for lo, hi in zip(knots, knots[1:]):
         edges.extend(np.linspace(lo, hi, int(math.ceil((hi - lo) / h)) + 1)[1:])
     return np.asarray(edges)
-
-
-def radial_rule(V: RadialPotential, k_max: float):
-    """Nodes r and weights w of the fixed Gauss-Legendre rule on
-    radial_edges(V, k_max): a radial transform of V at any momenta up to
-    k_max is then a dot product of w V(r) with the transform's kernel."""
-    return gauss_panels(radial_edges(V, k_max))
 
 
 @lru_cache(maxsize=256)
@@ -331,6 +318,27 @@ def e_mu(V: RadialPotential, mu: float) -> float:
     d = V.d
     return integrate_finite(
         lambda r: V.value(r) * j_d(r, mu, d) ** 2 * r ** (d - 1), 0.0, rc, spec).value
+
+
+def e_mu_sphere_average(V: RadialPotential, mu: float) -> float:
+    """e_mu computed from the momentum side, as the Fermi-sphere average of
+    Vhat over pair separations; cross-checks the position-space route."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    s2mu = math.sqrt(2.0 * mu)
+    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
+    if V.d == 1:
+        return (fourier_hat(V, 0.0) + fourier_hat(V, 2.0 * math.sqrt(mu))) * inv_sqrt_2pi
+    spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=4000)
+    if V.d == 2:
+        r = integrate_finite(
+            lambda th: fourier_hat(V, 2.0 * math.sqrt(mu) * abs(math.sin(0.5 * th))),
+            0.0, math.pi, spec)
+        return r.value / math.pi
+    r = integrate_finite(
+        lambda s: fourier_hat(V, s2mu * math.sqrt(max(1.0 - s, 0.0))),
+        -1.0, 1.0, spec)
+    return r.value * inv_sqrt_2pi
 
 
 def vmu_spectrum(V: RadialPotential, mu: float, ell_max: int) -> np.ndarray:

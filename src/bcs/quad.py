@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -126,15 +127,18 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec | None = None) -> Qua
     return QuadResult(value, err, evals)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=64)
+def _gl(n: int):
+    return np.polynomial.legendre.leggauss(n)
 
 
-def gauss_panels(edges):
-    """Nodes and weights of the 16-point Gauss-Legendre rule on every panel
+def gauss_panels(edges, n: int = 16):
+    """Nodes and weights of the n-point Gauss-Legendre rule on every panel
     between consecutive ``edges``, concatenated in order."""
+    x, w = _gl(n)
     e = np.asarray(edges, dtype=float)
     mid, half = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 def _refine_minimum(g, lo, hi, iters=80):

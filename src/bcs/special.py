@@ -1,5 +1,5 @@
-"""Bessel J0, sine integral, the entire cosine integral Cin, and the radial
-profiles j_d of the Fermi-sphere surface measure in d = 1, 2, 3."""
+"""Sine integral, the entire cosine integral Cin, and the radial profiles j_d
+of the Fermi-sphere surface measure in d = 1, 2, 3."""
 
 from __future__ import annotations
 
@@ -7,12 +7,6 @@ import numpy as np
 from scipy import special as _sp
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
-
-
-def bessel_j0(x):
-    """J0(x), elementwise."""
-    out = _sp.j0(x)
-    return out if np.ndim(out) else float(out)
 
 
 def sine_integral(x):

@@ -211,23 +211,6 @@ def gaussian_hat_closed(a: float, ell: float, d: int, k: float) -> float:
     return a * (0.5 * ell * ell) ** (0.5 * d) * math.exp(-0.25 * (k * ell) ** 2)
 
 
-def e_mu_sphere_average(vhat, d: int, mu: float) -> float:
-    """e_mu from the momentum side: the Fermi-sphere average of Vhat over
-    pair separations, for a radial transform ``vhat(k)`` in dimension d."""
-    root_mu = math.sqrt(mu)
-    if d == 1:
-        return (vhat(0.0) + vhat(2.0 * root_mu)) / math.sqrt(2.0 * math.pi)
-    if d == 2:
-        val, _ = integrate.quad(
-            lambda th: vhat(2.0 * root_mu * abs(math.sin(0.5 * th))), 0.0, math.pi,
-            epsabs=1e-12, epsrel=1e-12)
-        return val / math.pi
-    val, _ = integrate.quad(
-        lambda s: vhat(math.sqrt(2.0 * mu * max(1.0 - s, 0.0))), -1.0, 1.0,
-        epsabs=1e-12, epsrel=1e-12)
-    return val / math.sqrt(2.0 * math.pi)
-
-
 def wd_position_space(value, rc: float, d: int, p: float, q: float) -> float:
     """Angular average of Vhat over momenta of lengths p and q, but computed
     from the position side (trig/Bessel product identities), so it shares no
@@ -312,56 +295,6 @@ def bt_direct(a: float, b: float, T: float) -> float:
 # ---------------------------------------------------------------------------
 # boundary-profile oracles
 # ---------------------------------------------------------------------------
-
-def mtilde_direct(r, mu: float, bc: str) -> float:
-    """Half-space boundary density at the 3-vector r, from its defining line
-    integral; bc is "dirichlet" or "neumann".
-
-    The integral over the normal coordinate splits at +-|r1|: inside, the
-    reflected combination |j3 -+ j3(|r|)|^2 is kept literally; outside,
-    substituting the radial distance s leaves sin^2(sqrt(mu) s) against
-    1/(s sqrt(s^2 - rho^2)), whose tail beyond s0 is QUADPACK's Fourier
-    routine plus the closed form arcsin(rho/s0)/rho.  Dirichlet subtracts
-    the point term (pi/sqrt(mu)) j3(|r|)^2, Neumann adds it.  Its sphere
-    average is the scaled profile m3.
-    """
-    sgn = 1.0 if bc == "dirichlet" else -1.0
-    r1, r2, r3 = (float(c) for c in r)
-    rho = math.hypot(r2, r3)
-    rn = math.hypot(r1, rho)
-    k = math.sqrt(mu)
-
-    def j3(x):
-        return math.sqrt(2.0 / math.pi) * (math.sin(k * x) / (k * x)
-                                           if k * x > 1e-8 else 1.0)
-
-    jr = j3(rn)
-    point = -sgn * (math.pi / k) * jr * jr
-    if k * rn < 1e-12:
-        # the window is empty and the full line integral of j3^2 is 2/sqrt(mu)
-        return 2.0 / k + point
-
-    def w(s):
-        return 1.0 / (s * math.sqrt((s - rho) * (s + rho)))
-
-    s0 = rn + max(rn, rho, 4.0 * math.pi / k)
-    head, _ = integrate.quad(lambda s: math.sin(k * s) ** 2 * w(s), rn, s0,
-                             epsabs=1e-13, epsrel=1e-12, limit=400)
-    plain = math.asin(rho / s0) / rho if rho > 0.0 else 1.0 / s0
-    osc, _ = integrate.quad(w, s0, np.inf, weight="cos", wvar=2.0 * k,
-                            epsabs=1e-13, limlst=200)
-    outside = 4.0 / (math.pi * mu) * (head + 0.5 * (plain - osc))
-    if r1 == 0.0:
-        return outside + point
-
-    def window(z):
-        jz = j3(math.hypot(z, rho))
-        return jz * jz - (jz - sgn * jr) ** 2
-
-    win, _ = integrate.quad(window, 0.0, abs(r1), epsabs=1e-13, epsrel=1e-12,
-                            limit=200)
-    return outside + 2.0 * win + point
-
 
 def t4_sphere_product(x: float) -> float:
     """t4 from its double sphere-surface integral.

@@ -22,6 +22,7 @@ from bcs.boundary3d import (
     criterion,
     m3_profile,
     m3_scaled,
+    mtilde_direct,
     t4,
     table1_values,
 )
@@ -135,7 +136,7 @@ def test_03_sphere_average(capsys):
             # The density is even in the normal coordinate and azimuthally
             # symmetric, so the sphere average reduces to the polar integral.
             avg = float(np.sum(w * [
-                oracles.mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
+                mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
                 for ui in u]))
             ref = m3_scaled(r, mu, bc)
             diff = abs(avg - ref)

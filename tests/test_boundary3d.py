@@ -13,6 +13,7 @@ from bcs.boundary3d import (
     m3,
     m3_profile,
     m3_scaled,
+    mtilde_direct,
     normalize_bc,
     t1,
     t2,
@@ -115,8 +116,8 @@ def test_mtilde_sphere_average_is_scaled_profile():
     for r, mu in [(0.5, 1.0), (1.0, 2.0)]:
         for bc in ("dirichlet", "neumann"):
             avg = sum(
-                wi * oracles.mtilde_direct(
-                    (r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
+                wi * mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0),
+                                   mu, bc)
                 for ui, wi in zip(u, w))
             assert avg == pytest.approx(m3_scaled(r, mu, bc), abs=1e-4)
 

@@ -81,7 +81,9 @@ def _potential(kind, d):
         return ExponentialPotential(d=d, a=1.0, ell=1.0)
     if kind == "step":
         return StepPotential(d=d, a=1.0, R=1.0)
-    r = np.linspace(0.0, 8.0, 9)
+    # Few knots: _w_matrix splines 4,097 adaptive transforms of the table,
+    # each of which resolves every knot.
+    r = np.linspace(0.0, 8.0, 5)
     v = np.exp(-r) * (1.0 + 0.3 * r)
     v[-1] = 0.0
     return TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))

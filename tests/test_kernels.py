@@ -11,6 +11,7 @@ from bcs.kernels import (
     KernelParams,
     bt,
     bt_radial_shifted,
+    fit_kt_sandwich,
     kt,
     m_mu,
     tanh_inequality_gap,
@@ -109,27 +110,6 @@ def test_tanh_inequality_gap_nonnegative(x, y):
 def test_tanh_inequality_gap_vanishes_on_diagonal():
     xs = np.array([0.1, 1.0, 3.0])
     np.testing.assert_allclose(tanh_inequality_gap(xs, xs), 0.0, atol=1e-12)
-
-
-def fit_kt_sandwich(params: KernelParams, n: int = 40):
-    """Fit constants with C1 (T + p^2 + q^2) <= K <= C2 (p^2 + q^2 + 1) over
-    physical momenta and T in [T0, 10 T0].
-
-    Returns (C1, C2) for inspection rather than assertion: C2 blows up like
-    the near-cancellation peak 2T cosh^2(mu/2T) as T0 is lowered.
-    """
-    T0, mu = params.T, params.mu
-    p2_grid = np.concatenate([[0.0], np.geomspace(1e-3 * mu, 1e2 * mu, n)])
-    c1, c2 = math.inf, 0.0
-    for T in np.geomspace(T0, 10.0 * T0, 5):
-        par = KernelParams(T=float(T), mu=mu)
-        for p2 in p2_grid:
-            for q2 in p2_grid:
-                k = kt(p2 - mu, q2 - mu, par)
-                if math.isfinite(k):
-                    c1 = min(c1, k / (T + p2 + q2))
-                    c2 = max(c2, k / (p2 + q2 + 1.0))
-    return float(c1), float(c2)
 
 
 def test_fit_kt_sandwich_brackets():

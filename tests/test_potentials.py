@@ -14,6 +14,7 @@ from bcs.potentials import (
     StepPotential,
     TabulatedPotential,
     e_mu,
+    e_mu_sphere_average,
     fourier_hat,
     from_config,
     moment,
@@ -126,6 +127,22 @@ def test_step_hat_closed_form_d3():
         assert abs(fourier_hat(V, k) - ref) < 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dense_table_transforms_track_closed_forms(d):
+    # 3,000 samples: every interior knot is a breakpoint of the fixed radial
+    # rule, but far more than adaptive quadrature may take as singular points.
+    r = np.linspace(0.0, 7.0, 3000)
+    v = np.exp(-r * r)
+    v[-1] = 0.0
+    V = TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))
+    assert len(V.breakpoints) == 2998
+    G = GaussianPotential(d=d, a=1.0, ell=1.0)
+    for k in (0.0, 1.0, 3.0):
+        assert fourier_hat(V, k) == pytest.approx(
+            oracles.gaussian_hat_closed(1.0, 1.0, d, k), rel=1e-6)
+    assert e_mu(V, 1.3) == pytest.approx(e_mu(G, 1.3), rel=1e-6)
+
+
 def test_hat_small_k_taylor_branch_d3():
     V = ExponentialPotential(d=3, a=1.0, ell=1.0)
     assert abs(fourier_hat(V, 0.0) - moment(V, 0) / (2.0 * math.pi) ** 1.5) < 1e-13
@@ -167,9 +184,7 @@ def test_moments_closed_forms():
 def test_e_mu_two_routes_agree():
     for d, mu in ((1, 1.0), (2, 1.3), (3, 0.7), (3, 2.0)):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
-        ref = oracles.e_mu_sphere_average(
-            lambda k, d=d: oracles.gaussian_hat_closed(1.0, 1.0, d, k), d, mu)
-        assert abs(e_mu(V, mu) - ref) < 1e-9
+        assert abs(e_mu(V, mu) - e_mu_sphere_average(V, mu)) < 1e-9
 
 
 def test_e_mu_d1_closed_form():
@@ -184,6 +199,8 @@ def test_e_mu_d1_closed_form():
 def test_e_mu_validation():
     with pytest.raises(ValueError, match="mu must be positive"):
         e_mu(GaussianPotential(d=3), 0.0)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        e_mu_sphere_average(GaussianPotential(d=3), -1.0)
 
 
 def test_vmu_spectrum_matches_addition_theorem_oracle():
