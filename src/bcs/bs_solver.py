@@ -4,25 +4,25 @@ The operator V^(1/2) B_T(p, 0) |V|^(1/2) is discretized on a radial momentum
 grid whose panels condense geometrically onto the Fermi surface in the shifted
 variable u = p^2 - mu, so temperatures down to 1e-16 mu stay resolved.  Its
 top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
+The s-wave kernel w_d(p, q) is a position-space radial transform taken on
+the fixed Gauss-Legendre rule of potentials.radial_edges, one matrix
+product for every potential and every d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import linalg as _la
 from scipy import optimize as _opt
-from scipy.interpolate import CubicSpline
 
 from .kernels import KernelParams, bt_radial_shifted
-from .potentials import (GaussianPotential, RadialPotential, e_mu,
-                         fourier_hat)
+from .potentials import (_SPHERE_AREA, RadialPotential, e_mu, fourier_hat,
+                         radial_edges)
 from .quad import QuadSpec, gauss_panels, integrate_finite
-
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+from .special import j_d
 
 
 class SolverError(Exception):
@@ -130,13 +130,6 @@ def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
     return grid
 
 
-@lru_cache(maxsize=16)
-def _vhat_spline(V: RadialPotential, k_max: float):
-    ks = np.linspace(0.0, k_max, 4097)
-    vals = np.array([fourier_hat(V, k) for k in ks])
-    return CubicSpline(ks, vals)
-
-
 def angular_average_vhat(V: RadialPotential, p: float, q: float) -> float:
     """Average of Vhat over the angle between two momenta of lengths p, q.
 
@@ -161,43 +154,23 @@ def angular_average_vhat(V: RadialPotential, p: float, q: float) -> float:
 
 
 def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
-    """w_d(p_i, p_j) on the full grid, vectorized per dimension."""
-    d = V.d
-    if d == 3 and isinstance(V, GaussianPotential):
-        # closed form: the angular integral of a Gaussian Vhat is an
-        # exponential difference, written via expm1 so p q -> 0 is stable
-        ell2 = V.ell * V.ell
-        pref = V.a * (0.5 * ell2) ** 1.5 / math.sqrt(2.0 * math.pi)
-        diff2 = (p[:, None] - p[None, :]) ** 2
-        c = 0.5 * ell2 * p[:, None] * p[None, :]
-        return pref * np.exp(-0.25 * ell2 * diff2) * (-np.expm1(-2.0 * c)) / c
+    """w_d(p_i, p_j) = int V(r) j_d(r; p_i^2) j_d(r; p_j^2) r^(d-1) dr.
 
-    k_max = 2.0 * float(p[-1]) * 1.0001
-    spline = _vhat_spline(V, k_max)
-    n = len(p)
-    if d == 1:
-        return (spline(np.abs(p[:, None] - p[None, :]))
-                + spline(p[:, None] + p[None, :])) / math.sqrt(2.0 * math.pi)
-    ns = 64
-    x, w = gauss_panels([-1.0, 1.0], ns)
-    out = np.empty((n, n))
-    p2 = p * p
-    if d == 2:
-        th = 0.5 * math.pi * (x + 1.0)
-        cw = (0.5 * w) * np.ones_like(th)
-        cos_th = np.cos(th)
-        for i0 in range(0, n, 64):
-            i1 = min(i0 + 64, n)
-            k2 = p2[i0:i1, None, None] + p2[None, :, None] \
-                - 2.0 * (p[i0:i1, None, None] * p[None, :, None]) * cos_th[None, None, :]
-            out[i0:i1] = spline(np.sqrt(np.maximum(k2, 0.0))) @ cw
-        return out
-    for i0 in range(0, n, 64):
-        i1 = min(i0 + 64, n)
-        k2 = p2[i0:i1, None, None] + p2[None, :, None] \
-            - 2.0 * (p[i0:i1, None, None] * p[None, :, None]) * x[None, None, :]
-        out[i0:i1] = spline(np.sqrt(np.maximum(k2, 0.0))) @ w
-    return out / math.sqrt(2.0 * math.pi)  # GL over s in [-1, 1]
+    One product J diag(V w r^(d-1)) J^T on the fixed radial rule for every
+    potential and every d; the panels resolve the product's frequencies up
+    to 2 p_max.  Symmetrized, so build_matrix is symmetric bit for bit.
+    """
+    r, w = gauss_panels(radial_edges(V, 2.0 * float(p[-1])))
+    J = j_d(np.multiply.outer(p, r), 1.0, V.d)
+    W = (J * (V.value(r) * w * r ** (V.d - 1))) @ J.T
+    return 0.5 * (W + W.T)
+
+
+def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.ndarray:
+    """s_i = sqrt(w_i) p_i^((d-1)/2) sqrt(B_i): the Birman-Schwinger matrix
+    is diag(s) W diag(s)."""
+    B = bt_radial_shifted(grid.shifted, params)
+    return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
 
 
 def build_matrix(V: RadialPotential, params: KernelParams, grid: SWaveDiscretization,
@@ -211,8 +184,7 @@ def build_matrix(V: RadialPotential, params: KernelParams, grid: SWaveDiscretiza
         raise ValueError("Birman-Schwinger symmetrization needs V >= 0")
     if abs(grid.mu - params.mu) > 1e-15 * params.mu:
         raise ValueError("grid and kernel parameters disagree on mu")
-    B = bt_radial_shifted(grid.shifted, params)
-    s = np.sqrt(grid.weights) * grid.nodes ** (0.5 * (V.d - 1)) * np.sqrt(B)
+    s = _bs_scale(grid, params, V.d)
     W = _w_matrix(V, grid.nodes) if _w is None else _w
     return s[:, None] * s[None, :] * W
 
@@ -319,10 +291,8 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         key = (T, level)
         if key not in cache:
             g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-            W = _w_matrix(V, g.nodes)
-            B = bt_radial_shifted(g.shifted, KernelParams(T=T, mu=mu))
-            s = np.sqrt(g.weights) * g.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
-            a, _ = _power_top(s, W, v0)
+            s = _bs_scale(g, KernelParams(T=T, mu=mu), d)
+            a, _ = _power_top(s, _w_matrix(V, g.nodes), v0)
             cache[key] = lam * a - 1.0
         return cache[key]
 
@@ -355,9 +325,7 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         state = {"v": None}
 
         def g_of_lnt(lnT):
-            T = math.exp(lnT)
-            B = bt_radial_shifted(g.shifted, KernelParams(T=T, mu=mu))
-            s = np.sqrt(g.weights) * g.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
+            s = _bs_scale(g, KernelParams(T=math.exp(lnT), mu=mu), d)
             a, v = _power_top(s, W, state["v"])
             state["v"] = v
             return lam * a - 1.0
@@ -422,11 +390,12 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     if gap < 1e-8:
         raise SolverError(f"near-degenerate ground state: relative gap {gap:.2e}")
 
-    B = bt_radial_shifted(grid.shifted, params)
-    p_pow = grid.nodes ** (0.5 * (d - 1))
-    phi = np.sqrt(B) * res.eigenvector / (np.sqrt(grid.weights) * p_pow)
-
+    # s^2 = B meas, so phi = sqrt(B / meas) u = s u / meas
     meas = grid.weights * grid.nodes ** (d - 1)
+    s = _bs_scale(grid, params, d)
+    B = s * s / meas
+    phi = s * res.eigenvector / meas
+
     ip = _SPHERE_AREA[d] * float((meas * phi) @ W @ (meas * phi))
     target = _SPHERE_AREA[d] * e_mu(V, mu)
     phi = phi * math.sqrt(target / ip)
@@ -447,12 +416,4 @@ def position_profile(state: GroundState, r) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     p = state.grid.nodes
     coef = state.grid.weights * p ** (state.d - 1) * state.phi_hat
-    z = p[:, None] * r[None, :]
-    if state.d == 1:
-        kern = math.sqrt(2.0 / math.pi) * np.cos(z)
-    elif state.d == 2:
-        from scipy.special import j0
-        kern = j0(z)
-    else:
-        kern = math.sqrt(2.0 / math.pi) * np.sinc(z / math.pi)
-    return coef @ kern
+    return coef @ j_d(np.multiply.outer(p, r), 1.0, state.d)

@@ -32,33 +32,35 @@ class KernelParams:
             raise ValueError("mu must be positive and finite")
 
 
-def _kt_exponent(x: float, y: float) -> float:
-    """log(K(a,b)/2T) for x = a/2T, y = b/2T, grouped so the O(|x|) linear
-    parts of log cosh and log sinh cancel exactly instead of in floating point.
+def _kt_exponent(x, y):
+    """log(K(a,b)/2T) for x = a/2T, y = b/2T, elementwise, grouped so the
+    O(|x|) linear parts of log cosh and log sinh cancel exactly instead of
+    in floating point.
     """
-    t1 = math.log1p(math.exp(-2.0 * abs(x))) - _LN2
-    t2 = math.log1p(math.exp(-2.0 * abs(y))) - _LN2
-    z = abs(x + y)
-    if z < 1e-4:
-        t3 = z * z / 6.0 - z ** 4 / 180.0 - z  # log(sinh z / z) - |z|
-    else:
-        t3 = math.log1p(-math.exp(-2.0 * z)) - _LN2 - math.log(z)
+    t1 = np.log1p(np.exp(-2.0 * np.abs(x))) - _LN2
+    t2 = np.log1p(np.exp(-2.0 * np.abs(y))) - _LN2
+    z = np.abs(x + y)
+    small = z < 1e-4
+    zs = np.where(small, 1.0, z)
+    # log(sinh z / z) - |z|
+    t3 = np.where(small, z * z / 6.0 - z ** 4 / 180.0 - z,
+                  np.log1p(-np.exp(-2.0 * zs)) - _LN2 - np.log(zs))
     # |x| + |y| - |x + y|: zero for equal signs, else twice the smaller magnitude
-    s = 0.0 if (x >= 0.0) == (y >= 0.0) else 2.0 * min(abs(x), abs(y))
+    s = np.where((x >= 0.0) == (y >= 0.0), 0.0, 2.0 * np.minimum(np.abs(x), np.abs(y)))
     return t1 + t2 - t3 + s
 
 
-def kt(a: float, b: float, params: KernelParams) -> float:
-    """K(a, b) in shifted variables.  kt(0, 0, params) is exactly 2 T.
+def kt(a, b, params: KernelParams):
+    """K(a, b) in shifted variables, elementwise.  kt(0, 0, params) is
+    exactly 2 T.
 
     Returns inf when the near-cancelling tanh sum drives the kernel past
     floating-point range; the kernel really is that large there.
     """
     inv = 0.5 / params.T
-    try:
-        return 2.0 * params.T * math.exp(_kt_exponent(a * inv, b * inv))
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore"):
+        out = 2.0 * params.T * np.exp(_kt_exponent(a * inv, b * inv))
+    return out if out.ndim else float(out)
 
 
 def bt(p_sq: float, q_sq: float, pq_dot: float, params: KernelParams) -> float:
@@ -74,7 +76,7 @@ def bt(p_sq: float, q_sq: float, pq_dot: float, params: KernelParams) -> float:
     a = p_sq + q_sq + 2.0 * pq_dot - params.mu
     b = p_sq + q_sq - 2.0 * pq_dot - params.mu
     inv = 0.5 / params.T
-    return math.exp(-_kt_exponent(a * inv, b * inv)) / (2.0 * params.T)
+    return float(np.exp(-_kt_exponent(a * inv, b * inv))) / (2.0 * params.T)
 
 
 def bt_radial_shifted(a, params: KernelParams):
@@ -114,15 +116,8 @@ def tanh_inequality_gap(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    t12 = np.log1p(np.exp(-2.0 * np.abs(x))) + np.log1p(np.exp(-2.0 * np.abs(y))) - 2.0 * _LN2
-    u = np.abs(x + y)
-    smallu = u < 1e-4
-    us = np.where(smallu, 1.0, u)
-    t3 = np.where(smallu, u * u / 6.0 - u ** 4 / 180.0 - u,
-                  np.log1p(-np.exp(-2.0 * us)) - _LN2 - np.log(us))
-    s = np.where((x >= 0.0) == (y >= 0.0), 0.0, 2.0 * np.minimum(np.abs(x), np.abs(y)))
     with np.errstate(over="ignore"):
-        lhs = np.exp(t12 - t3 + s)
+        lhs = np.exp(_kt_exponent(x, y))
     rhs = 0.5 * (_x_over_tanh(x) + _x_over_tanh(y))
     out = lhs - rhs
     return out if out.ndim else float(out)
@@ -164,13 +159,11 @@ def fit_kt_sandwich(params: KernelParams, n: int = 40):
     """
     T0, mu = params.T, params.mu
     p2_grid = np.concatenate([[0.0], np.geomspace(1e-3 * mu, 1e2 * mu, n)])
+    p2, q2 = p2_grid[:, None], p2_grid[None, :]
     c1, c2 = math.inf, 0.0
     for T in np.geomspace(T0, 10.0 * T0, 5):
-        par = KernelParams(T=float(T), mu=mu)
-        for p2 in p2_grid:
-            for q2 in p2_grid:
-                k = kt(p2 - mu, q2 - mu, par)
-                if math.isfinite(k):
-                    c1 = min(c1, k / (T + p2 + q2))
-                    c2 = max(c2, k / (p2 + q2 + 1.0))
-    return float(c1), float(c2)
+        k = kt(p2 - mu, q2 - mu, KernelParams(T=float(T), mu=mu))
+        ok = np.isfinite(k)
+        c1 = min(c1, float(np.min((k / (T + p2 + q2))[ok])))
+        c2 = max(c2, float(np.max((k / (p2 + q2 + 1.0))[ok])))
+    return c1, c2

@@ -211,6 +211,20 @@ def gaussian_hat_closed(a: float, ell: float, d: int, k: float) -> float:
     return a * (0.5 * ell * ell) ** (0.5 * d) * math.exp(-0.25 * (k * ell) ** 2)
 
 
+def gaussian_w3_closed(a: float, ell: float, p, q):
+    """w_3(p, q) for V = a exp(-r^2/ell^2) in d = 3, elementwise in p, q > 0.
+
+    The angular integral of the Gaussian Vhat is an exponential difference,
+    written through expm1 so that p q -> 0 stays stable.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    ell2 = ell * ell
+    pref = a * (0.5 * ell2) ** 1.5 / math.sqrt(2.0 * math.pi)
+    c = 0.5 * ell2 * p * q
+    return pref * np.exp(-0.25 * ell2 * (p - q) ** 2) * (-np.expm1(-2.0 * c)) / c
+
+
 def wd_position_space(value, rc: float, d: int, p: float, q: float) -> float:
     """Angular average of Vhat over momenta of lengths p and q, but computed
     from the position side (trig/Bessel product identities), so it shares no
@@ -580,6 +594,11 @@ FROZEN_TC0_GAUSSIAN = {
     0.5: 2.3968613152042694e-05,
     0.6: 0.00015577003575280911,
 }
+
+# Critical temperature for the step a = 1, R = 1, d = 3, mu = 1, lam = 0.5
+# (closure 1e-8), solved with W from the angular average of a spline of
+# Vhat; the fixed-rule W reproduces it to 1e-12.
+FROZEN_TC0_STEP_D3_LAM05 = 3.022182120174296e-05
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from bcs.bs_solver import (
     tc0,
     top_eigenvalue,
 )
-from bcs.kernels import KernelParams
+from bcs.kernels import KernelParams, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, e_mu)
 
@@ -81,8 +81,9 @@ def _potential(kind, d):
         return ExponentialPotential(d=d, a=1.0, ell=1.0)
     if kind == "step":
         return StepPotential(d=d, a=1.0, R=1.0)
-    # Few knots: _w_matrix splines 4,097 adaptive transforms of the table,
-    # each of which resolves every knot.
+    # Few knots: the angular_average_vhat reference nests an adaptive
+    # transform of the table, which resolves every knot, in an adaptive
+    # angular integral.
     r = np.linspace(0.0, 8.0, 5)
     v = np.exp(-r) * (1.0 + 0.3 * r)
     v[-1] = 0.0
@@ -101,6 +102,25 @@ def test_w_matrix_matches_angular_average(kind, d):
         for j, pj in enumerate(p):
             ref = angular_average_vhat(V, float(pi), float(pj))
             assert W[i, j] == pytest.approx(ref, rel=1e-6), (i, j)
+
+
+def test_w_matrix_matches_gaussian_closed_form():
+    p = build_grid(KernelParams(T=1e-5, mu=1.0), GAUSS3).nodes
+    assert len(p) == 850
+    ref = oracles.gaussian_w3_closed(1.0, 1.0, p[:, None], p[None, :])
+    err = np.max(np.abs(_w_matrix(GAUSS3, p) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_w_matrix_high_momentum_diagonal(d):
+    # p = 13 is the grid's p_max for a unit-range potential at mu = 1.
+    V = ExponentialPotential(d=d, a=1.0, ell=1.0)
+    p = np.array([6.5, 13.0])
+    W = _w_matrix(V, p)
+    for i, pi in enumerate(p):
+        ref = oracles.wd_position_space(V.value, V.cutoff_radius(), d, pi, pi)
+        assert W[i, i] == pytest.approx(ref, rel=1e-8), pi
 
 
 def test_build_matrix_symmetric_bit_for_bit():
@@ -173,6 +193,22 @@ def test_tc0_weak_coupling_ratio_is_stable():
             for lam, tc in oracles.FROZEN_TC0_GAUSSIAN.items()}
     vals = list(pref.values())
     assert max(vals) / min(vals) < 1.5
+
+
+@pytest.mark.parametrize("V, frozen", [
+    (StepPotential(d=3, a=1.0, R=1.0), oracles.FROZEN_TC0_STEP_D3_LAM05),
+    (ExponentialPotential(d=3, a=1.0, ell=1.0), None),
+], ids=["step", "exponential"])
+def test_tc0_non_gaussian_d3(V, frozen):
+    # Weak coupling: lam e_mu m_mu(T_c) = 1 + O(lam).  Measured 0.907 (step)
+    # and 0.995 (exponential); a W at half its value gave 1.996 or no bracket.
+    lam = 0.5
+    res = tc0(V, 1.0, 3, lam)
+    assert res.closure <= 1e-8
+    ratio = e_mu(V, 1.0) * m_mu(KernelParams(T=res.T_c, mu=1.0), 3) * lam
+    assert 0.85 <= ratio <= 1.05
+    if frozen is not None:
+        assert res.T_c == pytest.approx(frozen, rel=1e-6)
 
 
 def test_tc0_validation_and_bracket_errors():
