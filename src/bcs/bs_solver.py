@@ -19,8 +19,8 @@ from scipy import linalg as _la
 from scipy import optimize as _opt
 
 from .kernels import KernelParams, bt_radial_shifted
-from .potentials import (_SPHERE_AREA, RadialPotential, e_mu, fourier_hat,
-                         radial_edges)
+from .potentials import (_SPHERE_AREA, RadialPotential, _radial_measure, e_mu,
+                         fourier_hat)
 from .quad import QuadSpec, gauss_panels, integrate_finite
 from .special import j_d
 
@@ -160,9 +160,9 @@ def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
     potential and every d; the panels resolve the product's frequencies up
     to 2 p_max.  Symmetrized, so build_matrix is symmetric bit for bit.
     """
-    r, w = gauss_panels(radial_edges(V, 2.0 * float(p[-1])))
+    r, m = _radial_measure(V, 2.0 * float(p[-1]))
     J = j_d(np.multiply.outer(p, r), 1.0, V.d)
-    W = (J * (V.value(r) * w * r ** (V.d - 1))) @ J.T
+    W = (J * m) @ J.T
     return 0.5 * (W + W.T)
 
 

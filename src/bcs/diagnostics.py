@@ -174,9 +174,10 @@ def _d2_tables(V: RadialPotential, mu: float):
     # off-shell kernel factors, is negligible against the on-shell scale.
     # The envelope's tail beyond P is about P times its value there when it
     # decays like a power of k (the step's does, like k^(-11/2)).
-    vref = max(abs(fourier_hat(V, 0.5 * j / rs)) for j in range(11))
+    probe = 0.5 * np.arange(11) / rs
+    vref = np.abs(fourier_hat(V, probe)).max()
     P = root_mu + 5.0 / rs
-    while max(abs(fourier_hat(V, P + 0.5 * j / rs)) for j in range(11)) \
+    while np.abs(fourier_hat(V, P + probe)).max() \
             * (mu / (P * P - mu)) ** 2 * P * rs > 1e-8 * vref:
         P += 5.0 / rs
         if P > root_mu + 400.0 / rs:

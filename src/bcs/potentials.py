@@ -1,20 +1,22 @@
 """Radial potential profiles in d = 1, 2, 3 and the spherically reduced
 quantities built from them: Fourier transforms, moments, the Fermi-surface
-coupling e_mu, and its angular-momentum decomposition.  radial_edges lays
-out the panels of a fixed Gauss-Legendre rule on [0, cutoff] that turns a
-radial transform of V into a dot product."""
+coupling e_mu, and its angular-momentum decomposition.  Every radial
+transform of V is a dot product with the masses V(r) w r^(d-1) of one fixed
+Gauss-Legendre rule on [0, cutoff], whose panels radial_edges lays out to
+break at V.breakpoints and to resolve the integrand's highest frequency.
+Only e_mu_sphere_average, the momentum-side cross-check of e_mu, integrates
+adaptively."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
-from .quad import QuadSpec, integrate_finite
+from .quad import QuadSpec, gauss_panels, integrate_finite
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -252,10 +254,6 @@ def to_config(V: RadialPotential) -> dict:
     raise ValueError(f"unregistered potential type {type(V).__name__}")
 
 
-def _spec(V: RadialPotential) -> QuadSpec:
-    return QuadSpec(abs_tol=1e-13, rel_tol=1e-12, singular_points=V.jumps)
-
-
 def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     """Panel edges on [0, cutoff] that break at V.breakpoints and are at most
     range_scale and 8 / k_max wide, so their count grows like k_max * cutoff.
@@ -270,54 +268,39 @@ def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-@lru_cache(maxsize=256)
-def _radial_moment(V: RadialPotential, n: int) -> float:
-    rc = V.cutoff_radius()
-    spec = _spec(V)
-    return integrate_finite(lambda r: V.value(r) * r ** n, 0.0, rc, spec).value
+def _radial_measure(V: RadialPotential, k_max: float):
+    """Nodes r and masses m = V(r) w r^(d-1) of the fixed rule on
+    radial_edges(V, k_max): the integral of V(r) f(r) r^(d-1) over
+    [0, cutoff] is m @ f(r) for every f of frequency up to k_max."""
+    r, w = gauss_panels(radial_edges(V, k_max))
+    return r, V.value(r) * w * r ** (V.d - 1)
 
 
 def moment(V: RadialPotential, n: int) -> float:
     """Full-space moment: integral of V(|x|) |x|^n over R^d."""
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    return _SPHERE_AREA[V.d] * _radial_moment(V, n + V.d - 1)
+    r, m = _radial_measure(V, 0.0)
+    return _SPHERE_AREA[V.d] * float(m @ r ** n)
 
 
-def fourier_hat(V: RadialPotential, k) -> float:
-    """Radial Fourier transform with the (2 pi)^(-d/2) convention.
-
-    d = 3 switches to the even Taylor expansion of sin(kr)/(kr) once
-    k * cutoff < 1e-3, where the direct form loses digits to cancellation.
-    """
-    k = float(k)
-    if k < 0:
+def fourier_hat(V: RadialPotential, k):
+    """Radial Fourier transform with the (2 pi)^(-d/2) convention,
+    elementwise in k: the integral of V(r) j_d(k r) r^(d-1) dr."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 0):
         raise ValueError("k must be nonnegative")
-    rc = V.cutoff_radius()
-    spec = _spec(V)
-    c = math.sqrt(2.0 / math.pi)
-    if V.d == 1:
-        return integrate_finite(lambda r: V.value(r) * math.cos(k * r), 0.0, rc, spec).value * c
-    if V.d == 2:
-        return integrate_finite(lambda r: V.value(r) * _sp.j0(k * r) * r, 0.0, rc, spec).value
-    if k * rc < 1e-3:
-        m2 = _radial_moment(V, 2)
-        m4 = _radial_moment(V, 4)
-        m6 = _radial_moment(V, 6)
-        return c * (m2 - k * k * m4 / 6.0 + k ** 4 * m6 / 120.0)
-    return integrate_finite(
-        lambda r: V.value(r) * math.sin(k * r) * r, 0.0, rc, spec).value * c / k
+    r, m = _radial_measure(V, float(k.max(initial=0.0)))
+    out = j_d(np.multiply.outer(k, r), 1.0, V.d) @ m
+    return out if out.ndim else float(out)
 
 
 def e_mu(V: RadialPotential, mu: float) -> float:
     """Fermi-surface coupling: integral of V(r) j_d(r; mu)^2 r^(d-1) dr."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    rc = V.cutoff_radius()
-    spec = _spec(V)
-    d = V.d
-    return integrate_finite(
-        lambda r: V.value(r) * j_d(r, mu, d) ** 2 * r ** (d - 1), 0.0, rc, spec).value
+    r, m = _radial_measure(V, 2.0 * math.sqrt(mu))
+    return float(m @ j_d(r, mu, V.d) ** 2)
 
 
 def e_mu_sphere_average(V: RadialPotential, mu: float) -> float:
@@ -354,22 +337,12 @@ def vmu_spectrum(V: RadialPotential, mu: float, ell_max: int) -> np.ndarray:
         raise ValueError("mu must be positive")
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
-    spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=4000)
-    out = np.empty(ell_max + 1)
+    # Bessel addition theorem: the Fermi-sphere projections of Vhat are
+    # position-space integrals against squared (spherical) Bessel functions.
+    r, m = _radial_measure(V, 2.0 * math.sqrt(mu))
+    ell, z = np.arange(ell_max + 1)[:, None], math.sqrt(mu) * r
     if V.d == 2:
-        for ell in range(ell_max + 1):
-            r = integrate_finite(
-                lambda th, ell=ell: fourier_hat(
-                    V, 2.0 * math.sqrt(mu) * abs(math.sin(0.5 * th))) * math.cos(ell * th),
-                0.0, math.pi, spec)
-            out[ell] = r.value / math.pi
-        return out
-    s2mu = math.sqrt(2.0 * mu)
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    for ell in range(ell_max + 1):
-        r = integrate_finite(
-            lambda s, ell=ell: fourier_hat(
-                V, s2mu * math.sqrt(max(1.0 - s, 0.0))) * _sp.eval_legendre(ell, s),
-            -1.0, 1.0, spec)
-        out[ell] = r.value * inv_sqrt_2pi
-    return out
+        basis = _sp.jv(ell, z)
+    else:
+        basis = math.sqrt(2.0 / math.pi) * _sp.spherical_jn(ell, z)
+    return basis ** 2 @ m

@@ -1,6 +1,7 @@
 """1-D quadrature: adaptive finite panels with singular breaks, a fixed
-Gauss-Legendre panel rule for vectorized integrands, declared-decay
-semi-infinite integrals, and oscillatory tails summed over half-periods."""
+Gauss-Legendre panel rule for vectorized integrands, semi-infinite
+integrals of declared algebraic decay, and oscillatory tails summed over
+half-periods."""
 
 from __future__ import annotations
 
@@ -65,25 +66,18 @@ class QuadResult:
 class Decay:
     """Declared tail behavior of a semi-infinite integrand.
 
-    Use the ``algebraic``/``exponential`` constructors; ``power`` is the
-    exponent p in ``|f| ~ x**-p`` (p > 1), ``rate`` the r in ``|f| ~ exp(-r*x)``.
+    Use the ``algebraic`` constructor; ``power`` is the exponent p in
+    ``|f| ~ x**-p`` (p > 1).
     """
 
     kind: str
     power: float = 0.0
-    rate: float = 0.0
 
     @staticmethod
     def algebraic(power: float) -> "Decay":
         if power <= 1.0:
             raise ValueError("algebraic decay needs power > 1 for integrability")
         return Decay("algebraic", power=power)
-
-    @staticmethod
-    def exponential(rate: float) -> "Decay":
-        if rate <= 0.0:
-            raise ValueError("exponential decay needs a positive rate")
-        return Decay("exponential", rate=rate)
 
 
 def _checked(f):
@@ -141,128 +135,17 @@ def gauss_panels(edges, n: int = 16):
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def _refine_minimum(g, lo, hi, iters=80):
-    """Ternary search for the minimum of |g| on [lo, hi]."""
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if abs(g(m1)) <= abs(g(m2)):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
+def integrate_semiinfinite(f, a: float, decay: Decay,
+                           spec: QuadSpec | None = None) -> QuadResult:
+    """Integrate ``f`` over [a, infinity) given its declared algebraic decay.
 
-
-def _probe_oscillation(g, a):
-    """Detect a (quasi-)periodic tail by the spacing of local minima of |f|.
-
-    Returns a chunk length (an integer multiple of the period, refined by
-    locating two widely separated minima precisely) or None when the sampled
-    tail looks monotone.
-    """
-    for window in (64.0, 512.0):
-        xs = np.linspace(a + 1e-3 * window, a + window, 4097)
-        vals = np.abs([g(x) for x in xs])
-        interior = (vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])
-        idx = np.nonzero(interior)[0] + 1
-        if len(idx) >= 4:
-            gaps = np.diff(xs[idx])
-            med = float(np.median(gaps))
-            if med > 0 and float(np.std(gaps)) < 0.2 * med:
-                # Two-stage period refinement: a short hop tightens the grid
-                # estimate enough that the long hop's search window cannot
-                # drift into a neighboring basin.
-                first = float(xs[idx[0]])
-                p0 = _refine_minimum(g, first - 0.3 * med, first + 0.3 * med)
-                period = med
-                for hops in (8, 256):
-                    far = p0 + hops * period
-                    pk = _refine_minimum(g, far - 0.3 * med, far + 0.3 * med)
-                    period = (pk - p0) / hops
-                return 2.0 * period
-    return None
-
-
-def _extrapolate_partial_sums(xs, partials):
-    """Neville extrapolation of cumulative tail integrals in the variable 1/x."""
-    t = 1.0 / np.asarray(xs)
-    p = list(map(float, partials))
-    best = p[-1]
-    prev_best = best
-    n = len(p)
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            num = t[i] * p[i + 1] - t[i + level] * p[i]
-            nxt.append(num / (t[i] - t[i + level]))
-        prev_best = best
-        p = nxt
-        best = p[-1]
-    return best, abs(best - prev_best)
-
-
-def _oscillatory_semiinfinite(g, a, spec, chunk):
-    """Sum full-(quasi)period chunks and extrapolate the cutoff sequence.
-
-    Chunk boundaries sit at a fixed phase of the oscillation, so the cutoff
-    remainder is a smooth function of 1/x there and Neville extrapolation of
-    the partial sums removes it through several orders.
-    """
-    inner = QuadSpec(abs_tol=0.02 * spec.abs_tol, rel_tol=0.1 * spec.rel_tol,
-                     max_evals=spec.max_evals)
-    n_chunks = 512
-    marks = (64, 128, 256, 384, 512)
-    total = 0.0
-    qerr = 0.0
-    evals = 0
-    checkpoints, partials = [], []
-    x = a
-    for m in range(1, n_chunks + 1):
-        r = integrate_finite(g, x, x + chunk, inner)
-        total += r.value
-        qerr += r.error_estimate
-        evals += r.evaluations
-        x += chunk
-        if m in marks:
-            checkpoints.append(x)
-            partials.append(total)
-    value, ext_err = _extrapolate_partial_sums(checkpoints, partials)
-    return QuadResult(value, ext_err + qerr, evals)
-
-
-def integrate_semiinfinite(f, a: float, decay: Decay, spec: QuadSpec | None = None,
-                           *, monotone: bool = False) -> QuadResult:
-    """Integrate ``f`` over [a, infinity) given its declared tail decay.
-
-    Exponential decay truncates at ``a + (log(1/abs_tol) + 3)/rate`` and books
-    the analytic tail bound into the error estimate.  Algebraic decay maps the
-    tail through ``x = a + t/(1-t)``; if that stalls because the tail
-    oscillates, the integral is re-summed over detected full periods and the
-    cutoff sequence extrapolated.  ``monotone=True`` asserts the tail does not
-    oscillate and skips the detection probe.
+    The tail, which must not oscillate, is mapped through ``x = a + t/(1-t)``.
 
     Raises QuadratureError("tail not resolved ...") when the samples are
     inconsistent with the declared decay.
     """
     spec = spec or QuadSpec()
     g = _checked(f)
-
-    if decay.kind == "exponential":
-        rate = decay.rate
-        cut = a + (math.log(1.0 / spec.abs_tol) + 3.0) / rate
-        samples = [abs(g(cut + k / rate)) for k in range(4)]
-        head, tail_s = max(samples[:2]), max(samples[2:])
-        if tail_s > 0.7 * head + 1e-300 and head > spec.abs_tol:
-            raise QuadratureError(
-                "tail not resolved: samples decay slower than the declared exponential rate")
-        body = integrate_finite(g, a, cut, spec)
-        tail_bound = samples[0] / rate
-        if tail_bound > 10 * max(spec.abs_tol, spec.rel_tol * abs(body.value)):
-            raise QuadratureError(
-                f"tail not resolved: truncation bound {tail_bound:.3e} exceeds tolerance")
-        return QuadResult(body.value, body.error_estimate + tail_bound,
-                          body.evaluations + 4, body.converged, body.message)
-
     if decay.kind != "algebraic":
         raise ValueError(f"unknown decay kind {decay.kind!r}")
 
@@ -272,14 +155,6 @@ def integrate_semiinfinite(f, a: float, decay: Decay, spec: QuadSpec | None = No
     s2 = max(abs(g(4 * x1 * (1 + 0.05 * k))) for k in range(4))
     if s2 > s1 + spec.abs_tol and s1 > 0:
         raise QuadratureError("tail not resolved: samples grow where algebraic decay was declared")
-
-    chunk = None if monotone else _probe_oscillation(g, a)
-    if chunk is not None:
-        head = integrate_finite(g, a, a + chunk, spec)
-        tail = _oscillatory_semiinfinite(g, a + chunk, spec, chunk)
-        return QuadResult(head.value + tail.value,
-                          head.error_estimate + tail.error_estimate,
-                          head.evaluations + tail.evaluations + 8)
 
     # The map must stretch with the start point: an algebraic tail from a
     # large `a` carries its mass at x ~ a, which a unit-scale substitution
@@ -354,7 +229,7 @@ def integrate_oscillatory_tail(amplitude, omega: float, start: float,
     if kind == "sin2":
         if decay is None:
             raise ValueError("sin2 tails need the amplitude decay declared")
-        smooth = integrate_semiinfinite(g, start, decay, spec, monotone=True)
+        smooth = integrate_semiinfinite(g, start, decay, spec)
         osc = integrate_oscillatory_tail(g, 2.0 * omega, start, spec, kind="cos")
         return QuadResult(0.5 * smooth.value - 0.5 * osc.value,
                           0.5 * smooth.error_estimate + 0.5 * osc.error_estimate,

@@ -225,12 +225,23 @@ def gaussian_w3_closed(a: float, ell: float, p, q):
     return pref * np.exp(-0.25 * ell2 * (p - q) ** 2) * (-np.expm1(-2.0 * c)) / c
 
 
-def wd_position_space(value, rc: float, d: int, p: float, q: float) -> float:
+def _tight_quad(f, rc: float, points) -> float:
+    """Integral of f over [0, rc], tight enough to check library values at
+    machine precision, with panel breaks at ``points``."""
+    pts = [x for x in (() if points is None else points) if 0.0 < x < rc]
+    val, _ = integrate.quad(f, 0.0, rc, points=pts or None, limit=400,
+                            epsabs=1e-15, epsrel=1e-13)
+    return val
+
+
+def wd_position_space(value, rc: float, d: int, p: float, q: float,
+                      points=None) -> float:
     """Angular average of Vhat over momenta of lengths p and q, but computed
     from the position side (trig/Bessel product identities), so it shares no
     code path with the momentum-space implementation.
 
-    ``value`` is the radial profile callable; ``rc`` its support radius.
+    ``value`` is the radial profile callable; ``rc`` its support radius;
+    ``points`` the radii where it has kinks (a table's knots).
     """
     if d == 1:
         f = lambda r: value(r) * math.cos(p * r) * math.cos(q * r)
@@ -243,14 +254,15 @@ def wd_position_space(value, rc: float, d: int, p: float, q: float) -> float:
         pref = 2.0 / (math.pi * p * q)
     else:
         raise ValueError("d must be 1, 2 or 3")
-    val, _ = integrate.quad(f, 0.0, rc, limit=400)
-    return pref * val
+    return pref * _tight_quad(f, rc, points)
 
 
-def vmu_position_space(value, rc: float, d: int, mu: float, ell: int) -> float:
+def vmu_position_space(value, rc: float, d: int, mu: float, ell: int,
+                       points=None) -> float:
     """Angular-momentum component of the Fermi-surface interaction from the
     Bessel addition theorem: products of (spherical) Bessel functions in
     position space replace the momentum-side projection integrals.
+    ``points`` are the radii where ``value`` has kinks (a table's knots).
     """
     root_mu = math.sqrt(mu)
     if d == 2:
@@ -261,8 +273,14 @@ def vmu_position_space(value, rc: float, d: int, mu: float, ell: int) -> float:
         pref = 2.0 / math.pi
     else:
         raise ValueError("d must be 2 or 3")
-    val, _ = integrate.quad(f, 0.0, rc, limit=400)
-    return pref * val
+    return pref * _tight_quad(f, rc, points)
+
+
+def moment_position_space(value, rc: float, d: int, n: int, points=None) -> float:
+    """Integral of V(|x|) |x|^n over R^d as a radial integral times the
+    area of the unit sphere; ``points`` as in vmu_position_space."""
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
+    return area * _tight_quad(lambda r: value(r) * r ** (n + d - 1), rc, points)
 
 
 def m_mu_substitution(T: float, mu: float, d: int) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import oracles
 from bcs.potentials import (
@@ -146,7 +147,8 @@ def test_dense_table_transforms_track_closed_forms(d):
 def test_hat_small_k_taylor_branch_d3():
     V = ExponentialPotential(d=3, a=1.0, ell=1.0)
     assert abs(fourier_hat(V, 0.0) - moment(V, 0) / (2.0 * math.pi) ** 1.5) < 1e-13
-    # Direct evaluation slightly above the switch anchors the series branch.
+    # sin(kr)/(kr) is exact at small k * cutoff, so the transform stays
+    # continuous across k * cutoff = 1e-3.
     rc = V.cutoff_radius()
     k_lo, k_hi = 0.99e-3 / rc, 1.01e-3 / rc
     assert abs(fourier_hat(V, k_lo) - fourier_hat(V, k_hi)) < 1e-9
@@ -205,12 +207,36 @@ def test_e_mu_validation():
 
 def test_vmu_spectrum_matches_addition_theorem_oracle():
     for d in (2, 3):
-        V = GaussianPotential(d=d, a=1.0, ell=1.0)
-        rc = V.cutoff_radius()
-        spec = vmu_spectrum(V, 1.3, 3)
+        for V in (GaussianPotential(d=d, a=1.0, ell=1.0),
+                  StepPotential(d=d, a=1.0, R=1.0),
+                  ExponentialPotential(d=d, a=1.0, ell=1.0)):
+            rc = V.cutoff_radius()
+            spec = vmu_spectrum(V, 1.3, 3)
+            for ell in range(4):
+                ref = oracles.vmu_position_space(V.value, rc, d, 1.3, ell)
+                assert abs(spec[ell] - ref) < 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tabulated_transforms_match_knot_aware_oracle(d):
+    # The oracle integrates its own PCHIP interpolant of the samples with
+    # QUADPACK broken at every knot, where the interpolant has its kinks.
+    V = _tabulated(d)
+    r, v = np.asarray(V.r_values), np.asarray(V.v_values)
+    interp = PchipInterpolator(r, v)
+    value = lambda x: float(interp(x))
+    rc, knots = float(r[-1]), r[1:-1]
+    m0 = oracles.moment_position_space(value, rc, d, 0, knots)
+    assert abs(moment(V, 0) - m0) < 1e-12
+    assert abs(fourier_hat(V, 0.0) - m0 / (2.0 * math.pi) ** (d / 2.0)) < 1e-12
+    mu = 1.3
+    ref = oracles.wd_position_space(value, rc, d, math.sqrt(mu), math.sqrt(mu), knots)
+    assert abs(e_mu(V, mu) - ref) < 1e-12
+    if d > 1:
+        spec = vmu_spectrum(V, mu, 3)
         for ell in range(4):
-            ref = oracles.vmu_position_space(V.value, rc, d, 1.3, ell)
-            assert abs(spec[ell] - ref) < 1e-9
+            ref = oracles.vmu_position_space(value, rc, d, mu, ell, knots)
+            assert abs(spec[ell] - ref) < 1e-12
 
 
 def test_vmu_spectrum_head_is_e_mu():

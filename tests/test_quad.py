@@ -104,27 +104,14 @@ def test_result_validation():
 # semi-infinite intervals
 # ---------------------------------------------------------------------------
 
-def test_semiinfinite_exponential_closed_form():
-    r = integrate_semiinfinite(lambda x: x * math.exp(-2.0 * x), 0.0,
-                               Decay.exponential(2.0))
-    assert abs(r.value - 0.25) < 1e-9
-
-
-def test_semiinfinite_exponential_rejects_slower_tail():
-    with pytest.raises(QuadratureError, match="tail not resolved"):
-        integrate_semiinfinite(lambda x: 1.0 / (1.0 + x) ** 2, 0.0,
-                               Decay.exponential(1.0))
-
-
 def test_semiinfinite_algebraic_closed_form():
-    r = integrate_semiinfinite(lambda x: x ** -2, 1.0, Decay.algebraic(2.0),
-                               monotone=True)
+    r = integrate_semiinfinite(lambda x: x ** -2, 1.0, Decay.algebraic(2.0))
     assert abs(r.value - 1.0) < 1e-9
 
 
 def test_semiinfinite_algebraic_matches_brute_oracle():
     f = lambda x: 1.0 / (1.0 + x * x)
-    r = integrate_semiinfinite(f, 0.0, Decay.algebraic(2.0), monotone=True)
+    r = integrate_semiinfinite(f, 0.0, Decay.algebraic(2.0))
     ref = oracles.brute_semiinfinite(f, 0.0)
     assert abs(r.value - math.pi / 2.0) < 1e-9
     assert abs(r.value - ref) < 1e-9
@@ -134,14 +121,13 @@ def test_semiinfinite_arcoth_tail_frozen_value():
     def f(k):
         return 0.5 * math.log((k + 1.0) / (k - 1.0)) / k
 
-    r = integrate_semiinfinite(f, 2.0, Decay.algebraic(2.0), monotone=True)
+    r = integrate_semiinfinite(f, 2.0, Decay.algebraic(2.0))
     assert abs(r.value - oracles.FROZEN_ARCOTH_TAIL_FROM_2) < 1e-10
 
 
 def test_semiinfinite_algebraic_large_start():
     # Mass sits at x ~ a; the substitution has to stretch with the start.
-    r = integrate_semiinfinite(lambda x: x ** -2, 100.0, Decay.algebraic(2.0),
-                               monotone=True)
+    r = integrate_semiinfinite(lambda x: x ** -2, 100.0, Decay.algebraic(2.0))
     assert abs(r.value - 0.01) < 1e-11
 
 
@@ -150,18 +136,9 @@ def test_semiinfinite_algebraic_rejects_growing_tail():
         integrate_semiinfinite(lambda x: x, 0.0, Decay.algebraic(2.0))
 
 
-def test_semiinfinite_oscillatory_tail_detected():
-    f = lambda x: math.cos(5.0 * x) / x ** 2
-    r = integrate_semiinfinite(f, 1.0, Decay.algebraic(2.0))
-    ref = oracles.fourier_tail(lambda x: x ** -2, 5.0, 1.0, "cos")
-    assert abs(r.value - ref) < 1e-8
-
-
 def test_decay_constructors_validate():
     with pytest.raises(ValueError, match="power > 1"):
         Decay.algebraic(1.0)
-    with pytest.raises(ValueError, match="positive rate"):
-        Decay.exponential(0.0)
     with pytest.raises(ValueError, match="unknown decay kind"):
         integrate_semiinfinite(lambda x: x ** -2, 1.0, Decay("weird"))
 
