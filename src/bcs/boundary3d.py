@@ -1,8 +1,10 @@
 """Half-space boundary criterion in three dimensions.
 
 The boundary density splits into four closed-form terms t1..t4 whose signed
-sums give the Dirichlet and Neumann profiles m3.  The criterion weighs a
-radial potential against m3; its sign decides whether the half-space
+sums give the Dirichlet and Neumann profiles m3.  The terms and m3 are
+elementwise in x; t1 is one fixed Gauss rule over sine and cosine
+integrals.  The criterion weighs a radial potential against m3 on the
+fixed radial rule of potentials; its sign decides whether the half-space
 supports pairing at a higher temperature than the bulk.  mtilde_direct
 evaluates the underlying line integral without the spherical reduction and
 is kept purely as a cross-check for the closed forms.
@@ -10,12 +12,15 @@ is kept purely as a cross-check for the closed forms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .potentials import RadialPotential, to_config
-from .quad import Decay, QuadSpec, integrate_finite, integrate_oscillatory_tail
-from .special import cosine_integral_cin, j_d, sine_integral
+import numpy as np
+
+from .potentials import RadialPotential, _radial_measure, to_config
+from .quad import (Decay, QuadSpec, gauss_panels, integrate_finite,
+                   integrate_oscillatory_tail)
+from .special import _sinc, cosine_integral_cin, j_d, sine_integral
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -36,116 +41,115 @@ def normalize_bc(bc) -> str:
     raise ValueError(f"unknown boundary condition {bc!r}; use 'dirichlet' or 'neumann'")
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not (x >= 0.0) or math.isinf(x):
-        raise ValueError(f"profile argument must be finite and >= 0, got {x}")
+def _check_x(x):
+    x = np.asarray(x, dtype=float)
+    ok = (x >= 0.0) & (x < math.inf)
+    if not ok.all():
+        raise ValueError(f"profile argument must be finite and >= 0, got {x[~ok].flat[0]}")
     return x
 
 
-def t1(x: float) -> float:
+def _float_or_array(out):
+    return out if out.ndim else float(out)
+
+
+@lru_cache(maxsize=1)
+def _t1_rule():
+    """Nodes s = 1 - t and t, ln((1+t)/(1-t)), and weights w/(2t) of the
+    t1 rule: 16-point Gauss panels in s shrinking by 4 toward the log
+    singularity at s = 0, the last one [0, 2^-50].  Built on first use, so
+    importing the module makes no LAPACK call."""
+    s, w = gauss_panels(np.concatenate(([0.0], 4.0 ** np.arange(-25, 1))))
+    return s, 1.0 - s, np.log((2.0 - s) / s), w / (2.0 * (1.0 - s))
+
+
+# Points per t1 block; each (points x nodes) temporary is then 27 kB.
+_BLOCK = 8
+
+
+def t1(x):
     """First profile term, (4/(pi x)) int_1^inf sin^2(xk) arcoth(k)/k dk.
 
-    Evaluated in the substituted variable u = xk, where the integrand is
-    sin^2(u) arcoth(u/x)/u: the arcoth log singularity sits at the left
-    endpoint u = x and the oscillation has unit frequency for every x.
-    Octave-doubling panels cover [x, pi] so no single quadrature call
-    spans several decades (long flat stretches defeat the error
-    estimator), and the tail beyond is summed with the sin^2 splitting.
-    Uniformly accurate from x near 0 up to large x.
+    Writing arcoth(k)/k = int_0^1 dt/(k^2 - t^2) and doing the k integral
+    first gives t1(x) = (2/(pi x)) D(2x) with
+    D(w) = int_0^1 [2 sin^2(wt/2) ln((1+t)/(1-t))
+                    + cos(wt) (Cin(w(1+t)) - Cin(w(1-t)))
+                    + sin(wt) (pi - Si(w(1-t)) - Si(w(1+t)))] / (2t) dt.
+    The integrand is smooth apart from a log singularity at t = 1, and
+    cancels only to O(w) as w -> 0, so one fixed rule serves every x:
+    relative accuracy near 1e-14 from x = 0 to large x.  Elementwise in x.
     """
     x = _check_x(x)
-    if x == 0.0:
-        return 2.0
-    if x < 5e-9:
-        # First Taylor step; the second derivative stays bounded (about
-        # -8/9 at zero) so the remainder here is below 1e-17.
-        return 2.0 - (2.0 / math.pi) * x
-
-    # All panel contributions are positive, so relative accuracy controls
-    # and the absolute floor only needs to scale out the 1/x prefactor.
-    spec = QuadSpec(abs_tol=max(1e-17, 1e-14 * min(1.0, x)), rel_tol=1e-13,
-                    max_evals=60000)
-
-    def g(u):
-        return math.sin(u) ** 2 * math.atanh(min(1.0, x / u)) / u
-
-    def amp(u):
-        return math.atanh(x / u) / u
-
-    # Panels stop no earlier than 2x so the tail never starts on the
-    # singular endpoint itself.
-    stop = max(2.0 * x, math.pi)
-    total = 0.0
-    lo = x
-    while lo < stop:
-        hi = min(2.0 * lo, stop)
-        total += integrate_finite(g, lo, hi, spec).value
-        lo = hi
-    tail = integrate_oscillatory_tail(amp, 1.0, lo, spec, kind="sin2",
-                                      decay=Decay.algebraic(2))
-    total += tail.value
-    return 4.0 / (math.pi * x) * total
+    s, t, log_ratio, weight = _t1_rule()
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        # t1 is 2 to the last bit below the floor, which keeps 2/(pi x) finite.
+        xb = np.maximum(flat[lo:lo + _BLOCK], np.finfo(float).tiny)[:, None]
+        w = 2.0 * xb
+        a, wt = w * s, w * t
+        b = w + wt
+        num = (2.0 * np.sin(0.5 * wt) ** 2 * log_ratio
+               + np.cos(wt) * (cosine_integral_cin(b) - cosine_integral_cin(a))
+               + np.sin(wt) * (math.pi - sine_integral(a) - sine_integral(b)))
+        out[lo:lo + _BLOCK] = 2.0 / (math.pi * xb[:, 0]) * (num * weight).sum(axis=1)
+    return _float_or_array(np.where(x == 0.0, 2.0, out.reshape(x.shape)))
 
 
-def t2(x: float) -> float:
-    """Second profile term, -(2/pi) sin^2(x)/x."""
+def t2(x):
+    """Second profile term, -(2/pi) sin^2(x)/x, elementwise."""
     x = _check_x(x)
-    if x == 0.0:
-        return 0.0
-    return -(2.0 / math.pi) * math.sin(x) ** 2 / x
+    return _float_or_array(-(2.0 / math.pi) * np.sin(x) * _sinc(x))
 
 
-def t3(x: float) -> float:
-    """Third profile term, -2 sin^2(x)/x^2."""
+def t3(x):
+    """Third profile term, -2 sin^2(x)/x^2, elementwise."""
     x = _check_x(x)
-    if x == 0.0:
-        return -2.0
-    return -2.0 * (math.sin(x) / x) ** 2
+    return _float_or_array(-2.0 * _sinc(x) ** 2)
 
 
-def t4(x: float) -> float:
-    """Fourth profile term, (4 sin x/(pi x^2))(sin x Si(2x) - cos x Cin(2x))."""
+def t4(x):
+    """Fourth profile term, (4 sin x/(pi x^2))(sin x Si(2x) - cos x Cin(2x)),
+    elementwise."""
     x = _check_x(x)
-    if x < 1e-6:
-        # Odd at the origin with vanishing second derivative; the linear
-        # term is exact to O(x^3) here.
-        return 4.0 * x / math.pi
-    s = math.sin(x)
-    c = math.cos(x)
+    s, c = np.sin(x), np.cos(x)
     bracket = s * sine_integral(2.0 * x) - c * cosine_integral_cin(2.0 * x)
-    return 4.0 * s / (math.pi * x * x) * bracket
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 4.0 * s / (math.pi * x * x) * bracket
+    # Odd at the origin with vanishing second derivative; the linear term
+    # is exact to O(x^3) below 1e-6.
+    return _float_or_array(np.where(x < 1e-6, 4.0 * x / math.pi, out))
 
 
 _TERMS = (t1, t2, t3, t4)
 
 
-def t_j(x: float, j: int) -> float:
+def t_j(x, j: int):
     """Dispatch to t1..t4 by index."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"term index must be in 1..4, got {j}")
     return _TERMS[j - 1](x)
 
 
-def m3(x: float, bc) -> float:
-    """Boundary profile at unit chemical potential: signed sum of t1..t4."""
+def m3(x, bc):
+    """Boundary profile at unit chemical potential: signed sum of t1..t4,
+    elementwise in x."""
     signs = _TERM_SIGNS[normalize_bc(bc)]
-    return math.fsum(s * f(x) for s, f in zip(signs, _TERMS))
+    return sum(s * f(x) for s, f in zip(signs, _TERMS))
 
 
-def m3_scaled(r: float, mu: float, bc) -> float:
+def m3_scaled(r, mu: float, bc):
     """Profile at chemical potential mu via the exact rescaling of m3."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"chemical potential must be positive, got {mu}")
     root_mu = math.sqrt(mu)
-    return m3(root_mu * float(r), bc) / root_mu
+    return m3(root_mu * np.asarray(r, dtype=float), bc) / root_mu
 
 
-def m3_profile(x_max: float, step: float, bc, threads: int = 1):
+def m3_profile(x_max: float, step: float, bc):
     """Sample m3 on the uniform grid 0, step, 2*step, ..., <= x_max.
 
-    Returns a list of (x, m3(x)) pairs.  Samples are independent, so the
-    evaluation optionally fans out over a thread pool.
+    Returns a list of (x, m3(x)) pairs of floats from one array evaluation.
     """
     if not (step > 0.0):
         raise ValueError("step must be positive")
@@ -153,13 +157,7 @@ def m3_profile(x_max: float, step: float, bc, threads: int = 1):
         raise ValueError("x_max must be nonnegative")
     n = int(math.floor(x_max / step + 1e-9)) + 1
     xs = [i * step for i in range(n)]
-    b = normalize_bc(bc)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(lambda x: m3(x, b), xs))
-    else:
-        vals = [m3(x, b) for x in xs]
-    return list(zip(xs, vals))
+    return list(zip(xs, m3(np.array(xs), bc).tolist()))
 
 
 _MT_SPEC = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=60000)
@@ -244,12 +242,22 @@ class CriterionReport:
             raise ValueError("per-term contributions do not add up to the value")
 
 
+def _term_sums(V: RadialPotential, root_mu: float, n: int):
+    """m @ t_j(sqrt(mu) r) for j = 1..4 on the n-point radial rule at
+    k_max = 4 sqrt(mu), and |m| @ (|t1| + ... + |t4|), their roundoff scale."""
+    r, m = _radial_measure(V, 4.0 * root_mu, n)
+    terms = [f(root_mu * r) for f in _TERMS]
+    return [float(m @ t) for t in terms], float(np.abs(m) @ sum(np.abs(t) for t in terms))
+
+
 def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     """Evaluate 4 pi mu^{-1/2} int V(r) m3(sqrt(mu) r) r^2 dr, term by term.
 
-    Each t_j is integrated against V separately so the report shows which
-    term drives the sign.  The error estimate combines the outer quadrature
-    errors with a relative allowance for the inner t1 quadrature.
+    Each t_j is weighed against V separately on the fixed radial rule of
+    potentials._radial_measure, so the report shows which term drives the
+    sign.  The error estimate is the change of the value when the rule
+    doubles from 16 to 32 nodes per panel, plus a roundoff floor of 1e-14
+    times the integral of |V| (|t1| + ... + |t4|).
     """
     b = normalize_bc(bc)
     if V.d != 3:
@@ -257,19 +265,14 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"chemical potential must be positive, got {mu}")
     root_mu = math.sqrt(mu)
-    rc = V.cutoff_radius(1e-16)
-    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, max_evals=60000,
-                    singular_points=V.jumps)
     pref = 4.0 * math.pi / root_mu
     signs = _TERM_SIGNS[b]
-    per_term = {}
-    err = 0.0
-    for j, (f, s) in enumerate(zip(_TERMS, signs), start=1):
-        res = integrate_finite(lambda rr: V.value(rr) * f(root_mu * rr) * rr * rr,
-                               0.0, rc, spec)
-        per_term[f"t{j}"] = pref * s * res.value
-        err += pref * (res.error_estimate + 1e-10 * abs(res.value))
+    coarse, scale = _term_sums(V, root_mu, 16)
+    fine, _ = _term_sums(V, root_mu, 32)
+    per_term = {f"t{j}": pref * s * v for j, s, v in zip((1, 2, 3, 4), signs, coarse)}
     value = math.fsum(per_term.values())
+    change = math.fsum(s * (c - f) for s, c, f in zip(signs, coarse, fine))
+    err = pref * (abs(change) + 1e-14 * scale)
     if value > 3.0 * err:
         sign = "positive"
     elif value < -3.0 * err:

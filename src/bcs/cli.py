@@ -227,7 +227,7 @@ def cmd_m3_profile(config: dict) -> RunReport:
     out = cfg.get("out")
     start = time.perf_counter()
 
-    rows = m3_profile(x_max, step, bc, threads=threads)
+    rows = m3_profile(x_max, step, bc)
     vals = [v for _, v in rows]
     checks = []
     if bc == NEUMANN:

@@ -268,11 +268,11 @@ def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _radial_measure(V: RadialPotential, k_max: float):
-    """Nodes r and masses m = V(r) w r^(d-1) of the fixed rule on
+def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):
+    """Nodes r and masses m = V(r) w r^(d-1) of the n-point rule on
     radial_edges(V, k_max): the integral of V(r) f(r) r^(d-1) over
     [0, cutoff] is m @ f(r) for every f of frequency up to k_max."""
-    r, w = gauss_panels(radial_edges(V, k_max))
+    r, w = gauss_panels(radial_edges(V, k_max), n)
     return r, V.value(r) * w * r ** (V.d - 1)
 
 

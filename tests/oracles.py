@@ -9,10 +9,11 @@ so regressions show up as plain numeric diffs.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, interpolate, special
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +344,101 @@ def t4_sphere_product(x: float) -> float:
     val, _ = integrate.dblquad(inner, 0.0, 1.0, 0.0, 1.0,
                                epsabs=1e-11, epsrel=1e-11)
     return 8.0 / math.pi * (math.sin(x) / x) * val
+
+
+def gaussian_r_fourier(a: float, ell: float):
+    """b -> int_0^inf r a exp(-(r/ell)^2) exp(i b r) dr for Im b >= 0, from
+    the Faddeeva function: a (ell^2/2) (1 + i sqrt(pi) z w(z)), z = b ell/2."""
+    def c_plus(b):
+        z = 0.5 * b * ell
+        return 0.5 * a * ell * ell * (1.0 + 1j * math.sqrt(math.pi) * z * special.wofz(z))
+    return c_plus
+
+
+def exponential_r_fourier(a: float, ell: float):
+    """b -> int_0^inf r a exp(-r/ell) exp(i b r) dr = a / (1/ell - i b)^2."""
+    return lambda b: a / (1.0 / ell - 1j * b) ** 2
+
+
+def step_r_fourier(a: float, R: float):
+    """b -> int_0^R r a exp(i b r) dr = a (e^{ibR} (R/(ib) + 1/b^2) - 1/b^2)."""
+    return lambda b: a * (np.exp(1j * b * R) * (R / (1j * b) + 1.0 / b ** 2) - 1.0 / b ** 2)
+
+
+def pchip_r_fourier(r, v):
+    """b -> int r P(r) exp(i b r) dr for the monotone cubic P through (r, v).
+
+    On each piece r P(r) is a quartic p(u) in u = r - r_i.  Pieces with
+    |b| h < 8 take a 24-point Gauss rule, exact for p e^{ibu} there; the
+    others sum the terminating integration by parts
+    [e^{ibu} sum_n (-1)^n p^(n)(u) / (ib)^(n+1)] over the piece.
+    """
+    pp = interpolate.PchipInterpolator(np.asarray(r, float), np.asarray(v, float))
+    x0, h = pp.x[:-1], np.diff(pp.x)
+    c = pp.c[::-1]  # ascending powers of u
+    derivs = [np.array([x0 * c[0], c[0] + x0 * c[1], c[1] + x0 * c[2],
+                        c[2] + x0 * c[3], c[3]])]
+    for _ in range(4):
+        d = derivs[-1]
+        derivs.append(d[1:] * np.arange(1, len(d))[:, None])
+    at_h = [np.sum(d * h ** np.arange(len(d))[:, None], axis=0) for d in derivs]
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    u = 0.5 * h * (nodes[:, None] + 1.0)
+    pu = sum(coef * u ** j for j, coef in enumerate(derivs[0]))
+
+    def c_plus(b):
+        gauss = 0.5 * h * np.sum(weights[:, None] * pu * np.exp(1j * b * u), axis=0)
+        with np.errstate(all="ignore"):
+            e = np.exp(1j * b * h)
+            parts = sum((-1) ** n * (dh * e - d[0]) / (1j * b) ** (n + 1)
+                        for n, (dh, d) in enumerate(zip(at_h, derivs)))
+        piece = np.where(np.abs(b) * h < 8.0, gauss, parts)
+        return complex(np.sum(np.exp(1j * b * x0) * piece))
+    return c_plus
+
+
+def _profile_terms_2_to_4(x: float):
+    """t2, t3, t4 at one x > 0 from their closed forms; Cin through Ci."""
+    s, c = math.sin(x), math.cos(x)
+    si, ci = special.sici(2.0 * x)
+    cin = np.euler_gamma + math.log(2.0 * x) - ci
+    return (-2.0 / math.pi * s * s / x, -2.0 * (s / x) ** 2,
+            4.0 * s / (math.pi * x * x) * (s * si - c * cin))
+
+
+def criterion_terms_momentum_side(value, rc: float, mu: float, c_plus,
+                                  points=None) -> dict:
+    """The four unsigned terms 4 pi mu^(-1/2) int V(r) t_j(sqrt(mu) r) r^2 dr.
+
+    t2..t4 are position-side integrals of their closed forms.  For t1,
+    doing the r integral first gives (16/mu) int_1^inf arcoth(k)/k I(sqrt(mu) k) dk
+    with I(q) = int V r sin^2(q r) dr = (m1 - Re c_plus(2q))/2, where
+    m1 = int V r dr and c_plus(b) = int V r e^{ibr} dr.  Since
+    int_1^inf arcoth(k)/k dk = pi^2/8, what is left is the oscillatory
+    int_1^inf arcoth(k)/k c_plus(2 sqrt(mu) k) dk; its integrand is analytic
+    for Re k > 1, Im k > 0 and decays like |k|^-4 there, so the path turns
+    onto k = 1 + iy, where it decays without oscillating.
+    ``value`` is the radial profile, ``rc`` its support radius and
+    ``points`` its kinks (a table's knots).
+    """
+    root_mu = math.sqrt(mu)
+    pref = 4.0 * math.pi / root_mu
+    out = {}
+    for j in range(3):
+        out[f"t{j + 2}"] = pref * _tight_quad(
+            lambda r: value(r) * _profile_terms_2_to_4(root_mu * r)[j] * r * r
+            if r > 0.0 else 0.0, rc, points)
+    m1 = _tight_quad(lambda r: value(r) * r, rc, points)
+
+    def turned(y):
+        k = 1.0 + 1j * y
+        return (cmath.atanh(1.0 / k) / k * c_plus(2.0 * root_mu * k)).imag
+
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
+    near, _ = integrate.quad(turned, 0.0, 1.0, **opts)
+    far, _ = integrate.quad(turned, 1.0, math.inf, **opts)
+    out["t1"] = 16.0 / mu * (math.pi ** 2 / 16.0 * m1 + 0.5 * (near + far))
+    return out
 
 
 # ---------------------------------------------------------------------------

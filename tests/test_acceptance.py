@@ -97,8 +97,8 @@ def test_01_profile_table(capsys):
 
 def test_02_boundary_profiles(capsys):
     t0 = time.perf_counter()
-    prof_d = m3_profile(20.0, 0.05, "dirichlet", threads=4)
-    prof_n = m3_profile(20.0, 0.05, "neumann", threads=4)
+    prof_d = m3_profile(20.0, 0.05, "dirichlet")
+    prof_n = m3_profile(20.0, 0.05, "neumann")
     elapsed = time.perf_counter() - t0
 
     failures = []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import oracles
 from bcs.boundary3d import (
@@ -22,7 +23,12 @@ from bcs.boundary3d import (
     t_j,
     table1_values,
 )
-from bcs.potentials import GaussianPotential
+from bcs.potentials import (
+    ExponentialPotential,
+    GaussianPotential,
+    StepPotential,
+    TabulatedPotential,
+)
 
 
 def test_t1_frozen_high_precision_values():
@@ -39,6 +45,44 @@ def test_t4_sphere_product_oracle():
     # Entirely different route: double integral over two sphere polar angles.
     for x in (0.5, 1.0, 3.0):
         assert t4(x) == pytest.approx(oracles.t4_sphere_product(x), abs=1e-9)
+
+
+# 146 points: crosses the block boundaries of t1 and spans 0 to large x.
+_XS = np.concatenate([[0.0, 1e-300, 1e-12, 1e-7], np.geomspace(1e-5, 1.0, 40),
+                      np.linspace(0.05, 30.0, 100), [100.0, 1e3]])
+
+
+def test_terms_and_profiles_elementwise_equal_scalar_calls():
+    for f in (t1, t2, t3, t4):
+        assert f(_XS).tolist() == [f(float(x)) for x in _XS], f.__name__
+        assert type(f(1.0)) is float
+    for bc in ("dirichlet", "neumann"):
+        assert m3(_XS, bc).tolist() == [m3(float(x), bc) for x in _XS]
+    assert m3(_XS[:6].reshape(2, 3), "neumann").shape == (2, 3)
+
+
+def test_t1_small_x_taylor():
+    x = np.geomspace(1e-12, 1e-4, 41)
+    taylor = 2.0 - (2.0 / math.pi) * x - (4.0 / 9.0) * x * x
+    assert np.max(np.abs(t1(x) - taylor)) < 1e-12
+
+
+def test_t1_and_m3_frozen_values_as_arrays():
+    xs = np.array(list(oracles.FROZEN_T1))
+    np.testing.assert_allclose(t1(xs), list(oracles.FROZEN_T1.values()),
+                               rtol=0.0, atol=2e-12)
+    for bc in ("dirichlet", "neumann"):
+        keys = [x for b, x in oracles.FROZEN_M3 if b == bc]
+        refs = [oracles.FROZEN_M3[(bc, x)] for x in keys]
+        np.testing.assert_allclose(m3(np.array(keys), bc), refs, rtol=0.0, atol=5e-12)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan])
+def test_array_arguments_rejected_elementwise(bad):
+    xs = np.array([0.5, bad, 2.0])
+    for f in (t1, t2, t3, t4, lambda x: m3(x, "neumann")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            f(xs)
 
 
 def test_terms_at_origin():
@@ -89,7 +133,7 @@ def test_m3_neumann_attains_frozen_minimum():
 def test_m3_profile_grid_and_threads():
     rows = m3_profile(2.0, 0.5, "dirichlet")
     assert [x for x, _ in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert rows == m3_profile(2.0, 0.5, "dirichlet", threads=3)
+    assert rows == m3_profile(2.0, 0.5, "dirichlet")
     with pytest.raises(ValueError, match="step must be positive"):
         m3_profile(2.0, 0.0, "dirichlet")
     with pytest.raises(ValueError, match="x_max"):
@@ -189,3 +233,41 @@ def test_criterion_validation():
         criterion(GaussianPotential(d=2), 1.0, "neumann")
     with pytest.raises(ValueError, match="must be positive"):
         criterion(GaussianPotential(d=3), -1.0, "neumann")
+
+
+def _criterion_case(kind):
+    """A potential of each kind, its profile for the oracle (a table's own
+    PCHIP interpolant) and the closed-form r-weighted Fourier transform the
+    momentum-side oracle needs."""
+    if kind == "gaussian":
+        V = GaussianPotential(d=3, a=1.0, ell=1.0)
+        return V, V.value, oracles.gaussian_r_fourier(1.0, 1.0)
+    if kind == "exponential":
+        V = ExponentialPotential(d=3, a=1.0, ell=1.0)
+        return V, V.value, oracles.exponential_r_fourier(1.0, 1.0)
+    if kind == "step":
+        V = StepPotential(d=3, a=1.0, R=2.0)
+        return V, V.value, oracles.step_r_fourier(1.0, 2.0)
+    r = np.linspace(0.0, 6.0, 40)
+    v = np.exp(-r * r)
+    interp = PchipInterpolator(r, v)
+    return (TabulatedPotential(d=3, r_values=tuple(r), v_values=tuple(v)),
+            lambda x: float(interp(x)), oracles.pchip_r_fourier(r, v))
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_criterion_matches_momentum_side_oracle(kind, mu):
+    V, value, c_plus = _criterion_case(kind)
+    terms = oracles.criterion_terms_momentum_side(value, V.cutoff_radius(), mu,
+                                                  c_plus, V.breakpoints)
+    signs = {"dirichlet": (1.0, 1.0, 1.0, 1.0), "neumann": (1.0, 1.0, -1.0, -1.0)}
+    for bc, sg in signs.items():
+        rep = criterion(V, mu, bc)
+        ref = {f"t{j}": s * terms[f"t{j}"] for j, s in enumerate(sg, start=1)}
+        for name, val in ref.items():
+            assert rep.per_term[name] == pytest.approx(val, abs=1e-12), (bc, name)
+        diff = abs(rep.value - math.fsum(ref.values()))
+        assert diff < 1e-12, bc
+        assert diff <= rep.error_estimate, bc
+        assert rep.sign == "positive"

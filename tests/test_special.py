@@ -22,8 +22,18 @@ def test_cin_matches_quadrature_oracle():
 
 def test_cin_small_x_leading_order():
     # Cin(x) = x^2/4 - x^4/96 + ..., a regime where gamma + log - Ci cancels.
+    # The x^4 term is about 190 ulps of the value at x = 1e-6.
     x = 1e-6
-    assert abs(cosine_integral_cin(x) - x * x / 4.0) < 1e-30
+    assert abs(cosine_integral_cin(x) - (x * x / 4.0 - x ** 4 / 96.0)) < 1e-30
+
+
+def test_cin_tiny_x_relative_accuracy_and_array_agreement():
+    # The series must stop on the size of a term relative to the sum: an
+    # absolute cut returned 0.0 for a scalar 1e-10 but x^2/4 inside an array.
+    for x in (1e-12, 1e-10, 2e-9):
+        val = cosine_integral_cin(x)
+        assert val == pytest.approx(x * x / 4.0 - x ** 4 / 96.0, rel=1e-15)
+        assert cosine_integral_cin(np.array([x, 0.3]))[0] == val
 
 
 def test_cin_rejects_negative():
