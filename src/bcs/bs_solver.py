@@ -7,6 +7,13 @@ top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
 The s-wave kernel w_d(p, q) is a position-space radial transform taken on
 the fixed Gauss-Legendre rule of potentials.radial_edges, one matrix
 product for every potential and every d.
+
+The matrix is diag(s) W diag(s): W depends only on the grid, and the
+temperature enters through the scaling s alone.  tc0 therefore builds W
+once per refine level on a grid laid out for the lowest temperature it
+tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1,
+and ground_state takes the top two eigenpairs by Lanczos on the product
+v -> s W (s v) without forming the matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _la
 from scipy import optimize as _opt
+from scipy.sparse import linalg as _sla
 
-from .kernels import KernelParams, bt_radial_shifted
+from .kernels import KernelParams, bt_radial_shifted, m_mu
 from .potentials import (_SPHERE_AREA, RadialPotential, _radial_measure, e_mu,
                          fourier_hat)
 from .quad import QuadSpec, gauss_panels, integrate_finite
@@ -173,8 +181,8 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
     return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
 
 
-def build_matrix(V: RadialPotential, params: KernelParams, grid: SWaveDiscretization,
-                 *, _w: np.ndarray | None = None) -> np.ndarray:
+def build_matrix(V: RadialPotential, params: KernelParams,
+                 grid: SWaveDiscretization) -> np.ndarray:
     """Symmetrized Birman-Schwinger matrix on the grid.
 
     Entries sqrt(w_i w_j) (p_i p_j)^((d-1)/2) sqrt(B_i B_j) w_d(p_i, p_j);
@@ -185,8 +193,7 @@ def build_matrix(V: RadialPotential, params: KernelParams, grid: SWaveDiscretiza
     if abs(grid.mu - params.mu) > 1e-15 * params.mu:
         raise ValueError("grid and kernel parameters disagree on mu")
     s = _bs_scale(grid, params, V.d)
-    W = _w_matrix(V, grid.nodes) if _w is None else _w
-    return s[:, None] * s[None, :] * W
+    return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
 
 
 @dataclass(frozen=True)
@@ -197,11 +204,11 @@ class SpectralResult:
     second_eigenvalue: float | None = None
 
 
-def top_eigenvalue(S: np.ndarray, weights: np.ndarray | None = None) -> SpectralResult:
+def top_eigenvalue(S: np.ndarray) -> SpectralResult:
     """Largest eigenvalue and eigenvector of a symmetric matrix.
 
-    The eigenvector sign is fixed by a positive weighted sum (plain sum if no
-    weights are given) and the 2-norm residual ||S u - a u|| is reported.
+    The eigenvector sign is fixed by a positive sum and the 2-norm residual
+    ||S u - a u|| is reported.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -214,8 +221,7 @@ def top_eigenvalue(S: np.ndarray, weights: np.ndarray | None = None) -> Spectral
     vals, vecs = _la.eigh(S, subset_by_index=[n - 2, n - 1])
     top, second = float(vals[1]), float(vals[0])
     u = vecs[:, 1]
-    sign_stat = float(np.sum(weights * u)) if weights is not None else float(np.sum(u))
-    if sign_stat < 0:
+    if float(np.sum(u)) < 0:
         u = -u
     residual = float(np.linalg.norm(S @ u - top * u))
     return SpectralResult(top, u, residual, second)
@@ -266,6 +272,22 @@ class Tc0Result:
     closure: float          # |lam * a_T - 1| on the final refined grid
     refine_level: int
     grid_size: int
+    w_builds: int           # W matrices built, the closure grids included
+    temperature_evals: int  # top-eigenvalue solves, one per temperature tried
+
+
+def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) -> float:
+    """Weak-coupling prediction: the root of lam e_mu m_mu(T) = 1 in log T,
+    clamped to [t_min, t_max].  m_mu falls monotonically in T."""
+    def g(ln_t):
+        return lam_em * m_mu(KernelParams(T=math.exp(ln_t), mu=mu), d) - 1.0
+
+    lo, hi = math.log(t_min), math.log(t_max)
+    if g(lo) <= 0.0:
+        return t_min
+    if g(hi) >= 0.0:
+        return t_max
+    return math.exp(_opt.brentq(g, lo, hi, xtol=1e-3))
 
 
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
@@ -273,88 +295,85 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         tol: float = 1e-8, max_refine: int = 3) -> Tc0Result:
     """Critical temperature of the translation-invariant problem at coupling lam.
 
-    Brackets by doubling/halving from T = mu, then alternates Brent's method
-    in log T on a frozen grid with grid refinement until the closure
-    |lam * a_Tc - 1| meets tol on the finer grid.
+    The search stays inside [t_min_factor mu, t_max_factor mu].  Its first
+    bracket is [T_pred/4, 4 T_pred] around the weak-coupling prediction
+    lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a factor 4,
+    never past the window.  Each refine level builds one grid at the
+    bracket's lower end, which resolves every higher T, and one W; a
+    temperature only rescales it (diag(s) W diag(s)) and reuses the
+    previous top eigenvector as the power-iteration start.  Brent's method
+    in log T finds the root on that grid, and the closure |lam a_Tc - 1|
+    must meet tol on the next finer grid, else the next level searches
+    [T_c/2, 2 T_c].
     """
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
         raise ValueError("lam must be positive")
+    t_min, t_max = t_min_factor * mu, t_max_factor * mu
+    if not 0.0 < t_min < t_max:
+        raise ValueError("need 0 < t_min_factor < t_max_factor")
     em = e_mu(V, mu)
     if em <= 0:
         raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
 
-    cache = {}
+    w_builds = temperature_evals = 0
 
-    def f(T, level, v0=None):
-        key = (T, level)
-        if key not in cache:
-            g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-            s = _bs_scale(g, KernelParams(T=T, mu=mu), d)
-            a, _ = _power_top(s, _w_matrix(V, g.nodes), v0)
-            cache[key] = lam * a - 1.0
-        return cache[key]
+    def level_matrix(level, T):
+        nonlocal w_builds
+        w_builds += 1
+        g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
+        return g, _w_matrix(V, g.nodes)
 
-    T = mu
-    val = f(T, 0)
-    if val > 0.0:
-        T_lo = T
-        while val > 0.0:
-            T *= 2.0
-            if T > t_max_factor * mu:
-                raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max_factor * mu:.3e}")
-            T_lo, val = T / 2.0, f(T, 0)
-        T_hi = T
-    else:
-        T_hi = T
-        while val <= 0.0:
-            T /= 2.0
-            if T < t_min_factor * mu:
+    def top(grid, W, T, v0=None):
+        nonlocal temperature_evals
+        temperature_evals += 1
+        return _power_top(_bs_scale(grid, KernelParams(T=T, mu=mu), d), W, v0)
+
+    def on_grid(level, T_lo):
+        """lam a_T - 1 as a function of log T on one grid built at T_lo,
+        each solve warm-started from the previous eigenvector."""
+        grid, W = level_matrix(level, T_lo)
+        seen, v = {}, None
+
+        def f(ln_t):
+            nonlocal v
+            if ln_t not in seen:
+                a, v = top(grid, W, math.exp(ln_t), v)
+                seen[ln_t] = lam * a - 1.0
+            return seen[ln_t]
+        return f
+
+    def root(level, T_lo, T_hi):
+        """Brent root in log T; only moving the lower end down rebuilds W."""
+        f = on_grid(level, T_lo)
+        while f(math.log(T_lo)) <= 0.0:
+            if T_lo <= t_min:
                 raise SolverError(
-                    f"T_c not bracketed above t_min_factor*mu = {t_min_factor * mu:.3e}; "
+                    f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
                     "the coupling may be too weak for the allowed range")
-            T_hi, val = T * 2.0, f(T, 0)
-        T_lo = T
+            T_lo, T_hi = max(0.25 * T_lo, t_min), T_lo
+            f = on_grid(level, T_lo)
+        while f(math.log(T_hi)) >= 0.0:
+            if T_hi >= t_max:
+                raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
+            T_lo, T_hi = T_hi, min(4.0 * T_hi, t_max)
+        return math.exp(_opt.brentq(f, math.log(T_lo), math.log(T_hi),
+                                    xtol=1e-14, rtol=8.9e-16))
 
-    # frozen-grid Brent in log T, then verify closure on a once-refined grid
-    T_star = math.sqrt(T_lo * T_hi)
+    T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
+    T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
     for level in range(max_refine + 1):
-        g = build_grid(KernelParams(T=T_lo, mu=mu), V, refine_level=level)
-        W = _w_matrix(V, g.nodes)
-        state = {"v": None}
-
-        def g_of_lnt(lnT):
-            s = _bs_scale(g, KernelParams(T=math.exp(lnT), mu=mu), d)
-            a, v = _power_top(s, W, state["v"])
-            state["v"] = v
-            return lam * a - 1.0
-
-        lo, hi = math.log(T_lo), math.log(T_hi)
-        glo, ghi = g_of_lnt(lo), g_of_lnt(hi)
-        if not (glo > 0.0 > ghi):
-            # refinement moved the root across a bracket edge; widen a step
-            while glo <= 0.0:
-                lo -= math.log(2.0)
-                if math.exp(lo) < t_min_factor * mu:
-                    raise SolverError("bracket lost below t_min_factor*mu during refinement")
-                glo = g_of_lnt(lo)
-            while ghi >= 0.0:
-                hi += math.log(2.0)
-                if math.exp(hi) > t_max_factor * mu:
-                    raise SolverError("bracket lost above t_max_factor*mu during refinement")
-                ghi = g_of_lnt(hi)
-        ln_root = _opt.brentq(g_of_lnt, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        T_star = math.exp(ln_root)
-
+        T_star = root(level, T_lo, T_hi)
         fine = min(level + 1, max_refine)
-        closure = abs(f(T_star, fine))
+        grid, W = level_matrix(fine, T_star)
+        a, _ = top(grid, W, T_star)
+        closure = abs(lam * a - 1.0)
         if closure <= tol:
-            g_final = build_grid(KernelParams(T=T_star, mu=mu), V, refine_level=fine)
-            return Tc0Result(T_c=T_star, lam=lam, closure=closure,
-                             refine_level=fine, grid_size=len(g_final))
-        # tighten the bracket around the current estimate for the next level
-        T_lo, T_hi = 0.5 * T_star, 2.0 * T_star
+            return Tc0Result(T_c=T_star, lam=lam, closure=closure, refine_level=fine,
+                             grid_size=len(grid), w_builds=w_builds,
+                             temperature_evals=temperature_evals)
+        T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
     raise SolverError(f"closure |lam*a-1| stayed above {tol} after {max_refine} refinements")
 
 
@@ -377,24 +396,37 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    Raises SolverError when the top of the spectrum is nearly degenerate.
+    The top two eigenpairs of diag(s) W diag(s) come from Lanczos (ARPACK
+    eigsh) on the product v -> s W (s v), which never forms the matrix; a
+    fixed start vector makes repeated calls bit-identical.  Raises
+    SolverError when the top of the spectrum is nearly degenerate.
     """
     if tc is None:
         tc = tc0(V, mu, d, lam, **tc_kwargs)
     params = KernelParams(T=tc.T_c, mu=mu)
     grid = build_grid(params, V, refine_level=tc.refine_level)
     W = _w_matrix(V, grid.nodes)
-    S = build_matrix(V, params, grid, _w=W)
-    res = top_eigenvalue(S, weights=grid.weights)
-    gap = (res.eigenvalue - res.second_eigenvalue) / res.eigenvalue
+    if not np.array_equal(W, W.T):
+        raise SolverError("W must be symmetric")
+    s = _bs_scale(grid, params, d)
+    n = len(s)
+    op = _sla.LinearOperator((n, n), matvec=lambda v: s * (W @ (s * v)), dtype=float)
+    try:
+        vals, vecs = _sla.eigsh(op, k=2, which="LA", v0=np.ones(n) / math.sqrt(n))
+    except _sla.ArpackNoConvergence as exc:
+        raise SolverError(f"Lanczos did not converge: {exc}") from None
+    top, second = float(vals[1]), float(vals[0])
+    u = vecs[:, 1]
+    if float(np.sum(grid.weights * u)) < 0:
+        u = -u
+    gap = (top - second) / top
     if gap < 1e-8:
         raise SolverError(f"near-degenerate ground state: relative gap {gap:.2e}")
 
     # s^2 = B meas, so phi = sqrt(B / meas) u = s u / meas
     meas = grid.weights * grid.nodes ** (d - 1)
-    s = _bs_scale(grid, params, d)
     B = s * s / meas
-    phi = s * res.eigenvector / meas
+    phi = s * u / meas
 
     ip = _SPHERE_AREA[d] * float((meas * phi) @ W @ (meas * phi))
     target = _SPHERE_AREA[d] * e_mu(V, mu)
@@ -404,7 +436,7 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     eval_res = float(np.max(np.abs(phi - rhs)) / np.max(np.abs(phi)))
     return GroundState(mu=mu, d=d, lam=lam, T_c=tc.T_c, grid=grid, phi_hat=phi,
                        spectral_gap=gap, eval_eq_residual=eval_res,
-                       closure=abs(lam * res.eigenvalue - 1.0))
+                       closure=abs(lam * top - 1.0))
 
 
 def position_profile(state: GroundState, r) -> np.ndarray:

@@ -333,7 +333,9 @@ def cmd_tc0(config: dict) -> RunReport:
             return {"lambda": lam, "error": str(exc)}
         emm = em * m_mu(KernelParams(T=r.T_c, mu=mu), V.d) * lam
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
-                "e_mu_m_mu_lambda": emm}
+                "e_mu_m_mu_lambda": emm, "refine_level": r.refine_level,
+                "grid_size": r.grid_size, "w_builds": r.w_builds,
+                "temperature_evals": r.temperature_evals}
 
     rows = _fanout(solve, lambdas, threads)
     checks = []

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from bcs.bs_solver import (
     SolverError,
+    Tc0Result,
     _w_matrix,
     a_t0,
     angular_average_vhat,
@@ -219,9 +220,49 @@ def test_tc0_validation_and_bracket_errors():
     with pytest.raises(SolverError, match="no pairing instability"):
         tc0(GaussianPotential(d=3, a=0.0), 1.0, 3, 0.5)
     with pytest.raises(SolverError, match="not bracketed above"):
-        tc0(GAUSS3, 1.0, 3, 0.3)  # T_c ~ 1.3e-8 sits below the default floor
+        tc0(GAUSS3, 1.0, 3, 0.28)  # T_c ~ 3.6e-9 sits below the default floor
     with pytest.raises(SolverError, match="exceeds t_max_factor"):
         tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.0, t_max_factor=1.0)
+
+
+def test_tc0_finds_roots_anywhere_inside_the_window():
+    # A ladder of powers of two from T = mu stopped at 2^-26 = 1.49e-8 and
+    # at 4 mu, so it rejected both of these roots although each lies inside
+    # its window.
+    res = tc0(GAUSS3, 1.0, 3, 0.3)
+    ref = tc0(GAUSS3, 1.0, 3, 0.3, t_min_factor=1e-12)
+    assert 1e-8 < res.T_c < 1.5e-8
+    assert res.T_c == pytest.approx(ref.T_c, rel=1e-6)
+    assert res.closure <= 1e-8
+    hot = tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.0, t_max_factor=6.0)
+    assert hot.T_c == pytest.approx(5.0257, rel=1e-4)
+    assert hot.closure <= 1e-8
+    with pytest.raises(ValueError, match="t_min_factor < t_max_factor"):
+        tc0(GAUSS3, 1.0, 3, 0.5, t_min_factor=1.0, t_max_factor=0.5)
+
+
+def test_tc0_builds_one_w_per_refine_level(monkeypatch):
+    # The quick-start chain: T_c ~ 1e-16 mu.  One W for the level-0 search
+    # and one for the closure grid; every temperature only rescales W.
+    from bcs import bs_solver
+    counts = {"w": 0, "top": 0}
+
+    def counted(name, key):
+        original = getattr(bs_solver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(bs_solver, name, wrapper)
+
+    counted("_w_matrix", "w")
+    counted("_power_top", "top")
+    res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
+    assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
+    assert res.w_builds == counts["w"] == 2
+    assert res.temperature_evals == counts["top"]
+    assert res.temperature_evals <= 12
+    assert (res.refine_level, res.grid_size) == (1, 3180)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +284,36 @@ def test_ground_state_normalization():
     W = _w_matrix(GAUSS3, g.nodes)
     ip = 4.0 * math.pi * float((meas * state.phi_hat) @ W @ (meas * state.phi_hat))
     assert ip == pytest.approx(4.0 * math.pi * e_mu(GAUSS3, 1.0), rel=1e-10)
+
+
+def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
+    from bcs import bs_solver
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ground_state must not form S or run a dense eigh")
+    monkeypatch.setattr(bs_solver, "build_matrix", forbidden)
+    monkeypatch.setattr(bs_solver, "top_eigenvalue", forbidden)
+    monkeypatch.setattr(bs_solver._la, "eigh", forbidden)
+    tc = tc0(GAUSS3, 1.0, 3, 0.6)
+    first = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
+    second = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
+    assert np.array_equal(first.phi_hat, second.phi_hat)
+    assert first.spectral_gap == second.spectral_gap
+
+
+def test_ground_state_top_pair_matches_dense_eigh():
+    # On a small grid the Lanczos pair equals the dense spectrum: with
+    # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
+    from scipy import linalg
+    params = KernelParams(T=1e-3, mu=1.0)
+    S = build_matrix(GAUSS3, params, build_grid(params, GAUSS3, refine_level=0))
+    a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
+    tc = Tc0Result(T_c=1e-3, lam=1.0 / a1, closure=0.0, refine_level=0,
+                   grid_size=len(S), w_builds=0, temperature_evals=0)
+    state = ground_state(GAUSS3, 1.0, 3, 1.0 / a1, tc=tc)
+    assert state.closure <= 1e-12
+    assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
+    assert state.eval_eq_residual <= 1e-10
 
 
 def test_position_profile_shape_and_origin():

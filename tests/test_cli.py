@@ -216,17 +216,34 @@ def test_tc0_sweep_csv_and_closure(capsys, tmp_path):
 
 
 def test_tc0_row_failure_fails_run_not_config(capsys, tmp_path):
-    # lambda = 0.3 under the default temperature floor: the row errors out,
+    # lambda = 0.28 under the default temperature floor: the row errors out,
     # the run exits 1, and the failure names the bracket floor.
     cfg = write_config(tmp_path, "cfg.json",
-                       {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.3]})
+                       {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.28]})
     code, stdout, _ = run(capsys, "tc0", "--config", cfg)
     assert code == 1
     report = json.loads(stdout)
     (row_check,) = [c for c in report["checks"]
-                    if c["name"] == "solved:lambda=0.3"]
+                    if c["name"] == "solved:lambda=0.28"]
     assert not row_check["passed"]
     assert "not bracketed" in row_check["detail"]
+
+
+def test_tc0_rows_report_solver_trace(capsys, tmp_path):
+    out = tmp_path / "tc.csv"
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.5]})
+    code, stdout, _ = run(capsys, "tc0", "--config", cfg, "--out", str(out))
+    assert code == 0
+    (row,) = json.loads(stdout)["results"]["rows"]
+    assert row["w_builds"] <= 3
+    assert row["temperature_evals"] >= 3
+    assert row["refine_level"] == 1
+    assert row["grid_size"] == 1660
+    # the trace stays out of the CSV artifact
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "lambda,Tc,residual,e_mu_m_mu_lambda"
+    assert lines[1].count(",") == 3
 
 
 def test_tc0_validation(capsys, tmp_path):

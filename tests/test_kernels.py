@@ -1,6 +1,7 @@
 """Two-body kernels K_T and B_T and the shell integral m_mu."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ def test_bt_radial_series_branch():
     arr = bt_radial_shifted(np.array([-0.5, 0.0, 0.5]), par)
     assert arr.shape == (3,)
     assert arr[0] == arr[2]  # even in a under tanh(a)/a
+
+
+def test_bt_radial_quiet_at_tiny_temperature():
+    # The log-T solve for the weak-coupling T_c prediction reaches
+    # T = 1e-300 mu; squaring every z there overflowed to inf - inf.
+    a = np.concatenate([-np.geomspace(1.0, 1e-320, 60), [0.0],
+                        np.geomspace(1e-320, 200.0, 60)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = bt_radial_shifted(a, KernelParams(T=1e-300, mu=1.0))
+        assert m_mu(KernelParams(T=1e-300, mu=1.0), 3) > 690.0
+    assert np.all(np.isfinite(tiny)) and np.all(tiny > 0.0)
+    # Elsewhere the values are those of the plain series-or-tanh form.
+    for T in (1e-3, 1e-18):
+        z = a * (0.5 / T)
+        small = np.abs(z) < 1e-6
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = np.tanh(np.where(small, 1.0, z)) / np.where(small, 1.0, z)
+            z2 = z * z
+            series = 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
+        ref = np.where(small, series, direct) * (0.5 / T)
+        assert np.array_equal(bt_radial_shifted(a, KernelParams(T=T, mu=1.0)), ref)
 
 
 @given(finite_args, finite_args)
