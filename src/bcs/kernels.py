@@ -42,9 +42,12 @@ def _kt_exponent(x, y):
     z = np.abs(x + y)
     small = z < 1e-4
     zs = np.where(small, 1.0, z)
-    # log(sinh z / z) - |z|
+    # log(sinh z / z) - |z|; log(1 - e^-2z) through expm1 below 2z = ln 2,
+    # where log1p(-e^-2z) loses digits in forming 1 - e^-2z
+    e = -2.0 * zs
+    log1mexp = np.where(e > -_LN2, np.log(-np.expm1(e)), np.log1p(-np.exp(e)))
     t3 = np.where(small, z * z / 6.0 - z ** 4 / 180.0 - z,
-                  np.log1p(-np.exp(-2.0 * zs)) - _LN2 - np.log(zs))
+                  log1mexp - _LN2 - np.log(zs))
     # |x| + |y| - |x + y|: zero for equal signs, else twice the smaller magnitude
     s = np.where((x >= 0.0) == (y >= 0.0), 0.0, 2.0 * np.minimum(np.abs(x), np.abs(y)))
     return t1 + t2 - t3 + s

@@ -135,6 +135,14 @@ def test_tanh_inequality_gap_vanishes_on_diagonal():
     np.testing.assert_allclose(tanh_inequality_gap(xs, xs), 0.0, atol=1e-12)
 
 
+def test_tanh_inequality_gap_just_above_series_cutoff():
+    # x + y just above the 1e-4 switch to the sinh series; forming
+    # 1 - exp(-2z) directly there lost the gap to -3e-13.
+    xs = np.geomspace(4e-5, 1e-3, 2001)
+    np.testing.assert_allclose(tanh_inequality_gap(xs, xs), 0.0, atol=1e-14)
+    assert tanh_inequality_gap(5.02945697332798e-05, 5.02945697332798e-05) >= -1e-13
+
+
 def test_fit_kt_sandwich_brackets():
     c1, c2 = fit_kt_sandwich(KernelParams(T=0.1, mu=1.0))
     assert 0.0 < c1 < c2
