@@ -22,14 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _la
 from scipy import optimize as _opt
 from scipy.sparse import linalg as _sla
 
 from .kernels import KernelParams, bt_radial_shifted, m_mu
-from .potentials import (_SPHERE_AREA, RadialPotential, _radial_measure, e_mu,
-                         fourier_hat)
-from .quad import QuadSpec, gauss_panels, integrate_finite
+from .potentials import _SPHERE_AREA, RadialPotential, _radial_measure, e_mu
+from .quad import gauss_panels
 from .special import j_d
 
 
@@ -138,29 +136,6 @@ def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
     return grid
 
 
-def angular_average_vhat(V: RadialPotential, p: float, q: float) -> float:
-    """Average of Vhat over the angle between two momenta of lengths p, q.
-
-    This is the s-wave kernel w_d(p, q); the d = 1 "angle" is the two-point
-    average over relative signs.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("momenta must be nonnegative")
-    if V.d == 1:
-        return (fourier_hat(V, abs(p - q)) + fourier_hat(V, p + q)) / math.sqrt(2.0 * math.pi)
-    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-11, max_evals=4000)
-    if V.d == 2:
-        r = integrate_finite(
-            lambda th: fourier_hat(V, math.sqrt(max(
-                p * p + q * q - 2.0 * p * q * math.cos(th), 0.0))),
-            0.0, math.pi, spec)
-        return r.value / math.pi
-    r = integrate_finite(
-        lambda s: fourier_hat(V, math.sqrt(max(p * p + q * q - 2.0 * p * q * s, 0.0))),
-        -1.0, 1.0, spec)
-    return r.value / math.sqrt(2.0 * math.pi)
-
-
 def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
     """w_d(p_i, p_j) = int V(r) j_d(r; p_i^2) j_d(r; p_j^2) r^(d-1) dr.
 
@@ -186,7 +161,9 @@ def build_matrix(V: RadialPotential, params: KernelParams,
     """Symmetrized Birman-Schwinger matrix on the grid.
 
     Entries sqrt(w_i w_j) (p_i p_j)^((d-1)/2) sqrt(B_i B_j) w_d(p_i, p_j);
-    assembly is symmetric by construction, bit for bit.
+    assembly is symmetric by construction, bit for bit.  tc0 and
+    ground_state never form it; it is the dense reference for their
+    products v -> s W (s v).
     """
     if not V.is_nonnegative():
         raise ValueError("Birman-Schwinger symmetrization needs V >= 0")
@@ -196,40 +173,11 @@ def build_matrix(V: RadialPotential, params: KernelParams,
     return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
 
 
-@dataclass(frozen=True)
-class SpectralResult:
-    eigenvalue: float
-    eigenvector: np.ndarray
-    residual: float
-    second_eigenvalue: float | None = None
-
-
-def top_eigenvalue(S: np.ndarray) -> SpectralResult:
-    """Largest eigenvalue and eigenvector of a symmetric matrix.
-
-    The eigenvector sign is fixed by a positive sum and the 2-norm residual
-    ||S u - a u|| is reported.
-    """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be square")
-    if not np.allclose(S, S.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(S).max()))):
-        raise ValueError("S must be symmetric")
-    n = S.shape[0]
-    if n == 1:
-        return SpectralResult(float(S[0, 0]), np.ones(1), 0.0, None)
-    vals, vecs = _la.eigh(S, subset_by_index=[n - 2, n - 1])
-    top, second = float(vals[1]), float(vals[0])
-    u = vecs[:, 1]
-    if float(np.sum(u)) < 0:
-        u = -u
-    residual = float(np.linalg.norm(S @ u - top * u))
-    return SpectralResult(top, u, residual, second)
-
-
 def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None,
                tol: float = 1e-13, max_iter: int = 600):
-    """Top eigenvalue of diag(s) W diag(s) by warm-started power iteration."""
+    """Top eigenvalue and eigenvector of diag(s) W diag(s) by warm-started
+    power iteration, the one route to a_T.  Raises SolverError when
+    max_iter steps do not converge."""
     n = len(s)
     v = np.ones(n) / math.sqrt(n) if v0 is None else v0.copy()
     lam = 0.0
@@ -243,26 +191,7 @@ def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None,
         if abs(new - lam) <= tol * max(abs(new), 1e-300) and float(np.abs(u @ v)) > 0.999999:
             return new, u
         lam, v = new, u
-    return lam, v
-
-
-def a_t0(V: RadialPotential, params: KernelParams, *, rel_accuracy: float = 1e-7,
-         max_refine: int = 3, grid: SWaveDiscretization | None = None) -> float:
-    """Largest Birman-Schwinger value a_T at fixed temperature.
-
-    Refines the grid (panel halving) until successive values agree to
-    rel_accuracy; raises SolverError if max_refine levels do not converge.
-    """
-    if grid is not None:
-        return top_eigenvalue(build_matrix(V, params, grid)).eigenvalue
-    prev = None
-    for level in range(max_refine + 1):
-        g = build_grid(params, V, refine_level=level)
-        val = top_eigenvalue(build_matrix(V, params, g)).eigenvalue
-        if prev is not None and abs(val - prev) <= rel_accuracy * abs(val):
-            return val
-        prev = val
-    raise SolverError(f"a_T did not converge to {rel_accuracy} in {max_refine} refinements")
+    raise SolverError(f"power iteration did not converge in {max_iter} steps")
 
 
 @dataclass(frozen=True)

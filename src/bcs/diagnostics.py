@@ -9,28 +9,28 @@ potentials.radial_edges, so a transform at many momenta is one matrix
 product: in d = 1 the transform of V j1 is a dot product at every outer
 node, and in d = 2 the even-reflected kernel Vhat(|p - q|) + Vhat(p + q)
 factorizes over the transverse coordinate y.
-rhs_weak_coupling_d3 computes the zero-coupling limit of the
-three-dimensional boundary energy as three separate position-space terms,
-an independent route to the number boundary3d.criterion produces from the
-closed-form profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 from scipy.interpolate import CubicSpline
 
-from .boundary3d import DIRICHLET, normalize_bc
 from .kernels import KernelParams, bt_radial_shifted
 from .potentials import RadialPotential, fourier_hat, radial_edges
-from .quad import (Decay, QuadSpec, QuadratureError, gauss_panels,
-                   integrate_finite, integrate_oscillatory_tail)
-from .special import j_d
+from .quad import QuadSpec, QuadratureError, gauss_panels, integrate_finite
+
+
+def _certified(result) -> float:
+    """Value of an adaptive result that met its tolerance."""
+    if not result.converged:
+        raise QuadratureError(f"dt_form_d1 integral not certified: {result.message}")
+    return result.value
 
 
 def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
@@ -42,6 +42,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     each integration segment.  Panel breaks at p = sqrt(mu) and at the
     thermal shells |p^2 - mu| = T 10^k keep the Fermi peak resolved; the far
     tail is extended by octaves until its analytic bound is negligible.
+    Raises QuadratureError when an adaptive integral misses its tolerance.
     """
     if V.d != 1:
         raise ValueError("dt_form_d1 needs a d=1 potential")
@@ -68,7 +69,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     p0 = 2.0 * root_mu
     spec0 = QuadSpec(abs_tol=1e-12, rel_tol=1e-9, max_evals=200_000,
                      singular_points=tuple(sorted(p for p in pts if p < p0)))
-    total = integrate_finite(integrand(p0), 0.0, p0, spec0).value
+    total = _certified(integrate_finite(integrand(p0), 0.0, p0, spec0))
 
     r, wr = gauss_panels(radial_edges(V, 0.0))
     w_bound = (2.0 / math.pi) * float(np.dot(wr, np.abs(V.value(r))))
@@ -79,7 +80,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     while 4.0 * w_bound ** 2 / (3.0 * p ** 3) > max(1e-12, 1e-9 * abs(total)):
         spec_t = QuadSpec(abs_tol=max(1e-12, 1e-10 * abs(total)), rel_tol=1e-6,
                           max_evals=200_000)
-        total += integrate_finite(integrand(2.0 * p), p, 2.0 * p, spec_t).value
+        total += _certified(integrate_finite(integrand(2.0 * p), p, 2.0 * p, spec_t))
         p *= 2.0
         if p > 1e9 * max(root_mu, 1.0):
             raise QuadratureError("transform tail did not become negligible")
@@ -256,109 +257,6 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
         c = cos_yq @ u_rows(p1_out[i0:i0 + 48], q, wq).T
         total += float(np.dot(uy @ (c * c), w1_out[i0:i0 + 48]))
     return 4.0 * total
-
-
-@lru_cache(maxsize=8)
-def _fullline_spline(y_max: float):
-    """Spline of the full-line integral of the squared spherical wave at
-    transverse offset y, both in units of the Fermi wavelength: at y = 0 the
-    value is exactly 2 and it decays like 1/y."""
-    spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=60000)
-    ys = np.linspace(0.0, y_max, max(64, int(math.ceil(y_max / 0.04)) + 1))
-    vals = [2.0]
-    for y in ys[1:]:
-        y = float(y)
-
-        def wgt(s, y=y):
-            return 1.0 / (s * math.sqrt((s - y) * (s + y)))
-
-        def f(s, y=y):
-            return math.sin(s) ** 2 * wgt(s, y)
-
-        s0 = y + max(y, 4.0 * math.pi)
-        fin = integrate_finite(f, y, s0, spec)
-        tail = integrate_oscillatory_tail(wgt, 1.0, s0, spec, kind="sin2",
-                                          decay=Decay.algebraic(2))
-        vals.append((4.0 / math.pi) * (fin.value + tail.value))
-    return CubicSpline(ys, vals)
-
-
-@dataclass(frozen=True)
-class RhsBreakdown:
-    """Zero-coupling boundary energy split into its position-space pieces.
-
-    ``terms`` holds the full-line wave term, the reflected-window
-    correction and the point term; ``total`` is exactly their sum.
-    """
-
-    total: float
-    terms: dict = field(repr=False)
-
-    def __post_init__(self):
-        if set(self.terms) != {"full_line", "window", "point"}:
-            raise ValueError("terms must be full_line, window and point")
-        gap = abs(self.total - math.fsum(self.terms.values()))
-        if gap > 1e-12 * max(1.0, abs(self.total)):
-            raise ValueError("terms do not add up to the total")
-
-
-def rhs_weak_coupling_d3(V: RadialPotential, mu: float, bc) -> RhsBreakdown:
-    """Zero-coupling limit of the d=3 half-space boundary energy.
-
-    Integrates V against the boundary density assembled from its defining
-    line integrals: the full-line wave term, minus the reflected window
-    restricted to |z1| < |r1|, and the point term carrying the boundary
-    sign.  A route independent of the closed-form profile terms, so the
-    total must reproduce boundary3d.criterion's value.
-    """
-    b = normalize_bc(bc)
-    sgn = 1.0 if b == DIRICHLET else -1.0
-    if V.d != 3:
-        raise ValueError("rhs_weak_coupling_d3 needs a d=3 potential")
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"chemical potential must be positive, got {mu}")
-    root_mu = math.sqrt(mu)
-    rc = V.cutoff_radius()
-    outer = QuadSpec(abs_tol=1e-12, rel_tol=1e-10, singular_points=V.jumps)
-    mid = QuadSpec(abs_tol=1e-11, rel_tol=1e-9, max_evals=60000)
-
-    g = _fullline_spline(root_mu * rc * (1.0 + 1e-9))
-
-    def fullline_avg(r):
-        return integrate_finite(
-            lambda phi: float(g(root_mu * r * math.cos(phi))) * math.cos(phi),
-            0.0, 0.5 * math.pi, mid).value
-
-    full = integrate_finite(lambda r: V.value(r) * r * r * fullline_avg(r),
-                            0.0, rc, outer)
-    term_full = 4.0 * math.pi / root_mu * full.value
-
-    n_z = max(32, min(256, int(4.0 * root_mu * rc) + 16))
-    gz, gw = np.polynomial.legendre.leggauss(n_z)
-
-    def window_avg(r):
-        jr = float(j_d(r, mu, 3))
-
-        def over_c(c):
-            r1 = r * c
-            rho = r * math.sqrt(max(1.0 - c * c, 0.0))
-            z = 0.5 * r1 * (gz + 1.0)
-            vals = (j_d(np.sqrt(z * z + rho * rho), mu, 3) - sgn * jr) ** 2
-            return r1 * float(np.dot(gw, vals))
-
-        return integrate_finite(over_c, 0.0, 1.0, mid).value
-
-    win = integrate_finite(lambda r: V.value(r) * r * r * window_avg(r),
-                           0.0, rc, outer)
-    term_window = -4.0 * math.pi * win.value
-
-    pt = integrate_finite(
-        lambda r: V.value(r) * float(j_d(r, mu, 3)) ** 2 * r * r,
-        0.0, rc, outer)
-    term_point = -sgn * (math.pi / root_mu) * 4.0 * math.pi * pt.value
-
-    terms = {"full_line": term_full, "window": term_window, "point": term_point}
-    return RhsBreakdown(total=math.fsum(terms.values()), terms=terms)
 
 
 _GROWTH_MODELS = ("inverse_T", "log_cubed")

@@ -3,9 +3,7 @@ quantities built from them: Fourier transforms, moments, the Fermi-surface
 coupling e_mu, and its angular-momentum decomposition.  Every radial
 transform of V is a dot product with the masses V(r) w r^(d-1) of one fixed
 Gauss-Legendre rule on [0, cutoff], whose panels radial_edges lays out to
-break at V.breakpoints and to resolve the integrand's highest frequency.
-Only e_mu_sphere_average, the momentum-side cross-check of e_mu, integrates
-adaptively."""
+break at V.breakpoints and to resolve the integrand's highest frequency."""
 
 from __future__ import annotations
 
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .quad import QuadSpec, gauss_panels, integrate_finite
+from .quad import gauss_panels
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -49,16 +47,10 @@ class RadialPotential:
         raise NotImplementedError
 
     @property
-    def jumps(self) -> tuple:
-        """Radii where the profile itself jumps; adaptive quadrature breaks
-        there."""
-        return ()
-
-    @property
     def breakpoints(self) -> tuple:
         """Radii where the profile or one of its derivatives jumps; the
         panels of a fixed rule break there."""
-        return self.jumps
+        return ()
 
     def is_nonnegative(self) -> bool:
         raise NotImplementedError
@@ -141,7 +133,7 @@ class StepPotential(RadialPotential):
         return self.R
 
     @property
-    def jumps(self):
+    def breakpoints(self):
         return (self.R,)
 
     def is_nonnegative(self):
@@ -301,27 +293,6 @@ def e_mu(V: RadialPotential, mu: float) -> float:
         raise ValueError("mu must be positive")
     r, m = _radial_measure(V, 2.0 * math.sqrt(mu))
     return float(m @ j_d(r, mu, V.d) ** 2)
-
-
-def e_mu_sphere_average(V: RadialPotential, mu: float) -> float:
-    """e_mu computed from the momentum side, as the Fermi-sphere average of
-    Vhat over pair separations; cross-checks the position-space route."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    s2mu = math.sqrt(2.0 * mu)
-    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
-    if V.d == 1:
-        return (fourier_hat(V, 0.0) + fourier_hat(V, 2.0 * math.sqrt(mu))) * inv_sqrt_2pi
-    spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-10, max_evals=4000)
-    if V.d == 2:
-        r = integrate_finite(
-            lambda th: fourier_hat(V, 2.0 * math.sqrt(mu) * abs(math.sin(0.5 * th))),
-            0.0, math.pi, spec)
-        return r.value / math.pi
-    r = integrate_finite(
-        lambda s: fourier_hat(V, s2mu * math.sqrt(max(1.0 - s, 0.0))),
-        -1.0, 1.0, spec)
-    return r.value * inv_sqrt_2pi
 
 
 def vmu_spectrum(V: RadialPotential, mu: float, ell_max: int) -> np.ndarray:

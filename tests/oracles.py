@@ -212,6 +212,83 @@ def gaussian_hat_closed(a: float, ell: float, d: int, k: float) -> float:
     return a * (0.5 * ell * ell) ** (0.5 * d) * math.exp(-0.25 * (k * ell) ** 2)
 
 
+def exponential_hat_closed(a: float, ell: float, d: int, k: float) -> float:
+    """Closed-form radial Fourier transform of a * exp(-r/ell): Laplace
+    transforms of cos(kr), r J0(kr) and r sin(kr)/k at s = 1/ell."""
+    x = 1.0 + (k * ell) ** 2
+    if d == 1:
+        return math.sqrt(2.0 / math.pi) * a * ell / x
+    if d == 2:
+        return a * ell * ell / x ** 1.5
+    return math.sqrt(2.0 / math.pi) * 2.0 * a * ell ** 3 / (x * x)
+
+
+def step_hat_closed(a: float, R: float, d: int, k: float) -> float:
+    """Closed-form radial Fourier transform of a on [0, R]."""
+    x = k * R
+    if d == 1:
+        return math.sqrt(2.0 / math.pi) * a * R * (math.sin(x) / x if x else 1.0)
+    if d == 2:
+        return a * R * R * (special.j1(x) / x if x else 0.5)
+    # (sin x - x cos x) / x^3 cancels below x = 0.01, where three terms of
+    # its series are exact to rounding
+    if x < 1e-2:
+        c = 1.0 / 3.0 - x * x / 30.0 + x ** 4 / 840.0
+    else:
+        c = (math.sin(x) - x * math.cos(x)) / x ** 3
+    return math.sqrt(2.0 / math.pi) * a * R ** 3 * c
+
+
+def table_hat(r, v, d: int):
+    """k -> radial Fourier transform of the monotone cubic through (r, v),
+    zero beyond the last sample: a 48-point Gauss rule on every piece
+    between knots, where the interpolant is one cubic."""
+    pp = interpolate.PchipInterpolator(np.asarray(r, float), np.asarray(v, float))
+    x, w = np.polynomial.legendre.leggauss(48)
+    lo, h = pp.x[:-1, None], np.diff(pp.x)[:, None]
+    nodes = (lo + 0.5 * h * (x + 1.0)).ravel()
+    mass = (0.5 * h * w).ravel() * pp(nodes) * nodes ** (d - 1)
+
+    def vhat(k):
+        z = k * nodes
+        if d == 1:
+            j = math.sqrt(2.0 / math.pi) * np.cos(z)
+        elif d == 2:
+            j = special.j0(z)
+        else:
+            j = math.sqrt(2.0 / math.pi) * np.sinc(z / math.pi)
+        return float(mass @ j)
+    return vhat
+
+
+def angular_average_vhat(vhat, d: int, p: float, q: float) -> float:
+    """w_d(p, q) from the momentum side: the average of Vhat(|p - q|) over
+    the angle between two momenta of lengths p and q, by QUADPACK over the
+    angle (its cosine in d = 3); the d = 1 "angle" is the two-point average
+    over relative signs.  ``vhat`` is the radial transform as a callable."""
+    if p < 0 or q < 0:
+        raise ValueError("momenta must be nonnegative")
+    if d == 1:
+        return (vhat(abs(p - q)) + vhat(p + q)) / math.sqrt(2.0 * math.pi)
+    # |p - q|^2 written without the cancellation of p^2 + q^2 - 2pq cos
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    if d == 2:
+        val, _ = integrate.quad(lambda th: vhat(math.sqrt(
+            (p - q) ** 2 + 4.0 * p * q * math.sin(0.5 * th) ** 2)), 0.0, math.pi, **opts)
+        return val / math.pi
+    val, _ = integrate.quad(lambda s: vhat(math.sqrt(
+        (p - q) ** 2 + 2.0 * p * q * (1.0 - s))), -1.0, 1.0, **opts)
+    return val / math.sqrt(2.0 * math.pi)
+
+
+def e_mu_sphere_average(vhat, d: int, mu: float) -> float:
+    """Fermi-surface coupling from the momentum side: w_d(sqrt(mu), sqrt(mu)),
+    the Fermi-sphere average of Vhat over pair separations."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return angular_average_vhat(vhat, d, math.sqrt(mu), math.sqrt(mu))
+
+
 def gaussian_w3_closed(a: float, ell: float, p, q):
     """w_3(p, q) for V = a exp(-r^2/ell^2) in d = 3, elementwise in p, q > 0.
 
@@ -439,6 +516,97 @@ def criterion_terms_momentum_side(value, rc: float, mu: float, c_plus,
     far, _ = integrate.quad(turned, 1.0, math.inf, **opts)
     out["t1"] = 16.0 / mu * (math.pi ** 2 / 16.0 * m1 + 0.5 * (near + far))
     return out
+
+
+_BC_SIGN = {"dirichlet": 1.0, "neumann": -1.0}
+
+
+def _j3(r, mu: float):
+    """sqrt(2/pi) sin(sqrt(mu) r) / (sqrt(mu) r), elementwise."""
+    return math.sqrt(2.0 / math.pi) * np.sinc(math.sqrt(mu) * np.asarray(r, float) / math.pi)
+
+
+def mtilde_direct(r, mu: float, bc: str) -> float:
+    """Boundary density at one point r (a 3-vector) from its defining line
+    integral over the normal coordinate z, without the spherical reduction.
+
+    With rho the transverse distance, the line splits at |z| = |r1|.
+    Outside, j3^2 = (2/(pi mu)) sin^2(sqrt(mu) s)/s^2 with
+    s = sqrt(z^2 + rho^2) is integrated in z while s < s0 and in s beyond,
+    where the tail is sin^2(sqrt(mu) s) / (s sqrt(s^2 - rho^2)) on
+    [s0, inf), the "sin2" case of fourier_tail.  Inside, the reflected combination
+    j3^2 - (j3 -+ j3(|r|))^2 is kept literally, and the point term
+    -+(pi/sqrt(mu)) j3(|r|)^2 carries the sign (upper: Dirichlet).  Its
+    average over directions is m3(sqrt(mu) |r|)/sqrt(mu).
+    """
+    sgn = _BC_SIGN[bc]
+    r1, r2, r3 = (float(c) for c in r)
+    rho = math.hypot(r2, r3)
+    rn = math.hypot(r1, rho)
+    root_mu = math.sqrt(mu)
+    jr = float(_j3(rn, mu))
+    point = -sgn * (math.pi / root_mu) * jr * jr
+    opts = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+    s0 = rn + max(rn, rho, 4.0 * math.pi / root_mu)
+    near, _ = integrate.quad(
+        lambda z: math.sin(root_mu * math.hypot(z, rho)) ** 2 / (z * z + rho * rho),
+        abs(r1), math.sqrt((s0 - rho) * (s0 + rho)), **opts)
+    tail = fourier_tail(lambda s: 1.0 / (s * math.sqrt((s - rho) * (s + rho))),
+                        root_mu, s0, "sin2")
+    outside = 4.0 / (math.pi * mu) * (near + tail)
+
+    def window(z):
+        jz = float(_j3(math.hypot(z, rho), mu))
+        return jz * jz - (jz - sgn * jr) ** 2
+
+    inside, _ = integrate.quad(window, 0.0, abs(r1), **opts)
+    return outside + 2.0 * inside + point
+
+
+def rhs_weak_coupling_d3(V, mu: float, bc: str) -> dict:
+    """Zero-coupling limit of the d = 3 half-space boundary energy, split
+    into its position-space terms: the full-line wave term, the reflected
+    window |z1| < |r1|, and the point term with the boundary sign.  Their
+    sum is the boundary criterion's value, reached without the profile
+    terms t1..t4.
+
+    The full-line integral of j3^2 at transverse offset y/sqrt(mu) is
+    g(y)/sqrt(mu) with g(y) = (1/y) int_0^{2y} J0(t) dt (scipy's itj0y0),
+    averaged over the polar angle; the window is a 2-d integral over the
+    polar angle and the normal coordinate.  Both angular integrals are
+    Gauss-Legendre tensor rules; the radial integrals are QUADPACK, broken
+    at V.breakpoints.  ``V`` needs d, value, cutoff_radius and breakpoints.
+    """
+    if V.d != 3:
+        raise ValueError("rhs_weak_coupling_d3 needs a d=3 potential")
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"chemical potential must be positive, got {mu}")
+    sgn = _BC_SIGN[bc]
+    root_mu = math.sqrt(mu)
+    rc = V.cutoff_radius()
+    x, w = np.polynomial.legendre.leggauss(max(48, int(4.0 * root_mu * rc) + 16))
+    ang, w_ang = 0.25 * math.pi * (x + 1.0), 0.25 * math.pi * w
+    t, w_t = 0.5 * (x + 1.0), 0.5 * w
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
+
+    def full_line(r):
+        y = root_mu * r * cos_a
+        return float(w_ang @ (special.itj0y0(2.0 * y)[0] / y * cos_a))
+
+    def window(r):
+        r1, rho = r * sin_a[:, None], r * cos_a[:, None]
+        f = (_j3(np.hypot(r1 * t, rho), mu) - sgn * _j3(r, mu)) ** 2
+        return float(w_ang @ (cos_a * 2.0 * r * sin_a * (f @ w_t)))
+
+    def radial(f):
+        return _tight_quad(lambda r: V.value(r) * r * r * f(r) if r > 0.0 else 0.0,
+                           rc, V.breakpoints)
+
+    pref = 4.0 * math.pi
+    point = radial(lambda r: float(_j3(r, mu)) ** 2)
+    return {"full_line": pref / root_mu * radial(full_line),
+            "window": -pref * radial(window),
+            "point": -sgn * math.pi / root_mu * pref * point}
 
 
 # ---------------------------------------------------------------------------

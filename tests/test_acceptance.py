@@ -12,30 +12,24 @@ checklist.  Tolerances are pinned here and nowhere else; tests with a
 stated runtime budget assert the elapsed wall time as well.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
 
 import oracles
-from bcs.boundary3d import (
-    criterion,
-    m3_profile,
-    m3_scaled,
-    mtilde_direct,
-    t4,
-    table1_values,
-)
+from bcs.boundary3d import criterion, m3, m3_profile, t4, table1_values
 from bcs.bs_solver import (
-    angular_average_vhat,
+    _bs_scale,
+    _power_top,
+    _w_matrix,
     build_grid,
-    build_matrix,
     ground_state,
     position_profile,
     tc0,
-    top_eigenvalue,
 )
-from bcs.diagnostics import dt_form_d1, dt_form_d2, rhs_weak_coupling_d3
+from bcs.diagnostics import dt_form_d1, dt_form_d2
 from bcs.kernels import KernelParams, bt, bt_radial_shifted, kt, m_mu, tanh_inequality_gap
 from bcs.potentials import GaussianPotential, e_mu, moment
 from bcs.special import j_d
@@ -136,9 +130,9 @@ def test_03_sphere_average(capsys):
             # The density is even in the normal coordinate and azimuthally
             # symmetric, so the sphere average reduces to the polar integral.
             avg = float(np.sum(w * [
-                mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
+                oracles.mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
                 for ui in u]))
-            ref = m3_scaled(r, mu, bc)
+            ref = m3(math.sqrt(mu) * r, bc) / math.sqrt(mu)
             diff = abs(avg - ref)
             worst = max(worst, diff)
             if diff > 1e-4:
@@ -212,7 +206,8 @@ def test_06_self_consistency(capsys):
     a_vals = []
     for level in (tc.refine_level, tc.refine_level + 1):
         g = build_grid(params, GAUSS3, refine_level=level)
-        a_vals.append(top_eigenvalue(build_matrix(GAUSS3, params, g)).eigenvalue)
+        a, _ = _power_top(_bs_scale(g, params, 3), _w_matrix(GAUSS3, g.nodes), None)
+        a_vals.append(a)
     doubling_move = abs(a_vals[1] - a_vals[0]) / abs(a_vals[1])
 
     failures = []
@@ -344,15 +339,15 @@ def test_09_kernel_inequalities(capsys):
 def test_10_route_equivalences(capsys):
     failures = []
 
-    # Angular averages of the interaction against the position-space route.
+    # The solver's W against the momentum-side angular average of Vhat.
     pts = [(0.3, 0.3), (0.5, 1.2), (1.0, 1.0), (2.0, 0.7), (3.0, 2.5)]
     worst_w = 0.0
     for d in (1, 2, 3):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
-        rc = V.cutoff_radius()
+        vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
         for p, q in pts:
-            diff = abs(angular_average_vhat(V, p, q)
-                       - oracles.wd_position_space(V.value, rc, d, p, q))
+            W = _w_matrix(V, np.array([min(p, q), max(p, q)]))
+            diff = abs(W[0, 1] - oracles.angular_average_vhat(vhat, d, p, q))
             worst_w = max(worst_w, diff)
             if diff > 1e-6:
                 failures.append(f"w_{d}({p}, {q}) differs by {diff:.3e}")
@@ -360,7 +355,7 @@ def test_10_route_equivalences(capsys):
     # Weak-coupling right-hand side re-assembles the boundary criterion.
     worst_rhs = 0.0
     for bc in BCS:
-        total = rhs_weak_coupling_d3(GAUSS3, 1.0, bc).total
+        total = math.fsum(oracles.rhs_weak_coupling_d3(GAUSS3, 1.0, bc).values())
         ref = criterion(GAUSS3, 1.0, bc).value
         rel = abs(total - ref) / abs(ref)
         worst_rhs = max(worst_rhs, rel)

@@ -13,14 +13,11 @@ from bcs.boundary3d import (
     derivatives_at_zero,
     m3,
     m3_profile,
-    m3_scaled,
-    mtilde_direct,
     normalize_bc,
     t1,
     t2,
     t3,
     t4,
-    t_j,
     table1_values,
 )
 from bcs.potentials import (
@@ -83,6 +80,8 @@ def test_array_arguments_rejected_elementwise(bad):
     for f in (t1, t2, t3, t4, lambda x: m3(x, "neumann")):
         with pytest.raises(ValueError, match="finite and >= 0"):
             f(xs)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            f(bad)
 
 
 def test_terms_at_origin():
@@ -98,15 +97,6 @@ def test_t2_t3_closed_forms():
             -2.0 / math.pi * math.sin(x) ** 2 / x, abs=1e-14)
         assert t3(x) == pytest.approx(
             -2.0 * (math.sin(x) / x) ** 2, abs=1e-14)
-
-
-def test_t_j_dispatch():
-    assert t_j(1.3, 1) == t1(1.3)
-    assert t_j(1.3, 4) == t4(1.3)
-    with pytest.raises(ValueError, match="term index"):
-        t_j(1.0, 5)
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        t1(-0.5)
 
 
 def test_m3_frozen_values_both_conditions():
@@ -140,30 +130,22 @@ def test_m3_profile_grid_and_threads():
         m3_profile(-1.0, 0.5, "dirichlet")
 
 
-def test_m3_scaled_collapses_onto_unit_curve():
-    # mu^(1/2) m3_scaled(r; mu) = m3(sqrt(mu) r) for any mu.
-    for r, mu in [(0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]:
-        for bc in ("dirichlet", "neumann"):
-            lhs = math.sqrt(mu) * m3_scaled(r, mu, bc)
-            assert lhs == pytest.approx(m3(math.sqrt(mu) * r, bc), rel=1e-12)
-    with pytest.raises(ValueError, match="must be positive"):
-        m3_scaled(1.0, 0.0, "neumann")
-
-
 def test_mtilde_sphere_average_is_scaled_profile():
-    # The pointwise line-integral route, averaged over directions, must
-    # reproduce the term-sum route.  The density depends only on |r1| and
-    # rho, so the sphere average is a single polar integral over u in [0, 1].
+    # The pointwise line-integral oracle, averaged over directions, must
+    # reproduce the term-sum route at chemical potential mu, which is
+    # m3(sqrt(mu) r) / sqrt(mu).  The density depends only on |r1| and rho,
+    # so the sphere average is a single polar integral over u in [0, 1].
     u, w = np.polynomial.legendre.leggauss(16)
     u = 0.5 * (u + 1.0)
     w = 0.5 * w
     for r, mu in [(0.5, 1.0), (1.0, 2.0)]:
         for bc in ("dirichlet", "neumann"):
             avg = sum(
-                wi * mtilde_direct((r * ui, r * math.sqrt(1.0 - ui * ui), 0.0),
-                                   mu, bc)
+                wi * oracles.mtilde_direct(
+                    (r * ui, r * math.sqrt(1.0 - ui * ui), 0.0), mu, bc)
                 for ui, wi in zip(u, w))
-            assert avg == pytest.approx(m3_scaled(r, mu, bc), abs=1e-4)
+            ref = m3(math.sqrt(mu) * r, bc) / math.sqrt(mu)
+            assert avg == pytest.approx(ref, abs=1e-4)
 
 
 def test_normalize_bc():

@@ -1,23 +1,24 @@
 """Birman-Schwinger discretization, spectra, and the critical temperature."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import oracles
 from bcs.bs_solver import (
     SolverError,
     Tc0Result,
+    _bs_scale,
+    _power_top,
     _w_matrix,
-    a_t0,
-    angular_average_vhat,
     build_grid,
     build_matrix,
     ground_state,
     position_profile,
     tc0,
-    top_eigenvalue,
 )
 from bcs.kernels import KernelParams, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
@@ -57,38 +58,45 @@ def test_grid_innermost_panel_tracks_temperature():
 # interaction matrix elements
 # ---------------------------------------------------------------------------
 
+# Two oracles for w_d(p, q): the momentum-side angular average of a closed
+# Vhat, and the position-side product of radial waves.
 def test_angular_average_matches_position_oracle():
     pts = [(0.3, 0.3), (0.5, 1.2), (1.0, 1.0), (2.0, 0.7), (3.0, 2.5)]
     for d in (1, 2, 3):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
+        vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
         rc = V.cutoff_radius()
         for p, q in pts:
             ref = oracles.wd_position_space(V.value, rc, d, p, q)
-            assert angular_average_vhat(V, p, q) == pytest.approx(ref, abs=1e-9)
+            assert oracles.angular_average_vhat(vhat, d, p, q) == pytest.approx(ref, abs=1e-9)
 
 
 def test_angular_average_step_potential():
     V = StepPotential(d=3, a=1.0, R=1.0)
+    vhat = functools.partial(oracles.step_hat_closed, 1.0, 1.0, 3)
     rc = V.cutoff_radius()
     for p, q in [(0.5, 0.5), (1.0, 2.0)]:
         ref = oracles.wd_position_space(V.value, rc, 3, p, q)
-        assert angular_average_vhat(V, p, q) == pytest.approx(ref, abs=1e-7)
+        assert oracles.angular_average_vhat(vhat, 3, p, q) == pytest.approx(ref, abs=1e-7)
 
 
 def _potential(kind, d):
+    """A potential of each kind and its radial transform Vhat from the
+    oracles: closed forms, and for the table a Gauss rule on its pieces."""
     if kind == "gaussian":
-        return GaussianPotential(d=d, a=1.0, ell=1.0)
+        return (GaussianPotential(d=d, a=1.0, ell=1.0),
+                functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d))
     if kind == "exponential":
-        return ExponentialPotential(d=d, a=1.0, ell=1.0)
+        return (ExponentialPotential(d=d, a=1.0, ell=1.0),
+                functools.partial(oracles.exponential_hat_closed, 1.0, 1.0, d))
     if kind == "step":
-        return StepPotential(d=d, a=1.0, R=1.0)
-    # Few knots: the angular_average_vhat reference nests an adaptive
-    # transform of the table, which resolves every knot, in an adaptive
-    # angular integral.
+        return (StepPotential(d=d, a=1.0, R=1.0),
+                functools.partial(oracles.step_hat_closed, 1.0, 1.0, d))
     r = np.linspace(0.0, 8.0, 5)
     v = np.exp(-r) * (1.0 + 0.3 * r)
     v[-1] = 0.0
-    return TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))
+    return (TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v)),
+            oracles.table_hat(r, v, d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -96,12 +104,12 @@ def _potential(kind, d):
 def test_w_matrix_matches_angular_average(kind, d):
     # Regression: the generic d = 3 branch once returned exactly half of w_3;
     # only the Gaussian, which takes the closed form there, escaped.
-    V = _potential(kind, d)
+    V, vhat = _potential(kind, d)
     p = np.array([0.3, 0.9, 1.4])
     W = _w_matrix(V, p)
     for i, pi in enumerate(p):
         for j, pj in enumerate(p):
-            ref = angular_average_vhat(V, float(pi), float(pj))
+            ref = oracles.angular_average_vhat(vhat, d, float(pi), float(pj))
             assert W[i, j] == pytest.approx(ref, rel=1e-6), (i, j)
 
 
@@ -145,30 +153,30 @@ def test_build_matrix_validation():
 # ---------------------------------------------------------------------------
 
 def test_top_eigenvalue_matches_jacobi_oracle():
+    # _power_top is the one a_T route; with s = 1 it iterates on W itself.
     rng = np.random.default_rng(7)
     A = rng.normal(size=(12, 12))
-    S = 0.5 * (A + A.T)
-    res = top_eigenvalue(S)
+    S = A @ A.T + np.eye(12)
+    a, u = _power_top(np.ones(12), S, None)
     ref = oracles.jacobi_eigenvalues(S)
-    assert res.eigenvalue == pytest.approx(ref[0], rel=1e-12)
-    assert res.second_eigenvalue == pytest.approx(ref[1], rel=1e-12)
-    assert res.residual < 1e-12 * max(1.0, abs(res.eigenvalue))
-    assert float(np.sum(res.eigenvector)) >= 0.0
+    assert a == pytest.approx(ref[0], rel=1e-12)
+    assert np.linalg.norm(S @ u - a * u) < 1e-6 * a
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_top_eigenvalue_validation():
-    with pytest.raises(ValueError, match="square"):
-        top_eigenvalue(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        top_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # W = diag(1, -1) from (1, 1) flips the iterate forever; running out of
+    # steps is an error, not an answer.
+    with pytest.raises(SolverError, match="did not converge in 600 steps"):
+        _power_top(np.ones(2), np.diag([1.0, -1.0]), None)
+    with pytest.raises(SolverError, match="annihilated"):
+        _power_top(np.ones(2), np.zeros((2, 2)), None)
 
 
 def test_a_t0_grid_doubling_stability():
     par = KernelParams(T=1e-3, mu=1.0)
-    g0 = build_grid(par, GAUSS3, refine_level=0)
-    g1 = build_grid(par, GAUSS3, refine_level=1)
-    a0 = a_t0(GAUSS3, par, grid=g0)
-    a1 = a_t0(GAUSS3, par, grid=g1)
+    a0, a1 = (_power_top(_bs_scale(g, par, 3), _w_matrix(GAUSS3, g.nodes), None)[0]
+              for g in (build_grid(par, GAUSS3, refine_level=level) for level in (0, 1)))
     assert abs(a1 - a0) <= 1e-5 * abs(a1)
 
 
@@ -292,8 +300,7 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not form S or run a dense eigh")
     monkeypatch.setattr(bs_solver, "build_matrix", forbidden)
-    monkeypatch.setattr(bs_solver, "top_eigenvalue", forbidden)
-    monkeypatch.setattr(bs_solver._la, "eigh", forbidden)
+    monkeypatch.setattr(linalg, "eigh", forbidden)
     tc = tc0(GAUSS3, 1.0, 3, 0.6)
     first = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     second = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
@@ -304,7 +311,6 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
 def test_ground_state_top_pair_matches_dense_eigh():
     # On a small grid the Lanczos pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
-    from scipy import linalg
     params = KernelParams(T=1e-3, mu=1.0)
     S = build_matrix(GAUSS3, params, build_grid(params, GAUSS3, refine_level=0))
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])

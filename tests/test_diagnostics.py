@@ -1,4 +1,5 @@
-"""Boundary pairing forms in d = 1, 2 and the weak-coupling boundary energy."""
+"""Boundary pairing forms in d = 1, 2, their growth fits, and the
+weak-coupling boundary energy oracle against the criterion."""
 
 import math
 
@@ -6,16 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from bcs import diagnostics
 from bcs.boundary3d import criterion
-from bcs.diagnostics import (
-    GrowthFit,
-    RhsBreakdown,
-    dt_form_d1,
-    dt_form_d2,
-    fit_growth,
-    rhs_weak_coupling_d3,
-)
+from bcs.diagnostics import GrowthFit, dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import ExponentialPotential, GaussianPotential, StepPotential
+from bcs.quad import QuadratureError, QuadResult
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
 GAUSS2 = GaussianPotential(d=2, a=1.0, ell=4.0)
@@ -62,6 +58,15 @@ def test_dt_d1_wrong_dimension_rejected():
 
 def test_dt_d1_zero_potential_vanishes():
     assert dt_form_d1(GaussianPotential(d=1, a=0.0), 1e-2, 1.0) == 0.0
+
+
+def test_dt_d1_rejects_uncertified_integral(monkeypatch):
+    def stalled(f, a, b, spec=None):
+        return QuadResult(1.0, 1.0, 21, converged=False,
+                          message="accuracy not reached: budget spent")
+    monkeypatch.setattr(diagnostics, "integrate_finite", stalled)
+    with pytest.raises(QuadratureError, match="budget spent"):
+        dt_form_d1(GAUSS1, 1e-2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,36 +130,28 @@ def test_dt_forms_grow_as_temperature_drops():
 
 
 # ---------------------------------------------------------------------------
-# weak-coupling boundary energy, d = 3
+# weak-coupling boundary energy, d = 3 (position-space oracle)
 # ---------------------------------------------------------------------------
 
 def test_rhs_frozen_term_breakdown():
     for bc, ref in oracles.FROZEN_RHS_GAUSSIAN_MU1.items():
-        out = rhs_weak_coupling_d3(GAUSS3, 1.0, bc)
+        terms = oracles.rhs_weak_coupling_d3(GAUSS3, 1.0, bc)
         for term, val in ref.items():
-            assert out.terms[term] == pytest.approx(val, abs=5e-7), (bc, term)
+            assert terms[term] == pytest.approx(val, abs=5e-7), (bc, term)
 
 
 def test_rhs_total_reproduces_criterion():
     for bc in ("dirichlet", "neumann"):
-        out = rhs_weak_coupling_d3(GAUSS3, 1.0, bc)
+        total = math.fsum(oracles.rhs_weak_coupling_d3(GAUSS3, 1.0, bc).values())
         ref = criterion(GAUSS3, 1.0, bc).value
-        assert out.total == pytest.approx(ref, rel=1e-4)
+        assert total == pytest.approx(ref, rel=1e-4)
 
 
 def test_rhs_validation():
     with pytest.raises(ValueError, match="needs a d=3"):
-        rhs_weak_coupling_d3(GAUSS2, 1.0, "neumann")
+        oracles.rhs_weak_coupling_d3(GAUSS2, 1.0, "neumann")
     with pytest.raises(ValueError, match="must be positive"):
-        rhs_weak_coupling_d3(GAUSS3, 0.0, "neumann")
-
-
-def test_rhs_breakdown_consistency_enforced():
-    with pytest.raises(ValueError, match="do not add up"):
-        RhsBreakdown(total=1.0,
-                     terms={"full_line": 2.0, "window": 0.5, "point": 0.0})
-    with pytest.raises(ValueError, match="full_line, window and point"):
-        RhsBreakdown(total=1.0, terms={"full_line": 1.0})
+        oracles.rhs_weak_coupling_d3(GAUSS3, 0.0, "neumann")
 
 
 # ---------------------------------------------------------------------------

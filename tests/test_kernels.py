@@ -12,7 +12,6 @@ from bcs.kernels import (
     KernelParams,
     bt,
     bt_radial_shifted,
-    fit_kt_sandwich,
     kt,
     m_mu,
     tanh_inequality_gap,
@@ -144,7 +143,17 @@ def test_tanh_inequality_gap_just_above_series_cutoff():
 
 
 def test_fit_kt_sandwich_brackets():
-    c1, c2 = fit_kt_sandwich(KernelParams(T=0.1, mu=1.0))
+    # Constants with C1 (T + p^2 + q^2) <= K <= C2 (p^2 + q^2 + 1), fitted
+    # over physical momenta and T in [T0, 10 T0]; C2 grows like the
+    # near-cancellation peak 2T cosh^2(mu/2T) as T0 is lowered.
+    p2_grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e2, 40)])
+    p2, q2 = p2_grid[:, None], p2_grid[None, :]
+    c1, c2 = math.inf, 0.0
+    for T in np.geomspace(0.1, 1.0, 5):
+        k = kt(p2 - 1.0, q2 - 1.0, KernelParams(T=float(T), mu=1.0))
+        ok = np.isfinite(k)
+        c1 = min(c1, float(np.min((k / (T + p2 + q2))[ok])))
+        c2 = max(c2, float(np.max((k / (p2 + q2 + 1.0))[ok])))
     assert 0.0 < c1 < c2
     par = KernelParams(T=0.1, mu=1.0)
     for p2, q2 in [(0.0, 0.0), (1.0, 3.0), (50.0, 0.2)]:

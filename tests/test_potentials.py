@@ -1,5 +1,6 @@
 """Potential models, their transforms, and the Fermi-surface couplings."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from bcs.potentials import (
     StepPotential,
     TabulatedPotential,
     e_mu,
-    e_mu_sphere_average,
     fourier_hat,
     from_config,
     moment,
@@ -184,9 +184,12 @@ def test_moments_closed_forms():
 # ---------------------------------------------------------------------------
 
 def test_e_mu_two_routes_agree():
+    # Position-side dot product against the oracle's Fermi-sphere average
+    # of the closed-form Vhat.
     for d, mu in ((1, 1.0), (2, 1.3), (3, 0.7), (3, 2.0)):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
-        assert abs(e_mu(V, mu) - e_mu_sphere_average(V, mu)) < 1e-9
+        vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
+        assert abs(e_mu(V, mu) - oracles.e_mu_sphere_average(vhat, d, mu)) < 1e-9
 
 
 def test_e_mu_d1_closed_form():
@@ -202,7 +205,8 @@ def test_e_mu_validation():
     with pytest.raises(ValueError, match="mu must be positive"):
         e_mu(GaussianPotential(d=3), 0.0)
     with pytest.raises(ValueError, match="mu must be positive"):
-        e_mu_sphere_average(GaussianPotential(d=3), -1.0)
+        oracles.e_mu_sphere_average(
+            functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, 3), 3, -1.0)
 
 
 def test_vmu_spectrum_matches_addition_theorem_oracle():
