@@ -31,6 +31,11 @@ from .quad import gauss_panels
 from .special import j_d
 
 
+# Gauss nodes per grid panel, and the ratio of consecutive Fermi-shell edges.
+_PANEL_NODES = 10
+_GROWTH = 2.0
+
+
 class SolverError(Exception):
     """Eigenvalue problem or temperature search failed its contract."""
 
@@ -72,10 +77,10 @@ class SWaveDiscretization:
         return len(self.nodes)
 
 
-def _geometric_edges(width, cap, growth):
+def _geometric_edges(width, cap):
     edges = [0.0, width]
     while edges[-1] < cap:
-        edges.append(min(edges[-1] * growth, cap))
+        edges.append(min(edges[-1] * _GROWTH, cap))
     return edges
 
 
@@ -86,24 +91,24 @@ def _split(edges, level):
     return list(edges)
 
 
-def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
-               n_per_panel: int = 10, growth: float = 2.0,
+def build_grid(params: KernelParams, V: RadialPotential, *,
                refine_level: int = 0) -> SWaveDiscretization:
     """Lay out the radial grid for the given temperature and potential range.
 
     The Fermi shell |p^2 - mu| < mu/2 is paneled geometrically in u = p^2 - mu
-    from an innermost width min(T, 1e-3 mu); outside the shell plain p panels
-    run down to 0 and up to p_max.  refine_level = k halves every panel k times.
+    from an innermost width min(T, 1e-3 mu), each edge _GROWTH times the last;
+    outside the shell plain p panels run down to 0 and up to p_max, at least
+    12 / V.range_scale past the Fermi momentum.  Every panel takes
+    _PANEL_NODES Gauss nodes.  refine_level = k halves every panel k times.
     """
     T, mu = params.T, params.mu
     sq_mu = math.sqrt(mu)
-    reach = 12.0 / V.range_scale if V is not None else 0.0
-    p_max = max(4.0 * math.sqrt(2.0 * mu), sq_mu + reach)
+    p_max = max(4.0 * math.sqrt(2.0 * mu), sq_mu + 12.0 / V.range_scale)
 
     w_in = min(T, 1e-3 * mu)
-    u_edges = _split(_geometric_edges(w_in, 0.5 * mu, growth), refine_level)
+    u_edges = _split(_geometric_edges(w_in, 0.5 * mu), refine_level)
 
-    u_nodes, u_w = gauss_panels(u_edges, n_per_panel)
+    u_nodes, u_w = gauss_panels(u_edges, _PANEL_NODES)
     ps, ws, sh = [], [], []
     for sign in (1.0, -1.0):
         a = sign * u_nodes
@@ -120,7 +125,7 @@ def build_grid(params: KernelParams, V: RadialPotential | None = None, *,
     hi_edges = _split(np.linspace(p_hi, p_max, max(3, math.ceil((p_max - p_hi) / width)) + 1),
                       refine_level)
     for edges in (lo_edges, hi_edges):
-        p, w = gauss_panels(edges, n_per_panel)
+        p, w = gauss_panels(edges, _PANEL_NODES)
         ps.append(p)
         ws.append(w)
         sh.append(p * p - mu)

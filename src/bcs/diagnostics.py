@@ -4,11 +4,13 @@ dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
 dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth
 quantifies how well a sampled sweep follows the declared growth law.
-Both forms take their radial transforms from fixed Gauss-Legendre rules on
+Both forms run on fixed Gauss-Legendre rules only, the radial ones on
 potentials.radial_edges, so a transform at many momenta is one matrix
-product: in d = 1 the transform of V j1 is a dot product at every outer
-node, and in d = 2 the even-reflected kernel Vhat(|p - q|) + Vhat(p + q)
-factorizes over the transverse coordinate y.
+product: in d = 1 the transform of V j1 at every outer node, and in d = 2
+the even-reflected kernel Vhat(|p - q|) + Vhat(p + q), which factorizes
+over the transverse coordinate y.  The d = 1 outer rule shares the panels
+of kernels.m_mu inside the Fermi shell and stops its momentum tail on an
+explicit bound.
 """
 
 from __future__ import annotations
@@ -21,70 +23,107 @@ import numpy as np
 from scipy import special as _sp
 from scipy.interpolate import CubicSpline
 
-from .kernels import KernelParams, bt_radial_shifted
+from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted
 from .potentials import RadialPotential, fourier_hat, radial_edges
-from .quad import QuadSpec, QuadratureError, gauss_panels, integrate_finite
+from .quad import QuadratureError, gauss_panels
 
 
-def _certified(result) -> float:
-    """Value of an adaptive result that met its tolerance."""
-    if not result.converged:
-        raise QuadratureError(f"dt_form_d1 integral not certified: {result.message}")
-    return result.value
+# The V j1 transform runs in blocks of about this many matrix entries.
+_BLOCK = 1 << 19
+# dt_form_d1 stops once the bound on its untaken tail is below _TAIL_TOL of
+# the accumulated value.  The cost of an octave [P, 2 P] grows like (P rc)^2
+# for the cutoff radius rc, so it gives up once P rc passes _MAX_P_RC.
+_TAIL_TOL = 1e-13
+_MAX_P_RC = 4096.0
+
+
+def _capped(edges, p_edges, width):
+    """``edges`` with every panel split evenly into as many parts as keep
+    its extent in p (``p_edges``, the images of ``edges``) below ``width``."""
+    n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
+    return np.concatenate([np.linspace(lo, hi, k, endpoint=False)
+                           for lo, hi, k in zip(edges[:-1], edges[1:], n)] + [edges[-1:]])
+
+
+def _cos_transform(V: RadialPotential, root_mu: float, k_max: float, mid, offsets):
+    """w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr at every
+    p = mid + offset, on the radial rule sized to the frequency k_max, as
+    an array of shape (len(mid), len(offsets)).
+
+    cos(p r) = cos(m r) cos(o r) - sin(m r) sin(o r), so a rule of equal
+    panels needs sines and cosines only at its panel midpoints m and its
+    offsets o from them; the products run in blocks of midpoints.  A rule
+    passed as its nodes with the single offset 0 needs no sines.
+    """
+    r, wr = gauss_panels(radial_edges(V, k_max))
+    g = (2.0 / math.pi) * wr * V.value(r) * np.cos(root_mu * r)
+    o_r = np.outer(offsets, r)
+    cos_o, sin_o = np.cos(o_r).T, np.sin(o_r).T
+    rows = max(1, _BLOCK // len(r))
+    out = []
+    for i in range(0, len(mid), rows):
+        m_r = np.outer(mid[i:i + rows], r)
+        blk = (np.cos(m_r) * g) @ cos_o
+        if offsets.any():
+            blk -= (np.sin(m_r) * g) @ sin_o
+        out.append(blk)
+    return np.concatenate(out)
 
 
 def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=1 potential; grows like 1/T.
 
-    Evaluates Vhat(0) times the line integral of B_T(p,0)^2 |(V j1)^(p)|^2.
-    The transform of V j1 is a cosine transform, a dot product with the
-    Gauss-Legendre rule on potentials.radial_edges sized to the upper end of
-    each integration segment.  Panel breaks at p = sqrt(mu) and at the
-    thermal shells |p^2 - mu| = T 10^k keep the Fermi peak resolved; the far
-    tail is extended by octaves until its analytic bound is negligible.
-    Raises QuadratureError when an adaptive integral misses its tolerance.
+    Evaluates 2 Vhat(0) times the integral of (B_T(p, 0) w(p))^2 over p > 0,
+    where w is the transform of V j1 (_cos_transform), on fixed Gauss panels
+    at most 4 / cutoff_radius() wide in p, so that they resolve w^2.  Up to
+    sqrt(2 mu) the panels are those of kernels.m_mu, in a = p^2 - mu inside
+    the Fermi shell, split where they are wider; beyond it the rule takes
+    octaves [P, 2 P] of equal panels, each with the radial rule sized to its
+    upper end, so w on an octave is one blocked matrix product.
+    There |B_T| <= 1 / (P^2 - mu), and Plancherel gives the integral of w^2
+    over p > 0 as (2/pi) times the integral of (V(r) cos(sqrt(mu) r))^2, so
+    the untaken tail is at most what is left of that after [0, P], over
+    (P^2 - mu)^2.  The octaves stop when this bound is below _TAIL_TOL of
+    the value, and raise QuadratureError once P rc passes _MAX_P_RC.
     """
     if V.d != 1:
         raise ValueError("dt_form_d1 needs a d=1 potential")
     params = KernelParams(T=float(T), mu=float(mu))
     mu = params.mu
     root_mu = math.sqrt(mu)
+    rc = V.cutoff_radius()
+    width = 4.0 / rc
 
-    def integrand(p_hi):
-        """|B_T(p, 0) (V j1)^(p)|^2 for p up to p_hi."""
-        r, wr = gauss_panels(radial_edges(V, p_hi + root_mu))
-        g = (2.0 / math.pi) * wr * V.value(r) * np.cos(root_mu * r)
+    a_edges, t_edges = _fermi_shell_edges(params.T, mu)
+    a, wa = gauss_panels(_capped(a_edges, np.sqrt(mu + a_edges), width))
+    sides = [gauss_panels(_capped(e, e, width)) for e in t_edges]
+    # up to sqrt(2 mu) every node is its own midpoint
+    mid = np.concatenate([np.sqrt(mu + a)] + [t for t, _ in sides])
+    offsets = np.zeros(1)
+    wp = np.concatenate([0.5 * wa / np.sqrt(mu + a)] + [w for _, w in sides])
+    shifted = np.concatenate([a] + [t * t - mu for t, _ in sides])
+    x, wx = gauss_panels([-1.0, 1.0])
 
-        def f(p):
-            w = float(np.dot(g, np.cos(p * r)))
-            return (bt_radial_shifted(p * p - mu, params) * w) ** 2
-        return f
-
-    pts = [root_mu]
-    s = params.T
-    while s < mu:
-        pts.append(math.sqrt(mu + s))
-        pts.append(math.sqrt(mu - s))
-        s *= 10.0
-    p0 = 2.0 * root_mu
-    spec0 = QuadSpec(abs_tol=1e-12, rel_tol=1e-9, max_evals=200_000,
-                     singular_points=tuple(sorted(p for p in pts if p < p0)))
-    total = _certified(integrate_finite(integrand(p0), 0.0, p0, spec0))
-
-    r, wr = gauss_panels(radial_edges(V, 0.0))
-    w_bound = (2.0 / math.pi) * float(np.dot(wr, np.abs(V.value(r))))
-    p = p0
-    # Beyond sqrt(2 mu) the kernel factor is at most 2/p^2, so the remaining
-    # tail is bounded by 4 w_bound^2 / (3 p^3); extend by octaves until that
-    # clears the tolerance of the accumulated value.
-    while 4.0 * w_bound ** 2 / (3.0 * p ** 3) > max(1e-12, 1e-9 * abs(total)):
-        spec_t = QuadSpec(abs_tol=max(1e-12, 1e-10 * abs(total)), rel_tol=1e-6,
-                          max_evals=200_000)
-        total += _certified(integrate_finite(integrand(2.0 * p), p, 2.0 * p, spec_t))
-        p *= 2.0
-        if p > 1e9 * max(root_mu, 1.0):
-            raise QuadratureError("transform tail did not become negligible")
-    return 2.0 * fourier_hat(V, 0.0) * total
+    r, wr = gauss_panels(radial_edges(V, 2.0 * root_mu))
+    rest = (2.0 / math.pi) * float(np.dot(wr, (V.value(r) * np.cos(root_mu * r)) ** 2))
+    total = 0.0
+    p_hi = math.sqrt(2.0 * mu)
+    while True:
+        w = _cos_transform(V, root_mu, p_hi + root_mu, mid, offsets).ravel()
+        total += float(np.dot(wp, (bt_radial_shifted(shifted, params) * w) ** 2))
+        rest -= float(np.dot(wp, w * w))
+        if max(rest, 0.0) <= _TAIL_TOL * total * (p_hi * p_hi - mu) ** 2:
+            return 2.0 * fourier_hat(V, 0.0) * total
+        if p_hi * rc > _MAX_P_RC:
+            raise QuadratureError(
+                f"dt_form_d1 tail bound still above tolerance at p = {p_hi:g}")
+        # the octave [p_hi, 2 p_hi] in n equal panels of half-width h
+        n = int(math.ceil(p_hi / width))
+        h = 0.5 * p_hi / n
+        mid, offsets = p_hi + h * np.arange(1, 2 * n, 2), h * x
+        wp = np.tile(h * wx, n)
+        shifted = (mid[:, None] + offsets).ravel() ** 2 - mu
+        p_hi *= 2.0
 
 
 def _refined_edges(length, base, features):

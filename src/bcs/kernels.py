@@ -129,28 +129,41 @@ def tanh_inequality_gap(x, y):
     return out if out.ndim else float(out)
 
 
-def m_mu(params: KernelParams, d: int) -> float:
-    """Fermi-shell mass: integral of B_T(t, 0) t^(d-1) over 0 < t < sqrt(2 mu).
+def _fermi_shell_edges(T: float, mu: float):
+    """Panel edges of the fixed rule over 0 < t < sqrt(2 mu) that m_mu and
+    diagnostics.dt_form_d1 share.
 
-    One fixed Gauss-Legendre evaluation.  Inside the Fermi shell
-    |t^2 - mu| < mu/2 the integral runs in the shifted variable a = t^2 - mu
-    on panels whose edges double from +/- T out to +/- mu/2 (0 and +/- T
-    exact, the split build_grid makes), so the thermal layer stays resolved
-    when T << mu; in t the edges would round onto sqrt(mu) once T is below
-    about 1e-13 mu.  Outside the shell it runs in t on four panels a side,
-    where the integrand stays smooth at both endpoints for every d (in a,
-    d = 1 would carry an integrable 1/sqrt singularity at a = -mu).
+    Inside the Fermi shell |t^2 - mu| < mu/2 the edges lie in the shifted
+    variable a = t^2 - mu and double from +/- T out to +/- mu/2 (0 and
+    +/- T exact, the split build_grid makes), so the thermal layer stays
+    resolved when T << mu; in t the edges would round onto sqrt(mu) once T
+    is below about 1e-13 mu.  Outside the shell the edges lie in t, four
+    panels a side.  Returns the a edges and the two lists of t edges.
     """
-    if d not in (1, 2, 3):
-        raise ValueError(f"d must be 1, 2 or 3, got {d}")
-    T, mu = params.T, params.mu
     half = 0.5 * mu
     ladder = T * 2.0 ** np.arange(max(0, math.ceil(math.log2(half / T))))
     edges = np.concatenate([[0.0], ladder, [half]])
-    a, wa = gauss_panels(np.concatenate([-edges[:0:-1], edges]))
+    sides = [np.linspace(lo, hi, 5)
+             for lo, hi in ((0.0, math.sqrt(half)), (math.sqrt(mu + half), math.sqrt(2.0 * mu)))]
+    return np.concatenate([-edges[:0:-1], edges]), sides
+
+
+def m_mu(params: KernelParams, d: int) -> float:
+    """Fermi-shell mass: integral of B_T(t, 0) t^(d-1) over 0 < t < sqrt(2 mu).
+
+    One fixed Gauss-Legendre evaluation on the panels of _fermi_shell_edges:
+    in a = t^2 - mu inside the Fermi shell, in t outside it, where the
+    integrand stays smooth at both endpoints for every d (in a, d = 1 would
+    carry an integrable 1/sqrt singularity at a = -mu).
+    """
+    if d not in (1, 2, 3):
+        raise ValueError(f"d must be 1, 2 or 3, got {d}")
+    mu = params.mu
+    a_edges, t_edges = _fermi_shell_edges(params.T, mu)
+    a, wa = gauss_panels(a_edges)
     # dt = da / 2t, so t^(d-1) dt = (mu + a)^((d-2)/2) da / 2
     total = 0.5 * np.dot(wa, bt_radial_shifted(a, params) * (mu + a) ** (0.5 * d - 1.0))
-    for lo, hi in ((0.0, math.sqrt(half)), (math.sqrt(mu + half), math.sqrt(2.0 * mu))):
-        t, wt = gauss_panels(np.linspace(lo, hi, 5))
+    for edges in t_edges:
+        t, wt = gauss_panels(edges)
         total += np.dot(wt, bt_radial_shifted(t * t - mu, params) * t ** (d - 1))
     return float(total)

@@ -3,6 +3,7 @@ weak-coupling boundary energy oracle against the criterion."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +11,9 @@ import oracles
 from bcs import diagnostics
 from bcs.boundary3d import criterion
 from bcs.diagnostics import GrowthFit, dt_form_d1, dt_form_d2, fit_growth
-from bcs.potentials import ExponentialPotential, GaussianPotential, StepPotential
-from bcs.quad import QuadratureError, QuadResult
+from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
+                            TabulatedPotential)
+from bcs.quad import QuadratureError
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
 GAUSS2 = GaussianPotential(d=2, a=1.0, ell=4.0)
@@ -33,9 +35,17 @@ def test_dt_d1_matches_brute_oracle():
     assert mine == pytest.approx(brute, rel=1e-6)
 
 
+def _table1():
+    r = np.linspace(0.0, 8.0, 9)
+    v = np.exp(-r) * (1.0 + 0.3 * r)
+    v[-1] = 0.0
+    return TabulatedPotential(d=1, r_values=tuple(r), v_values=tuple(v))
+
+
 @pytest.mark.parametrize("V", [StepPotential(d=1, a=1.0, R=1.0),
-                               ExponentialPotential(d=1, a=1.0, ell=1.0)],
-                         ids=["step", "exponential"])
+                               ExponentialPotential(d=1, a=1.0, ell=1.0),
+                               _table1()],
+                         ids=["step", "exponential", "tabulated"])
 def test_dt_d1_matches_brute_oracle_non_gaussian(V):
     mine = dt_form_d1(V, 1e-2, 1.0)
     brute = oracles.dt_d1_brute(V.value, V.cutoff_radius(), 1e-2, 1.0)
@@ -61,12 +71,11 @@ def test_dt_d1_zero_potential_vanishes():
 
 
 def test_dt_d1_rejects_uncertified_integral(monkeypatch):
-    def stalled(f, a, b, spec=None):
-        return QuadResult(1.0, 1.0, 21, converged=False,
-                          message="accuracy not reached: budget spent")
-    monkeypatch.setattr(diagnostics, "integrate_finite", stalled)
-    with pytest.raises(QuadratureError, match="budget spent"):
-        dt_form_d1(GAUSS1, 1e-2, 1.0)
+    # The step's transform decays like 1/p, so its tail bound needs octaves
+    # out to p ~ 700; a cap at p rc = 4 stops it after the first.
+    monkeypatch.setattr(diagnostics, "_MAX_P_RC", 4.0)
+    with pytest.raises(QuadratureError, match="tail bound still above tolerance"):
+        dt_form_d1(StepPotential(d=1, a=1.0, R=1.0), 1e-2, 1.0)
 
 
 # ---------------------------------------------------------------------------

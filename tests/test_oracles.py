@@ -1,8 +1,10 @@
-"""The oracles stay independent of the package they check."""
+"""The oracles stay independent of the package they check, and the package
+runs on its own fixed rules, not on adaptive quadrature."""
 
 import ast
 import pathlib
 
+import bcs
 import oracles
 
 
@@ -18,3 +20,20 @@ def test_oracles_import_no_bcs_code():
     offending = [m for m in imported
                  if m.startswith(".") or m.split(".")[0] == "bcs"]
     assert not offending, f"tests/oracles.py imports {offending}"
+
+
+def test_library_imports_no_scipy_integrate():
+    modules = sorted(pathlib.Path(bcs.__file__).parent.glob("*.py"))
+    assert modules, "no modules found under the bcs package"
+    offending = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offending += [f"{path.name}: {n}" for n in names
+                          if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert not offending, f"src/bcs imports scipy.integrate: {offending}"

@@ -1,96 +1,67 @@
-"""Quadrature layer against closed forms and the independent oracle routes."""
+"""The fixed Gauss-Legendre panel rule, and the oracles' tail routes against
+closed forms."""
 
 import math
 
-import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracles
-from bcs.quad import QuadratureError, QuadResult, QuadSpec, integrate_finite
+from bcs.quad import gauss_panels
 
 
 # ---------------------------------------------------------------------------
-# finite intervals
+# finite intervals: the fixed panel rule
 # ---------------------------------------------------------------------------
+
+def _graded(c, left, right):
+    """Panel edges on [c - left, c + right] halving 60 times toward c from
+    both sides."""
+    steps = 0.5 ** np.arange(60)
+    return np.concatenate([c - left * steps, [c], (c + right * steps)[::-1]])
+
 
 def test_finite_smooth_matches_richardson_oracle():
     f = lambda t: math.exp(-t) * math.cos(3.0 * t)
-    r = integrate_finite(f, 0.0, 2.0)
+    x, w = gauss_panels(np.linspace(0.0, 2.0, 5))
     ref = oracles.midpoint_richardson(f, 0.0, 2.0)
-    assert abs(r.value - ref) < 1e-12
-    assert r.converged
-    assert r.error_estimate < 1e-9
+    assert abs(float(np.dot(w, np.exp(-x) * np.cos(3.0 * x))) - ref) < 1e-12
 
 
 def test_finite_endpoint_singularity_never_evaluated():
-    # 1/sqrt(x) on (0, 1] integrates to 2; a node at 0 would raise.
-    def f(x):
-        assert x > 0.0
-        return 1.0 / math.sqrt(x)
-
-    r = integrate_finite(f, 0.0, 1.0)
-    assert abs(r.value - 2.0) < 1e-9
+    # 1/sqrt(x) on (0, 1] integrates to 2; a node at an edge would raise.
+    x, w = gauss_panels(_graded(0.0, 0.0, 1.0)[60:])
+    assert np.all(x > 0.0)
+    assert abs(float(np.dot(w, 1.0 / np.sqrt(x))) - 2.0) < 1e-9
 
 
 def test_finite_interior_singular_point_split():
+    # 1/sqrt|x - c| on [0, 1], in y = x - c so that the panels can halve
+    # toward the singular edge y = 0 without running out of floating point
     c = 0.3
-    f = lambda x: 1.0 / math.sqrt(abs(x - c))
+    y, w = gauss_panels(_graded(0.0, c, 1.0 - c))
+    assert np.all(y != 0.0)
     exact = 2.0 * (math.sqrt(c) + math.sqrt(1.0 - c))
-    r = integrate_finite(f, 0.0, 1.0, QuadSpec(singular_points=(c,)))
-    assert abs(r.value - exact) < 1e-8
-
-
-def test_finite_nan_aborts_with_abscissa():
-    def f(x):
-        return math.nan if x > 0.5 else 1.0
-
-    with pytest.raises(QuadratureError, match="NaN at x="):
-        integrate_finite(f, 0.0, 1.0)
-
-
-def test_finite_rejects_empty_interval():
-    with pytest.raises(ValueError, match="need a < b"):
-        integrate_finite(math.cos, 1.0, 1.0)
-
-
-def test_finite_budget_exhaustion_reports_nonconverged():
-    spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-14, max_evals=210)
-    r = integrate_finite(lambda x: math.cos(1000.0 * x), 0.0, 10.0, spec)
-    assert not r.converged
-    assert r.message.startswith("accuracy not reached")
+    assert abs(float(np.dot(w, 1.0 / np.sqrt(np.abs(y)))) - exact) < 1e-8
 
 
 @given(
-    coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=8),
+    coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=32),
     a=st.floats(-3, 3),
     width=st.floats(0.1, 4),
+    cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6),
 )
 @settings(max_examples=100, deadline=None)
-def test_finite_polynomials_near_exact(coeffs, a, width):
-    b = a + width
-
-    def poly(x):
-        return sum(c * x ** k for k, c in enumerate(coeffs))
-
-    exact = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-                for k, c in enumerate(coeffs))
-    r = integrate_finite(poly, a, b)
-    assert abs(r.value - exact) <= 1e-10 + 1e-12 * abs(exact)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError, match="tolerances must be positive"):
-        QuadSpec(abs_tol=0.0)
-    with pytest.raises(ValueError, match="minimum panel size"):
-        QuadSpec(max_evals=20)
-
-
-def test_result_validation():
-    with pytest.raises(ValueError, match="error_estimate"):
-        QuadResult(1.0, -1e-3, 10)
-    with pytest.raises(ValueError, match="evaluations"):
-        QuadResult(1.0, 0.0, 0)
+def test_finite_polynomials_near_exact(coeffs, a, width, cuts):
+    # 16 nodes a panel integrate every polynomial of degree <= 31 exactly,
+    # however the interval is split.
+    edges = [a, *sorted(a + width * c for c in cuts), a + width]
+    x, w = gauss_panels(edges)
+    assert len(x) == len(w) == 16 * (len(edges) - 1)
+    approx = float(np.dot(w, np.polynomial.polynomial.polyval((x - a) / width, coeffs)))
+    exact = width * math.fsum(c / (k + 1) for k, c in enumerate(coeffs))
+    assert abs(approx - exact) <= 1e-13 * width * (1.0 + sum(map(abs, coeffs)))
 
 
 # ---------------------------------------------------------------------------
