@@ -17,7 +17,7 @@ import numpy as np
 
 from .potentials import RadialPotential, _radial_measure, to_config
 from .quad import gauss_panels
-from .special import _sinc, cosine_integral_cin, sine_integral
+from .special import _sinc, si_cin
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -85,10 +85,11 @@ def t1(x):
         xb = np.maximum(flat[lo:lo + _BLOCK], np.finfo(float).tiny)[:, None]
         w = 2.0 * xb
         a, wt = w * s, w * t
-        b = w + wt
+        si_a, cin_a = si_cin(a)
+        si_b, cin_b = si_cin(w + wt)
         num = (2.0 * np.sin(0.5 * wt) ** 2 * log_ratio
-               + np.cos(wt) * (cosine_integral_cin(b) - cosine_integral_cin(a))
-               + np.sin(wt) * (math.pi - sine_integral(a) - sine_integral(b)))
+               + np.cos(wt) * (cin_b - cin_a)
+               + np.sin(wt) * (math.pi - si_a - si_b))
         out[lo:lo + _BLOCK] = 2.0 / (math.pi * xb[:, 0]) * (num * weight).sum(axis=1)
     return _float_or_array(np.where(x == 0.0, 2.0, out.reshape(x.shape)))
 
@@ -110,7 +111,8 @@ def t4(x):
     elementwise."""
     x = _check_x(x)
     s, c = np.sin(x), np.cos(x)
-    bracket = s * sine_integral(2.0 * x) - c * cosine_integral_cin(2.0 * x)
+    si, cin = si_cin(2.0 * x)
+    bracket = s * si - c * cin
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 4.0 * s / (math.pi * x * x) * bracket
     # Odd at the origin with vanishing second derivative; the linear term

@@ -12,28 +12,33 @@ The matrix is diag(s) W diag(s): W depends only on the grid, and the
 temperature enters through the scaling s alone.  tc0 therefore builds W
 once per refine level on a grid laid out for the lowest temperature it
 tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1,
-and ground_state takes the top two eigenpairs by Lanczos on the product
-v -> s W (s v) without forming the matrix.
+and hands the closure grid and its W to ground_state, which takes the top
+two eigenpairs by Lanczos on the product v -> s W (s v) without forming
+the matrix or building W again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize as _opt
 from scipy.sparse import linalg as _sla
 
-from .kernels import KernelParams, bt_radial_shifted, m_mu
+from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
 from .potentials import _SPHERE_AREA, RadialPotential, _radial_measure, e_mu
 from .quad import gauss_panels
 from .special import j_d
 
 
-# Gauss nodes per grid panel, and the ratio of consecutive Fermi-shell edges.
+# Gauss nodes per grid panel.
 _PANEL_NODES = 10
-_GROWTH = 2.0
+# Refine levels tc0 may go through, and the relative tolerance and step
+# budget of the power iteration.
+_MAX_REFINE = 3
+_POWER_TOL = 1e-13
+_POWER_STEPS = 600
 
 
 class SolverError(Exception):
@@ -54,7 +59,6 @@ class SWaveDiscretization:
     weights: np.ndarray
     shifted: np.ndarray
     p_max: float
-    refinement_scale: float
 
     def __post_init__(self):
         p, w, a = self.nodes, self.weights, self.shifted
@@ -77,13 +81,6 @@ class SWaveDiscretization:
         return len(self.nodes)
 
 
-def _geometric_edges(width, cap):
-    edges = [0.0, width]
-    while edges[-1] < cap:
-        edges.append(min(edges[-1] * _GROWTH, cap))
-    return edges
-
-
 def _split(edges, level):
     for _ in range(level):
         e = np.asarray(edges)
@@ -95,9 +92,10 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
                refine_level: int = 0) -> SWaveDiscretization:
     """Lay out the radial grid for the given temperature and potential range.
 
-    The Fermi shell |p^2 - mu| < mu/2 is paneled geometrically in u = p^2 - mu
-    from an innermost width min(T, 1e-3 mu), each edge _GROWTH times the last;
-    outside the shell plain p panels run down to 0 and up to p_max, at least
+    The Fermi shell |p^2 - mu| < mu/2 is paneled in u = p^2 - mu on the
+    edges of kernels._fermi_shell_edges at min(T, 1e-3 mu), which double
+    from that innermost width out to mu/2 on either side of u = 0; outside
+    the shell plain p panels run down to 0 and up to p_max, at least
     12 / V.range_scale past the Fermi momentum.  Every panel takes
     _PANEL_NODES Gauss nodes.  refine_level = k halves every panel k times.
     """
@@ -105,17 +103,10 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
     sq_mu = math.sqrt(mu)
     p_max = max(4.0 * math.sqrt(2.0 * mu), sq_mu + 12.0 / V.range_scale)
 
-    w_in = min(T, 1e-3 * mu)
-    u_edges = _split(_geometric_edges(w_in, 0.5 * mu), refine_level)
-
-    u_nodes, u_w = gauss_panels(u_edges, _PANEL_NODES)
-    ps, ws, sh = [], [], []
-    for sign in (1.0, -1.0):
-        a = sign * u_nodes
-        p = np.sqrt(mu + a)
-        ps.append(p)
-        ws.append(u_w / (2.0 * p))
-        sh.append(a)
+    u_edges = _split(_fermi_shell_edges(min(T, 1e-3 * mu), mu)[0], refine_level)
+    u, u_w = gauss_panels(u_edges, _PANEL_NODES)
+    p = np.sqrt(mu + u)
+    ps, ws, sh = [p], [u_w / (2.0 * p)], [u]
 
     p_lo = math.sqrt(0.5 * mu)
     p_hi = math.sqrt(1.5 * mu)
@@ -132,13 +123,9 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
 
     a = np.concatenate(sh)
     order = np.argsort(a)
-    grid = SWaveDiscretization(
+    return SWaveDiscretization(
         mu=mu, nodes=np.concatenate(ps)[order], weights=np.concatenate(ws)[order],
-        shifted=a[order], p_max=p_max,
-        refinement_scale=w_in / (2.0 * sq_mu))
-    if grid.refinement_scale > T / sq_mu:
-        raise SolverError("innermost panel too coarse for this temperature")
-    return grid
+        shifted=a[order], p_max=p_max)
 
 
 def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
@@ -178,25 +165,27 @@ def build_matrix(V: RadialPotential, params: KernelParams,
     return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
 
 
-def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None,
-               tol: float = 1e-13, max_iter: int = 600):
+def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
     """Top eigenvalue and eigenvector of diag(s) W diag(s) by warm-started
-    power iteration, the one route to a_T.  Raises SolverError when
-    max_iter steps do not converge."""
+    power iteration, the one route to a_T.  One product per step: the
+    Rayleigh quotient's product is the next unnormalized iterate.  Raises
+    SolverError when _POWER_STEPS steps do not converge."""
     n = len(s)
-    v = np.ones(n) / math.sqrt(n) if v0 is None else v0.copy()
+    v = np.ones(n) / math.sqrt(n) if v0 is None else v0
+    u = s * (W @ (s * v))
     lam = 0.0
-    for _ in range(max_iter):
-        u = s * (W @ (s * v))
+    for _ in range(_POWER_STEPS):
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             raise SolverError("matrix annihilated the iterate; potential too weak")
         u /= nrm
-        new = float(u @ (s * (W @ (s * u))))
-        if abs(new - lam) <= tol * max(abs(new), 1e-300) and float(np.abs(u @ v)) > 0.999999:
+        su = s * (W @ (s * u))
+        new = float(u @ su)
+        if (abs(new - lam) <= _POWER_TOL * max(abs(new), 1e-300)
+                and float(np.abs(u @ v)) > 0.999999):
             return new, u
-        lam, v = new, u
-    raise SolverError(f"power iteration did not converge in {max_iter} steps")
+        lam, v, u = new, u, su
+    raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -208,6 +197,9 @@ class Tc0Result:
     grid_size: int
     w_builds: int           # W matrices built, the closure grids included
     temperature_evals: int  # top-eigenvalue solves, one per temperature tried
+    # the closure grid and its W, on which ground_state solves
+    grid: SWaveDiscretization = field(repr=False, compare=False)
+    W: np.ndarray = field(repr=False, compare=False)
 
 
 def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) -> float:
@@ -226,7 +218,7 @@ def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) 
 
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         t_min_factor: float = 1e-8, t_max_factor: float = 1e3,
-        tol: float = 1e-8, max_refine: int = 3) -> Tc0Result:
+        tol: float = 1e-8) -> Tc0Result:
     """Critical temperature of the translation-invariant problem at coupling lam.
 
     The search stays inside [t_min_factor mu, t_max_factor mu].  Its first
@@ -238,7 +230,7 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     previous top eigenvector as the power-iteration start.  Brent's method
     in log T finds the root on that grid, and the closure |lam a_Tc - 1|
     must meet tol on the next finer grid, else the next level searches
-    [T_c/2, 2 T_c].
+    [T_c/2, 2 T_c].  The result carries that closure grid and its W.
     """
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
@@ -297,18 +289,18 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
-    for level in range(max_refine + 1):
+    for level in range(_MAX_REFINE + 1):
         T_star = root(level, T_lo, T_hi)
-        fine = min(level + 1, max_refine)
+        fine = min(level + 1, _MAX_REFINE)
         grid, W = level_matrix(fine, T_star)
         a, _ = top(grid, W, T_star)
         closure = abs(lam * a - 1.0)
         if closure <= tol:
             return Tc0Result(T_c=T_star, lam=lam, closure=closure, refine_level=fine,
                              grid_size=len(grid), w_builds=w_builds,
-                             temperature_evals=temperature_evals)
+                             temperature_evals=temperature_evals, grid=grid, W=W)
         T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
-    raise SolverError(f"closure |lam*a-1| stayed above {tol} after {max_refine} refinements")
+    raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
 
 
 @dataclass(frozen=True)
@@ -330,16 +322,19 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    The top two eigenpairs of diag(s) W diag(s) come from Lanczos (ARPACK
-    eigsh) on the product v -> s W (s v), which never forms the matrix; a
-    fixed start vector makes repeated calls bit-identical.  Raises
-    SolverError when the top of the spectrum is nearly degenerate.
+    It solves on the closure grid and W of tc, which must come from tc0
+    on the same V; without tc it runs tc0 first.  The top two eigenpairs
+    of diag(s) W diag(s) come from Lanczos (ARPACK eigsh) on the product
+    v -> s W (s v), which never forms the matrix; a fixed start vector
+    makes repeated calls bit-identical.  Raises SolverError when the top
+    of the spectrum is nearly degenerate.
     """
     if tc is None:
         tc = tc0(V, mu, d, lam, **tc_kwargs)
     params = KernelParams(T=tc.T_c, mu=mu)
-    grid = build_grid(params, V, refine_level=tc.refine_level)
-    W = _w_matrix(V, grid.nodes)
+    grid, W = tc.grid, tc.W
+    if abs(grid.mu - params.mu) > 1e-15 * params.mu:
+        raise ValueError("tc grid and mu disagree")
     if not np.array_equal(W, W.T):
         raise SolverError("W must be symmetric")
     s = _bs_scale(grid, params, d)

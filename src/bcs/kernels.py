@@ -130,12 +130,12 @@ def tanh_inequality_gap(x, y):
 
 
 def _fermi_shell_edges(T: float, mu: float):
-    """Panel edges of the fixed rule over 0 < t < sqrt(2 mu) that m_mu and
-    diagnostics.dt_form_d1 share.
+    """Panel edges over 0 < t < sqrt(2 mu) for the fixed rules of m_mu and
+    diagnostics.dt_form_d1; build_grid panels its Fermi shell on the a edges.
 
     Inside the Fermi shell |t^2 - mu| < mu/2 the edges lie in the shifted
-    variable a = t^2 - mu and double from +/- T out to +/- mu/2 (0 and
-    +/- T exact, the split build_grid makes), so the thermal layer stays
+    variable a = t^2 - mu: 0, then +/- T doubling out to +/- mu/2, the last
+    step possibly shorter.  Each is exact in a, so the thermal layer stays
     resolved when T << mu; in t the edges would round onto sqrt(mu) once T
     is below about 1e-13 mu.  Outside the shell the edges lie in t, four
     panels a side.  Returns the a edges and the two lists of t edges.

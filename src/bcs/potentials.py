@@ -18,6 +18,8 @@ from .quad import gauss_panels
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# Fraction of its peak scale that |V| stays below beyond cutoff_radius().
+_CUTOFF_EPS = 1e-16
 
 
 class ExtrapolationWarning(UserWarning):
@@ -37,8 +39,8 @@ class RadialPotential:
     def value(self, r):
         raise NotImplementedError
 
-    def cutoff_radius(self, eps: float = 1e-16) -> float:
-        """Radius beyond which |V| stays below eps * (peak scale)."""
+    def cutoff_radius(self) -> float:
+        """Radius beyond which |V| stays below _CUTOFF_EPS * (peak scale)."""
         raise NotImplementedError
 
     @property
@@ -71,8 +73,8 @@ class GaussianPotential(RadialPotential):
         out = self.a * np.exp(-((r / self.ell) ** 2))
         return out if out.ndim else float(out)
 
-    def cutoff_radius(self, eps=1e-16):
-        return self.ell * math.sqrt(math.log(1.0 / eps))
+    def cutoff_radius(self):
+        return self.ell * math.sqrt(math.log(1.0 / _CUTOFF_EPS))
 
     @property
     def range_scale(self):
@@ -97,8 +99,8 @@ class ExponentialPotential(RadialPotential):
         out = self.a * np.exp(-r / self.ell)
         return out if out.ndim else float(out)
 
-    def cutoff_radius(self, eps=1e-16):
-        return self.ell * math.log(1.0 / eps)
+    def cutoff_radius(self):
+        return self.ell * math.log(1.0 / _CUTOFF_EPS)
 
     @property
     def range_scale(self):
@@ -125,7 +127,7 @@ class StepPotential(RadialPotential):
         out = np.where(r <= self.R, self.a, 0.0)
         return out if out.ndim else float(out)
 
-    def cutoff_radius(self, eps=1e-16):
+    def cutoff_radius(self):
         return self.R
 
     @property
@@ -184,7 +186,7 @@ class TabulatedPotential(RadialPotential):
         out[beyond] = 0.0
         return out if out.ndim else float(out)
 
-    def cutoff_radius(self, eps=1e-16):
+    def cutoff_radius(self):
         return float(self.r_values[-1])
 
     @property

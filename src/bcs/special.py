@@ -11,34 +11,29 @@ from scipy import special as _sp
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
-def sine_integral(x):
-    """Si(x) = integral of sin(t)/t over [0, x], elementwise."""
-    si, _ = _sp.sici(x)
-    return si if np.ndim(si) else float(si)
-
-
 # Cin(x) = sum_k (-1)^(k+1) x^(2k) / (2k (2k)!); eight terms reach full
 # precision below x = 0.5, and the sum stays relative as x -> 0.
 _CIN_SERIES = [(-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(1, 9)]
 
 
-def cosine_integral_cin(x):
-    """Cin(x) = integral of (1 - cos t)/t over [0, x] for x >= 0.
+def si_cin(x):
+    """(Si(x), Cin(x)) for x >= 0, elementwise, from one sici call:
+    Si(x) = integral of sin(t)/t and Cin(x) = integral of (1 - cos t)/t
+    over [0, x].
 
-    Uses the power series below x = 0.5 (the gamma + log(x) - Ci(x) form
-    cancels catastrophically there) and the Ci relation above.
+    Cin takes the power series below x = 0.5 (the gamma + log(x) - Ci(x)
+    form cancels catastrophically there) and the Ci relation above.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("Cin is evaluated on x >= 0 only")
+        raise ValueError("Si and Cin are evaluated on x >= 0 only")
+    si, ci = _sp.sici(x)
     small = x < 0.5
-    out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cin = np.asarray(np.euler_gamma + np.log(x) - ci)
     x2 = x[small] ** 2
-    out[small] = x2 * np.polynomial.polynomial.polyval(x2, _CIN_SERIES)
-    big = ~small
-    _, ci = _sp.sici(x[big])
-    out[big] = np.euler_gamma + np.log(x[big]) - ci
-    return out if out.ndim else float(out)
+    cin[small] = x2 * np.polynomial.polynomial.polyval(x2, _CIN_SERIES)
+    return (si, cin) if x.ndim else (float(si), float(cin))
 
 
 def j_d(r, mu: float, d: int):

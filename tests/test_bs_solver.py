@@ -48,10 +48,13 @@ def test_grid_refinement_doubles_panels():
 
 
 def test_grid_innermost_panel_tracks_temperature():
+    # The innermost panels [-w, 0] and [0, w], w = min(T, 1e-3 mu), put
+    # their 10 Gauss nodes each inside the thermal layer |p^2 - mu| < T.
     mu = 1.0
-    for T in (1e-2, 1e-5, 1e-8):
-        g = build_grid(KernelParams(T=T, mu=mu), GAUSS3)
-        assert g.refinement_scale <= T / math.sqrt(mu)
+    for T in (1e-2, 1e-5, 1e-8, 1e-16):
+        a = build_grid(KernelParams(T=T, mu=mu), GAUSS3).shifted
+        inner = a[np.abs(a) < min(T, 1e-3 * mu)]
+        assert np.count_nonzero(inner < 0) == np.count_nonzero(inner > 0) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,25 @@ def test_ground_state_normalization():
     assert ip == pytest.approx(4.0 * math.pi * e_mu(GAUSS3, 1.0), rel=1e-10)
 
 
+def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
+    # tc0 hands its closure grid and W over; ground_state builds neither
+    # again, and gives what a run that calls tc0 itself gives, bit for bit.
+    from bcs import bs_solver
+    fresh = ground_state(GAUSS3, 1.0, 3, 0.6)
+    tc = tc0(GAUSS3, 1.0, 3, 0.6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ground_state must not build a grid or W")
+    monkeypatch.setattr(bs_solver, "build_grid", forbidden)
+    monkeypatch.setattr(bs_solver, "_w_matrix", forbidden)
+    state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
+    assert np.array_equal(state.phi_hat, fresh.phi_hat)
+    assert state.spectral_gap == fresh.spectral_gap
+    assert state.eval_eq_residual == fresh.eval_eq_residual
+    with pytest.raises(ValueError, match="disagree"):
+        ground_state(GAUSS3, 1.1, 3, 0.6, tc=tc)
+
+
 def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
     from bcs import bs_solver
 
@@ -312,10 +334,12 @@ def test_ground_state_top_pair_matches_dense_eigh():
     # On a small grid the Lanczos pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
     params = KernelParams(T=1e-3, mu=1.0)
-    S = build_matrix(GAUSS3, params, build_grid(params, GAUSS3, refine_level=0))
+    grid = build_grid(params, GAUSS3, refine_level=0)
+    S = build_matrix(GAUSS3, params, grid)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
     tc = Tc0Result(T_c=1e-3, lam=1.0 / a1, closure=0.0, refine_level=0,
-                   grid_size=len(S), w_builds=0, temperature_evals=0)
+                   grid_size=len(S), w_builds=0, temperature_evals=0,
+                   grid=grid, W=_w_matrix(GAUSS3, grid.nodes))
     state = ground_state(GAUSS3, 1.0, 3, 1.0 / a1, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
