@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potentials import RadialPotential, _radial_measure, to_config
+from .potentials import RadialPotential, _radial_measure
 from .quad import gauss_panels
 from .special import _sinc, si_cin
 
@@ -158,7 +158,6 @@ class CriterionReport:
     error_estimate: float
     sign: str
     per_term: dict = field(repr=False)
-    inputs: dict = field(repr=False)
 
     def __post_init__(self):
         if self.error_estimate < 0.0:
@@ -207,24 +206,23 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
         sign = "negative"
     else:
         sign = "inconclusive"
-    inputs = {"potential": to_config(V), "mu": mu, "bc": b}
-    return CriterionReport(value=value, error_estimate=err, sign=sign,
-                           per_term=per_term, inputs=inputs)
+    return CriterionReport(value=value, error_estimate=err, sign=sign, per_term=per_term)
 
 
-def derivatives_at_zero(f, h_values=(1e-2, 5e-3, 2.5e-3)):
+# Steps of the one-sided stencils in derivatives_at_zero, ascending.
+_STEPS = (2.5e-3, 5e-3, 1e-2)
+
+
+def derivatives_at_zero(f):
     """Right-sided (value, f'(0+), f''(0+)) estimates for a profile function.
 
-    One-sided difference stencils at the given steps, extrapolated to
+    One-sided difference stencils at the steps _STEPS, extrapolated to
     h = 0 by Neville's scheme.  The profiles live on x >= 0 and t1 jumps
     across the origin, so central stencils are not an option.
     """
-    hs = sorted(float(h) for h in h_values)
-    if len(hs) < 2 or hs[0] <= 0:
-        raise ValueError("need at least two positive steps")
     f0 = f(0.0)
-    fh = {h: f(h) for h in hs}
-    fh.update((2.0 * h, f(2.0 * h)) for h in hs if 2.0 * h not in fh)
+    fh = {h: f(h) for h in _STEPS}
+    fh.update((2.0 * h, f(2.0 * h)) for h in _STEPS if 2.0 * h not in fh)
 
     def _neville(nodes, vals):
         p = list(vals)
@@ -234,8 +232,8 @@ def derivatives_at_zero(f, h_values=(1e-2, 5e-3, 2.5e-3)):
                 p[i] = (x0 * p[i + 1] - x1 * p[i]) / (x0 - x1)
         return p[0]
 
-    d1 = _neville(hs, [(fh[h] - f0) / h for h in hs])
-    d2 = _neville(hs, [(fh[2.0 * h] - 2.0 * fh[h] + f0) / h ** 2 for h in hs])
+    d1 = _neville(_STEPS, [(fh[h] - f0) / h for h in _STEPS])
+    d2 = _neville(_STEPS, [(fh[2.0 * h] - 2.0 * fh[h] + f0) / h ** 2 for h in _STEPS])
     return f0, d1, d2
 
 
@@ -252,25 +250,20 @@ TABLE1_REFERENCE = {
 }
 
 
-def table1_values(funcs=None):
+def table1_values():
     """Numerical value/derivative estimates for every TABLE1_REFERENCE row.
 
-    ``funcs`` may override the four term functions (same signature as t1),
-    which the self-test harness uses to check that the comparison actually
-    bites.  Returns {row: (value, d1, d2)} with the Neumann derivative
-    slots set to None to mirror the reference table.
+    Returns {row: (value, d1, d2)} with the Neumann derivative slots set to
+    None to mirror the reference table.
     """
-    fs = _TERMS if funcs is None else tuple(funcs)
-    if len(fs) != 4:
-        raise ValueError("expected exactly four term functions")
     out = {}
-    for name, f in zip(("t1", "t2", "t3", "t4"), fs):
+    for name, f in zip(("t1", "t2", "t3", "t4"), _TERMS):
         out[name] = derivatives_at_zero(f)
     for bc in (DIRICHLET, NEUMANN):
         signs = _TERM_SIGNS[bc]
 
         def prof(x, _signs=signs):
-            return math.fsum(s * f(x) for s, f in zip(_signs, fs))
+            return math.fsum(s * f(x) for s, f in zip(_signs, _TERMS))
 
         val, d1, d2 = derivatives_at_zero(prof)
         if bc == NEUMANN:

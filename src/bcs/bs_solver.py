@@ -133,7 +133,7 @@ def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
 
     One product J diag(V w r^(d-1)) J^T on the fixed radial rule for every
     potential and every d; the panels resolve the product's frequencies up
-    to 2 p_max.  Symmetrized, so build_matrix is symmetric bit for bit.
+    to 2 p_max.  Symmetrized bit for bit, so diag(s) W diag(s) is too.
     """
     r, m = _radial_measure(V, 2.0 * float(p[-1]))
     J = j_d(np.multiply.outer(p, r), 1.0, V.d)
@@ -146,23 +146,6 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
     is diag(s) W diag(s)."""
     B = bt_radial_shifted(grid.shifted, params)
     return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
-
-
-def build_matrix(V: RadialPotential, params: KernelParams,
-                 grid: SWaveDiscretization) -> np.ndarray:
-    """Symmetrized Birman-Schwinger matrix on the grid.
-
-    Entries sqrt(w_i w_j) (p_i p_j)^((d-1)/2) sqrt(B_i B_j) w_d(p_i, p_j);
-    assembly is symmetric by construction, bit for bit.  tc0 and
-    ground_state never form it; it is the dense reference for their
-    products v -> s W (s v).
-    """
-    if not V.is_nonnegative():
-        raise ValueError("Birman-Schwinger symmetrization needs V >= 0")
-    if abs(grid.mu - params.mu) > 1e-15 * params.mu:
-        raise ValueError("grid and kernel parameters disagree on mu")
-    s = _bs_scale(grid, params, V.d)
-    return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
 
 
 def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
@@ -194,10 +177,10 @@ class Tc0Result:
     lam: float
     closure: float          # |lam * a_T - 1| on the final refined grid
     refine_level: int
-    grid_size: int
     w_builds: int           # W matrices built, the closure grids included
     temperature_evals: int  # top-eigenvalue solves, one per temperature tried
-    # the closure grid and its W, on which ground_state solves
+    # the potential, the closure grid and its W, on which ground_state solves
+    V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
     W: np.ndarray = field(repr=False, compare=False)
 
@@ -297,8 +280,8 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         closure = abs(lam * a - 1.0)
         if closure <= tol:
             return Tc0Result(T_c=T_star, lam=lam, closure=closure, refine_level=fine,
-                             grid_size=len(grid), w_builds=w_builds,
-                             temperature_evals=temperature_evals, grid=grid, W=W)
+                             w_builds=w_builds, temperature_evals=temperature_evals,
+                             V=V, grid=grid, W=W)
         T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
     raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
 
@@ -317,24 +300,24 @@ class GroundState:
 
 
 def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
-                 tc: Tc0Result | None = None, **tc_kwargs) -> GroundState:
+                 tc: Tc0Result) -> GroundState:
     """Normalized s-wave ground state at the critical temperature.
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It solves on the closure grid and W of tc, which must come from tc0
-    on the same V; without tc it runs tc0 first.  The top two eigenpairs
-    of diag(s) W diag(s) come from Lanczos (ARPACK eigsh) on the product
-    v -> s W (s v), which never forms the matrix; a fixed start vector
-    makes repeated calls bit-identical.  Raises SolverError when the top
-    of the spectrum is nearly degenerate.
+    It solves on the closure grid and W of tc, the result of tc0 on the
+    same V, mu, d and lam; a tc that disagrees on any of them raises
+    ValueError.  The top two eigenpairs of diag(s) W diag(s) come from
+    Lanczos (ARPACK eigsh) on the product v -> s W (s v), which never forms
+    the matrix; a fixed start vector makes repeated calls bit-identical.
+    Raises SolverError when the top of the spectrum is nearly degenerate.
     """
-    if tc is None:
-        tc = tc0(V, mu, d, lam, **tc_kwargs)
-    params = KernelParams(T=tc.T_c, mu=mu)
     grid, W = tc.grid, tc.W
-    if abs(grid.mu - params.mu) > 1e-15 * params.mu:
-        raise ValueError("tc grid and mu disagree")
+    for name, agree in (("V", V == tc.V), ("d", d == V.d), ("lam", lam == tc.lam),
+                        ("mu", abs(grid.mu - mu) <= 1e-15 * mu)):
+        if not agree:
+            raise ValueError(f"tc and the requested {name} disagree")
+    params = KernelParams(T=tc.T_c, mu=mu)
     if not np.array_equal(W, W.T):
         raise SolverError("W must be symmetric")
     s = _bs_scale(grid, params, d)

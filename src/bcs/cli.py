@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -73,11 +74,6 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([c if isinstance(c, str) else _fmt17(c) for c in row])
 
 
-def _write_json(path: str, report: RunReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-
-
 def _fanout(fn, items, threads: int) -> list:
     """Map fn over items, optionally through a thread pool, in input order."""
     if threads > 1 and len(items) > 1:
@@ -86,24 +82,8 @@ def _fanout(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-# Per-command config schema: (required keys, command-specific optional keys).
-# "out", "tol" and "threads" are accepted everywhere.
-_COMMON_KEYS = ("out", "tol", "threads")
-_SCHEMAS = {
-    "table1": ((), ()),
-    "m3-profile": (("bc", "x_max", "step"), ()),
-    "criterion": (("potential", "bc"), ("mu", "mu_sweep")),
-    "tc0": (("potential", "mu", "lambdas"), ("t_min_factor", "t_max_factor")),
-    "dt-growth": (("potential", "mu", "t_factors"), ()),
-    "vmu-spectrum": (("potential", "mu", "ell_max"), ()),
-}
-
-
-def _checked_keys(command: str, cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    required, optional = _SCHEMAS[command]
-    allowed = set(required) | set(optional) | set(_COMMON_KEYS)
+def _checked_keys(command: str, cfg: dict, required, optional) -> None:
+    allowed = set(required) | set(optional) | {"out", "tol", "threads"}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
@@ -167,21 +147,56 @@ def _potential(cfg: dict) -> RadialPotential:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_table1(config: dict | None = None, funcs=None) -> RunReport:
+# Subcommand name -> (runner, help), in registration order.
+_RUNNERS = {}
+
+
+def _command(name: str, help_text: str, required=(), optional=(), *,
+             tol_default=None, tol_nonnegative: bool = False):
+    """Register a command body under ``name`` behind the steps every command
+    shares.  The runner checks the config keys against ``required`` and
+    ``optional`` (``out``, ``tol`` and ``threads`` are accepted everywhere),
+    reads ``tol`` (default ``tol_default``; positive, or nonnegative when
+    ``tol_nonnegative``), ``threads`` and ``out``, times the body, echoes
+    those three keys into the report's inputs and writes ``out``.
+
+    The body takes (cfg, tol, threads) and returns (inputs, results, checks,
+    error_estimates, table); ``out`` receives the CSV ``table`` given as
+    (header, rows), or the report itself when ``table`` is None.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(config: dict | None = None) -> RunReport:
+            cfg = dict(config or {})
+            _checked_keys(name, cfg, required, optional)
+            tol = _real(cfg, "tol", positive=not tol_nonnegative,
+                        nonnegative=tol_nonnegative, default=tol_default)
+            threads = _threads(cfg)
+            out = cfg.get("out")
+            start = time.perf_counter()
+            inputs, results, checks, estimates, table = body(cfg, tol, threads)
+            inputs.update(tol=tol, threads=threads, out=out)
+            report = RunReport(name, inputs, results, checks, estimates,
+                               time.perf_counter() - start)
+            if out and table is not None:
+                _write_csv(out, *table)
+            elif out:
+                with open(out, "w", encoding="utf-8") as fh:
+                    fh.write(report.to_json())
+            return report
+        _RUNNERS[name] = (run, help_text)
+        return run
+    return register
+
+
+@_command("table1", "check the profile-table values and derivatives", tol_default=1e-6)
+def cmd_table1(cfg: dict, tol: float, threads: int):
     """Recompute every populated profile-table cell and compare to reference.
 
     ``tol`` is the tolerance on values; first and second derivatives get
-    10x and 100x.  ``funcs`` substitutes the four term functions, letting
-    the self-test inject a corrupted term and watch the right cells fail.
+    10x and 100x.
     """
-    cfg = dict(config or {})
-    _checked_keys("table1", cfg)
-    tol = _real(cfg, "tol", positive=True, default=1e-6)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    start = time.perf_counter()
-
-    computed = table1_values(funcs)
+    computed = table1_values()
     slot_tol = {"value": tol, "d1": 10.0 * tol, "d2": 100.0 * tol}
     cells = {}
     checks = []
@@ -200,33 +215,21 @@ def cmd_table1(config: dict | None = None, funcs=None) -> RunReport:
                                 "passed": ok}
             checks.append(_check(f"{row}:{slot}", ok, True,
                                  f"|computed - reference| = {diff:.3e}"))
-
-    inputs = {"tol": tol, "threads": threads, "out": out}
-    report = RunReport("table1", inputs, {"cells": cells}, checks,
-                       {"max_abs_diff": max(diffs)},
-                       time.perf_counter() - start)
-    if out:
-        _write_json(out, report)
-    return report
+    return {}, {"cells": cells}, checks, {"max_abs_diff": max(diffs)}, None
 
 
-def cmd_m3_profile(config: dict) -> RunReport:
+@_command("m3-profile", "sample the boundary profile to CSV",
+          ("bc", "x_max", "step"), tol_default=1e-6)
+def cmd_m3_profile(cfg: dict, tol: float, threads: int):
     """Sample the boundary profile on a uniform grid and write `x,m3` CSV.
 
     Neumann runs enforce the value 4 at x = 0 and a strictly negative
     sample beyond; the Dirichlet nonnegativity check only warns.  ``tol``
     is the slack on both (default 1e-6).
     """
-    cfg = dict(config or {})
-    _checked_keys("m3-profile", cfg)
     bc = _bc(cfg)
     x_max = _real(cfg, "x_max", positive=True)
     step = _real(cfg, "step", positive=True)
-    tol = _real(cfg, "tol", positive=True, default=1e-6)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    start = time.perf_counter()
-
     rows = m3_profile(x_max, step, bc)
     vals = [v for _, v in rows]
     checks = []
@@ -242,17 +245,14 @@ def cmd_m3_profile(config: dict) -> RunReport:
         low = min(vals)
         checks.append(_check(
             "dirichlet_nonnegative", low >= -tol, False, f"min = {low!r}"))
-
-    if out:
-        _write_csv(out, ("x", "m3"), rows)
-    inputs = {"bc": bc, "x_max": x_max, "step": step, "tol": tol,
-              "threads": threads, "out": out}
+    inputs = {"bc": bc, "x_max": x_max, "step": step}
     results = {"rows": [[x, v] for x, v in rows], "n_rows": len(rows)}
-    return RunReport("m3-profile", inputs, results, checks, {},
-                     time.perf_counter() - start)
+    return inputs, results, checks, {}, (("x", "m3"), rows)
 
 
-def cmd_criterion(config: dict) -> RunReport:
+@_command("criterion", "evaluate the half-space pairing criterion",
+          ("potential", "bc"), ("mu", "mu_sweep"))
+def cmd_criterion(cfg: dict, tol, threads: int):
     """Evaluate the half-space pairing criterion at one mu or over a sweep.
 
     Sweeps write a `mu,value,sign` CSV to ``out``; a single-mu run writes
@@ -260,33 +260,20 @@ def cmd_criterion(config: dict) -> RunReport:
     value inside its own error bar) is a result, not a check, so the exit
     code stays 0.
     """
-    cfg = dict(config or {})
-    _checked_keys("criterion", cfg)
     V = _potential(cfg)
     if V.d != 3:
         raise ConfigError("the boundary criterion needs a d=3 potential")
     bc = _bc(cfg)
     if ("mu" in cfg) == ("mu_sweep" in cfg):
         raise ConfigError("criterion needs exactly one of 'mu' or 'mu_sweep'")
-    tol = _real(cfg, "tol", positive=True)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    inputs = {"potential": to_config(V), "bc": bc, "tol": tol,
-              "threads": threads, "out": out}
-    start = time.perf_counter()
-
+    inputs = {"potential": to_config(V), "bc": bc}
     if "mu" in cfg:
         mu = _real(cfg, "mu", positive=True)
         rep = criterion(V, mu, bc)
         inputs["mu"] = mu
         results = {"mu": mu, "value": rep.value, "sign": rep.sign,
                    "per_term": dict(rep.per_term)}
-        estimates = {"value_error_estimate": rep.error_estimate}
-        report = RunReport("criterion", inputs, results, [], estimates,
-                           time.perf_counter() - start)
-        if out:
-            _write_json(out, report)
-        return report
+        return inputs, results, [], {"value_error_estimate": rep.error_estimate}, None
 
     mus = _real_list(cfg, "mu_sweep", positive=True)
     reps = _fanout(lambda m: criterion(V, m, bc), mus, threads)
@@ -295,34 +282,26 @@ def cmd_criterion(config: dict) -> RunReport:
                          for m, r in zip(mus, reps)]}
     estimates = {"max_value_error_estimate":
                  max(r.error_estimate for r in reps)}
-    if out:
-        _write_csv(out, ("mu", "value", "sign"),
-                   [(m, r.value, r.sign) for m, r in zip(mus, reps)])
-    return RunReport("criterion", inputs, results, [], estimates,
-                     time.perf_counter() - start)
+    table = (("mu", "value", "sign"), [(m, r.value, r.sign) for m, r in zip(mus, reps)])
+    return inputs, results, [], estimates, table
 
 
-def cmd_tc0(config: dict) -> RunReport:
+@_command("tc0", "critical temperatures over a coupling sweep",
+          ("potential", "mu", "lambdas"), ("t_min_factor", "t_max_factor"), tol_default=1e-8)
+def cmd_tc0(cfg: dict, tol: float, threads: int):
     """Critical temperatures over a coupling list, one CSV row per lambda.
 
     Solver failures are recorded per row and fail the run; so does any
     violation of monotonicity (larger lambda must give larger Tc).  ``tol``
     is the closure tolerance |lambda a_T - 1| passed to the solver.
     """
-    cfg = dict(config or {})
-    _checked_keys("tc0", cfg)
     V = _potential(cfg)
     if not V.is_nonnegative():
         raise ConfigError("tc0 needs a nonnegative potential")
     mu = _real(cfg, "mu", positive=True)
     lambdas = _real_list(cfg, "lambdas", positive=True)
-    tol = _real(cfg, "tol", positive=True, default=1e-8)
     t_min_factor = _real(cfg, "t_min_factor", positive=True, default=1e-8)
     t_max_factor = _real(cfg, "t_max_factor", positive=True, default=1e3)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    start = time.perf_counter()
-
     em = e_mu(V, mu)
 
     def solve(lam: float) -> dict:
@@ -334,7 +313,7 @@ def cmd_tc0(config: dict) -> RunReport:
         emm = em * m_mu(KernelParams(T=r.T_c, mu=mu), V.d) * lam
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
                 "e_mu_m_mu_lambda": emm, "refine_level": r.refine_level,
-                "grid_size": r.grid_size, "w_builds": r.w_builds,
+                "grid_size": len(r.grid), "w_builds": r.w_builds,
                 "temperature_evals": r.temperature_evals}
 
     rows = _fanout(solve, lambdas, threads)
@@ -350,29 +329,25 @@ def cmd_tc0(config: dict) -> RunReport:
     checks.append(_check("tc_monotone_in_lambda", mono, True,
                          "larger coupling must raise Tc"))
 
-    if out:
-        _write_csv(out, ("lambda", "Tc", "residual", "e_mu_m_mu_lambda"),
-                   [(r["lambda"], r["Tc"], r["residual"],
-                     r["e_mu_m_mu_lambda"]) for r in solved])
     inputs = {"potential": to_config(V), "mu": mu, "lambdas": lambdas,
-              "tol": tol, "t_min_factor": t_min_factor,
-              "t_max_factor": t_max_factor, "threads": threads, "out": out}
-    results = {"rows": rows, "e_mu": em}
+              "t_min_factor": t_min_factor, "t_max_factor": t_max_factor}
     estimates = {"max_closure_residual":
                  max((r["residual"] for r in solved), default=None)}
-    return RunReport("tc0", inputs, results, checks, estimates,
-                     time.perf_counter() - start)
+    table = (("lambda", "Tc", "residual", "e_mu_m_mu_lambda"),
+             [(r["lambda"], r["Tc"], r["residual"], r["e_mu_m_mu_lambda"])
+              for r in solved])
+    return inputs, {"rows": rows, "e_mu": em}, checks, estimates, table
 
 
-def cmd_dt_growth(config: dict) -> RunReport:
+@_command("dt-growth", "boundary pairing form growth diagnostics",
+          ("potential", "mu", "t_factors"), tol_default=0.25)
+def cmd_dt_growth(cfg: dict, tol: float, threads: int):
     """Boundary pairing form over a temperature sweep plus its growth fit.
 
     d = 1 potentials fit value ~ C/T, d = 2 fit C ln(mu/T)^3.  The fit
     quality check (worst relative deviation <= tol, default 0.25) is
     observational; the numbers themselves are the point.
     """
-    cfg = dict(config or {})
-    _checked_keys("dt-growth", cfg)
     V = _potential(cfg)
     if V.d not in (1, 2):
         raise ConfigError("dt-growth needs a d=1 or d=2 potential")
@@ -384,10 +359,6 @@ def cmd_dt_growth(config: dict) -> RunReport:
         raise ConfigError("config key 't_factors' must not repeat values")
     if V.d == 2 and max(t_factors) >= 1.0:
         raise ConfigError("d=2 growth fits need t_factors below 1 (T < mu)")
-    tol = _real(cfg, "tol", positive=True, default=0.25)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    start = time.perf_counter()
 
     form = dt_form_d1 if V.d == 1 else dt_form_d2
     model = "inverse_T" if V.d == 1 else "log_cubed"
@@ -398,22 +369,20 @@ def cmd_dt_growth(config: dict) -> RunReport:
     checks = [_check("growth_fit_within_tol",
                      fit.max_relative_deviation <= tol, False,
                      f"max relative deviation {fit.max_relative_deviation:.3e}")]
-    inputs = {"potential": to_config(V), "mu": mu, "t_factors": t_factors,
-              "tol": tol, "threads": threads, "out": out}
+    inputs = {"potential": to_config(V), "mu": mu, "t_factors": t_factors}
     results = {"samples": [{"T": t, "value": v}
                            for t, v in zip(temps, values)],
                "fit": {"model": fit.model,
                        "fitted_constant": fit.fitted_constant,
                        "max_relative_deviation": fit.max_relative_deviation}}
     estimates = {"fit_max_relative_deviation": fit.max_relative_deviation}
-    report = RunReport("dt-growth", inputs, results, checks, estimates,
-                       time.perf_counter() - start)
-    if out:
-        _write_json(out, report)
-    return report
+    return inputs, results, checks, estimates, None
 
 
-def cmd_vmu_spectrum(config: dict) -> RunReport:
+@_command("vmu-spectrum", "Fermi-surface angular components of the interaction",
+          ("potential", "mu", "ell_max"), tol_default=0.0,
+          tol_nonnegative=True)
+def cmd_vmu_spectrum(cfg: dict, tol: float, threads: int):
     """Angular components of the interaction on the Fermi surface.
 
     Reports v_0..v_ell_max and whether the ground component strictly
@@ -421,8 +390,6 @@ def cmd_vmu_spectrum(config: dict) -> RunReport:
     a potential is allowed to violate it.  ell_max = 0 leaves nothing to
     compare against and is rejected.
     """
-    cfg = dict(config or {})
-    _checked_keys("vmu-spectrum", cfg)
     V = _potential(cfg)
     if V.d not in (2, 3):
         raise ConfigError("vmu-spectrum needs a d=2 or d=3 potential")
@@ -433,44 +400,16 @@ def cmd_vmu_spectrum(config: dict) -> RunReport:
     if ell_max == 0:
         raise ConfigError("insufficient data for the dominance verdict: "
                           "ell_max must be at least 1")
-    tol = _real(cfg, "tol", nonnegative=True, default=0.0)
-    threads = _threads(cfg)
-    out = cfg.get("out")
-    start = time.perf_counter()
 
     values = [float(v) for v in vmu_spectrum(V, mu, ell_max)]
     highest = max(values[1:])
     dominant = values[0] - highest > tol
     checks = [_check("ground_component_dominates", dominant, False,
                      f"v0 = {values[0]!r}, max higher = {highest!r}")]
-    inputs = {"potential": to_config(V), "mu": mu, "ell_max": ell_max,
-              "tol": tol, "threads": threads, "out": out}
+    inputs = {"potential": to_config(V), "mu": mu, "ell_max": ell_max}
     results = {"eigenvalues": values, "v0": values[0],
                "max_higher": highest, "nondegenerate": dominant}
-    report = RunReport("vmu-spectrum", inputs, results, checks, {},
-                       time.perf_counter() - start)
-    if out:
-        _write_json(out, report)
-    return report
-
-
-_COMMANDS = {
-    "table1": cmd_table1,
-    "m3-profile": cmd_m3_profile,
-    "criterion": cmd_criterion,
-    "tc0": cmd_tc0,
-    "dt-growth": cmd_dt_growth,
-    "vmu-spectrum": cmd_vmu_spectrum,
-}
-
-_HELP = {
-    "table1": "check the profile-table values and derivatives",
-    "m3-profile": "sample the boundary profile to CSV",
-    "criterion": "evaluate the half-space pairing criterion",
-    "tc0": "critical temperatures over a coupling sweep",
-    "dt-growth": "boundary pairing form growth diagnostics",
-    "vmu-spectrum": "Fermi-surface angular components of the interaction",
-}
+    return inputs, results, checks, {}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text) in _RUNNERS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON run config")
         p.add_argument("--out", help="write the primary artifact here")
         p.add_argument("--tol", type=float,
@@ -516,7 +455,7 @@ def _load_config(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = _COMMANDS[args.command](_load_config(args))
+        report = _RUNNERS[args.command][0](_load_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Radial potential profiles in d = 1, 2, 3 and the spherically reduced
-quantities built from them: Fourier transforms, moments, the Fermi-surface
-coupling e_mu, and its angular-momentum decomposition.  Every radial
-transform of V is a dot product with the masses V(r) w r^(d-1) of one fixed
-Gauss-Legendre rule on [0, cutoff], whose panels radial_edges lays out to
-break at V.breakpoints and to resolve the integrand's highest frequency."""
+quantities built from them: Fourier transforms, the Fermi-surface coupling
+e_mu, and its angular-momentum decomposition.  Every radial transform of V
+is a dot product with the masses V(r) w r^(d-1) of one fixed Gauss-Legendre
+rule on [0, cutoff], whose panels radial_edges lays out to break at
+V.breakpoints and to resolve the integrand's highest frequency."""
 
 from __future__ import annotations
 
@@ -180,8 +180,6 @@ class TabulatedPotential(RadialPotential):
             warnings.warn(
                 f"evaluating tabulated potential beyond its last node r={r_last}; using 0",
                 ExtrapolationWarning, stacklevel=2)
-        # array methods, not np.any/np.clip/np.where: adaptive quadrature
-        # calls this once per scalar node, where their dispatch dominates
         out = self._interp(r.clip(self.r_values[0], r_last))
         out[beyond] = 0.0
         return out if out.ndim else float(out)
@@ -268,14 +266,6 @@ def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):
     [0, cutoff] is m @ f(r) for every f of frequency up to k_max."""
     r, w = gauss_panels(radial_edges(V, k_max), n)
     return r, V.value(r) * w * r ** (V.d - 1)
-
-
-def moment(V: RadialPotential, n: int) -> float:
-    """Full-space moment: integral of V(|x|) |x|^n over R^d."""
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    r, m = _radial_measure(V, 0.0)
-    return _SPHERE_AREA[V.d] * float(m @ r ** n)
 
 
 def fourier_hat(V: RadialPotential, k):

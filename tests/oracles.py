@@ -382,7 +382,10 @@ def m_mu_substitution(T: float, mu: float, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kernel oracles (direct textbook formulas, no log-space rearrangement)
+# kernel oracles: direct textbook formulas, and the log-space kernel K_T
+# with the tanh mean inequality.  The library computes only the diagonal
+# B_T(p, 0) = 1 / K(a, a); criterion 09 checks the inequalities here and
+# ties this K_T to it.
 # ---------------------------------------------------------------------------
 
 def kt_direct(a: float, b: float, T: float) -> float:
@@ -400,6 +403,86 @@ def bt_direct(a: float, b: float, T: float) -> float:
     if den == 0.0:
         return 0.5 / (T * math.cosh(0.5 * a / T) ** 2)
     return num / den
+
+
+_LN2 = math.log(2.0)
+
+
+def _kt_exponent(x, y):
+    """log(K(a,b)/2T) for x = a/2T, y = b/2T, elementwise, grouped so the
+    O(|x|) linear parts of log cosh and log sinh cancel exactly instead of
+    in floating point.
+    """
+    t1 = np.log1p(np.exp(-2.0 * np.abs(x))) - _LN2
+    t2 = np.log1p(np.exp(-2.0 * np.abs(y))) - _LN2
+    z = np.abs(x + y)
+    small = z < 1e-4
+    zs = np.where(small, 1.0, z)
+    # log(sinh z / z) - |z|; log(1 - e^-2z) through expm1 below 2z = ln 2,
+    # where log1p(-e^-2z) loses digits in forming 1 - e^-2z
+    e = -2.0 * zs
+    log1mexp = np.where(e > -_LN2, np.log(-np.expm1(e)), np.log1p(-np.exp(e)))
+    t3 = np.where(small, z * z / 6.0 - z ** 4 / 180.0 - z,
+                  log1mexp - _LN2 - np.log(zs))
+    # |x| + |y| - |x + y|: zero for equal signs, else twice the smaller magnitude
+    s = np.where((x >= 0.0) == (y >= 0.0), 0.0, 2.0 * np.minimum(np.abs(x), np.abs(y)))
+    return t1 + t2 - t3 + s
+
+
+def kt(a, b, T: float):
+    """K(a, b) in shifted variables at temperature T, elementwise, in log
+    space.  kt(0, 0, T) is exactly 2 T.
+
+    Returns inf when the near-cancelling tanh sum drives the kernel past
+    floating-point range; the kernel really is that large there.
+    """
+    inv = 0.5 / T
+    with np.errstate(over="ignore"):
+        out = 2.0 * T * np.exp(_kt_exponent(a * inv, b * inv))
+    return out if out.ndim else float(out)
+
+
+def bt(p_sq: float, q_sq: float, pq_dot: float, T: float, mu: float) -> float:
+    """B_T(p, q) = 1 / K(|p+q|^2 - mu, |p-q|^2 - mu) for vectors p, q.
+
+    Arguments are |p|^2, |q|^2 and the inner product p.q; the Cauchy-Schwarz
+    constraint on pq_dot is enforced.  Underflows to 0 for huge momenta.
+    """
+    if p_sq < 0 or q_sq < 0:
+        raise ValueError("squared momenta must be nonnegative")
+    if pq_dot * pq_dot > p_sq * q_sq * (1.0 + 1e-12) + 1e-300:
+        raise ValueError("pq_dot violates |p.q| <= |p||q|")
+    a = p_sq + q_sq + 2.0 * pq_dot - mu
+    b = p_sq + q_sq - 2.0 * pq_dot - mu
+    inv = 0.5 / T
+    return float(np.exp(-_kt_exponent(a * inv, b * inv))) / (2.0 * T)
+
+
+def _x_over_tanh(x):
+    """x / tanh(x), elementwise, with the removable singularity filled in."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-5
+    xs = np.where(small, 1.0, x)
+    direct = xs / np.tanh(xs)
+    x2 = x * x
+    series = 1.0 + x2 / 3.0 - x2 * x2 / 45.0
+    out = np.where(small, series, direct)
+    return out if out.ndim else float(out)
+
+
+def tanh_inequality_gap(x, y):
+    """lhs - rhs of (x+y)/(tanh x + tanh y) >= (x/tanh x + y/tanh y)/2.
+
+    Elementwise over real x, y; the lhs is evaluated through the same
+    log-space route as kt, so the y = -x line is a removable limit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        lhs = np.exp(_kt_exponent(x, y))
+    rhs = 0.5 * (_x_over_tanh(x) + _x_over_tanh(y))
+    out = lhs - rhs
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

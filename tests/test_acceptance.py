@@ -30,8 +30,8 @@ from bcs.bs_solver import (
     tc0,
 )
 from bcs.diagnostics import dt_form_d1, dt_form_d2
-from bcs.kernels import KernelParams, bt, bt_radial_shifted, kt, m_mu, tanh_inequality_gap
-from bcs.potentials import GaussianPotential, e_mu, moment
+from bcs.kernels import KernelParams, bt_radial_shifted, m_mu
+from bcs.potentials import GaussianPotential, e_mu
 from bcs.special import j_d
 
 GAUSS3 = GaussianPotential(d=3, a=1.0, ell=1.0)
@@ -151,9 +151,10 @@ def test_04_small_mu_limits(capsys):
     rep_n = criterion(GAUSS3, mu, "neumann")
     rep_d = criterion(GAUSS3, mu, "dirichlet")
     # value = mu^{-1/2} int V m3(sqrt(mu) |x|) dx, so the mu -> 0 anchors are
-    # m3_n(0) int V = 4 moment(V, 0) and (1/2) m3_d''(0) mu int V r^2.
-    ratio_n = root_mu * rep_n.value / (4.0 * moment(GAUSS3, 0))
-    ratio_d = rep_d.value / (root_mu * (2.0 / 9.0) * moment(GAUSS3, 2))
+    # m3_n(0) int V = 4 int V and (1/2) m3_d''(0) mu int V r^2, with the
+    # Gaussian's closed forms int V = pi^(3/2) and int V r^2 = (3/2) pi^(3/2).
+    ratio_n = root_mu * rep_n.value / (4.0 * math.pi ** 1.5)
+    ratio_d = rep_d.value / (root_mu * (2.0 / 9.0) * 1.5 * math.pi ** 1.5)
 
     failures = []
     if not 0.98 <= ratio_n <= 1.02:
@@ -237,7 +238,8 @@ def test_07_ground_state_convergence(capsys):
     em = e_mu(GAUSS3, 1.0)
     sups, scaled = [], []
     for lam in (0.6, 0.3, 0.15):
-        gs = ground_state(GAUSS3, 1.0, 3, lam, t_min_factor=1e-18)
+        tc = tc0(GAUSS3, 1.0, 3, lam, t_min_factor=1e-18)
+        gs = ground_state(GAUSS3, 1.0, 3, lam, tc=tc)
         sup = float(np.max(np.abs(position_profile(gs, rs) - ref)))
         lead = abs(lam * em * m_mu(KernelParams(T=gs.T_c, mu=1.0), 3) - 1.0)
         sups.append(sup)
@@ -289,19 +291,29 @@ def test_09_kernel_inequalities(capsys):
     rng = np.random.default_rng(20260814)
     failures = []
 
-    # K >= 2T on a broad deterministic grid of shifted arguments.
+    # The inequalities run on the log-space kernel of the oracles; B_T(p, 0)
+    # of the library is its diagonal 1 / K(a, a), Fermi-surface nodes included.
     grid = np.linspace(-50.0, 50.0, 41)
-    for T in (1e-4, 1e-2, 1.0, 10.0):
+    worst_tie = 0.0
+    for T in (1e-16, 1e-4, 1e-2, 1.0, 10.0):
         params = KernelParams(T=T, mu=1.0)
+        a = np.concatenate([build_grid(params, GAUSS3).shifted, [0.0], grid])
+        tie = np.max(np.abs(bt_radial_shifted(a, params) * oracles.kt(a, a, T) - 1.0))
+        worst_tie = max(worst_tie, float(tie))
+        if tie > 1e-13:
+            failures.append(f"B_T(p, 0) differs from 1 / K(a, a) at T={T} by {tie:.3e}")
+
+    # K >= 2T on a broad deterministic grid of shifted arguments.
+    for T in (1e-4, 1e-2, 1.0, 10.0):
         floor = 2.0 * T * (1.0 - 1e-13)
-        bad = [(a, b) for a in grid for b in grid if kt(a, b, params) < floor]
+        bad = [(a, b) for a in grid for b in grid if oracles.kt(a, b, T) < floor]
         if bad:
             failures.append(f"K < 2T at T={T}: {bad[:3]}")
 
     # Pointwise kernel lower bound via the tanh mean inequality, 1e6 samples.
     x = rng.uniform(-60.0, 60.0, 1_000_000)
     y = rng.uniform(-60.0, 60.0, 1_000_000)
-    gap_min = float(np.min(tanh_inequality_gap(x, y)))
+    gap_min = float(np.min(oracles.tanh_inequality_gap(x, y)))
     if gap_min < -1e-12:
         failures.append(f"tanh inequality gap {gap_min:.3e} < -1e-12")
 
@@ -313,7 +325,7 @@ def test_09_kernel_inequalities(capsys):
     Ts = 10.0 ** rng.uniform(-3.0, 0.5, 1000)
     worst_excess = 0.0
     for ps, qs, dd, T in zip(p_sq, q_sq, dot, Ts):
-        val = bt(ps, qs, dd, KernelParams(T=T, mu=mu))
+        val = oracles.bt(ps, qs, dd, T, mu)
         bound = 1.0 / max(abs(ps + qs - mu), 2.0 * T)
         worst_excess = max(worst_excess, val / bound - 1.0)
     if worst_excess > 1e-12:
@@ -329,7 +341,8 @@ def test_09_kernel_inequalities(capsys):
         failures.append("B_T(p, 0) not strictly decreasing on the 100-point T grid")
 
     _report(capsys, 9, "kernel inequalities", failures,
-            f"min tanh gap {gap_min:.2e}, bound excess {worst_excess:.2e}")
+            f"min tanh gap {gap_min:.2e}, bound excess {worst_excess:.2e}, "
+            f"|B_T(p, 0) K(a, a) - 1| {worst_tie:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -171,19 +171,12 @@ def test_table_matches_reference_constants():
             assert d2 == pytest.approx(d2_ref, abs=1e-4), name
 
 
-def test_table_funcs_override_requires_four():
-    with pytest.raises(ValueError, match="exactly four"):
-        table1_values(funcs=(t1, t2))
-
-
 def test_derivatives_at_zero_on_polynomial():
     f = lambda x: 2.0 - 3.0 * x + 0.5 * x * x + 0.25 * x ** 3
     v, d1, d2 = derivatives_at_zero(f)
     assert v == 2.0
     assert d1 == pytest.approx(-3.0, abs=1e-9)
     assert d2 == pytest.approx(1.0, abs=1e-7)
-    with pytest.raises(ValueError, match="at least two"):
-        derivatives_at_zero(f, h_values=(1e-2,))
 
 
 # ---------------------------------------------------------------------------

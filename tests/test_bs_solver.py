@@ -15,7 +15,6 @@ from bcs.bs_solver import (
     _power_top,
     _w_matrix,
     build_grid,
-    build_matrix,
     ground_state,
     position_profile,
     tc0,
@@ -135,20 +134,16 @@ def test_w_matrix_high_momentum_diagonal(d):
         assert W[i, i] == pytest.approx(ref, rel=1e-8), pi
 
 
-def test_build_matrix_symmetric_bit_for_bit():
+def _dense_matrix(V, params, grid):
+    """diag(s) W diag(s), the matrix that tc0 and ground_state only apply."""
+    s = _bs_scale(grid, params, V.d)
+    return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
+
+
+def test_bs_matrix_symmetric_bit_for_bit():
     par = KernelParams(T=1e-3, mu=1.0)
-    g = build_grid(par, GAUSS3)
-    S = build_matrix(GAUSS3, par, g)
+    S = _dense_matrix(GAUSS3, par, build_grid(par, GAUSS3))
     assert np.array_equal(S, S.T)
-
-
-def test_build_matrix_validation():
-    par = KernelParams(T=1e-3, mu=1.0)
-    g = build_grid(par, GAUSS3)
-    with pytest.raises(ValueError, match="needs V >= 0"):
-        build_matrix(GaussianPotential(d=3, a=-1.0), par, g)
-    with pytest.raises(ValueError, match="disagree on mu"):
-        build_matrix(GAUSS3, KernelParams(T=1e-3, mu=2.0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     assert res.w_builds == counts["w"] == 2
     assert res.temperature_evals == counts["top"]
     assert res.temperature_evals <= 12
-    assert (res.refine_level, res.grid_size) == (1, 3180)
+    assert (res.refine_level, len(res.grid)) == (1, 3180)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +276,14 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_ground_state_solves_eigenvalue_equation():
-    state = ground_state(GAUSS3, 1.0, 3, 0.6)
+    state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     assert state.eval_eq_residual <= 1e-6
     assert state.closure <= 1e-8
     assert state.spectral_gap > 1e-3
 
 
 def test_ground_state_normalization():
-    state = ground_state(GAUSS3, 1.0, 3, 0.6)
+    state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     g = state.grid
     from bcs.bs_solver import _w_matrix
     meas = g.weights * g.nodes ** 2
@@ -299,9 +294,9 @@ def test_ground_state_normalization():
 
 def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
     # tc0 hands its closure grid and W over; ground_state builds neither
-    # again, and gives what a run that calls tc0 itself gives, bit for bit.
+    # again, and gives what a run on a fresh tc0 result gives, bit for bit.
     from bcs import bs_solver
-    fresh = ground_state(GAUSS3, 1.0, 3, 0.6)
+    fresh = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     tc = tc0(GAUSS3, 1.0, 3, 0.6)
 
     def forbidden(*args, **kwargs):
@@ -316,12 +311,25 @@ def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
         ground_state(GAUSS3, 1.1, 3, 0.6, tc=tc)
 
 
-def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
-    from bcs import bs_solver
+def test_ground_state_rejects_a_tc_of_another_problem():
+    # A Gaussian's tc handed over with a step potential used to return the
+    # Gaussian's ground state labelled as the step's.
+    tc = tc0(GAUSS3, 1.0, 3, 0.6)
+    step = StepPotential(d=3, a=1.0, R=1.0)
+    with pytest.raises(ValueError, match="requested V disagree"):
+        ground_state(step, 1.0, 3, 0.6, tc=tc)
+    with pytest.raises(ValueError, match="requested d disagree"):
+        ground_state(GAUSS3, 1.0, 2, 0.6, tc=tc)
+    with pytest.raises(ValueError, match="requested lam disagree"):
+        ground_state(GAUSS3, 1.0, 3, 0.5, tc=tc)
+    # an equal potential built anew is the same problem
+    state = ground_state(GaussianPotential(d=3, a=1.0, ell=1.0), 1.0, 3, 0.6, tc=tc)
+    assert state.T_c == tc.T_c
 
+
+def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("ground_state must not form S or run a dense eigh")
-    monkeypatch.setattr(bs_solver, "build_matrix", forbidden)
+        raise AssertionError("ground_state must not run a dense eigh")
     monkeypatch.setattr(linalg, "eigh", forbidden)
     tc = tc0(GAUSS3, 1.0, 3, 0.6)
     first = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
@@ -335,11 +343,11 @@ def test_ground_state_top_pair_matches_dense_eigh():
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
     params = KernelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, GAUSS3, refine_level=0)
-    S = build_matrix(GAUSS3, params, grid)
+    S = _dense_matrix(GAUSS3, params, grid)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
     tc = Tc0Result(T_c=1e-3, lam=1.0 / a1, closure=0.0, refine_level=0,
-                   grid_size=len(S), w_builds=0, temperature_evals=0,
-                   grid=grid, W=_w_matrix(GAUSS3, grid.nodes))
+                   w_builds=0, temperature_evals=0,
+                   V=GAUSS3, grid=grid, W=_w_matrix(GAUSS3, grid.nodes))
     state = ground_state(GAUSS3, 1.0, 3, 1.0 / a1, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
@@ -347,7 +355,7 @@ def test_ground_state_top_pair_matches_dense_eigh():
 
 
 def test_position_profile_shape_and_origin():
-    state = ground_state(GAUSS3, 1.0, 3, 0.6)
+    state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     r = np.array([0.0, 0.5, 1.0, 2.0])
     prof = position_profile(state, r)
     assert prof.shape == r.shape

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import oracles
+from bcs import boundary3d
 from bcs.boundary3d import t1, t2, t3, t4
 from bcs.cli import cmd_table1, main
 
@@ -49,11 +50,12 @@ def test_table1_unreachable_tolerance_fails(capsys):
     assert any(not c["passed"] for c in report["checks"])
 
 
-def test_table1_corrupted_term_fails_exactly_its_cells():
+def test_table1_corrupted_term_fails_exactly_its_cells(monkeypatch):
     # Flipping the sign of the third term must fail that row and the two
     # profile rows built from it, and nothing else.  The t3:d1 and
     # m3_dirichlet:d1 slots survive because those references are 0.
-    report = cmd_table1(funcs=(t1, t2, lambda x: -t3(x), t4))
+    monkeypatch.setattr(boundary3d, "_TERMS", (t1, t2, lambda x: -t3(x), t4))
+    report = cmd_table1()
     failed = {c["name"] for c in report.checks if not c["passed"]}
     assert failed == {"t3:value", "t3:d2", "m3_dirichlet:value",
                       "m3_dirichlet:d2", "m3_neumann:value"}

@@ -1,4 +1,6 @@
-"""Two-body kernels K_T and B_T and the shell integral m_mu."""
+"""The reciprocal kernel B_T(p, 0) and the shell integral m_mu of the
+library, and the log-space kernels K_T and B_T(p, q) of tests/oracles.py,
+which criterion 09 runs on, against their direct textbook forms."""
 
 import math
 import warnings
@@ -8,14 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bcs.kernels import (
-    KernelParams,
-    bt,
-    bt_radial_shifted,
-    kt,
-    m_mu,
-    tanh_inequality_gap,
-)
+from bcs.kernels import KernelParams, bt_radial_shifted, m_mu
+from oracles import bt, kt, tanh_inequality_gap
 
 finite_args = st.floats(-60.0, 60.0, allow_nan=False)
 
@@ -30,54 +26,52 @@ def test_params_validation():
 def test_kt_matches_textbook_form():
     # Away from the cancellation line b = -a, where the naive tanh-sum form
     # is itself full precision.
-    par = KernelParams(T=0.7, mu=1.0)
     for a, b in [(0.3, 1.2), (-0.5, 2.0), (4.0, -3.0), (-3.0, -0.1)]:
-        assert kt(a, b, par) == pytest.approx(
+        assert kt(a, b, 0.7) == pytest.approx(
             oracles.kt_direct(a, b, 0.7), rel=1e-13)
 
 
 def test_kt_origin_is_exactly_2t():
     for T in (1e-6, 0.01, 1.0, 50.0):
-        assert kt(0.0, 0.0, KernelParams(T=T, mu=1.0)) == 2.0 * T
+        assert kt(0.0, 0.0, T) == 2.0 * T
 
 
 def test_kt_cancellation_line_limit():
     # b = -a makes tanh terms cancel; the limit is 2T cosh^2(a/2T).
-    par = KernelParams(T=0.25, mu=1.0)
+    T = 0.25
     a = 2.0
-    exact = 2.0 * par.T * math.cosh(a / (2.0 * par.T)) ** 2
-    assert kt(a, -a, par) == pytest.approx(exact, rel=1e-12)
-    assert kt(a, -a + 1e-12, par) == pytest.approx(exact, rel=1e-9)
+    exact = 2.0 * T * math.cosh(a / (2.0 * T)) ** 2
+    assert kt(a, -a, T) == pytest.approx(exact, rel=1e-12)
+    assert kt(a, -a + 1e-12, T) == pytest.approx(exact, rel=1e-9)
 
 
 def test_kt_overflow_returns_inf():
     # Deep cancellation at tiny T really is beyond float range.
-    assert kt(1e6, -1e6, KernelParams(T=1e-3, mu=1.0)) == math.inf
+    assert kt(1e6, -1e6, 1e-3) == math.inf
 
 
 def test_bt_matches_textbook_form():
-    par = KernelParams(T=0.3, mu=1.4)
+    T, mu = 0.3, 1.4
     for p_sq, q_sq, dot in [(1.0, 2.0, 0.5), (0.2, 0.2, -0.1), (9.0, 0.0, 0.0)]:
-        a = p_sq + q_sq + 2.0 * dot - par.mu
-        b = p_sq + q_sq - 2.0 * dot - par.mu
-        assert bt(p_sq, q_sq, dot, par) == pytest.approx(
-            oracles.bt_direct(a, b, par.T), rel=1e-13)
+        a = p_sq + q_sq + 2.0 * dot - mu
+        b = p_sq + q_sq - 2.0 * dot - mu
+        assert bt(p_sq, q_sq, dot, T, mu) == pytest.approx(
+            oracles.bt_direct(a, b, T), rel=1e-13)
 
 
 def test_bt_is_reciprocal_of_kt():
-    par = KernelParams(T=0.5, mu=1.0)
+    T, mu = 0.5, 1.0
     p_sq, q_sq, dot = 2.0, 0.7, -0.9
-    a = p_sq + q_sq + 2.0 * dot - par.mu
-    b = p_sq + q_sq - 2.0 * dot - par.mu
-    assert bt(p_sq, q_sq, dot, par) * kt(a, b, par) == pytest.approx(1.0, rel=1e-14)
+    a = p_sq + q_sq + 2.0 * dot - mu
+    b = p_sq + q_sq - 2.0 * dot - mu
+    assert bt(p_sq, q_sq, dot, T, mu) * kt(a, b, T) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_bt_validation():
-    par = KernelParams(T=1.0, mu=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        bt(-1.0, 1.0, 0.0, par)
+        bt(-1.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="pq_dot"):
-        bt(1.0, 1.0, 1.5, par)
+        bt(1.0, 1.0, 1.5, 1.0, 1.0)
 
 
 def test_bt_radial_series_branch():
@@ -117,10 +111,10 @@ def test_bt_radial_quiet_at_tiny_temperature():
 @given(finite_args, finite_args)
 @settings(max_examples=300, deadline=None)
 def test_kt_symmetric_and_at_least_2t(a, b):
-    par = KernelParams(T=1.0, mu=1.0)
-    k1, k2 = kt(2.0 * a, 2.0 * b, par), kt(2.0 * b, 2.0 * a, par)
+    T = 1.0
+    k1, k2 = kt(2.0 * a, 2.0 * b, T), kt(2.0 * b, 2.0 * a, T)
     assert k1 == k2
-    assert k1 >= 2.0 * par.T * (1.0 - 1e-14)
+    assert k1 >= 2.0 * T * (1.0 - 1e-14)
 
 
 @given(finite_args, finite_args)
@@ -150,15 +144,15 @@ def test_fit_kt_sandwich_brackets():
     p2, q2 = p2_grid[:, None], p2_grid[None, :]
     c1, c2 = math.inf, 0.0
     for T in np.geomspace(0.1, 1.0, 5):
-        k = kt(p2 - 1.0, q2 - 1.0, KernelParams(T=float(T), mu=1.0))
+        k = kt(p2 - 1.0, q2 - 1.0, float(T))
         ok = np.isfinite(k)
         c1 = min(c1, float(np.min((k / (T + p2 + q2))[ok])))
         c2 = max(c2, float(np.max((k / (p2 + q2 + 1.0))[ok])))
     assert 0.0 < c1 < c2
-    par = KernelParams(T=0.1, mu=1.0)
+    T = 0.1
     for p2, q2 in [(0.0, 0.0), (1.0, 3.0), (50.0, 0.2)]:
-        k = kt(p2 - 1.0, q2 - 1.0, par)
-        assert c1 * (par.T + p2 + q2) <= k * (1.0 + 1e-12)
+        k = kt(p2 - 1.0, q2 - 1.0, T)
+        assert c1 * (T + p2 + q2) <= k * (1.0 + 1e-12)
         assert k <= c2 * (p2 + q2 + 1.0) * (1.0 + 1e-12)
 
 

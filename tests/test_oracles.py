@@ -1,5 +1,6 @@
-"""The oracles stay independent of the package they check, and the package
-runs on its own fixed rules, not on adaptive quadrature."""
+"""The oracles stay independent of the package they check, the package runs
+on its own fixed rules, not on adaptive quadrature, and it keeps only what
+it calls itself."""
 
 import ast
 import pathlib
@@ -37,3 +38,27 @@ def test_library_imports_no_scipy_integrate():
             offending += [f"{path.name}: {n}" for n in names
                           if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
     assert not offending, f"src/bcs imports scipy.integrate: {offending}"
+
+
+def test_library_keeps_only_what_it_calls():
+    # Every public top-level function or class under src/bcs is loaded by
+    # name somewhere in src/bcs.  The exceptions are the entry points: the
+    # quick start's ground_state and position_profile, and the CLI's cmd_*,
+    # which reach the parser through their registration.
+    defined, used = {}, set()
+    for path in sorted(pathlib.Path(bcs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert "tc0" in defined, "the walk missed the bcs modules"
+    entry = {"ground_state", "position_profile"}
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in used | entry and not name.startswith("cmd_"))
+    assert not unused, f"src/bcs defines names that nothing in src/bcs calls: {unused}"

@@ -18,7 +18,6 @@ from bcs.potentials import (
     e_mu,
     fourier_hat,
     from_config,
-    moment,
     to_config,
     vmu_spectrum,
 )
@@ -146,7 +145,8 @@ def test_dense_table_transforms_track_closed_forms(d):
 
 def test_hat_small_k_taylor_branch_d3():
     V = ExponentialPotential(d=3, a=1.0, ell=1.0)
-    assert abs(fourier_hat(V, 0.0) - moment(V, 0) / (2.0 * math.pi) ** 1.5) < 1e-13
+    m0 = oracles.moment_position_space(V.value, V.cutoff_radius(), 3, 0)
+    assert abs(fourier_hat(V, 0.0) - m0 / (2.0 * math.pi) ** 1.5) < 1e-13
     # sin(kr)/(kr) is exact at small k * cutoff, so the transform stays
     # continuous across k * cutoff = 1e-3.
     rc = V.cutoff_radius()
@@ -162,21 +162,19 @@ def test_hat_rejects_negative_k():
 @given(st.integers(1, 3), st.floats(0.2, 3.0), st.floats(0.3, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_hat_at_zero_is_scaled_moment(d, a, ell):
-    # Vhat(0) = (2 pi)^(-d/2) * integral of V over R^d.
+    # Vhat(0) = (2 pi)^(-d/2) * integral of V over R^d = a (ell / sqrt 2)^d.
     V = GaussianPotential(d=d, a=a, ell=ell)
-    ref = moment(V, 0) / (2.0 * math.pi) ** (d / 2.0)
+    ref = a * (ell / math.sqrt(2.0)) ** d
     assert abs(fourier_hat(V, 0.0) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_moments_closed_forms():
+    # (2 pi)^(d/2) Vhat(0) is the integral of V over R^d:
+    # 4 pi int r^2 e^{-r^2} = pi^(3/2), and a pi R^2 for the d = 2 step.
     V = GaussianPotential(d=3, a=1.0, ell=1.0)
-    # 4 pi int r^2 e^{-r^2} = pi^(3/2);  4 pi int r^4 e^{-r^2} = (3/2) pi^(3/2)
-    assert abs(moment(V, 0) - math.pi ** 1.5) < 1e-12
-    assert abs(moment(V, 2) - 1.5 * math.pi ** 1.5) < 1e-12
+    assert abs((2.0 * math.pi) ** 1.5 * fourier_hat(V, 0.0) - math.pi ** 1.5) < 1e-12
     W = StepPotential(d=2, a=2.0, R=1.5)
-    assert abs(moment(W, 0) - 2.0 * math.pi * W.a * W.R ** 2 / 2.0) < 1e-12
-    with pytest.raises(ValueError, match="nonnegative"):
-        moment(V, -1)
+    assert abs(2.0 * math.pi * fourier_hat(W, 0.0) - math.pi * W.a * W.R ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,6 @@ def test_tabulated_transforms_match_knot_aware_oracle(d):
     value = lambda x: float(interp(x))
     rc, knots = float(r[-1]), r[1:-1]
     m0 = oracles.moment_position_space(value, rc, d, 0, knots)
-    assert abs(moment(V, 0) - m0) < 1e-12
     assert abs(fourier_hat(V, 0.0) - m0 / (2.0 * math.pi) ** (d / 2.0)) < 1e-12
     mu = 1.3
     ref = oracles.wd_position_space(value, rc, d, math.sqrt(mu), math.sqrt(mu), knots)
