@@ -305,8 +305,9 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It solves on the closure grid and W of tc, the result of tc0 on the
-    same V, mu, d and lam; a tc that disagrees on any of them raises
+    It solves on the closure grid and W of tc, which must be the result of
+    tc0 on the same V, mu, d and lam: its W is symmetric bit for bit and is
+    not checked again, and a tc that disagrees on V, mu, d or lam raises
     ValueError.  The top two eigenpairs of diag(s) W diag(s) come from
     Lanczos (ARPACK eigsh) on the product v -> s W (s v), which never forms
     the matrix; a fixed start vector makes repeated calls bit-identical.
@@ -318,8 +319,6 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
         if not agree:
             raise ValueError(f"tc and the requested {name} disagree")
     params = KernelParams(T=tc.T_c, mu=mu)
-    if not np.array_equal(W, W.T):
-        raise SolverError("W must be symmetric")
     s = _bs_scale(grid, params, d)
     n = len(s)
     op = _sla.LinearOperator((n, n), matvec=lambda v: s * (W @ (s * v)), dtype=float)

@@ -83,7 +83,7 @@ def _fanout(fn, items, threads: int) -> list:
 
 
 def _checked_keys(command: str, cfg: dict, required, optional) -> None:
-    allowed = set(required) | set(optional) | {"out", "tol", "threads"}
+    allowed = set(required) | set(optional) | {"out", "threads"}
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {unknown}")
@@ -155,10 +155,11 @@ def _command(name: str, help_text: str, required=(), optional=(), *,
              tol_default=None, tol_nonnegative: bool = False):
     """Register a command body under ``name`` behind the steps every command
     shares.  The runner checks the config keys against ``required`` and
-    ``optional`` (``out``, ``tol`` and ``threads`` are accepted everywhere),
-    reads ``tol`` (default ``tol_default``; positive, or nonnegative when
-    ``tol_nonnegative``), ``threads`` and ``out``, times the body, echoes
-    those three keys into the report's inputs and writes ``out``.
+    ``optional`` (``out`` and ``threads`` are accepted everywhere, ``tol``
+    only by a command with a ``tol_default``), reads ``tol`` (default
+    ``tol_default``; positive, or nonnegative when ``tol_nonnegative``),
+    ``threads`` and ``out``, times the body, echoes those three keys into
+    the report's inputs and writes ``out``.
 
     The body takes (cfg, tol, threads) and returns (inputs, results, checks,
     error_estimates, table); ``out`` receives the CSV ``table`` given as
@@ -168,7 +169,8 @@ def _command(name: str, help_text: str, required=(), optional=(), *,
         @functools.wraps(body)
         def run(config: dict | None = None) -> RunReport:
             cfg = dict(config or {})
-            _checked_keys(name, cfg, required, optional)
+            _checked_keys(name, cfg, required,
+                          (*optional, "tol") if tol_default is not None else optional)
             tol = _real(cfg, "tol", positive=not tol_nonnegative,
                         nonnegative=tol_nonnegative, default=tol_default)
             threads = _threads(cfg)
@@ -360,22 +362,22 @@ def cmd_dt_growth(cfg: dict, tol: float, threads: int):
     if V.d == 2 and max(t_factors) >= 1.0:
         raise ConfigError("d=2 growth fits need t_factors below 1 (T < mu)")
 
-    form = dt_form_d1 if V.d == 1 else dt_form_d2
-    model = "inverse_T" if V.d == 1 else "log_cubed"
     temps = [f * mu for f in t_factors]
+    if V.d == 1:
+        form, model, basis = dt_form_d1, "inverse_T", [1.0 / t for t in temps]
+    else:
+        form, model, basis = dt_form_d2, "log_cubed", [math.log(mu / t) ** 3 for t in temps]
     values = _fanout(lambda T: form(V, T, mu), temps, threads)
-    fit = fit_growth(tuple(zip(temps, values)), model, mu=mu)
+    c, dev = fit_growth(values, basis)
 
-    checks = [_check("growth_fit_within_tol",
-                     fit.max_relative_deviation <= tol, False,
-                     f"max relative deviation {fit.max_relative_deviation:.3e}")]
+    checks = [_check("growth_fit_within_tol", dev <= tol, False,
+                     f"max relative deviation {dev:.3e}")]
     inputs = {"potential": to_config(V), "mu": mu, "t_factors": t_factors}
     results = {"samples": [{"T": t, "value": v}
                            for t, v in zip(temps, values)],
-               "fit": {"model": fit.model,
-                       "fitted_constant": fit.fitted_constant,
-                       "max_relative_deviation": fit.max_relative_deviation}}
-    estimates = {"fit_max_relative_deviation": fit.max_relative_deviation}
+               "fit": {"model": model, "fitted_constant": c,
+                       "max_relative_deviation": dev}}
+    estimates = {"fit_max_relative_deviation": dev}
     return inputs, results, checks, estimates, None
 
 

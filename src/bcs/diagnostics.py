@@ -2,72 +2,71 @@
 
 dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
-dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth
-quantifies how well a sampled sweep follows the declared growth law.
-Both forms run on fixed Gauss-Legendre rules only, the radial ones on
-potentials.radial_edges, so a transform at many momenta is one matrix
-product: in d = 1 the transform of V j1 at every outer node, and in d = 2
-the even-reflected kernel Vhat(|p - q|) + Vhat(p + q), which factorizes
-over the transverse coordinate y.  The d = 1 outer rule shares the panels
-of kernels.m_mu inside the Fermi shell and stops its momentum tail on an
-explicit bound.
+dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth fits
+the constant of that growth law to a sampled sweep.  The forms build no
+rule of their own for what the library already has: the d = 1 outer rule
+inside the Fermi shell is kernels._shell_rule, every radial transform of
+V is a dot product with potentials._radial_measure, and a cosine
+transform at many momenta is one blocked product (_cos_sums): in d = 1
+the transform of V j1 at every outer node, and in d = 2 the
+even-reflected kernel Vhat(|p - q|) + Vhat(p + q), which factorizes over
+the transverse coordinate y.  The d = 1 form stops its momentum tail on
+an explicit bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 from scipy.interpolate import CubicSpline
 
-from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted
-from .potentials import RadialPotential, fourier_hat, radial_edges
+from .kernels import KernelParams, _shell_rule, bt_radial_shifted
+from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
 from .quad import QuadratureError, gauss_panels
+from .special import j_d
 
 
-# The V j1 transform runs in blocks of about this many matrix entries.
+# _cos_sums runs its products in blocks of about this many matrix entries.
 _BLOCK = 1 << 19
 # dt_form_d1 stops once the bound on its untaken tail is below _TAIL_TOL of
 # the accumulated value.  The cost of an octave [P, 2 P] grows like (P rc)^2
 # for the cutoff radius rc, so it gives up once P rc passes _MAX_P_RC.
 _TAIL_TOL = 1e-13
 _MAX_P_RC = 4096.0
+# Threads sweeping temperatures of one (V, mu) pair build its d = 2 tables once.
+_D2_LOCK = threading.Lock()
 
 
-def _capped(edges, p_edges, width):
-    """``edges`` with every panel split evenly into as many parts as keep
-    its extent in p (``p_edges``, the images of ``edges``) below ``width``."""
-    n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
-    return np.concatenate([np.linspace(lo, hi, k, endpoint=False)
-                           for lo, hi, k in zip(edges[:-1], edges[1:], n)] + [edges[-1:]])
+def _cos_sums(mid, offsets, z, g):
+    """sum_k g_k cos((m + o) z_k) for every midpoint m and offset o, as an
+    array of shape (len(mid), len(offsets)).
 
-
-def _cos_transform(V: RadialPotential, root_mu: float, k_max: float, mid, offsets):
-    """w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr at every
-    p = mid + offset, on the radial rule sized to the frequency k_max, as
-    an array of shape (len(mid), len(offsets)).
-
-    cos(p r) = cos(m r) cos(o r) - sin(m r) sin(o r), so a rule of equal
-    panels needs sines and cosines only at its panel midpoints m and its
-    offsets o from them; the products run in blocks of midpoints.  A rule
-    passed as its nodes with the single offset 0 needs no sines.
+    cos((m + o) z) = cos(m z) cos(o z) - sin(m z) sin(o z), so sines and
+    cosines are needed only at the midpoints and the offsets; the products
+    run in blocks of midpoints.  A single offset 0 needs no sines.
     """
-    r, wr = gauss_panels(radial_edges(V, k_max))
-    g = (2.0 / math.pi) * wr * V.value(r) * np.cos(root_mu * r)
-    o_r = np.outer(offsets, r)
-    cos_o, sin_o = np.cos(o_r).T, np.sin(o_r).T
-    rows = max(1, _BLOCK // len(r))
+    o_z = np.outer(offsets, z)
+    cos_o, sin_o = np.cos(o_z).T, np.sin(o_z).T
+    rows = max(1, _BLOCK // len(z))
     out = []
     for i in range(0, len(mid), rows):
-        m_r = np.outer(mid[i:i + rows], r)
-        blk = (np.cos(m_r) * g) @ cos_o
+        m_z = np.outer(mid[i:i + rows], z)
+        blk = (np.cos(m_z) * g) @ cos_o
         if offsets.any():
-            blk -= (np.sin(m_r) * g) @ sin_o
+            blk -= (np.sin(m_z) * g) @ sin_o
         out.append(blk)
     return np.concatenate(out)
+
+
+def _cos_transform(V: RadialPotential, mu: float, k_max: float, mid, offsets):
+    """w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr at every
+    p = mid + offset, on the radial measure sized to the frequency k_max, as
+    an array of shape (len(mid), len(offsets))."""
+    r, m = _radial_measure(V, k_max)
+    return _cos_sums(mid, offsets, r, math.sqrt(2.0 / math.pi) * m * j_d(r, mu, 1))
 
 
 def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
@@ -76,13 +75,12 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     Evaluates 2 Vhat(0) times the integral of (B_T(p, 0) w(p))^2 over p > 0,
     where w is the transform of V j1 (_cos_transform), on fixed Gauss panels
     at most 4 / cutoff_radius() wide in p, so that they resolve w^2.  Up to
-    sqrt(2 mu) the panels are those of kernels.m_mu, in a = p^2 - mu inside
-    the Fermi shell, split where they are wider; beyond it the rule takes
-    octaves [P, 2 P] of equal panels, each with the radial rule sized to its
-    upper end, so w on an octave is one blocked matrix product.
-    There |B_T| <= 1 / (P^2 - mu), and Plancherel gives the integral of w^2
-    over p > 0 as (2/pi) times the integral of (V(r) cos(sqrt(mu) r))^2, so
-    the untaken tail is at most what is left of that after [0, P], over
+    sqrt(2 mu) the rule is kernels._shell_rule at that width; beyond it the
+    rule takes octaves [P, 2 P] of equal panels, each with the radial
+    measure sized to its upper end, so w on an octave is one blocked matrix
+    product.  There |B_T| <= 1 / (P^2 - mu), and Plancherel gives the
+    integral of w^2 over p > 0 as the integral of (V(r) j1(r))^2, so the
+    untaken tail is at most what is left of that after [0, P], over
     (P^2 - mu)^2.  The octaves stop when this bound is below _TAIL_TOL of
     the value, and raise QuadratureError once P rc passes _MAX_P_RC.
     """
@@ -94,22 +92,17 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     rc = V.cutoff_radius()
     width = 4.0 / rc
 
-    a_edges, t_edges = _fermi_shell_edges(params.T, mu)
-    a, wa = gauss_panels(_capped(a_edges, np.sqrt(mu + a_edges), width))
-    sides = [gauss_panels(_capped(e, e, width)) for e in t_edges]
     # up to sqrt(2 mu) every node is its own midpoint
-    mid = np.concatenate([np.sqrt(mu + a)] + [t for t, _ in sides])
+    mid, wp, shifted = _shell_rule(params.T, mu, width)
     offsets = np.zeros(1)
-    wp = np.concatenate([0.5 * wa / np.sqrt(mu + a)] + [w for _, w in sides])
-    shifted = np.concatenate([a] + [t * t - mu for t, _ in sides])
     x, wx = gauss_panels([-1.0, 1.0])
 
-    r, wr = gauss_panels(radial_edges(V, 2.0 * root_mu))
-    rest = (2.0 / math.pi) * float(np.dot(wr, (V.value(r) * np.cos(root_mu * r)) ** 2))
+    r, m = _radial_measure(V, 2.0 * root_mu)
+    rest = float(m @ (V.value(r) * j_d(r, mu, 1) ** 2))
     total = 0.0
     p_hi = math.sqrt(2.0 * mu)
     while True:
-        w = _cos_transform(V, root_mu, p_hi + root_mu, mid, offsets).ravel()
+        w = _cos_transform(V, mu, p_hi + root_mu, mid, offsets).ravel()
         total += float(np.dot(wp, (bt_radial_shifted(shifted, params) * w) ** 2))
         rest -= float(np.dot(wp, w * w))
         if max(rest, 0.0) <= _TAIL_TOL * total * (p_hi * p_hi - mu) ** 2:
@@ -203,8 +196,7 @@ def _d2_tables(V: RadialPotential, mu: float):
 
     The rule comes whole, for the rows that share one q grid, and split for
     the others: its substituted nodes, and its plain panels grouped by
-    width, so that cos(q (m + h x)) = cos(q m) cos(q h x) - sin(q m) sin(q h x)
-    needs cosines only at the panel midpoints m and the offsets h x.
+    width as midpoints and offsets, the layout _cos_sums takes.
     """
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
@@ -229,9 +221,9 @@ def _d2_tables(V: RadialPotential, mu: float):
     h = 0.35 / rc / 16.0
     smax = math.sqrt(2.0) * P + 2.0 * h
     s_grid = np.linspace(0.0, smax, int(math.ceil(smax / h)) + 1)
-    r, wr = gauss_panels(radial_edges(V, smax + root_mu))
-    g = wr * V.value(r) * _sp.j0(root_mu * r) * r
-    w_vals = np.concatenate([_sp.j0(np.outer(s_grid[i0:i0 + 256], r)) @ g
+    r, m = _radial_measure(V, smax + root_mu)
+    g = m * j_d(r, mu, 2)
+    w_vals = np.concatenate([j_d(np.outer(s_grid[i0:i0 + 256], r), 1.0, 2) @ g
                              for i0 in range(0, len(s_grid), 256)])
 
     edges, y, uy, plain = _transverse_rule(V, 2.0 * P)
@@ -264,7 +256,8 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     params = KernelParams(T=float(T), mu=float(mu))
     T, mu = params.T, params.mu
     root_mu = math.sqrt(mu)
-    P, w_spline, y, uy, (y_odd, uy_odd, groups) = _d2_tables(V, mu)
+    with _D2_LOCK:
+        P, w_spline, y, uy, (y_odd, uy_odd, groups) = _d2_tables(V, mu)
     base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
     sqrt_T = math.sqrt(T)
 
@@ -285,8 +278,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
         c = np.cos(np.outer(y_odd, q)) @ u
         row = float(np.dot(uy_odd, c * c))
         for m, offsets, w in groups:
-            qm, qh = np.outer(m, q), np.outer(offsets, q)
-            c = (np.cos(qm) * u) @ np.cos(qh).T - (np.sin(qm) * u) @ np.sin(qh).T
+            c = _cos_sums(m, offsets, q, u)
             row += float(np.sum(w * c * c))
         total += float(w1) * row
     q, wq = gauss_panels(_refined_edges(P, base, [(0.0, 0.5 * T / sqrt_T)]))
@@ -298,69 +290,10 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     return 4.0 * total
 
 
-_GROWTH_MODELS = ("inverse_T", "log_cubed")
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    """Least-squares constant for a declared low-temperature growth law.
-
-    ``samples`` holds the fitted (T, value) pairs sorted by decreasing
-    temperature; ``max_relative_deviation`` is the worst sample's departure
-    from ``fitted_constant`` times the model basis.
-    """
-
-    samples: tuple
-    model: str
-    fitted_constant: float
-    max_relative_deviation: float
-
-    def __post_init__(self):
-        if self.model not in _GROWTH_MODELS:
-            raise ValueError(f"unknown growth model {self.model!r}")
-        ts = [t for t, _ in self.samples]
-        if any(nxt >= prev for prev, nxt in zip(ts, ts[1:])):
-            raise ValueError("samples must be sorted by strictly decreasing T")
-        if self.max_relative_deviation < 0.0:
-            raise ValueError("deviation must be nonnegative")
-
-
-def fit_growth(samples, model: str, mu: float | None = None) -> GrowthFit:
-    """Fit value ~ C/T or C ln(mu/T)^3 through the origin, least squares.
-
-    The log model measures temperatures against the scale ``mu``, which
-    must accompany it.  Needs at least three samples with distinct
-    positive temperatures.
-    """
-    if model not in _GROWTH_MODELS:
-        raise ValueError(
-            f"unknown growth model {model!r}; choose from {_GROWTH_MODELS}")
-    pairs = sorted(((float(t), float(v)) for t, v in samples),
-                   key=lambda tv: -tv[0])
-    if len(pairs) < 3:
-        raise ValueError("growth fits need at least three samples")
-    ts = [t for t, _ in pairs]
-    if any(not t > 0.0 for t in ts):
-        raise ValueError("temperatures must be positive")
-    if len(set(ts)) != len(ts):
-        raise ValueError("temperatures must be distinct")
-    if model == "inverse_T":
-        basis = [1.0 / t for t in ts]
-    else:
-        if mu is None or not mu > 0.0:
-            raise ValueError("the log_cubed model needs its scale mu > 0")
-        if any(t >= mu for t in ts):
-            raise ValueError("log_cubed expects samples with T < mu")
-        basis = [math.log(mu / t) ** 3 for t in ts]
-    vals = [v for _, v in pairs]
-    c = math.fsum(v * b for v, b in zip(vals, basis)) \
-        / math.fsum(b * b for b in basis)
-    devs = []
-    for v, b_k in zip(vals, basis):
-        pred = c * b_k
-        if pred == 0.0:
-            devs.append(0.0 if v == 0.0 else math.inf)
-        else:
-            devs.append(abs(v - pred) / abs(pred))
-    return GrowthFit(samples=tuple(pairs), model=model, fitted_constant=c,
-                     max_relative_deviation=max(devs))
+def fit_growth(values, basis):
+    """Least-squares constant c of value ~ c * basis through the origin, and
+    the worst sample's relative departure from c * basis."""
+    c = math.fsum(v * b for v, b in zip(values, basis)) / math.fsum(b * b for b in basis)
+    devs = [abs(v - c * b) / abs(c * b) if c * b != 0.0
+            else (0.0 if v == 0.0 else math.inf) for v, b in zip(values, basis)]
+    return c, max(devs)

@@ -53,8 +53,8 @@ def bt_radial_shifted(a, params: KernelParams):
 
 
 def _fermi_shell_edges(T: float, mu: float):
-    """Panel edges over 0 < t < sqrt(2 mu) for the fixed rules of m_mu and
-    diagnostics.dt_form_d1; build_grid panels its Fermi shell on the a edges.
+    """Panel edges over 0 < t < sqrt(2 mu) for _shell_rule; build_grid
+    panels its Fermi shell on the a edges.
 
     Inside the Fermi shell |t^2 - mu| < mu/2 the edges lie in the shifted
     variable a = t^2 - mu: 0, then +/- T doubling out to +/- mu/2, the last
@@ -71,22 +71,36 @@ def _fermi_shell_edges(T: float, mu: float):
     return np.concatenate([-edges[:0:-1], edges]), sides
 
 
-def m_mu(params: KernelParams, d: int) -> float:
-    """Fermi-shell mass: integral of B_T(t, 0) t^(d-1) over 0 < t < sqrt(2 mu).
+def _capped(edges, p_edges, width):
+    """``edges`` with every panel split evenly into as many parts as keep
+    its extent in p (``p_edges``, the images of ``edges``) below ``width``."""
+    n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return np.append(k * np.repeat(np.diff(edges) / n, n) + np.repeat(edges[:-1], n), edges[-1])
 
-    One fixed Gauss-Legendre evaluation on the panels of _fermi_shell_edges:
-    in a = t^2 - mu inside the Fermi shell, in t outside it, where the
-    integrand stays smooth at both endpoints for every d (in a, d = 1 would
-    carry an integrable 1/sqrt singularity at a = -mu).
+
+def _shell_rule(T: float, mu: float, width: float = math.inf):
+    """Nodes t, weights and exact shifted values a = t^2 - mu of the fixed
+    Gauss-Legendre rule over 0 < t < sqrt(2 mu) on the panels of
+    _fermi_shell_edges, each split where it is wider than ``width`` in t.
+
+    The shell panels run in a, with dt = da / 2t, so their a stays exact
+    and the integrand stays smooth at both ends for every power of t (in a,
+    t^0 would carry an integrable 1/sqrt singularity at a = -mu).
     """
+    a_edges, t_edges = _fermi_shell_edges(T, mu)
+    a, wa = gauss_panels(_capped(a_edges, np.sqrt(mu + a_edges), width))
+    sides = [gauss_panels(_capped(e, e, width)) for e in t_edges]
+    t = np.sqrt(mu + a)
+    return (np.concatenate([t] + [s for s, _ in sides]),
+            np.concatenate([0.5 * wa / t] + [w for _, w in sides]),
+            np.concatenate([a] + [s * s - mu for s, _ in sides]))
+
+
+def m_mu(params: KernelParams, d: int) -> float:
+    """Fermi-shell mass: integral of B_T(t, 0) t^(d-1) over 0 < t < sqrt(2 mu),
+    one dot product on _shell_rule."""
     if d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
-    mu = params.mu
-    a_edges, t_edges = _fermi_shell_edges(params.T, mu)
-    a, wa = gauss_panels(a_edges)
-    # dt = da / 2t, so t^(d-1) dt = (mu + a)^((d-2)/2) da / 2
-    total = 0.5 * np.dot(wa, bt_radial_shifted(a, params) * (mu + a) ** (0.5 * d - 1.0))
-    for edges in t_edges:
-        t, wt = gauss_panels(edges)
-        total += np.dot(wt, bt_radial_shifted(t * t - mu, params) * t ** (d - 1))
-    return float(total)
+    t, w, a = _shell_rule(params.T, params.mu)
+    return float(np.dot(w, bt_radial_shifted(a, params) * t ** (d - 1)))

@@ -192,6 +192,17 @@ def test_criterion_validation(capsys, tmp_path):
     assert code == 2
 
 
+def test_criterion_has_no_tolerance_to_override(capsys, tmp_path):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": GAUSS3, "bc": "neumann", "mu": 1.0})
+    code, stdout, _ = run(capsys, "criterion", "--config", cfg)
+    assert code == 0
+    assert json.loads(stdout)["inputs"]["tol"] is None
+    code, _, err = run(capsys, "criterion", "--config", cfg, "--tol", "1e-3")
+    assert code == 2
+    assert "unknown config keys for criterion: ['tol']" in err
+
+
 # ---------------------------------------------------------------------------
 # tc0
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 weak-coupling boundary energy oracle against the criterion."""
 
 import math
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from bcs import diagnostics
 from bcs.boundary3d import criterion
-from bcs.diagnostics import GrowthFit, dt_form_d1, dt_form_d2, fit_growth
+from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential)
 from bcs.quad import QuadratureError
@@ -35,16 +39,16 @@ def test_dt_d1_matches_brute_oracle():
     assert mine == pytest.approx(brute, rel=1e-6)
 
 
-def _table1():
+def _table(d):
     r = np.linspace(0.0, 8.0, 9)
     v = np.exp(-r) * (1.0 + 0.3 * r)
     v[-1] = 0.0
-    return TabulatedPotential(d=1, r_values=tuple(r), v_values=tuple(v))
+    return TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))
 
 
 @pytest.mark.parametrize("V", [StepPotential(d=1, a=1.0, R=1.0),
                                ExponentialPotential(d=1, a=1.0, ell=1.0),
-                               _table1()],
+                               _table(1)],
                          ids=["step", "exponential", "tabulated"])
 def test_dt_d1_matches_brute_oracle_non_gaussian(V):
     mine = dt_form_d1(V, 1e-2, 1.0)
@@ -53,12 +57,12 @@ def test_dt_d1_matches_brute_oracle_non_gaussian(V):
 
 
 def test_dt_d1_inverse_temperature_fit():
-    samples = [(T, dt_form_d1(GAUSS1, T, 1.0)) for T in (1e-2, 1e-3, 1e-4)]
-    fit = fit_growth(samples, "inverse_T")
-    assert fit.fitted_constant == pytest.approx(oracles.FROZEN_DT1_FIT_C, rel=1e-7)
-    assert fit.max_relative_deviation == pytest.approx(
-        oracles.FROZEN_DT1_FIT_DEV, abs=1e-8)
-    assert fit.max_relative_deviation < 0.2
+    temps = (1e-2, 1e-3, 1e-4)
+    c, dev = fit_growth([dt_form_d1(GAUSS1, T, 1.0) for T in temps],
+                        [1.0 / T for T in temps])
+    assert c == pytest.approx(oracles.FROZEN_DT1_FIT_C, rel=1e-7)
+    assert dev == pytest.approx(oracles.FROZEN_DT1_FIT_DEV, abs=1e-8)
+    assert dev < 0.2
 
 
 def test_dt_d1_wrong_dimension_rejected():
@@ -117,6 +121,48 @@ def test_dt_d2_step_matches_direct_sum():
     assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(ref, rel=1e-7)
 
 
+@pytest.mark.parametrize("V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),
+                                   (StepPotential(d=2, a=1.0, R=1.0), 1.0),
+                                   (_table(2), 1.0),
+                                   (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01)],
+                         ids=["gaussian", "step", "tabulated", "exponential"])
+def test_dt_d2_vj2_table_matches_position_space_oracle(V, mu):
+    # The table's own target: the spline of (V j2)^(s) within 1e-9 of its peak.
+    # Between 0.15 P and 0.85 P QUADPACK reports roundoff against the oracle's
+    # epsabs of 1e-15 on some kinds, so the points sit at both ends, where the
+    # oracle certifies its value (a warning fails the test).
+    P, spline = diagnostics._d2_tables(V, mu)[:2]
+    peak = np.abs(spline(spline.x)).max()
+    for s in (0.0, 0.05 * P, 0.1 * P, 0.9 * P, P):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = oracles.wd_position_space(V.value, V.cutoff_radius(), 2, s,
+                                            math.sqrt(mu), V.breakpoints)
+        assert abs(spline(s) - ref) <= 1e-9 * peak, s
+
+
+def test_dt_d2_threads_share_one_table_build():
+    # Temperatures of one sweep that start together build the tables once;
+    # more threads than cores and a short switch interval make a race likely.
+    V = GaussianPotential(d=2, a=1.0, ell=1.5)
+    diagnostics._d2_tables.cache_clear()
+    start = threading.Barrier(3, timeout=60.0)
+
+    def form(T):
+        start.wait()
+        return dt_form_d2(V, T, 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            values = list(pool.map(form, (0.08, 0.04, 1e-2), timeout=120.0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert diagnostics._d2_tables.cache_info().misses == 1
+    assert values == [dt_form_d2(V, T, 1.0) for T in (0.08, 0.04, 1e-2)]
+
+
 def test_dt_d2_integrand_symmetric_in_transverse_momenta():
     for p1, p2, q2 in [(0.3, 0.7, 1.1), (1.0, 0.1, 2.0), (0.05, 1.4, 0.2)]:
         a = oracles.d2_integrand(GAUSS2, 1e-2, 1.0, p1, p2, q2)
@@ -173,47 +219,7 @@ def test_rhs_validation():
 )
 @settings(max_examples=100, deadline=None)
 def test_fit_growth_recovers_exact_models(c, ts):
-    inv = [(t, c / t) for t in ts]
-    fit = fit_growth(inv, "inverse_T")
-    assert fit.fitted_constant == pytest.approx(c, rel=1e-12)
-    assert fit.max_relative_deviation < 1e-10
-    logs = [(t, c * math.log(1.0 / t) ** 3) for t in ts]
-    fit = fit_growth(logs, "log_cubed", mu=1.0)
-    assert fit.fitted_constant == pytest.approx(c, rel=1e-12)
-    assert fit.max_relative_deviation < 1e-10
-
-
-def test_fit_growth_sorts_samples_by_decreasing_temperature():
-    fit = fit_growth([(1e-4, 4e4), (1e-2, 4e2), (1e-3, 4e3)], "inverse_T")
-    assert [t for t, _ in fit.samples] == [1e-2, 1e-3, 1e-4]
-
-
-def test_fit_growth_validation():
-    good = [(1e-2, 1.0), (1e-3, 2.0), (1e-4, 3.0)]
-    with pytest.raises(ValueError, match="unknown growth model"):
-        fit_growth(good, "exponential")
-    with pytest.raises(ValueError, match="at least three"):
-        fit_growth(good[:2], "inverse_T")
-    with pytest.raises(ValueError, match="must be positive"):
-        fit_growth([(0.0, 1.0)] + good[:2], "inverse_T")
-    with pytest.raises(ValueError, match="must be distinct"):
-        fit_growth(good[:2] + [(1e-2, 5.0)], "inverse_T")
-    with pytest.raises(ValueError, match="needs its scale mu"):
-        fit_growth(good, "log_cubed")
-    with pytest.raises(ValueError, match="samples with T < mu"):
-        fit_growth(good, "log_cubed", mu=1e-3)
-
-
-def test_growth_fit_dataclass_validation():
-    with pytest.raises(ValueError, match="unknown growth model"):
-        GrowthFit(samples=((1e-2, 1.0), (1e-3, 2.0), (1e-4, 3.0)),
-                  model="bogus", fitted_constant=1.0,
-                  max_relative_deviation=0.0)
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        GrowthFit(samples=((1e-3, 1.0), (1e-2, 2.0), (1e-4, 3.0)),
-                  model="inverse_T", fitted_constant=1.0,
-                  max_relative_deviation=0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        GrowthFit(samples=((1e-2, 1.0), (1e-3, 2.0), (1e-4, 3.0)),
-                  model="inverse_T", fitted_constant=1.0,
-                  max_relative_deviation=-0.1)
+    for basis in ([1.0 / t for t in ts], [math.log(1.0 / t) ** 3 for t in ts]):
+        fit_c, dev = fit_growth([c * b for b in basis], basis)
+        assert fit_c == pytest.approx(c, rel=1e-12)
+        assert dev < 1e-10

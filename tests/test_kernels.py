@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bcs.kernels import KernelParams, bt_radial_shifted, m_mu
+from bcs.kernels import (KernelParams, _capped, _fermi_shell_edges, _shell_rule,
+                         bt_radial_shifted, m_mu)
 from oracles import bt, kt, tanh_inequality_gap
 
 finite_args = st.floats(-60.0, 60.0, allow_nan=False)
@@ -183,6 +184,26 @@ def test_m_mu_scaling_d3():
     v1 = m_mu(KernelParams(T=1e-4, mu=1.0), 3)
     v2 = m_mu(KernelParams(T=4e-4, mu=4.0), 3)
     assert v2 == pytest.approx(2.0 * v1, rel=1e-9)
+
+
+def test_shell_rule_panels_match_linspace_split():
+    # The split is vectorized; the loop over np.linspace is its reference,
+    # and the arithmetic is the same, so the edges agree bit for bit.
+    def looped(edges, p_edges, width):
+        n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
+        return np.concatenate([np.linspace(lo, hi, k, endpoint=False)
+                               for lo, hi, k in zip(edges[:-1], edges[1:], n)]
+                              + [edges[-1:]])
+
+    for T, mu in [(0.5, 1.0), (1e-3, 0.25), (1e-16, 3.7)]:
+        a_edges, t_edges = _fermi_shell_edges(T, mu)
+        for width in (math.inf, 4.0, 0.3, 4.0 / 36.8):
+            for edges, p_edges in [(a_edges, np.sqrt(mu + a_edges))] + \
+                    [(e, e) for e in t_edges]:
+                assert np.array_equal(_capped(edges, p_edges, width),
+                                      looped(edges, p_edges, width))
+            assert math.fsum(_shell_rule(T, mu, width)[1]) == pytest.approx(
+                math.sqrt(2.0 * mu), rel=1e-14)
 
 
 def test_m_mu_validation():
