@@ -28,7 +28,7 @@ from scipy.sparse import linalg as _sla
 
 from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
 from .potentials import _SPHERE_AREA, RadialPotential, _radial_measure, e_mu
-from .quad import gauss_panels
+from .quad import _subdivide, gauss_panels
 from .special import j_d
 
 
@@ -81,13 +81,6 @@ class SWaveDiscretization:
         return len(self.nodes)
 
 
-def _split(edges, level):
-    for _ in range(level):
-        e = np.asarray(edges)
-        edges = np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
-    return list(edges)
-
-
 def build_grid(params: KernelParams, V: RadialPotential, *,
                refine_level: int = 0) -> SWaveDiscretization:
     """Lay out the radial grid for the given temperature and potential range.
@@ -95,37 +88,27 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
     The Fermi shell |p^2 - mu| < mu/2 is paneled in u = p^2 - mu on the
     edges of kernels._fermi_shell_edges at min(T, 1e-3 mu), which double
     from that innermost width out to mu/2 on either side of u = 0; outside
-    the shell plain p panels run down to 0 and up to p_max, at least
-    12 / V.range_scale past the Fermi momentum.  Every panel takes
-    _PANEL_NODES Gauss nodes.  refine_level = k halves every panel k times.
+    the shell plain p panels at most sqrt(mu) / 4 wide run down to 0 and up
+    to p_max, at least 12 / V.range_scale past the Fermi momentum.
+    refine_level = k splits every panel into 2^k equal parts (quad._subdivide),
+    and every panel takes _PANEL_NODES Gauss nodes.  The low side, the shell
+    and the high side follow each other in ascending order.
     """
     T, mu = params.T, params.mu
     sq_mu = math.sqrt(mu)
     p_max = max(4.0 * math.sqrt(2.0 * mu), sq_mu + 12.0 / V.range_scale)
+    parts = 2 ** refine_level
 
-    u_edges = _split(_fermi_shell_edges(min(T, 1e-3 * mu), mu)[0], refine_level)
-    u, u_w = gauss_panels(u_edges, _PANEL_NODES)
+    u, u_w = gauss_panels(
+        _subdivide(_fermi_shell_edges(min(T, 1e-3 * mu), mu)[0], parts), _PANEL_NODES)
+    (lo, lo_w), (hi, hi_w) = [
+        gauss_panels(_subdivide([a, b], math.ceil((b - a) / (0.25 * sq_mu)) * parts), _PANEL_NODES)
+        for a, b in ((0.0, math.sqrt(0.5 * mu)), (math.sqrt(1.5 * mu), p_max))]
     p = np.sqrt(mu + u)
-    ps, ws, sh = [p], [u_w / (2.0 * p)], [u]
-
-    p_lo = math.sqrt(0.5 * mu)
-    p_hi = math.sqrt(1.5 * mu)
-    width = 0.25 * sq_mu
-    lo_edges = _split(np.linspace(0.0, p_lo, max(3, math.ceil(p_lo / width)) + 1),
-                      refine_level)
-    hi_edges = _split(np.linspace(p_hi, p_max, max(3, math.ceil((p_max - p_hi) / width)) + 1),
-                      refine_level)
-    for edges in (lo_edges, hi_edges):
-        p, w = gauss_panels(edges, _PANEL_NODES)
-        ps.append(p)
-        ws.append(w)
-        sh.append(p * p - mu)
-
-    a = np.concatenate(sh)
-    order = np.argsort(a)
     return SWaveDiscretization(
-        mu=mu, nodes=np.concatenate(ps)[order], weights=np.concatenate(ws)[order],
-        shifted=a[order], p_max=p_max)
+        mu=mu, nodes=np.concatenate([lo, p, hi]),
+        weights=np.concatenate([lo_w, u_w / (2.0 * p), hi_w]),
+        shifted=np.concatenate([lo * lo - mu, u, hi * hi - mu]), p_max=p_max)
 
 
 def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:

@@ -29,6 +29,10 @@ from .kernels import KernelParams, m_mu
 from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
 from .quad import QuadratureError
 
+# Largest m3-profile row count and vmu-spectrum ell_max a config may ask for.
+_MAX_PROFILE_ROWS = 10 ** 6
+_MAX_ELL = 1000
+
 
 class ConfigError(ValueError):
     """A run configuration failed schema validation."""
@@ -232,6 +236,8 @@ def cmd_m3_profile(cfg: dict, tol: float, threads: int):
     bc = _bc(cfg)
     x_max = _real(cfg, "x_max", positive=True)
     step = _real(cfg, "step", positive=True)
+    if x_max / step + 1e-9 >= _MAX_PROFILE_ROWS:
+        raise ConfigError(f"x_max / step asks for more than {_MAX_PROFILE_ROWS} profile rows")
     rows = m3_profile(x_max, step, bc)
     vals = [v for _, v in rows]
     checks = []
@@ -397,8 +403,8 @@ def cmd_vmu_spectrum(cfg: dict, tol: float, threads: int):
         raise ConfigError("vmu-spectrum needs a d=2 or d=3 potential")
     mu = _real(cfg, "mu", positive=True)
     ell_max = cfg.get("ell_max")
-    if isinstance(ell_max, bool) or not isinstance(ell_max, int) or ell_max < 0:
-        raise ConfigError("config key 'ell_max' must be a nonnegative integer")
+    if isinstance(ell_max, bool) or not isinstance(ell_max, int) or not 0 <= ell_max <= _MAX_ELL:
+        raise ConfigError(f"config key 'ell_max' must be a nonnegative integer at most {_MAX_ELL}")
     if ell_max == 0:
         raise ConfigError("insufficient data for the dominance verdict: "
                           "ell_max must be at least 1")

@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .kernels import KernelParams, _shell_rule, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
-from .quad import QuadratureError, gauss_panels
+from .quad import QuadratureError, _ladder, _subdivide, gauss_panels
 from .special import j_d
 
 
@@ -119,44 +119,28 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
         p_hi *= 2.0
 
 
-def _refined_edges(length, base, features):
-    """Panel edges on [0, length]: spacing at most ``base``, plus a geometric
-    ladder closing down to each feature's own width so the panels track
-    sharp thermal layers without a global fine grid."""
-    pts = {0.0, float(length)}
-    for center, width in features:
-        width = max(float(width), 1e-14 * length)
-        ladder = [float(center)]
-        off = width
-        while off < 2.0 * base:
-            ladder += [center - off, center + off]
-            off *= 2.0
-        pts.update(x for x in ladder if 0.0 < x < length)
-    edges = sorted(pts)
-    out = [edges[0]]
-    for e in edges[1:]:
-        gap = e - out[-1]
-        if gap <= 1e-15 * length:
-            continue
-        lo = out[-1]
-        if gap > base:
-            n = int(math.ceil(gap / base - 1e-12))
-            out.extend(lo + gap * k / n for k in range(1, n))
-        out.append(e)
-    return out
+def _refined_edges(length, base, center, width):
+    """Panel edges on [0, length] at most ``base`` apart, with a ladder of
+    edges at center +/- width * 2^k (quad._ladder, out to 2 base) so the
+    panels close down onto a thermal layer of that width at ``center``
+    without a global fine grid."""
+    off = _ladder(max(width, 1e-14 * length), 2.0 * base)
+    pts = np.concatenate([center - off[::-1], [center], center + off])
+    edges = np.concatenate([[0.0], pts[(pts > 0.0) & (pts < length)], [length]])
+    return _subdivide(edges, np.ceil(np.diff(edges) / base))
 
 
 def _line_integral(V: RadialPotential, y: np.ndarray) -> np.ndarray:
     """U(y) = integral of V(sqrt(x^2 + y^2)) over the x line, 0 < y < cutoff.
 
-    Runs in s with x = y sinh s, r = y cosh s, on panels at most half a
-    unit of s wide that also break at the images of the radial panels.
+    Runs in s with x = y sinh s, r = y cosh s, on the images of the radial
+    panels, each split into parts at most half a unit of s wide.
     """
     r_edges = radial_edges(V, 0.0)
     out = np.empty_like(y)
     for i, yi in enumerate(y):
         s_edges = np.arccosh(np.append(1.0, r_edges[r_edges > yi] / yi))
-        s, ws = gauss_panels(np.union1d(s_edges, np.arange(0.0, s_edges[-1], 0.5)))
+        s, ws = gauss_panels(_subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5)))
         c = np.cosh(s)
         out[i] = 2.0 * yi * np.dot(ws * c, V.value(yi * c))
     return out
@@ -165,7 +149,9 @@ def _line_integral(V: RadialPotential, y: np.ndarray) -> np.ndarray:
 def _transverse_rule(V: RadialPotential, k_max: float):
     """Nodes y and weights of the measure U(y) dy on [0, cutoff], exact
     enough for integrands with frequencies in y up to k_max, and a mask of
-    the panels that keep the plain Gauss nodes.
+    the panels _d2_tables groups by width: the plain ones but for the plain
+    half of the first panel, which as a group of one would cost _cos_sums
+    34 sines and cosines a q node instead of 16 cosines.
 
     U carries y^2 log y terms at 0 unless V is smooth in r^2, and a jump of
     V or of its n-th derivative at b gives U a (b - y)^(n + 1/2) end.  So
@@ -174,9 +160,9 @@ def _transverse_rule(V: RadialPotential, k_max: float):
     y = b - (b - a) t^2; both ends are smooth in t.
     """
     edges = radial_edges(V, k_max)
-    edges = np.insert(edges, 1, 0.5 * edges[1])
+    edges = _subdivide(edges, [2] + [1] * (len(edges) - 2))
     y, wy = gauss_panels(edges)
-    plain = np.ones(len(edges) - 1, dtype=bool)
+    grouped = np.arange(len(edges) - 1) > 1
     ends = np.flatnonzero(np.isin(edges[1:], (*V.breakpoints, edges[-1])))
     for k, side in [(0, 0), *((k, 1) for k in ends)]:
         # t runs from the singular end c of the panel to its other end o
@@ -185,8 +171,8 @@ def _transverse_rule(V: RadialPotential, k_max: float):
         t = (y[blk] - c) / (o - c)
         wy[blk] *= 2.0 * t
         y[blk] = c + (o - c) * t * t
-        plain[k] = False
-    return edges, y, wy * _line_integral(V, y), plain
+        grouped[k] = False
+    return edges, y, wy * _line_integral(V, y), grouped
 
 
 @lru_cache(maxsize=4)
@@ -194,9 +180,10 @@ def _d2_tables(V: RadialPotential, mu: float):
     """Momentum cutoff, the V j2 transform spline and the transverse rule
     shared by every dt_form_d2 temperature for one (V, mu) pair.
 
-    The rule comes whole, for the rows that share one q grid, and split for
-    the others: its substituted nodes, and its plain panels grouped by
-    width as midpoints and offsets, the layout _cos_sums takes.
+    The rule comes whole, for the rows that share one q grid, and in
+    groups for the others, in the layout _cos_sums takes: the nodes of its
+    ungrouped panels as midpoints with the single offset 0, and its grouped
+    panels by width as midpoints and offsets.
     """
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
@@ -226,16 +213,16 @@ def _d2_tables(V: RadialPotential, mu: float):
     w_vals = np.concatenate([j_d(np.outer(s_grid[i0:i0 + 256], r), 1.0, 2) @ g
                              for i0 in range(0, len(s_grid), 256)])
 
-    edges, y, uy, plain = _transverse_rule(V, 2.0 * P)
+    edges, y, uy, grouped = _transverse_rule(V, 2.0 * P)
     uy *= 2.0 / math.pi
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    odd = np.repeat(~plain, 16)
-    groups = []
-    for width in np.unique(np.round(half[plain] / rc, 12)):
-        k = np.flatnonzero(plain & (np.round(half / rc, 12) == width))
+    alone = np.repeat(~grouped, 16)
+    groups = [(y[alone], np.zeros(1), uy[alone][:, None])]
+    for width in np.unique(np.round(half[grouped] / rc, 12)):
+        k = np.flatnonzero(grouped & (np.round(half / rc, 12) == width))
         offsets = gauss_panels([-half[k[0]], half[k[0]]])[0]
         groups.append((mid[k], offsets, uy.reshape(-1, 16)[k]))
-    return P, CubicSpline(s_grid, w_vals), y, uy, (y[odd], uy[odd], groups)
+    return P, CubicSpline(s_grid, w_vals), y, uy, groups
 
 
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
@@ -257,12 +244,11 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     T, mu = params.T, params.mu
     root_mu = math.sqrt(mu)
     with _D2_LOCK:
-        P, w_spline, y, uy, (y_odd, uy_odd, groups) = _d2_tables(V, mu)
+        P, w_spline, y, uy, groups = _d2_tables(V, mu)
     base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
     sqrt_T = math.sqrt(T)
 
-    p1_edges = _refined_edges(P, base, [(root_mu, 0.25 * T / root_mu)])
-    p1_nodes, p1_weights = gauss_panels(p1_edges)
+    p1_nodes, p1_weights = gauss_panels(_refined_edges(P, base, root_mu, 0.25 * T / root_mu))
 
     def u_rows(p1, q, wq):
         s_sq = p1[:, None] ** 2 + q * q
@@ -272,16 +258,14 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     inside = p1_nodes * p1_nodes < mu
     for p1, w1 in zip(p1_nodes[inside], p1_weights[inside]):
         qstar = math.sqrt(mu - p1 * p1)
-        q, wq = gauss_panels(_refined_edges(
-            P, base, [(qstar, 0.5 * T / max(qstar, sqrt_T))]))
+        q, wq = gauss_panels(_refined_edges(P, base, qstar, 0.5 * T / max(qstar, sqrt_T)))
         u = u_rows(np.array([p1]), q, wq)[0]
-        c = np.cos(np.outer(y_odd, q)) @ u
-        row = float(np.dot(uy_odd, c * c))
+        row = 0.0
         for m, offsets, w in groups:
             c = _cos_sums(m, offsets, q, u)
             row += float(np.sum(w * c * c))
         total += float(w1) * row
-    q, wq = gauss_panels(_refined_edges(P, base, [(0.0, 0.5 * T / sqrt_T)]))
+    q, wq = gauss_panels(_refined_edges(P, base, 0.0, 0.5 * T / sqrt_T))
     cos_yq = np.cos(np.outer(y, q))
     p1_out, w1_out = p1_nodes[~inside], p1_weights[~inside]
     for i0 in range(0, len(p1_out), 48):

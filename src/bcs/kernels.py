@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import gauss_panels
+from .quad import _ladder, _subdivide, gauss_panels
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,10 @@ def _fermi_shell_edges(T: float, mu: float):
     panels a side.  Returns the a edges and the two lists of t edges.
     """
     half = 0.5 * mu
-    ladder = T * 2.0 ** np.arange(max(0, math.ceil(math.log2(half / T))))
-    edges = np.concatenate([[0.0], ladder, [half]])
-    sides = [np.linspace(lo, hi, 5)
+    edges = np.concatenate([[0.0], _ladder(T, half), [half]])
+    sides = [_subdivide([lo, hi], 4)
              for lo, hi in ((0.0, math.sqrt(half)), (math.sqrt(mu + half), math.sqrt(2.0 * mu)))]
     return np.concatenate([-edges[:0:-1], edges]), sides
-
-
-def _capped(edges, p_edges, width):
-    """``edges`` with every panel split evenly into as many parts as keep
-    its extent in p (``p_edges``, the images of ``edges``) below ``width``."""
-    n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
-    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return np.append(k * np.repeat(np.diff(edges) / n, n) + np.repeat(edges[:-1], n), edges[-1])
 
 
 def _shell_rule(T: float, mu: float, width: float = math.inf):
@@ -89,8 +80,8 @@ def _shell_rule(T: float, mu: float, width: float = math.inf):
     t^0 would carry an integrable 1/sqrt singularity at a = -mu).
     """
     a_edges, t_edges = _fermi_shell_edges(T, mu)
-    a, wa = gauss_panels(_capped(a_edges, np.sqrt(mu + a_edges), width))
-    sides = [gauss_panels(_capped(e, e, width)) for e in t_edges]
+    a, wa = gauss_panels(_subdivide(a_edges, np.ceil(np.diff(np.sqrt(mu + a_edges)) / width)))
+    sides = [gauss_panels(_subdivide(e, np.ceil(np.diff(e) / width))) for e in t_edges]
     t = np.sqrt(mu + a)
     return (np.concatenate([t] + [s for s, _ in sides]),
             np.concatenate([0.5 * wa / t] + [w for _, w in sides]),

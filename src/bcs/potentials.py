@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .quad import gauss_panels
+from .quad import _subdivide, gauss_panels
 from .special import j_d
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -253,11 +253,8 @@ def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     every k up to k_max."""
     rc = V.cutoff_radius()
     h = min(V.range_scale, 8.0 / k_max) if k_max > 0.0 else V.range_scale
-    knots = [0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc]
-    edges = [0.0]
-    for lo, hi in zip(knots, knots[1:]):
-        edges.extend(np.linspace(lo, hi, int(math.ceil((hi - lo) / h)) + 1)[1:])
-    return np.asarray(edges)
+    knots = np.array([0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc])
+    return _subdivide(knots, np.ceil(np.diff(knots) / h))
 
 
 def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):

@@ -305,10 +305,17 @@ def gaussian_w3_closed(a: float, ell: float, p, q):
 
 def _tight_quad(f, rc: float, points) -> float:
     """Integral of f over [0, rc], tight enough to check library values at
-    machine precision, with panel breaks at ``points``."""
+    machine precision, with panel breaks at ``points``.
+
+    The absolute tolerance is 1e-13 of the integral of |f|, taken by a
+    coarse midpoint sum on 256 points: the rounding floor of the integrand
+    scales with its size, so a fixed absolute tolerance sits below it for
+    large or cancelling integrands and QUADPACK cannot certify it.
+    """
     pts = [x for x in (() if points is None else points) if 0.0 < x < rc]
+    scale = rc / 256 * math.fsum(abs(f(x)) for x in (np.arange(256) + 0.5) * (rc / 256))
     val, _ = integrate.quad(f, 0.0, rc, points=pts or None, limit=400,
-                            epsabs=1e-15, epsrel=1e-13)
+                            epsabs=1e-13 * scale, epsrel=1e-13)
     return val
 
 

@@ -127,6 +127,17 @@ def test_m3_profile_validation(capsys, tmp_path):
     assert "missing config keys for m3-profile: ['step', 'x_max']" in err
 
 
+@pytest.mark.parametrize("x_max, step", [(1e6, 1.0), (1e7, 1e-3), (1e300, 1e-300)])
+def test_m3_profile_rejects_more_rows_than_the_bound(capsys, tmp_path, x_max, step):
+    # floor(x_max / step) + 1 rows: 1,000,001 is the first count over the
+    # bound; the others would ask for 1e10 rows and an infinite count
+    cfg = write_config(tmp_path, "huge.json",
+                       {"bc": "neumann", "x_max": x_max, "step": step})
+    code, stdout, err = run(capsys, "m3-profile", "--config", cfg)
+    assert code == 2 and stdout == ""
+    assert "x_max / step asks for more than 1000000 profile rows" in err
+
+
 # ---------------------------------------------------------------------------
 # criterion
 # ---------------------------------------------------------------------------
@@ -361,6 +372,20 @@ def test_vmu_spectrum_validation(capsys, tmp_path):
     code, _, err = run(capsys, "vmu-spectrum", "--config", cfg)
     assert code == 2
     assert "'ell_max' must be a nonnegative integer" in err
+
+
+def test_vmu_spectrum_bounds_ell_max(capsys, tmp_path):
+    cfg = write_config(tmp_path, "big.json",
+                       {"potential": GAUSS3, "mu": 1.0, "ell_max": 1001})
+    code, stdout, err = run(capsys, "vmu-spectrum", "--config", cfg)
+    assert code == 2 and stdout == ""
+    assert "config key 'ell_max' must be a nonnegative integer at most 1000" in err
+
+    cfg = write_config(tmp_path, "edge.json",
+                       {"potential": GAUSS3, "mu": 1.0, "ell_max": 1000})
+    code, stdout, _ = run(capsys, "vmu-spectrum", "--config", cfg)
+    assert code == 0
+    assert len(json.loads(stdout)["results"]["eigenvalues"]) == 1001
 
 
 # ---------------------------------------------------------------------------

@@ -127,13 +127,12 @@ def test_dt_d2_step_matches_direct_sum():
                                    (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01)],
                          ids=["gaussian", "step", "tabulated", "exponential"])
 def test_dt_d2_vj2_table_matches_position_space_oracle(V, mu):
-    # The table's own target: the spline of (V j2)^(s) within 1e-9 of its peak.
-    # Between 0.15 P and 0.85 P QUADPACK reports roundoff against the oracle's
-    # epsabs of 1e-15 on some kinds, so the points sit at both ends, where the
-    # oracle certifies its value (a warning fails the test).
+    # The table's own target: the spline of (V j2)^(s) within 1e-9 of its peak,
+    # at 11 evenly spaced s in [0, P], each certified by the oracle (a warning
+    # fails the test).
     P, spline = diagnostics._d2_tables(V, mu)[:2]
     peak = np.abs(spline(spline.x)).max()
-    for s in (0.0, 0.05 * P, 0.1 * P, 0.9 * P, P):
+    for s in np.linspace(0.0, P, 11):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = oracles.wd_position_space(V.value, V.cutoff_radius(), 2, s,

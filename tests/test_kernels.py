@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from bcs.kernels import (KernelParams, _capped, _fermi_shell_edges, _shell_rule,
+from bcs.kernels import (KernelParams, _fermi_shell_edges, _shell_rule,
                          bt_radial_shifted, m_mu)
+from bcs.quad import _subdivide
 from oracles import bt, kt, tanh_inequality_gap
 
 finite_args = st.floats(-60.0, 60.0, allow_nan=False)
@@ -187,8 +188,9 @@ def test_m_mu_scaling_d3():
 
 
 def test_shell_rule_panels_match_linspace_split():
-    # The split is vectorized; the loop over np.linspace is its reference,
-    # and the arithmetic is the same, so the edges agree bit for bit.
+    # quad._subdivide splits every panel at once; the loop over np.linspace
+    # is its reference, and the arithmetic is the same, so the edges agree
+    # bit for bit.
     def looped(edges, p_edges, width):
         n = np.maximum(1, np.ceil(np.diff(p_edges) / width)).astype(int)
         return np.concatenate([np.linspace(lo, hi, k, endpoint=False)
@@ -200,7 +202,8 @@ def test_shell_rule_panels_match_linspace_split():
         for width in (math.inf, 4.0, 0.3, 4.0 / 36.8):
             for edges, p_edges in [(a_edges, np.sqrt(mu + a_edges))] + \
                     [(e, e) for e in t_edges]:
-                assert np.array_equal(_capped(edges, p_edges, width),
+                counts = np.ceil(np.diff(p_edges) / width)
+                assert np.array_equal(_subdivide(edges, counts),
                                       looped(edges, p_edges, width))
             assert math.fsum(_shell_rule(T, mu, width)[1]) == pytest.approx(
                 math.sqrt(2.0 * mu), rel=1e-14)

@@ -1,5 +1,5 @@
-"""The fixed Gauss-Legendre panel rule, and the oracles' tail routes against
-closed forms."""
+"""The fixed Gauss-Legendre panel rule, the two panel layouts every module
+builds its edges from, and the oracles' tail routes against closed forms."""
 
 import math
 
@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracles
-from bcs.quad import gauss_panels
+from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
+                            TabulatedPotential, radial_edges)
+from bcs.quad import _ladder, _subdivide, gauss_panels
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,65 @@ def test_finite_polynomials_near_exact(coeffs, a, width, cuts):
     approx = float(np.dot(w, np.polynomial.polynomial.polyval((x - a) / width, coeffs)))
     exact = width * math.fsum(c / (k + 1) for k, c in enumerate(coeffs))
     assert abs(approx - exact) <= 1e-13 * width * (1.0 + sum(map(abs, coeffs)))
+
+
+# ---------------------------------------------------------------------------
+# panel layouts: even splits and doubling ladders
+# ---------------------------------------------------------------------------
+
+def _looped_split(edges, counts):
+    """Reference: each panel through np.linspace, the last edge appended."""
+    return np.concatenate([np.linspace(lo, hi, max(1, int(n)), endpoint=False)
+                           for lo, hi, n in zip(edges[:-1], edges[1:], counts)]
+                          + [edges[-1:]])
+
+
+def test_subdivide_matches_linspace_per_panel():
+    rng = np.random.default_rng(7)
+    edges = np.concatenate([[-1.3e-9], np.cumsum(rng.uniform(1e-3, 3.0, 12)) - 0.7])
+    for counts in ([1] * 12, [3] * 12, rng.integers(-2, 9, 12), [0] * 12):
+        assert np.array_equal(_subdivide(edges, counts), _looped_split(edges, counts))
+    for n in (1, 4, 7, 0, -3):
+        assert np.array_equal(_subdivide(edges, n), _looped_split(edges, [n] * 12))
+    # one panel split n ways is np.linspace with n + 1 points
+    assert np.array_equal(_subdivide([0.1, 2.9], 5), np.linspace(0.1, 2.9, 6))
+
+
+def test_ladder_matches_doubling_loop():
+    def looped(width, reach):
+        out, off = [], width
+        while off < reach:
+            out.append(off)
+            off *= 2.0
+        return np.array(out)
+
+    # reach an exact power-of-two multiple of width, one ulp above it,
+    # equal to width and below it, as well as the T / mu ladders of the shell
+    cases = [(0.3, 0.3 * 2.0 ** 20), (0.3, 0.3 * 2.0 ** 20 * (1.0 + 2.0 ** -52)),
+             (1.0, 1.0), (1.0, 0.5), (2.0 ** -60, 1.0),
+             (1e-16, 0.5), (1e-3, 0.5), (7.1e-12, 3.3e-4)]
+    for width, reach in cases:
+        assert np.array_equal(_ladder(width, reach), looped(width, reach)), (width, reach)
+
+
+def _table(d):
+    r = np.linspace(0.0, 8.0, 9)
+    v = np.exp(-r) * (1.0 + 0.3 * r)
+    v[-1] = 0.0
+    return TabulatedPotential(d=d, r_values=tuple(r), v_values=tuple(v))
+
+
+def test_radial_edges_match_linspace_loop():
+    for V in (GaussianPotential(d=3, a=1.0, ell=0.7), ExponentialPotential(d=2, a=1.0, ell=1.3),
+              StepPotential(d=1, a=1.0, R=1.0), _table(3)):
+        for k_max in (0.0, 2.0, 13.7, 250.0):
+            rc = V.cutoff_radius()
+            h = min(V.range_scale, 8.0 / k_max) if k_max > 0.0 else V.range_scale
+            knots = [0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc]
+            ref = [0.0]
+            for lo, hi in zip(knots, knots[1:]):
+                ref.extend(np.linspace(lo, hi, int(math.ceil((hi - lo) / h)) + 1)[1:])
+            assert np.array_equal(radial_edges(V, k_max), np.asarray(ref)), (V, k_max)
 
 
 # ---------------------------------------------------------------------------
