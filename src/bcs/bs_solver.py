@@ -13,8 +13,8 @@ temperature enters through the scaling s alone.  tc0 therefore builds W
 once per refine level on a grid laid out for the lowest temperature it
 tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1,
 and hands the closure grid and its W to ground_state, which takes the top
-two eigenpairs by Lanczos on the product v -> s W (s v) without forming
-the matrix or building W again.
+two eigenpairs by numpy Lanczos on the product v -> s W (s v) without
+forming the matrix or building W again.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _opt
-from scipy.sparse import linalg as _sla
 
 from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
 from .potentials import _SPHERE_AREA, RadialPotential, _radial_measure, e_mu
@@ -39,6 +37,11 @@ _PANEL_NODES = 10
 _MAX_REFINE = 3
 _POWER_TOL = 1e-13
 _POWER_STEPS = 600
+# Brent's iteration budget, and the Krylov sizes and tolerance of Lanczos.
+_BRENT_STEPS = 100
+_LANCZOS_START = 12
+_LANCZOS_CAP = 192
+_LANCZOS_TOL = 1e-14
 
 
 class SolverError(Exception):
@@ -154,6 +157,90 @@ def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
     raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
 
+def _lanczos_top2(s: np.ndarray, W: np.ndarray):
+    """Top two eigenvalues of diag(s) W diag(s) and the top eigenvector by
+    Lanczos on v -> s W (s v), fully reorthogonalized (two passes), from
+    the fixed start ones(n) / sqrt(n).  The Krylov size doubles from
+    _LANCZOS_START until both Ritz residuals |beta_m y_m| are at most
+    _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
+    n = len(s)
+    cap = min(_LANCZOS_CAP, n)
+    Q = np.empty((cap + 1, n))  # rows are touched, and paged in, as they fill
+    Q[0] = 1.0 / math.sqrt(n)
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    j, m = 0, min(_LANCZOS_START, cap)
+    while True:
+        for j in range(j, m):
+            w = s * (W @ (s * Q[j]))
+            alpha[j] = Q[j] @ w
+            for _ in range(2):
+                w -= Q[:j + 1].T @ (Q[:j + 1] @ w)
+            beta[j] = np.linalg.norm(w)
+            if beta[j] == 0.0:  # invariant subspace: the Ritz pairs are exact
+                m = j + 1
+                break
+            Q[j + 1] = w / beta[j]
+        j = m
+        theta, Y = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], -1), UPLO="L")
+        if np.all(np.abs(beta[m - 1] * Y[-1, -2:]) <= _LANCZOS_TOL * abs(theta[-1])):
+            u = Y[:, -1] @ Q[:m]
+            return float(theta[-1]), float(theta[-2]), u / np.linalg.norm(u)
+        if m == cap:
+            raise SolverError(f"Lanczos did not converge with {cap} Krylov vectors")
+        m = min(2 * m, cap)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4.0 * 2.0 ** -52) -> float:
+    """Root of f in [xa, xb] by Brent's method, a line-for-line port of
+    scipy's brentq.c (rtol defaults to its 4 eps): the same iterates and
+    evaluations.  Stops once half the bracket is below (xtol + rtol |x|) / 2.
+    Raises SolverError when f(xa) and f(xb) share a sign, when f returns
+    NaN, or after _BRENT_STEPS iterations."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SolverError(f"root search met NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError("root not bracketed: f(a) and f(b) have the same sign")
+    for _ in range(_BRENT_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise SolverError(f"Brent's method did not converge in {_BRENT_STEPS} iterations")
+
+
 @dataclass(frozen=True)
 class Tc0Result:
     T_c: float
@@ -179,7 +266,7 @@ def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) 
         return t_min
     if g(hi) >= 0.0:
         return t_max
-    return math.exp(_opt.brentq(g, lo, hi, xtol=1e-3))
+    return math.exp(_brentq(g, lo, hi, xtol=1e-3))
 
 
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
@@ -250,8 +337,8 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
             if T_hi >= t_max:
                 raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
             T_lo, T_hi = T_hi, min(4.0 * T_hi, t_max)
-        return math.exp(_opt.brentq(f, math.log(T_lo), math.log(T_hi),
-                                    xtol=1e-14, rtol=8.9e-16))
+        return math.exp(_brentq(f, math.log(T_lo), math.log(T_hi),
+                                xtol=1e-14, rtol=8.9e-16))
 
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
@@ -292,8 +379,8 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     tc0 on the same V, mu, d and lam: its W is symmetric bit for bit and is
     not checked again, and a tc that disagrees on V, mu, d or lam raises
     ValueError.  The top two eigenpairs of diag(s) W diag(s) come from
-    Lanczos (ARPACK eigsh) on the product v -> s W (s v), which never forms
-    the matrix; a fixed start vector makes repeated calls bit-identical.
+    numpy Lanczos (_lanczos_top2) on the product v -> s W (s v), which never
+    forms the matrix; a fixed start vector makes repeated calls bit-identical.
     Raises SolverError when the top of the spectrum is nearly degenerate.
     """
     grid, W = tc.grid, tc.W
@@ -303,14 +390,7 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
             raise ValueError(f"tc and the requested {name} disagree")
     params = KernelParams(T=tc.T_c, mu=mu)
     s = _bs_scale(grid, params, d)
-    n = len(s)
-    op = _sla.LinearOperator((n, n), matvec=lambda v: s * (W @ (s * v)), dtype=float)
-    try:
-        vals, vecs = _sla.eigsh(op, k=2, which="LA", v0=np.ones(n) / math.sqrt(n))
-    except _sla.ArpackNoConvergence as exc:
-        raise SolverError(f"Lanczos did not converge: {exc}") from None
-    top, second = float(vals[1]), float(vals[0])
-    u = vecs[:, 1]
+    top, second, u = _lanczos_top2(s, W)
     if float(np.sum(grid.weights * u)) < 0:
         u = -u
     gap = (top - second) / top

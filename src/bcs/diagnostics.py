@@ -21,7 +21,7 @@ import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.special import j1
 
 from .kernels import KernelParams, _shell_rule, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
@@ -54,9 +54,14 @@ def _cos_sums(mid, offsets, z, g):
     out = []
     for i in range(0, len(mid), rows):
         m_z = np.outer(mid[i:i + rows], z)
-        blk = (np.cos(m_z) * g) @ cos_o
         if offsets.any():
-            blk -= (np.sin(m_z) * g) @ sin_o
+            sin_m = np.sin(m_z)
+            sin_m *= g
+        np.cos(m_z, out=m_z)
+        m_z *= g
+        blk = m_z @ cos_o
+        if offsets.any():
+            blk -= sin_m @ sin_o
         out.append(blk)
     return np.concatenate(out)
 
@@ -177,7 +182,7 @@ def _transverse_rule(V: RadialPotential, k_max: float):
 
 @lru_cache(maxsize=4)
 def _d2_tables(V: RadialPotential, mu: float):
-    """Momentum cutoff, the V j2 transform spline and the transverse rule
+    """Momentum cutoff, V j2 transform table (_hermite) and transverse rule
     shared by every dt_form_d2 temperature for one (V, mu) pair.
 
     The rule comes whole, for the rows that share one q grid, and in
@@ -203,15 +208,18 @@ def _d2_tables(V: RadialPotential, mu: float):
             raise QuadratureError(
                 "transform tail not negligible within the momentum cutoff cap")
 
-    # (V j2)^(s) = integral of V(r) J0(sqrt(mu) r) J0(s r) r dr, splined on a
-    # grid fine enough to keep its error below 1e-9 of its peak
+    # w(s) = (V j2)^(s) = integral of V(r) J0(sqrt(mu) r) J0(s r) r dr and its
+    # exact slope w'(s) = -integral of V(r) J0(sqrt(mu) r) J1(s r) r^2 dr at
+    # the nodes k h, fine enough for the cubic Hermite table to keep its
+    # error, at most h^4/384 max |w''''|, below 1e-9 of its peak
     h = 0.35 / rc / 16.0
     smax = math.sqrt(2.0) * P + 2.0 * h
-    s_grid = np.linspace(0.0, smax, int(math.ceil(smax / h)) + 1)
+    s_grid = h * np.arange(int(math.ceil(smax / h)) + 1)
     r, m = _radial_measure(V, smax + root_mu)
     g = m * j_d(r, mu, 2)
-    w_vals = np.concatenate([j_d(np.outer(s_grid[i0:i0 + 256], r), 1.0, 2) @ g
-                             for i0 in range(0, len(s_grid), 256)])
+    blocks = [(j_d(x, 1.0, 2) @ g, j1(x) @ (-r * g)) for x in
+              (np.outer(s_grid[i0:i0 + 256], r) for i0 in range(0, len(s_grid), 256))]
+    table = (h, *map(np.concatenate, zip(*blocks)))
 
     edges, y, uy, grouped = _transverse_rule(V, 2.0 * P)
     uy *= 2.0 / math.pi
@@ -222,7 +230,19 @@ def _d2_tables(V: RadialPotential, mu: float):
         k = np.flatnonzero(grouped & (np.round(half / rc, 12) == width))
         offsets = gauss_panels([-half[k[0]], half[k[0]]])[0]
         groups.append((mid[k], offsets, uy.reshape(-1, 16)[k]))
-    return P, CubicSpline(s_grid, w_vals), y, uy, groups
+    return P, table, y, uy, groups
+
+
+def _hermite(table, s):
+    """Cubic Hermite interpolant at s >= 0 of the values f and slopes df at
+    the nodes k h in table = (h, f, df): index floor(s / h), four products."""
+    h, f, df = table
+    x = s / h
+    k = np.minimum(x.astype(np.intp), len(f) - 2)
+    t = x - k
+    t1 = 1.0 - t
+    return (t1 * t1 * ((1.0 + 2.0 * t) * f[k] + h * t * df[k])
+            + t * t * ((3.0 - 2.0 * t) * f[k + 1] - h * t1 * df[k + 1]))
 
 
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
@@ -244,7 +264,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     T, mu = params.T, params.mu
     root_mu = math.sqrt(mu)
     with _D2_LOCK:
-        P, w_spline, y, uy, groups = _d2_tables(V, mu)
+        P, w_table, y, uy, groups = _d2_tables(V, mu)
     base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
     sqrt_T = math.sqrt(T)
 
@@ -252,7 +272,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
 
     def u_rows(p1, q, wq):
         s_sq = p1[:, None] ** 2 + q * q
-        return w_spline(np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
+        return _hermite(w_table, np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
 
     total = 0.0
     inside = p1_nodes * p1_nodes < mu

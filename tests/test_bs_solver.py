@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.optimize import brentq
 
 import oracles
 from bcs.bs_solver import (
     SolverError,
     Tc0Result,
+    _brentq,
     _bs_scale,
+    _lanczos_top2,
     _power_top,
     _w_matrix,
     build_grid,
@@ -338,20 +341,99 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
     assert first.spectral_gap == second.spectral_gap
 
 
-def test_ground_state_top_pair_matches_dense_eigh():
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     # On a small grid the Lanczos pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
+    V, _ = _potential(kind, d)
     params = KernelParams(T=1e-3, mu=1.0)
-    grid = build_grid(params, GAUSS3, refine_level=0)
-    S = _dense_matrix(GAUSS3, params, grid)
+    grid = build_grid(params, V, refine_level=0)
+    S = _dense_matrix(V, params, grid)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
     tc = Tc0Result(T_c=1e-3, lam=1.0 / a1, closure=0.0, refine_level=0,
                    w_builds=0, temperature_evals=0,
-                   V=GAUSS3, grid=grid, W=_w_matrix(GAUSS3, grid.nodes))
-    state = ground_state(GAUSS3, 1.0, 3, 1.0 / a1, tc=tc)
+                   V=V, grid=grid, W=_w_matrix(V, grid.nodes))
+    state = ground_state(V, 1.0, d, 1.0 / a1, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
     assert state.eval_eq_residual <= 1e-10
+
+
+def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
+    # Running out of Krylov vectors is an error, not an answer: a spectrum
+    # with many close eigenvalues leaves the residuals above tolerance.
+    from bcs import bs_solver
+    monkeypatch.setattr(bs_solver, "_LANCZOS_CAP", 24)
+    W = np.diag(np.linspace(1.0, 2.0, 400))
+    with pytest.raises(SolverError, match="Lanczos did not converge with 24 Krylov vectors"):
+        _lanczos_top2(np.ones(400), W)
+
+
+# ---------------------------------------------------------------------------
+# Brent's method
+# ---------------------------------------------------------------------------
+
+def _counted(f):
+    """f with a count of its calls."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def _assert_brent_parity(f, a, b, **tol):
+    """_brentq and scipy's brentq reach the same root, bit for bit, after
+    the same number of evaluations."""
+    ours, theirs = _counted(f), _counted(f)
+    root = _brentq(ours, a, b, **tol)
+    ref, info = brentq(theirs, a, b, full_output=True, **tol)
+    assert root == ref
+    assert ours.calls == theirs.calls == info.function_calls
+
+
+def test_brentq_matches_scipy_on_the_temperature_search(monkeypatch):
+    # Every root search of tc0, the weak-coupling prediction and the search
+    # on each refine level, replayed on the same closure functions: tc0
+    # memoizes them, so both solvers see the same values.
+    from bcs import bs_solver
+    calls = []
+
+    def recorded(f, a, b, **tol):
+        calls.append((f, a, b, tol))
+        return _brentq(f, a, b, **tol)
+    monkeypatch.setattr(bs_solver, "_brentq", recorded)
+    for lam, t_min in ((0.6, 1e-8), (0.15, 1e-18)):
+        tc0(GAUSS3, 1.0, 3, lam, t_min_factor=t_min)
+    assert {c[3]["xtol"] for c in calls} == {1e-3, 1e-14}
+    assert len(calls) >= 4
+    for f, a, b, tol in calls:
+        _assert_brent_parity(f, a, b, **tol)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x - 1.0, 1.0, 2.0),                # root at the left end
+    (lambda x: x - 2.0, 1.0, 2.0),                # root at the right end
+    (lambda x: x ** 20 - 0.5, 0.0, 1.0),          # flat, then steep
+    (lambda x: 3.0 * x - 1.0, -1.0, 2.0),         # linear
+    (lambda x: math.expm1(40.0 * (x - 0.97)), 0.0, 1.0),
+], ids=["left-end", "right-end", "flat-steep", "linear", "exp-wall"])
+@pytest.mark.parametrize("tol", [{"xtol": 1e-3}, {"xtol": 1e-14, "rtol": 8.9e-16}],
+                         ids=["coarse", "fine"])
+def test_brentq_matches_scipy_on_analytic_functions(f, a, b, tol):
+    _assert_brent_parity(f, a, b, **tol)
+
+
+def test_brentq_raises_instead_of_returning_an_iterate(monkeypatch):
+    from bcs import bs_solver
+    with pytest.raises(SolverError, match="not bracketed"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
+    with pytest.raises(SolverError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-14)
+    monkeypatch.setattr(bs_solver, "_BRENT_STEPS", 3)
+    with pytest.raises(SolverError, match="did not converge in 3 iterations"):
+        _brentq(lambda x: x ** 20 - 0.5, 0.0, 1.0, xtol=1e-14)
 
 
 def test_position_profile_shape_and_origin():

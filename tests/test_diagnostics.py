@@ -16,8 +16,9 @@ from bcs import diagnostics
 from bcs.boundary3d import criterion
 from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
-                            TabulatedPotential)
+                            TabulatedPotential, _radial_measure)
 from bcs.quad import QuadratureError
+from bcs.special import j_d
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
 GAUSS2 = GaussianPotential(d=2, a=1.0, ell=4.0)
@@ -121,23 +122,76 @@ def test_dt_d2_step_matches_direct_sum():
     assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(ref, rel=1e-7)
 
 
-@pytest.mark.parametrize("V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),
-                                   (StepPotential(d=2, a=1.0, R=1.0), 1.0),
-                                   (_table(2), 1.0),
-                                   (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01)],
-                         ids=["gaussian", "step", "tabulated", "exponential"])
+# One (V, mu) pair of every kind for the V j2 table tests.
+D2_TABLE_CASES = pytest.mark.parametrize(
+    "V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),
+              (StepPotential(d=2, a=1.0, R=1.0), 1.0),
+              (_table(2), 1.0),
+              (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01)],
+    ids=["gaussian", "step", "tabulated", "exponential"])
+
+
+@D2_TABLE_CASES
 def test_dt_d2_vj2_table_matches_position_space_oracle(V, mu):
-    # The table's own target: the spline of (V j2)^(s) within 1e-9 of its peak,
-    # at 11 evenly spaced s in [0, P], each certified by the oracle (a warning
+    # The table's own target: (V j2)^(s) within 1e-9 of its peak, at 11
+    # evenly spaced s in [0, P], each certified by the oracle (a warning
     # fails the test).
-    P, spline = diagnostics._d2_tables(V, mu)[:2]
-    peak = np.abs(spline(spline.x)).max()
+    P, table = diagnostics._d2_tables(V, mu)[:2]
+    peak = np.abs(table[1]).max()
     for s in np.linspace(0.0, P, 11):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ref = oracles.wd_position_space(V.value, V.cutoff_radius(), 2, s,
                                             math.sqrt(mu), V.breakpoints)
-        assert abs(spline(s) - ref) <= 1e-9 * peak, s
+        assert abs(diagnostics._hermite(table, np.array([s]))[0] - ref) <= 1e-9 * peak, s
+
+
+@D2_TABLE_CASES
+def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
+    # Midway between the nodes, where the cubic Hermite interpolant is
+    # worst, the table is within 1e-9 of its peak of the direct product
+    # g @ J0(s r) on a radial measure sized to the table's end; the slopes
+    # it stores, from J1, match a fourth-order central difference of the
+    # same product.
+    h, f, df = table = diagnostics._d2_tables(V, mu)[1]
+    r, m = _radial_measure(V, h * (len(f) - 1) + math.sqrt(mu))
+    g = m * j_d(r, mu, 2)
+
+    def direct(s):
+        return np.concatenate([j_d(np.outer(s[i:i + 256], r), 1.0, 2) @ g
+                               for i in range(0, len(s), 256)])
+
+    mid = h * (np.arange(len(f) - 1) + 0.5)
+    err = np.abs(diagnostics._hermite(table, mid) - direct(mid)).max()
+    assert err <= 1e-9 * np.abs(f).max()
+    k = np.arange(1, len(f) - 1, 7)
+    e = 0.25 * h
+    slope = (8.0 * (direct(k * h + e) - direct(k * h - e))
+             - (direct(k * h + 2 * e) - direct(k * h - 2 * e))) / (12.0 * e)
+    assert np.abs(df[k] - slope).max() <= 1e-10 * np.abs(df).max()
+
+
+@pytest.mark.parametrize("offsets", [np.zeros(1), np.array([-0.3, 0.0, 0.2, 0.45])],
+                         ids=["offset-0", "offsets"])
+def test_cos_sums_in_place_is_bit_identical(offsets):
+    # Weighting the cosines and sines in place gives the products of the
+    # form that allocates a fresh array for each, bit for bit, over several
+    # blocks and a partial one.
+    rng = np.random.default_rng(3)
+    z, g = np.sort(rng.uniform(0.0, 30.0, 1500)), rng.normal(size=1500)
+    mid = np.sort(rng.uniform(0.0, 12.0, 900))
+    o_z = np.outer(offsets, z)
+    cos_o, sin_o = np.cos(o_z).T, np.sin(o_z).T
+    rows = diagnostics._BLOCK // len(z)
+    assert len(mid) > 2 * rows
+    ref = []
+    for i in range(0, len(mid), rows):
+        m_z = np.outer(mid[i:i + rows], z)
+        blk = (np.cos(m_z) * g) @ cos_o
+        if offsets.any():
+            blk -= (np.sin(m_z) * g) @ sin_o
+        ref.append(blk)
+    assert np.array_equal(diagnostics._cos_sums(mid, offsets, z, g), np.concatenate(ref))
 
 
 def test_dt_d2_threads_share_one_table_build():

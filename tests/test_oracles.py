@@ -1,9 +1,11 @@
 """The oracles stay independent of the package they check, the package runs
-on its own fixed rules, not on adaptive quadrature, and it keeps only what
-it calls itself."""
+on its own fixed rules and numpy, with scipy.special its one scipy import,
+and it keeps only what it calls itself."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import bcs
 import oracles
@@ -23,21 +25,53 @@ def test_oracles_import_no_bcs_code():
     assert not offending, f"tests/oracles.py imports {offending}"
 
 
-def test_library_imports_no_scipy_integrate():
+def _scipy_imports(tree, scope=()):
+    """(scope, module) for every scipy import in the tree, where scope is
+    the path of enclosing class and function names."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            yield from ((scope, a.name) for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            yield from ((scope, f"scipy.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy."):
+            yield scope, node.module
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield from _scipy_imports(node, scope + (node.name,))
+        else:
+            yield from _scipy_imports(node, scope)
+
+
+def test_library_imports_only_scipy_special():
+    # src/bcs runs on numpy and scipy.special: no adaptive quadrature
+    # (scipy.integrate), and no scipy.optimize, scipy.sparse, scipy.linalg or
+    # scipy.interpolate behind its start-up.  The one exception is the
+    # monotone interpolant a tabulated potential builds when it is made.
+    allowed = {("potentials.py", ("TabulatedPotential", "__post_init__"), "scipy.interpolate")}
     modules = sorted(pathlib.Path(bcs.__file__).parent.glob("*.py"))
     assert modules, "no modules found under the bcs package"
-    offending = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            offending += [f"{path.name}: {n}" for n in names
-                          if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
-    assert not offending, f"src/bcs imports scipy.integrate: {offending}"
+    found = {(path.name, scope, module) for path in modules
+             for scope, module in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert ("special.py", (), "scipy.special") in found, "the walk missed the scipy imports"
+    assert allowed <= found, "the tabulated potential's interpolant import moved"
+    offending = sorted((f for f in found - allowed if f[2] != "scipy.special"), key=str)
+    assert not offending, f"src/bcs imports more of scipy than scipy.special: {offending}"
+
+
+def test_cli_start_up_loads_only_scipy_special():
+    # A fresh interpreter that imports the CLI, as every bcs command does,
+    # loads none of the scipy subpackages the library replaced with numpy.
+    src = str(pathlib.Path(bcs.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bcs.cli; "
+            "print(bcs.cli.__file__); print(' '.join(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[0].startswith(src), out[0]
+    loaded = out[1].split()
+    assert "scipy.special" in loaded
+    banned = ("scipy.optimize", "scipy.sparse", "scipy.interpolate", "scipy.linalg",
+              "scipy.integrate")
+    offending = sorted(m for m in loaded for b in banned if m == b or m.startswith(b + "."))
+    assert not offending, f"import bcs.cli loads {offending}"
 
 
 def _top_level_bindings(tree):
