@@ -112,7 +112,7 @@ def _real(cfg: dict, key: str, *, positive: bool = False,
     return val
 
 
-def _real_list(cfg: dict, key: str, *, positive: bool = False) -> list:
+def _real_list(cfg: dict, key: str) -> list:
     val = cfg.get(key)
     if not isinstance(val, (list, tuple)) or not val:
         raise ConfigError(f"config key {key!r} must be a nonempty list of numbers")
@@ -121,7 +121,7 @@ def _real_list(cfg: dict, key: str, *, positive: bool = False) -> list:
         if isinstance(x, bool) or not isinstance(x, (int, float)) \
                 or not math.isfinite(x):
             raise ConfigError(f"config key {key!r} must hold finite numbers")
-        if positive and not x > 0.0:
+        if not x > 0.0:
             raise ConfigError(f"config key {key!r} must hold positive numbers")
         out.append(float(x))
     return out
@@ -283,7 +283,7 @@ def cmd_criterion(cfg: dict, tol, threads: int):
                    "per_term": dict(rep.per_term)}
         return inputs, results, [], {"value_error_estimate": rep.error_estimate}, None
 
-    mus = _real_list(cfg, "mu_sweep", positive=True)
+    mus = _real_list(cfg, "mu_sweep")
     reps = _fanout(lambda m: criterion(V, m, bc), mus, threads)
     inputs["mu_sweep"] = mus
     results = {"sweep": [{"mu": m, "value": r.value, "sign": r.sign}
@@ -307,7 +307,7 @@ def cmd_tc0(cfg: dict, tol: float, threads: int):
     if not V.is_nonnegative():
         raise ConfigError("tc0 needs a nonnegative potential")
     mu = _real(cfg, "mu", positive=True)
-    lambdas = _real_list(cfg, "lambdas", positive=True)
+    lambdas = _real_list(cfg, "lambdas")
     t_min_factor = _real(cfg, "t_min_factor", positive=True, default=1e-8)
     t_max_factor = _real(cfg, "t_max_factor", positive=True, default=1e3)
     em = e_mu(V, mu)
@@ -360,7 +360,7 @@ def cmd_dt_growth(cfg: dict, tol: float, threads: int):
     if V.d not in (1, 2):
         raise ConfigError("dt-growth needs a d=1 or d=2 potential")
     mu = _real(cfg, "mu", positive=True)
-    t_factors = _real_list(cfg, "t_factors", positive=True)
+    t_factors = _real_list(cfg, "t_factors")
     if len(t_factors) < 3:
         raise ConfigError("config key 't_factors' needs at least three values")
     if len(set(t_factors)) != len(t_factors):

@@ -1,15 +1,23 @@
 """Radial potential profiles in d = 1, 2, 3 and the spherically reduced
 quantities built from them: Fourier transforms, the Fermi-surface coupling
-e_mu, and its angular-momentum decomposition.  Every radial transform of V
-is a dot product with the masses V(r) w r^(d-1) of one fixed Gauss-Legendre
-rule on [0, cutoff], whose panels radial_edges lays out to break at
-V.breakpoints and to resolve the integrand's highest frequency."""
+e_mu, and its angular-momentum decomposition.
+
+A kind's dataclass fields are its only declaration of its parameters, and
+its constructor normalizes them: d (an integer from 1 to 3) to int, other
+reals to float, table samples to float tuples; booleans and strings raise
+TypeError.  So potentials hash and compare by value however they are built.
+
+Every radial transform of V is a dot product with the masses V(r) w r^(d-1)
+of one fixed Gauss-Legendre rule on [0, cutoff], whose panels radial_edges
+lays out to break at V.breakpoints and to resolve the integrand's highest
+frequency."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special as _sp
@@ -26,27 +34,28 @@ class ExtrapolationWarning(UserWarning):
     """A tabulated potential was evaluated beyond its last node."""
 
 
+def _real(name: str, x) -> float:
+    """x as a Python float; TypeError unless it is a real number and no bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class RadialPotential:
-    """Base type: a rotation-invariant potential V(|x|) on R^d."""
+    """Base type: a rotation-invariant potential V(|x|) on R^d.  Each kind
+    gives value(r); cutoff_radius(), beyond which |V| stays below
+    _CUTOFF_EPS of its peak scale; range_scale, a decay length that sizes
+    momentum cutoffs; and is_nonnegative()."""
 
     d: int
 
-    def _validate_d(self):
+    def __post_init__(self):
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise TypeError(f"d must be an integer, got {self.d!r}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
-
-    def value(self, r):
-        raise NotImplementedError
-
-    def cutoff_radius(self) -> float:
-        """Radius beyond which |V| stays below _CUTOFF_EPS * (peak scale)."""
-        raise NotImplementedError
-
-    @property
-    def range_scale(self) -> float:
-        """Characteristic decay length, used to size momentum cutoffs."""
-        raise NotImplementedError
+        object.__setattr__(self, "d", int(self.d))
 
     @property
     def breakpoints(self) -> tuple:
@@ -54,19 +63,33 @@ class RadialPotential:
         panels of a fixed rule break there."""
         return ()
 
-    def is_nonnegative(self) -> bool:
-        raise NotImplementedError
+
+@dataclass(frozen=True)
+class _AmplitudeLength(RadialPotential):
+    """Base of the closed-form kinds: an amplitude a, then one length
+    field, the last one each kind declares."""
+
+    a: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        length = fields(self)[-1].name
+        for name in ("a", length):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if not (0.0 < getattr(self, length) < math.inf and math.isfinite(self.a)):
+            raise ValueError(f"need finite {length} > 0 and finite amplitude")
+
+    @property
+    def range_scale(self):
+        return getattr(self, fields(self)[-1].name)
+
+    def is_nonnegative(self):
+        return self.a >= 0
 
 
 @dataclass(frozen=True)
-class GaussianPotential(RadialPotential):
-    a: float = 1.0
+class GaussianPotential(_AmplitudeLength):
     ell: float = 1.0
-
-    def __post_init__(self):
-        self._validate_d()
-        if not (self.ell > 0 and math.isfinite(self.a)):
-            raise ValueError("need ell > 0 and finite amplitude")
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -76,23 +99,10 @@ class GaussianPotential(RadialPotential):
     def cutoff_radius(self):
         return self.ell * math.sqrt(math.log(1.0 / _CUTOFF_EPS))
 
-    @property
-    def range_scale(self):
-        return self.ell
-
-    def is_nonnegative(self):
-        return self.a >= 0
-
 
 @dataclass(frozen=True)
-class ExponentialPotential(RadialPotential):
-    a: float = 1.0
+class ExponentialPotential(_AmplitudeLength):
     ell: float = 1.0
-
-    def __post_init__(self):
-        self._validate_d()
-        if not (self.ell > 0 and math.isfinite(self.a)):
-            raise ValueError("need ell > 0 and finite amplitude")
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -102,25 +112,12 @@ class ExponentialPotential(RadialPotential):
     def cutoff_radius(self):
         return self.ell * math.log(1.0 / _CUTOFF_EPS)
 
-    @property
-    def range_scale(self):
-        return self.ell
-
-    def is_nonnegative(self):
-        return self.a >= 0
-
 
 @dataclass(frozen=True)
-class StepPotential(RadialPotential):
+class StepPotential(_AmplitudeLength):
     """a on [0, R], zero outside."""
 
-    a: float = 1.0
     R: float = 1.0
-
-    def __post_init__(self):
-        self._validate_d()
-        if not (self.R > 0 and math.isfinite(self.a)):
-            raise ValueError("need R > 0 and finite amplitude")
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -131,15 +128,8 @@ class StepPotential(RadialPotential):
         return self.R
 
     @property
-    def range_scale(self):
-        return self.R
-
-    @property
     def breakpoints(self):
         return (self.R,)
-
-    def is_nonnegative(self):
-        return self.a >= 0
 
 
 @dataclass(frozen=True)
@@ -155,15 +145,17 @@ class TabulatedPotential(RadialPotential):
     v_values: tuple = ()
 
     def __post_init__(self):
-        self._validate_d()
-        r = np.asarray(self.r_values, dtype=float)
-        v = np.asarray(self.v_values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or len(r) < 4:
-            raise ValueError("need matching 1-d r/v samples, at least 4 points")
+        super().__post_init__()
+        for name in ("r_values", "v_values"):
+            label = f"every sample of {name}"
+            object.__setattr__(self, name, tuple(_real(label, x) for x in getattr(self, name)))
+        r, v = np.asarray(self.r_values), np.asarray(self.v_values)
+        if r.shape != v.shape or len(r) < 4:
+            raise ValueError("need matching r/v samples, at least 4 points")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ValueError("r and v samples must be finite")
         if r[0] < 0 or np.any(np.diff(r) <= 0):
             raise ValueError("r samples must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("v samples must be finite")
         vmax = float(np.max(np.abs(v)))
         if vmax == 0.0:
             raise ValueError("potential is identically zero")
@@ -185,12 +177,11 @@ class TabulatedPotential(RadialPotential):
         return out if out.ndim else float(out)
 
     def cutoff_radius(self):
-        return float(self.r_values[-1])
+        return self.r_values[-1]
 
     @property
     def range_scale(self):
-        r = np.asarray(self.r_values)
-        v = np.abs(np.asarray(self.v_values))
+        r, v = np.asarray(self.r_values), np.abs(self.v_values)
         # half-maximum crossing as a rough decay length
         peak = v.max()
         below = np.nonzero(v <= 0.5 * peak)[0]
@@ -200,48 +191,41 @@ class TabulatedPotential(RadialPotential):
 
     @property
     def breakpoints(self):
-        return tuple(self.r_values[1:-1])
+        return self.r_values[1:-1]
 
     def is_nonnegative(self):
-        return bool(np.min(np.asarray(self.v_values)) >= -1e-12 * np.max(np.abs(self.v_values)))
+        return min(self.v_values) >= -1e-12 * max(map(abs, self.v_values))
 
 
-_KINDS = {
-    "gaussian": (GaussianPotential, ("a", "ell")),
-    "exponential": (ExponentialPotential, ("a", "ell")),
-    "step": (StepPotential, ("a", "R")),
-    "tabulated": (TabulatedPotential, ("r_values", "v_values")),
-}
+_KINDS = {"gaussian": GaussianPotential, "exponential": ExponentialPotential,
+          "step": StepPotential, "tabulated": TabulatedPotential}
 
 
 def from_config(cfg: dict) -> RadialPotential:
-    """Build a potential from a JSON-style dict with a "kind" tag."""
+    """Build a potential from a JSON-style dict with a "kind" tag; every
+    other key is passed unchanged to the kind's constructor."""
     if "kind" not in cfg:
         raise ValueError("potential config needs a 'kind' field")
     kind = cfg["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown potential kind {kind!r}; choose from {sorted(_KINDS)}")
-    cls, fields = _KINDS[kind]
-    unknown = set(cfg) - set(fields) - {"kind", "d"}
+    cls = _KINDS[kind]
+    unknown = set(cfg) - {f.name for f in fields(cls)} - {"kind"}
     if unknown:
         raise ValueError(f"unknown potential fields for kind {kind!r}: {sorted(unknown)}")
     if "d" not in cfg:
         raise ValueError("potential config needs the dimension 'd'")
-    kwargs = {f: cfg[f] for f in fields if f in cfg}
-    for key in ("r_values", "v_values"):
-        if key in kwargs:
-            kwargs[key] = tuple(float(x) for x in kwargs[key])
-    return cls(d=int(cfg["d"]), **kwargs)
+    return cls(**{k: v for k, v in cfg.items() if k != "kind"})
 
 
 def to_config(V: RadialPotential) -> dict:
-    """Inverse of from_config."""
-    for kind, (cls, fields) in _KINDS.items():
+    """Inverse of from_config: the kind tag and every field, tuples as lists."""
+    for kind, cls in _KINDS.items():
         if type(V) is cls:
-            cfg = {"kind": kind, "d": V.d}
-            for f in fields:
-                val = getattr(V, f)
-                cfg[f] = list(val) if isinstance(val, tuple) else val
+            cfg = {"kind": kind}
+            for f in fields(V):
+                val = getattr(V, f.name)
+                cfg[f.name] = list(val) if isinstance(val, tuple) else val
             return cfg
     raise ValueError(f"unregistered potential type {type(V).__name__}")
 

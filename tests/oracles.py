@@ -239,15 +239,21 @@ def step_hat_closed(a: float, R: float, d: int, k: float) -> float:
     return math.sqrt(2.0 / math.pi) * a * R ** 3 * c
 
 
-def table_hat(r, v, d: int):
-    """k -> radial Fourier transform of the monotone cubic through (r, v),
-    zero beyond the last sample: a 48-point Gauss rule on every piece
-    between knots, where the interpolant is one cubic."""
+def _table_rule(r, v, d: int, n: int):
+    """Nodes and masses V(r) w r^(d-1) of an n-point Gauss rule on every
+    piece between knots of the monotone cubic through (r, v), where the
+    interpolant is one cubic; zero beyond the last sample."""
     pp = interpolate.PchipInterpolator(np.asarray(r, float), np.asarray(v, float))
-    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = np.polynomial.legendre.leggauss(n)
     lo, h = pp.x[:-1, None], np.diff(pp.x)[:, None]
     nodes = (lo + 0.5 * h * (x + 1.0)).ravel()
-    mass = (0.5 * h * w).ravel() * pp(nodes) * nodes ** (d - 1)
+    return nodes, (0.5 * h * w).ravel() * pp(nodes) * nodes ** (d - 1)
+
+
+def table_hat(r, v, d: int):
+    """k -> radial Fourier transform of the monotone cubic through (r, v),
+    zero beyond the last sample, on 48 Gauss points per knot interval."""
+    nodes, mass = _table_rule(r, v, d, 48)
 
     def vhat(k):
         z = k * nodes
@@ -259,6 +265,25 @@ def table_hat(r, v, d: int):
             j = math.sqrt(2.0 / math.pi) * np.sinc(z / math.pi)
         return float(mass @ j)
     return vhat
+
+
+def table_d2_transforms(r, v, mu: float):
+    """Vhat(k) = int V J0(k r) r dr and (V j2)^(s) = int V J0(sqrt(mu) r)
+    J0(s r) r dr of the monotone cubic through (r, v) in d = 2, elementwise,
+    on 32 Gauss points per knot interval: for arguments up to 24 on unit
+    intervals, 24, 32 and 48 points give the same d = 2 form to 1.4e-15.
+    Each distinct argument is transformed once."""
+    nodes, mass = _table_rule(r, v, 2, 32)
+
+    def transform(m):
+        def f(k):
+            k = np.asarray(k, dtype=float)
+            uk, inv = np.unique(k, return_inverse=True)
+            out = np.concatenate([special.j0(np.outer(uk[i:i + 4096], nodes)) @ m
+                                  for i in range(0, len(uk), 4096)])
+            return out[inv].reshape(k.shape)
+        return f
+    return transform(mass), transform(mass * special.j0(math.sqrt(mu) * nodes))
 
 
 def angular_average_vhat(vhat, d: int, p: float, q: float) -> float:

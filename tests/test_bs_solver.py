@@ -325,8 +325,14 @@ def test_ground_state_rejects_a_tc_of_another_problem():
         ground_state(GAUSS3, 1.0, 2, 0.6, tc=tc)
     with pytest.raises(ValueError, match="requested lam disagree"):
         ground_state(GAUSS3, 1.0, 3, 0.5, tc=tc)
-    # an equal potential built anew is the same problem
+    # an equal potential built anew is the same problem, a table built from
+    # numpy arrays included: its samples are stored as float tuples
     state = ground_state(GaussianPotential(d=3, a=1.0, ell=1.0), 1.0, 3, 0.6, tc=tc)
+    assert state.T_c == tc.T_c
+    V, _ = _potential("tabulated", 1)
+    tc = tc0(V, 1.0, 1, 0.5)
+    r, v = np.asarray(V.r_values), np.asarray(V.v_values)
+    state = ground_state(TabulatedPotential(d=1, r_values=r, v_values=v), 1.0, 1, 0.5, tc=tc)
     assert state.T_c == tc.T_c
 
 

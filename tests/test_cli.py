@@ -203,6 +203,20 @@ def test_criterion_validation(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("d", 3.7, "d must be an integer, got 3.7"),
+    ("d", True, "d must be an integer, got True"),
+    ("d", "3", "d must be an integer, got '3'"),
+    ("a", True, "a must be a real number, got True"),
+], ids=["d-float", "d-bool", "d-string", "a-bool"])
+def test_potential_fields_must_have_their_exact_type(capsys, tmp_path, field, bad, message):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": {**GAUSS3, field: bad}, "bc": "neumann", "mu": 1.0})
+    code, stdout, err = run(capsys, "criterion", "--config", cfg)
+    assert code == 2 and stdout == ""
+    assert err.startswith("config error: ") and message in err
+
+
 def test_criterion_has_no_tolerance_to_override(capsys, tmp_path):
     cfg = write_config(tmp_path, "cfg.json",
                        {"potential": GAUSS3, "bc": "neumann", "mu": 1.0})

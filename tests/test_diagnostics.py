@@ -122,6 +122,35 @@ def test_dt_d2_step_matches_direct_sum():
     assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(ref, rel=1e-7)
 
 
+@pytest.fixture(scope="module")
+def table2_form():
+    """The 9-knot d = 2 table, built from tuples, and its form at T = 0.1."""
+    V = _table(2)
+    return V, dt_form_d2(V, 0.1, 1.0)
+
+
+def test_dt_d2_tabulated_matches_direct_sum(table2_form):
+    # The oracle transforms its own PCHIP interpolant of the samples on
+    # Gauss rules between knots; p_max = 12 leaves a tail of about 4e-9.
+    V, form = table2_form
+    vhat, vj2 = oracles.table_d2_transforms(V.r_values, V.v_values, 1.0)
+    ref = oracles.dt_d2_direct(vhat, vj2, 0.1, 1.0, fermi_width=0.1,
+                               p_max=12.0, tail_width=1.0)
+    assert form == pytest.approx(ref, rel=1e-7)
+
+
+def test_dt_d2_table_built_from_lists_or_arrays_is_bit_identical(table2_form):
+    # Samples are stored as float tuples however they are given, so the
+    # tables are equal, hash alike and share one table build.
+    V, form = table2_form
+    r, v = np.asarray(V.r_values), np.asarray(V.v_values)
+    misses = diagnostics._d2_tables.cache_info().misses
+    for W in (TabulatedPotential(d=2, r_values=list(r), v_values=list(v)),
+              TabulatedPotential(d=2, r_values=r, v_values=v)):
+        assert W == V and dt_form_d2(W, 0.1, 1.0) == form
+    assert diagnostics._d2_tables.cache_info().misses == misses
+
+
 # One (V, mu) pair of every kind for the V j2 table tests.
 D2_TABLE_CASES = pytest.mark.parametrize(
     "V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),

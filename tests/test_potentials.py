@@ -1,6 +1,7 @@
 """Potential models, their transforms, and the Fermi-surface couplings."""
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -45,6 +46,28 @@ def test_constructor_validation():
         StepPotential(d=1, R=0.0)
     with pytest.raises(ValueError, match="finite amplitude"):
         GaussianPotential(d=3, a=math.inf)
+    with pytest.raises(ValueError, match="ell > 0"):
+        ExponentialPotential(d=1, ell=math.inf)
+
+
+def test_constructor_rejects_fields_of_the_wrong_type():
+    # d is an integer (Python or numpy) and no bool; every other number is
+    # real and no bool; numpy scalars are normalized to Python numbers.
+    for bad in (3.7, 3.0, True, "3", None):
+        with pytest.raises(TypeError, match="d must be an integer"):
+            GaussianPotential(d=bad)
+    for kwargs in ({"a": True}, {"a": "1"}, {"ell": None}, {"ell": np.bool_(True)}):
+        with pytest.raises(TypeError, match="must be a real number"):
+            GaussianPotential(d=3, **kwargs)
+    with pytest.raises(TypeError, match="R must be a real number"):
+        StepPotential(d=1, R="1")
+    V = StepPotential(d=np.int64(2), a=np.float32(0.5), R=np.int32(2))
+    assert (type(V.d), type(V.a), type(V.R)) == (int, float, float)
+    assert V == StepPotential(2, 0.5, 2.0)
+    with pytest.raises(TypeError, match="every sample of r_values"):
+        TabulatedPotential(d=3, r_values=(0.0, "1", 2.0, 3.0), v_values=(1.0, 0.5, 0.2, 0.0))
+    with pytest.raises(TypeError, match="every sample of v_values"):
+        TabulatedPotential(d=3, r_values=(0.0, 1.0, 2.0, 3.0), v_values=(1.0, True, 0.2, 0.0))
 
 
 def test_zero_amplitude_is_a_valid_potential():
@@ -62,6 +85,8 @@ def test_tabulated_validation():
                            v_values=(1.0, 0.5, 0.2, 0.0))
     with pytest.raises(ValueError, match="must be finite"):
         TabulatedPotential(d=3, r_values=r4, v_values=(1.0, 0.5, math.nan, 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        TabulatedPotential(d=3, r_values=(0.0, 1.0, math.nan, 3.0), v_values=(1.0, 0.5, 0.2, 0.0))
     with pytest.raises(ValueError, match="identically zero"):
         TabulatedPotential(d=3, r_values=r4, v_values=(0.0,) * 4)
     with pytest.raises(ValueError, match="has not decayed"):
@@ -82,17 +107,32 @@ def test_tabulated_tracks_samples():
     assert V.is_nonnegative()
 
 
+def _every_kind_built_several_ways():
+    """Each kind from Python numbers and from numpy scalars, and the table
+    from tuples, lists and numpy arrays."""
+    r = np.linspace(0.0, 8.0, 9)
+    v = np.exp(-r) * (1.0 + 0.3 * r)
+    v[-1] = 0.0
+    return [
+        [cls(d, a, length), cls(np.int64(d), *np.array([a, length]))]
+        for cls, d, a, length in ((GaussianPotential, 3, 0.7, 1.3),
+                                  (ExponentialPotential, 2, -0.2, 0.5),
+                                  (StepPotential, 1, 2.0, 0.8))
+    ] + [[TabulatedPotential(2, tuple(r.tolist()), tuple(v.tolist())),
+          TabulatedPotential(2, list(r), list(v)),
+          TabulatedPotential(np.int64(2), r, v)]]
+
+
 def test_config_round_trip():
-    models = [
-        GaussianPotential(d=3, a=0.7, ell=1.3),
-        ExponentialPotential(d=2, a=-0.2, ell=0.5),
-        StepPotential(d=1, a=2.0, R=0.8),
-        _tabulated(),
-    ]
-    for V in models:
-        W = from_config(to_config(V))
-        assert type(W) is type(V)
-        assert W == V
+    # However it is built, each kind hashes and compares by value, and
+    # survives JSON through to_config/from_config.
+    for built in _every_kind_built_several_ways():
+        assert all(V == built[0] for V in built)
+        assert len({hash(V) for V in built}) == 1
+        for V in built:
+            W = from_config(json.loads(json.dumps(to_config(V))))
+            assert type(W) is type(V) and W == V
+            assert repr(W) == repr(built[0])
 
 
 def test_from_config_validation():
@@ -100,10 +140,18 @@ def test_from_config_validation():
         from_config({"d": 3})
     with pytest.raises(ValueError, match="unknown potential kind"):
         from_config({"kind": "yukawa", "d": 3})
+    with pytest.raises(ValueError, match="unknown potential kind"):
+        from_config({"kind": ["gaussian"], "d": 3})
     with pytest.raises(ValueError, match="unknown potential fields"):
         from_config({"kind": "gaussian", "d": 3, "sigma": 1.0})
     with pytest.raises(ValueError, match="dimension 'd'"):
         from_config({"kind": "gaussian", "a": 1.0})
+    # from_config converts nothing: the constructor judges the raw values
+    with pytest.raises(TypeError, match="d must be an integer"):
+        from_config({"kind": "gaussian", "d": 3.7})
+    with pytest.raises(TypeError, match="every sample of v_values"):
+        from_config({"kind": "tabulated", "d": 1, "r_values": [0, 1, 2, 3],
+                     "v_values": [1, "0.5", 0.2, 0]})
 
 
 # ---------------------------------------------------------------------------
