@@ -2,18 +2,21 @@
 
 The boundary density splits into four closed-form terms t1..t4 whose signed
 sums give the Dirichlet and Neumann profiles m3.  The terms and m3 are
-elementwise in x; t1 is one fixed Gauss rule over sine and cosine
-integrals.  The criterion weighs a radial potential against m3 on the
-fixed radial rule of potentials; its sign decides whether the half-space
-supports pairing at a higher temperature than the bulk.
+elementwise in x; t1 reads a Chebyshev table of its envelope on [1/4, 2^30)
+and runs one fixed Gauss rule over sine and cosine integrals elsewhere.
+The criterion weighs a radial potential against m3 on the fixed radial rule
+of potentials; its sign decides whether the half-space supports pairing at
+a higher temperature than the bulk.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 
 from .potentials import RadialPotential, _radial_measure
 from .quad import gauss_panels
@@ -63,26 +66,72 @@ def _t1_rule():
 # Points per t1 block; each (points x nodes) temporary is then 27 kB.
 _BLOCK = 8
 
+# t1's table: _CHEB Chebyshev coefficients in log2 x on each octave
+# [2^j, 2^(j+1)), j in _OCTAVES; the lock lets threads build it once.
+_OCTAVES = range(-2, 30)
+_CHEB = 12
+_T1_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _t1_table():
+    """Coefficients (degree, octave, [Re, Im]) of x L(x) = (1/2) int_0^inf
+    e^-u f(u/(2x)) du, f(y) = atanh(1/k)/k at k = 1 + iy, on 16-point Gauss
+    panels in u that shrink by 4 toward its log singularity at u = 0."""
+    u, w = gauss_panels(np.concatenate(([0.0], 4.0 ** np.arange(-22, 2),
+                                        np.arange(8.0, 41.0, 4.0))))
+    mass = 0.5 * np.exp(-u) * w
+
+    def envelope(t, j):
+        y = u / 2.0 ** (j + 1.5 + 0.5 * t)[:, None]
+        k = 1.0 + 1j * y
+        f = (np.log(k + 1.0) - np.log(y) - 0.5j * math.pi) / (2.0 * k)
+        return np.stack((f.real @ mass, f.imag @ mass), axis=1)  # real BLAS: fast
+
+    return np.stack([chebinterpolate(envelope, _CHEB - 1, (j,)) for j in _OCTAVES], axis=1)
+
+
+def _t1_tabled(x):
+    """t1 on [1/4, 2^30) from the envelope table: one Clenshaw sum a point,
+    gathering one degree at a time, so the work arrays stay O(points)."""
+    with _T1_LOCK:
+        coef = _t1_table()
+    m, e = np.frexp(x)
+    j, t = e - 1 - _OCTAVES[0], (2.0 * np.log2(m) + 1.0)[:, None]
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
+    env = coef[0][j] + t * b1 - b2
+    wave = np.cos(2.0 * x) * env[:, 1] + np.sin(2.0 * x) * env[:, 0]
+    return 2.0 / (math.pi * x) * (math.pi ** 2 / 8.0 + wave / x)
+
 
 def t1(x):
     """First profile term, (4/(pi x)) int_1^inf sin^2(xk) arcoth(k)/k dk.
 
-    Writing arcoth(k)/k = int_0^1 dt/(k^2 - t^2) and doing the k integral
-    first gives t1(x) = (2/(pi x)) D(2x) with
-    D(w) = int_0^1 [2 sin^2(wt/2) ln((1+t)/(1-t))
+    On [1/4, 2^30), sin^2 = (1 - cos)/2 and the cosine half's path turned
+    onto k = 1 + iy give t1(x) = (2/(pi x)) [pi^2/8 - Re(i e^{2ix} L(x))],
+    L(x) = int_0^inf e^{-2xy} atanh(1/(1+iy))/(1+iy) dy; L does not
+    oscillate, and x L(x) comes from _t1_table to 1e-14 relative.  Elsewhere
+    arcoth(k)/k = int_0^1 dt/(k^2 - t^2), k integral first, gives
+    t1(x) = (2/(pi x)) D(2x), D(w) = int_0^1 [2 sin^2(wt/2) ln((1+t)/(1-t))
                     + cos(wt) (Cin(w(1+t)) - Cin(w(1-t)))
-                    + sin(wt) (pi - Si(w(1-t)) - Si(w(1+t)))] / (2t) dt.
-    The integrand is smooth apart from a log singularity at t = 1, and
-    cancels only to O(w) as w -> 0, so one fixed rule serves every x:
-    relative accuracy near 1e-14 from x = 0 to large x.  Elementwise in x.
+                    + sin(wt) (pi - Si(w(1-t)) - Si(w(1+t)))] / (2t) dt:
+    smooth but for a log singularity at t = 1 and cancelling only to O(w)
+    as w -> 0, so one fixed rule gives near 1e-14 relative.  Elementwise.
     """
     x = _check_x(x)
     s, t, log_ratio, weight = _t1_rule()
     flat = x.ravel()
     out = np.empty_like(flat)
-    for lo in range(0, flat.size, _BLOCK):
+    tabled = (flat >= 0.25) & (flat < 2.0 ** (_OCTAVES[-1] + 1))
+    if tabled.any():
+        out[tabled] = _t1_tabled(flat[tabled])
+    rest = np.flatnonzero(~tabled)
+    for lo in range(0, rest.size, _BLOCK):
+        idx = rest[lo:lo + _BLOCK]
         # t1 is 2 to the last bit below the floor, which keeps 2/(pi x) finite.
-        xb = np.maximum(flat[lo:lo + _BLOCK], np.finfo(float).tiny)[:, None]
+        xb = np.maximum(flat[idx], np.finfo(float).tiny)[:, None]
         w = 2.0 * xb
         a, wt = w * s, w * t
         si_a, cin_a = si_cin(a)
@@ -90,7 +139,7 @@ def t1(x):
         num = (2.0 * np.sin(0.5 * wt) ** 2 * log_ratio
                + np.cos(wt) * (cin_b - cin_a)
                + np.sin(wt) * (math.pi - si_a - si_b))
-        out[lo:lo + _BLOCK] = 2.0 / (math.pi * xb[:, 0]) * (num * weight).sum(axis=1)
+        out[idx] = 2.0 / (math.pi * xb[:, 0]) * (num * weight).sum(axis=1)
     return _float_or_array(np.where(x == 0.0, 2.0, out.reshape(x.shape)))
 
 

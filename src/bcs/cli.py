@@ -26,12 +26,14 @@ from .boundary3d import (NEUMANN, TABLE1_REFERENCE, criterion, m3_profile,
 from .bs_solver import SolverError, tc0
 from .diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from .kernels import KernelParams, m_mu
-from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
+from .potentials import RadialPotential, _radial_panels, e_mu, from_config, to_config, vmu_spectrum
 from .quad import QuadratureError
 
-# Largest m3-profile row count and vmu-spectrum ell_max a config may ask for.
+# Largest m3-profile row count, vmu-spectrum ell_max and node count of the
+# criterion's 16-node radial rule a config may ask for.
 _MAX_PROFILE_ROWS = 10 ** 6
 _MAX_ELL = 1000
+_MAX_CRITERION_NODES = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -266,7 +268,8 @@ def cmd_criterion(cfg: dict, tol, threads: int):
     Sweeps write a `mu,value,sign` CSV to ``out``; a single-mu run writes
     the report itself.  The sign verdict (including "inconclusive" for a
     value inside its own error bar) is a result, not a check, so the exit
-    code stays 0.
+    code stays 0.  A mu whose 16-node radial rule would pass
+    _MAX_CRITERION_NODES nodes is a config error, found before any t1 call.
     """
     V = _potential(cfg)
     if V.d != 3:
@@ -275,15 +278,18 @@ def cmd_criterion(cfg: dict, tol, threads: int):
     if ("mu" in cfg) == ("mu_sweep" in cfg):
         raise ConfigError("criterion needs exactly one of 'mu' or 'mu_sweep'")
     inputs = {"potential": to_config(V), "bc": bc}
+    mus = [_real(cfg, "mu", positive=True)] if "mu" in cfg else _real_list(cfg, "mu_sweep")
+    for m in mus:
+        if 16 * _radial_panels(V, 4.0 * math.sqrt(m))[1].sum() > _MAX_CRITERION_NODES:
+            raise ConfigError(f"mu = {m!r} needs more than {_MAX_CRITERION_NODES} criterion nodes")
     if "mu" in cfg:
-        mu = _real(cfg, "mu", positive=True)
+        mu = mus[0]
         rep = criterion(V, mu, bc)
         inputs["mu"] = mu
         results = {"mu": mu, "value": rep.value, "sign": rep.sign,
                    "per_term": dict(rep.per_term)}
         return inputs, results, [], {"value_error_estimate": rep.error_estimate}, None
 
-    mus = _real_list(cfg, "mu_sweep")
     reps = _fanout(lambda m: criterion(V, m, bc), mus, threads)
     inputs["mu_sweep"] = mus
     results = {"sweep": [{"mu": m, "value": r.value, "sign": r.sign}

@@ -230,15 +230,20 @@ def to_config(V: RadialPotential) -> dict:
     raise ValueError(f"unregistered potential type {type(V).__name__}")
 
 
+def _radial_panels(V: RadialPotential, k_max: float):
+    """Knots of radial_edges and the panel count between each two, without the edges."""
+    rc = V.cutoff_radius()
+    h = min(V.range_scale, 8.0 / k_max) if k_max > 0.0 else V.range_scale
+    knots = np.array([0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc])
+    return knots, np.ceil(np.diff(knots) / h)
+
+
 def radial_edges(V: RadialPotential, k_max: float) -> np.ndarray:
     """Panel edges on [0, cutoff] that break at V.breakpoints and are at most
     range_scale and 8 / k_max wide, so their count grows like k_max * cutoff.
     A 16-node panel then integrates V(r) cos(k r) to machine precision for
     every k up to k_max."""
-    rc = V.cutoff_radius()
-    h = min(V.range_scale, 8.0 / k_max) if k_max > 0.0 else V.range_scale
-    knots = np.array([0.0, *sorted(b for b in V.breakpoints if 0.0 < b < rc), rc])
-    return _subdivide(knots, np.ceil(np.diff(knots) / h))
+    return _subdivide(*_radial_panels(V, k_max))
 
 
 def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):

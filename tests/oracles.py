@@ -538,6 +538,28 @@ def t4_sphere_product(x: float) -> float:
     return 8.0 / math.pi * (math.sin(x) / x) * val
 
 
+def t1_turned(x: float) -> float:
+    """t1 from its k path turned onto k = 1 + iy, by adaptive quadrature.
+
+    With sin^2 = (1 - cos)/2 and int_1^inf arcoth(k)/k dk = pi^2/8,
+    t1(x) = (2/(pi x)) [pi^2/8 - Re(i e^{2ix} L)], where
+    L = int_0^inf e^{-2xy} atanh(1/(1+iy))/(1+iy) dy; the integrand has a
+    log singularity at y = 0 and decays on the scale 1/x, where the path
+    is split.  Good to about 1e-15 relative up to x of a few thousand.
+    """
+    def part(y, take):
+        k = 1.0 + 1j * y
+        return take(math.exp(-2.0 * x * y) * cmath.atanh(1.0 / k) / k)
+
+    opts = dict(epsabs=1e-16, epsrel=1e-13, limit=400)
+    L = 0j
+    for take, unit in ((lambda z: z.real, 1.0), (lambda z: z.imag, 1j)):
+        near, _ = integrate.quad(part, 0.0, 1.0 / x, args=(take,), **opts)
+        far, _ = integrate.quad(part, 1.0 / x, math.inf, args=(take,), **opts)
+        L += unit * (near + far)
+    return 2.0 / (math.pi * x) * (math.pi ** 2 / 8.0 - (1j * cmath.exp(2j * x) * L).real)
+
+
 def gaussian_r_fourier(a: float, ell: float):
     """b -> int_0^inf r a exp(-(r/ell)^2) exp(i b r) dr for Im b >= 0, from
     the Faddeeva function: a (ell^2/2) (1 + i sqrt(pi) z w(z)), z = b ell/2."""

@@ -1,12 +1,16 @@
 """Half-space boundary terms t_1..t_4, the profile m_3, and the criterion."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
 import oracles
+from bcs import boundary3d
 from bcs.boundary3d import (
     TABLE1_REFERENCE,
     criterion,
@@ -44,9 +48,14 @@ def test_t4_sphere_product_oracle():
         assert t4(x) == pytest.approx(oracles.t4_sphere_product(x), abs=1e-9)
 
 
-# 146 points: crosses the block boundaries of t1 and spans 0 to large x.
+# 250 points: crosses the block boundaries of t1's rule, both switches
+# between the rule and the envelope table (x = 1/4 and 2^30) and the ends
+# of every table octave, and spans 0 to large x.
+_OCTAVE_EDGES = 2.0 ** np.arange(-2, 32)
 _XS = np.concatenate([[0.0, 1e-300, 1e-12, 1e-7], np.geomspace(1e-5, 1.0, 40),
-                      np.linspace(0.05, 30.0, 100), [100.0, 1e3]])
+                      np.linspace(0.05, 30.0, 100), [100.0, 1e3, 1e6, 1e9],
+                      _OCTAVE_EDGES, np.nextafter(_OCTAVE_EDGES, 0.0),
+                      np.nextafter(_OCTAVE_EDGES, np.inf)])
 
 
 def test_terms_and_profiles_elementwise_equal_scalar_calls():
@@ -56,6 +65,50 @@ def test_terms_and_profiles_elementwise_equal_scalar_calls():
     for bc in ("dirichlet", "neumann"):
         assert m3(_XS, bc).tolist() == [m3(float(x), bc) for x in _XS]
     assert m3(_XS[:6].reshape(2, 3), "neumann").shape == (2, 3)
+
+
+def _table_check_points():
+    """Both ends of every octave [2^j, 2^(j+1)) from 1/4 to 4096 and the
+    midpoints between its 12 Chebyshev nodes in log2 x, where the
+    envelope table's interpolation error peaks."""
+    theta = (np.arange(12) + 0.5) * math.pi / 12
+    cells = np.concatenate(([-1.0], np.cos(0.5 * (theta[1:] + theta[:-1]))))
+    xs = [2.0 ** (j + 0.5 * (cells + 1.0)) for j in range(-2, 12)]
+    edges = 2.0 ** np.arange(-1, 13)
+    return np.concatenate(xs + [np.nextafter(edges, 0.0)])
+
+
+def test_t1_table_between_its_nodes_matches_turned_path_oracle():
+    # The oracle integrates the turned path adaptively and shares no code
+    # with the table; above a few 10^4 it loses accuracy, so the check
+    # stops at 4096.  The table's error target is 1e-14.
+    xs = _table_check_points()
+    ref = np.array([oracles.t1_turned(x) for x in xs])
+    np.testing.assert_allclose(t1(xs), ref, rtol=1e-13, atol=0.0)
+
+
+def test_t1_table_built_once_under_threads():
+    # A threaded criterion sweep builds the table once and equals the
+    # serial sweep bit for bit; a barrier and a short switch interval make
+    # a race on the first build likely.
+    V = GaussianPotential(d=3, a=1.0, ell=1.0)
+    mus = (0.5, 2.0)
+    start = threading.Barrier(len(mus), timeout=60.0)
+
+    def crit(mu):
+        start.wait()
+        return criterion(V, mu, "neumann")
+
+    boundary3d._t1_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(mus)) as pool:
+            threaded = list(pool.map(crit, mus, timeout=120.0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert boundary3d._t1_table.cache_info().misses == 1
+    assert threaded == [criterion(V, mu, "neumann") for mu in mus]
 
 
 def test_t1_small_x_taylor():

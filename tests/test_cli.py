@@ -1,6 +1,7 @@
 """Command-line interface: schemas, artifacts, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -201,6 +202,28 @@ def test_criterion_validation(capsys, tmp_path):
                        {"potential": GAUSS3, "bc": "neumann"})
     code, _, err = run(capsys, "criterion", "--config", cfg)
     assert code == 2
+
+
+@pytest.mark.parametrize("key, value", [("mu", 1e12), ("mu_sweep", [1.0, 1e12])])
+def test_criterion_rejects_a_rule_over_the_node_bound(capsys, tmp_path, key, value):
+    # mu = 1e12 asks for 16 * 3.0e6 radial nodes on the unit Gaussian; the
+    # count comes from the panel layout alone, so the rejection is fast.
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": GAUSS3, "bc": "neumann", key: value})
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "criterion", "--config", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert "mu = 1000000000000.0 needs more than 1000000 criterion nodes" in err
+
+
+def test_criterion_accepts_large_mu_under_the_node_bound(capsys, tmp_path):
+    # 48,560 nodes on the unit Gaussian at mu = 1e6
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": GAUSS3, "bc": "neumann", "mu": 1e6})
+    code, stdout, _ = run(capsys, "criterion", "--config", cfg)
+    assert code == 0
+    assert json.loads(stdout)["results"]["sign"] == "positive"
 
 
 @pytest.mark.parametrize("field, bad, message", [
