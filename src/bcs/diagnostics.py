@@ -5,13 +5,14 @@ strongly a boundary enhances pairing at temperature T in one and two
 dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth fits
 the constant of that growth law to a sampled sweep.  The forms build no
 rule of their own for what the library already has: the d = 1 outer rule
-inside the Fermi shell is kernels._shell_rule, every radial transform of
-V is a dot product with potentials._radial_measure, and a cosine
-transform at many momenta is one blocked product (_cos_sums): in d = 1
-the transform of V j1 at every outer node, and in d = 2 the
-even-reflected kernel Vhat(|p - q|) + Vhat(p + q), which factorizes over
-the transverse coordinate y.  The d = 1 form stops its momentum tail on
-an explicit bound.
+inside the Fermi shell is kernels._shell_rule, the d = 1 transform of V j1
+is a dot product with potentials._radial_measure, and a cosine transform
+at many momenta is one blocked product (_cos_sums): in d = 1 that
+transform at every outer node, and in d = 2 both the even-reflected kernel
+Vhat(|p - q|) + Vhat(p + q) and the transform of V j2 with its slope,
+cosine transforms of the line integrals of V and V j2 on one rule in the
+transverse coordinate y.  The d = 1 form stops its momentum tail on an
+explicit bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j1
 
 from .kernels import KernelParams, _shell_rule, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
@@ -40,27 +40,28 @@ _MAX_P_RC = 4096.0
 _D2_LOCK = threading.Lock()
 
 
-def _cos_sums(mid, offsets, z, g):
-    """sum_k g_k cos((m + o) z_k) for every midpoint m and offset o, as an
-    array of shape (len(mid), len(offsets)).
+def _cos_sums(mid, offsets, z, g, phase=0.0):
+    """sum_k g_k cos((m + o) z_k - phase) for every midpoint m and offset o,
+    as an array of shape (len(mid), len(offsets)); phase pi/2 gives sines.
 
-    cos((m + o) z) = cos(m z) cos(o z) - sin(m z) sin(o z), so sines and
-    cosines are needed only at the midpoints and the offsets; the products
-    run in blocks of midpoints.  A single offset 0 needs no sines.
+    cos((m + o) z - phase) = cos(m z) cos(o z - phase) - sin(m z) sin(o z - phase),
+    so sines and cosines are needed only at the midpoints and the offsets;
+    the products run in blocks of midpoints.  A single offset 0 at phase 0
+    needs no sines.
     """
-    o_z = np.outer(offsets, z)
+    o_z = np.outer(offsets, z) - phase
     cos_o, sin_o = np.cos(o_z).T, np.sin(o_z).T
     rows = max(1, _BLOCK // len(z))
     out = []
     for i in range(0, len(mid), rows):
         m_z = np.outer(mid[i:i + rows], z)
-        if offsets.any():
+        if phase or offsets.any():
             sin_m = np.sin(m_z)
             sin_m *= g
         np.cos(m_z, out=m_z)
         m_z *= g
         blk = m_z @ cos_o
-        if offsets.any():
+        if phase or offsets.any():
             blk -= sin_m @ sin_o
         out.append(blk)
     return np.concatenate(out)
@@ -135,33 +136,35 @@ def _refined_edges(length, base, center, width):
     return _subdivide(edges, np.ceil(np.diff(edges) / base))
 
 
-def _line_integral(V: RadialPotential, y: np.ndarray) -> np.ndarray:
-    """U(y) = integral of V(sqrt(x^2 + y^2)) over the x line, 0 < y < cutoff.
+def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
+    """U(y) = integral of V(sqrt(x^2 + y^2)) over the x line, and A(y), the
+    same of V(r) J0(sqrt(mu) r), as rows of an array, 0 < y < cutoff.
 
     Runs in s with x = y sinh s, r = y cosh s, on the images of the radial
-    panels, each split into parts at most half a unit of s wide.
+    panels sized for J0, each split into parts at most half a unit of s wide.
     """
-    r_edges = radial_edges(V, 0.0)
-    out = np.empty_like(y)
+    r_edges = radial_edges(V, math.sqrt(mu))
+    out = np.empty((2, len(y)))
     for i, yi in enumerate(y):
         s_edges = np.arccosh(np.append(1.0, r_edges[r_edges > yi] / yi))
         s, ws = gauss_panels(_subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5)))
         c = np.cosh(s)
-        out[i] = 2.0 * yi * np.dot(ws * c, V.value(yi * c))
-    return out
+        wc, v = ws * c, V.value(yi * c)
+        out[:, i] = np.dot(wc, v), np.dot(wc, v * j_d(yi * c, mu, 2))
+    return 2.0 * y * out
 
 
-def _transverse_rule(V: RadialPotential, k_max: float):
-    """Nodes y and weights of the measure U(y) dy on [0, cutoff], exact
-    enough for integrands with frequencies in y up to k_max, and a mask of
-    the panels _d2_tables groups by width: the plain ones but for the plain
-    half of the first panel, which as a group of one would cost _cos_sums
-    34 sines and cosines a q node instead of 16 cosines.
+def _transverse_rule(V: RadialPotential, mu: float, k_max: float):
+    """Nodes y and weights of the measures U(y) dy and A(y) dy on [0, cutoff]
+    (_line_integral), exact enough for integrands with frequencies in y up
+    to k_max, and a mask of the panels _d2_tables groups by width: the plain
+    ones but for the plain half of the first panel, which as a group of one
+    would cost _cos_sums 34 sines and cosines a q node instead of 16 cosines.
 
-    U carries y^2 log y terms at 0 unless V is smooth in r^2, and a jump of
-    V or of its n-th derivative at b gives U a (b - y)^(n + 1/2) end.  So
-    the first panel, halved, runs in t with y = h t^2, and the panel [a, b]
-    below each break and below the cutoff runs in t with
+    U and A carry y^2 log y terms at 0 unless V is smooth in r^2, and a jump
+    of V or of its n-th derivative at b gives them a (b - y)^(n + 1/2) end.
+    So the first panel, halved, runs in t with y = h t^2, and the panel
+    [a, b] below each break and below the cutoff runs in t with
     y = b - (b - a) t^2; both ends are smooth in t.
     """
     edges = radial_edges(V, k_max)
@@ -177,13 +180,13 @@ def _transverse_rule(V: RadialPotential, k_max: float):
         wy[blk] *= 2.0 * t
         y[blk] = c + (o - c) * t * t
         grouped[k] = False
-    return edges, y, wy * _line_integral(V, y), grouped
+    return edges, y, wy * _line_integral(V, mu, y), grouped
 
 
 @lru_cache(maxsize=4)
 def _d2_tables(V: RadialPotential, mu: float):
-    """Momentum cutoff, V j2 transform table (_hermite) and transverse rule
-    shared by every dt_form_d2 temperature for one (V, mu) pair.
+    """Momentum cutoff, V j2 transform table (_hermite) and the transverse
+    rule it is read from, shared by every dt_form_d2 temperature for one (V, mu) pair.
 
     The rule comes whole, for the rows that share one q grid, and in
     groups for the others, in the layout _cos_sums takes: the nodes of its
@@ -208,20 +211,17 @@ def _d2_tables(V: RadialPotential, mu: float):
             raise QuadratureError(
                 "transform tail not negligible within the momentum cutoff cap")
 
-    # w(s) = (V j2)^(s) = integral of V(r) J0(sqrt(mu) r) J0(s r) r dr and its
-    # exact slope w'(s) = -integral of V(r) J0(sqrt(mu) r) J1(s r) r^2 dr at
-    # the nodes k h, fine enough for the cubic Hermite table to keep its
-    # error, at most h^4/384 max |w''''|, below 1e-9 of its peak
+    # w(s) = (V j2)^(s), the integral of A(y) cos(s y) / pi over y > 0 by the
+    # projection-slice theorem, and its exact slope, that of -A(y) y sin(s y) / pi,
+    # at the nodes k h in blocks of about sqrt(n): fine enough for the cubic Hermite
+    # table to keep its error, at most h^4/384 max |w''''|, below 1e-9 of its peak
     h = 0.35 / rc / 16.0
-    smax = math.sqrt(2.0) * P + 2.0 * h
-    s_grid = h * np.arange(int(math.ceil(smax / h)) + 1)
-    r, m = _radial_measure(V, smax + root_mu)
-    g = m * j_d(r, mu, 2)
-    blocks = [(j_d(x, 1.0, 2) @ g, j1(x) @ (-r * g)) for x in
-              (np.outer(s_grid[i0:i0 + 256], r) for i0 in range(0, len(s_grid), 256))]
-    table = (h, *map(np.concatenate, zip(*blocks)))
+    n = int(math.ceil((math.sqrt(2.0) * P + 2.0 * h) / h)) + 1
+    edges, y, (uy, ay), grouped = _transverse_rule(V, mu, max(2.0 * P, (n - 1) * h + root_mu))
+    b = math.isqrt(n) + 1
+    table = (h, *(_cos_sums(h * np.arange(0, n, b), h * np.arange(b), y, g, phase).ravel()[:n]
+                  for g, phase in ((ay / math.pi, 0.0), (-y * ay / math.pi, 0.5 * math.pi))))
 
-    edges, y, uy, grouped = _transverse_rule(V, 2.0 * P)
     uy *= 2.0 / math.pi
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     alone = np.repeat(~grouped, 16)

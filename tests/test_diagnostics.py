@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import j0, j1
 
 import oracles
 from bcs import diagnostics
@@ -156,8 +157,9 @@ D2_TABLE_CASES = pytest.mark.parametrize(
     "V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),
               (StepPotential(d=2, a=1.0, R=1.0), 1.0),
               (_table(2), 1.0),
-              (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01)],
-    ids=["gaussian", "step", "tabulated", "exponential"])
+              (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01),
+              (GaussianPotential(d=2), 100.0)],
+    ids=["gaussian", "step", "tabulated", "exponential", "gaussian-mu100"])
 
 
 @D2_TABLE_CASES
@@ -179,20 +181,22 @@ def test_dt_d2_vj2_table_matches_position_space_oracle(V, mu):
 def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
     # Midway between the nodes, where the cubic Hermite interpolant is
     # worst, the table is within 1e-9 of its peak of the direct product
-    # g @ J0(s r) on a radial measure sized to the table's end; the slopes
-    # it stores, from J1, match a fourth-order central difference of the
-    # same product.
+    # g @ J0(s r) on a radial measure sized to the table's end.  The slopes
+    # it stores match the direct product -(r g) @ J1(s r) at every node,
+    # and a fourth-order central difference of the values' product.
     h, f, df = table = diagnostics._d2_tables(V, mu)[1]
     r, m = _radial_measure(V, h * (len(f) - 1) + math.sqrt(mu))
     g = m * j_d(r, mu, 2)
 
-    def direct(s):
-        return np.concatenate([j_d(np.outer(s[i:i + 256], r), 1.0, 2) @ g
+    def direct(s, bessel=j0, weights=g):
+        return np.concatenate([bessel(np.outer(s[i:i + 256], r)) @ weights
                                for i in range(0, len(s), 256)])
 
     mid = h * (np.arange(len(f) - 1) + 0.5)
     err = np.abs(diagnostics._hermite(table, mid) - direct(mid)).max()
     assert err <= 1e-9 * np.abs(f).max()
+    nodes = h * np.arange(len(f))
+    assert np.abs(df - direct(nodes, j1, -r * g)).max() <= 1e-12 * np.abs(df).max()
     k = np.arange(1, len(f) - 1, 7)
     e = 0.25 * h
     slope = (8.0 * (direct(k * h + e) - direct(k * h - e))
@@ -200,16 +204,18 @@ def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
     assert np.abs(df[k] - slope).max() <= 1e-10 * np.abs(df).max()
 
 
-@pytest.mark.parametrize("offsets", [np.zeros(1), np.array([-0.3, 0.0, 0.2, 0.45])],
-                         ids=["offset-0", "offsets"])
-def test_cos_sums_in_place_is_bit_identical(offsets):
+@pytest.mark.parametrize("offsets, phase",
+                         [(np.zeros(1), 0.0), (np.array([-0.3, 0.0, 0.2, 0.45]), 0.0),
+                          (np.array([-0.3, 0.0, 0.2, 0.45]), 0.5 * math.pi)],
+                         ids=["offset-0", "offsets", "offsets-sine"])
+def test_cos_sums_in_place_is_bit_identical(offsets, phase):
     # Weighting the cosines and sines in place gives the products of the
     # form that allocates a fresh array for each, bit for bit, over several
     # blocks and a partial one.
     rng = np.random.default_rng(3)
     z, g = np.sort(rng.uniform(0.0, 30.0, 1500)), rng.normal(size=1500)
     mid = np.sort(rng.uniform(0.0, 12.0, 900))
-    o_z = np.outer(offsets, z)
+    o_z = np.outer(offsets, z) - phase
     cos_o, sin_o = np.cos(o_z).T, np.sin(o_z).T
     rows = diagnostics._BLOCK // len(z)
     assert len(mid) > 2 * rows
@@ -217,10 +223,11 @@ def test_cos_sums_in_place_is_bit_identical(offsets):
     for i in range(0, len(mid), rows):
         m_z = np.outer(mid[i:i + rows], z)
         blk = (np.cos(m_z) * g) @ cos_o
-        if offsets.any():
+        if phase or offsets.any():
             blk -= (np.sin(m_z) * g) @ sin_o
         ref.append(blk)
-    assert np.array_equal(diagnostics._cos_sums(mid, offsets, z, g), np.concatenate(ref))
+    got = diagnostics._cos_sums(mid, offsets, z, g, phase)
+    assert np.array_equal(got, np.concatenate(ref))
 
 
 def test_dt_d2_threads_share_one_table_build():
