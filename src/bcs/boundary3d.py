@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate
 
-from .potentials import RadialPotential, _radial_measure
+from .potentials import RadialPotential, _radial_measure, _radial_panels
 from .quad import gauss_panels
 from .special import _sinc, si_cin
 
@@ -218,11 +218,22 @@ class CriterionReport:
             raise ValueError("per-term contributions do not add up to the value")
 
 
-def _term_sums(V: RadialPotential, root_mu: float, n: int):
-    """m @ t_j(sqrt(mu) r) for j = 1..4 on the n-point radial rule at
-    k_max = 4 sqrt(mu), and |m| @ (|t1| + ... + |t4|), their roundoff scale."""
-    r, m = _radial_measure(V, 4.0 * root_mu, n)
-    terms = [f(root_mu * r) for f in _TERMS]
+# Gauss nodes per panel of the criterion's radial rule; the error estimate doubles them.
+_CRITERION_NODES = 16
+
+
+def _criterion_rule(V: RadialPotential, mu: float):
+    """k_max = 4 sqrt(mu) of the criterion's radial rule, radial_edges(V, k_max),
+    and its node count, _CRITERION_NODES per panel, from the panel layout alone."""
+    k_max = 4.0 * math.sqrt(mu)
+    return k_max, _CRITERION_NODES * int(_radial_panels(V, k_max)[1].sum())
+
+
+def _term_sums(V: RadialPotential, mu: float, n: int):
+    """m @ t_j(sqrt(mu) r) for j = 1..4 on the _criterion_rule panels with n
+    nodes each, and |m| @ (|t1| + ... + |t4|), their roundoff scale."""
+    r, m = _radial_measure(V, _criterion_rule(V, mu)[0], n)
+    terms = [f(math.sqrt(mu) * r) for f in _TERMS]
     return [float(m @ t) for t in terms], float(np.abs(m) @ sum(np.abs(t) for t in terms))
 
 
@@ -230,10 +241,10 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     """Evaluate 4 pi mu^{-1/2} int V(r) m3(sqrt(mu) r) r^2 dr, term by term.
 
     Each t_j is weighed against V separately on the fixed radial rule of
-    potentials._radial_measure, so the report shows which term drives the
-    sign.  The error estimate is the change of the value when the rule
-    doubles from 16 to 32 nodes per panel, plus a roundoff floor of 1e-14
-    times the integral of |V| (|t1| + ... + |t4|).
+    potentials._radial_measure (_criterion_rule), so the report shows which
+    term drives the sign.  The error estimate is the change of the value
+    when the rule doubles from 16 to 32 nodes per panel, plus a roundoff
+    floor of 1e-14 times the integral of |V| (|t1| + ... + |t4|).
     """
     b = normalize_bc(bc)
     if V.d != 3:
@@ -243,8 +254,8 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     root_mu = math.sqrt(mu)
     pref = 4.0 * math.pi / root_mu
     signs = _TERM_SIGNS[b]
-    coarse, scale = _term_sums(V, root_mu, 16)
-    fine, _ = _term_sums(V, root_mu, 32)
+    coarse, scale = _term_sums(V, mu, _CRITERION_NODES)
+    fine, _ = _term_sums(V, mu, 2 * _CRITERION_NODES)
     per_term = {f"t{j}": pref * s * v for j, s, v in zip((1, 2, 3, 4), signs, coarse)}
     value = math.fsum(per_term.values())
     change = math.fsum(s * (c - f) for s, c, f in zip(signs, coarse, fine))
@@ -269,9 +280,8 @@ def derivatives_at_zero(f):
     h = 0 by Neville's scheme.  The profiles live on x >= 0 and t1 jumps
     across the origin, so central stencils are not an option.
     """
-    f0 = f(0.0)
-    fh = {h: f(h) for h in _STEPS}
-    fh.update((2.0 * h, f(2.0 * h)) for h in _STEPS if 2.0 * h not in fh)
+    fh = {x: f(x) for x in {0.0, *_STEPS, *(2.0 * h for h in _STEPS)}}
+    f0 = fh[0.0]
 
     def _neville(nodes, vals):
         p = list(vals)
@@ -303,20 +313,12 @@ def table1_values():
     """Numerical value/derivative estimates for every TABLE1_REFERENCE row.
 
     Returns {row: (value, d1, d2)} with the Neumann derivative slots set to
-    None to mirror the reference table.
+    None to mirror the reference table.  derivatives_at_zero is linear in
+    its samples, so each profile row is the signed sum of the term rows.
     """
-    out = {}
-    for name, f in zip(("t1", "t2", "t3", "t4"), _TERMS):
-        out[name] = derivatives_at_zero(f)
+    names = ("t1", "t2", "t3", "t4")
+    out = {name: derivatives_at_zero(f) for name, f in zip(names, _TERMS)}
     for bc in (DIRICHLET, NEUMANN):
-        signs = _TERM_SIGNS[bc]
-
-        def prof(x, _signs=signs):
-            return math.fsum(s * f(x) for s, f in zip(_signs, _TERMS))
-
-        val, d1, d2 = derivatives_at_zero(prof)
-        if bc == NEUMANN:
-            out["m3_neumann"] = (val, None, None)
-        else:
-            out["m3_dirichlet"] = (val, d1, d2)
+        row = [math.fsum(s * out[t][k] for s, t in zip(_TERM_SIGNS[bc], names)) for k in range(3)]
+        out["m3_" + bc] = tuple(row) if bc == DIRICHLET else (row[0], None, None)
     return out

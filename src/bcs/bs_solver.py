@@ -11,10 +11,10 @@ product for every potential and every d.
 The matrix is diag(s) W diag(s): W depends only on the grid, and the
 temperature enters through the scaling s alone.  tc0 therefore builds W
 once per refine level on a grid laid out for the lowest temperature it
-tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1,
-and hands the closure grid and its W to ground_state, which takes the top
-two eigenpairs by numpy Lanczos on the product v -> s W (s v) without
-forming the matrix or building W again.
+tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
+Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
+checks the closure on the finer grid and hands its top eigenpair and gap,
+with that grid and W, to ground_state, which builds and solves nothing again.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
 
 def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
     """Top eigenvalue and eigenvector of diag(s) W diag(s) by warm-started
-    power iteration, the one route to a_T.  One product per step: the
+    power iteration, tc0's search route.  One product per step: the
     Rayleigh quotient's product is the next unnormalized iterate.  Raises
     SolverError when _POWER_STEPS steps do not converge."""
     n = len(s)
@@ -246,13 +246,16 @@ class Tc0Result:
     T_c: float
     lam: float
     closure: float          # |lam * a_T - 1| on the final refined grid
+    spectral_gap: float     # (a_T - a_2) / a_T there
     refine_level: int
     w_builds: int           # W matrices built, the closure grids included
-    temperature_evals: int  # top-eigenvalue solves, one per temperature tried
-    # the potential, the closure grid and its W, on which ground_state solves
+    temperature_evals: int  # eigen-solves, one per temperature tried and per closure
+    # the potential, the closure grid, its W and the closure's top eigenpair
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
     W: np.ndarray = field(repr=False, compare=False)
+    a_T: float = field(repr=False, compare=False)
+    u: np.ndarray = field(repr=False, compare=False)
 
 
 def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) -> float:
@@ -283,7 +286,8 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     previous top eigenvector as the power-iteration start.  Brent's method
     in log T finds the root on that grid, and the closure |lam a_Tc - 1|
     must meet tol on the next finer grid, else the next level searches
-    [T_c/2, 2 T_c].  The result carries that closure grid and its W.
+    [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
+    temperature_evals; the result carries its grid, W, top eigenpair and gap.
     """
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
@@ -304,10 +308,11 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
         return g, _w_matrix(V, g.nodes)
 
-    def top(grid, W, T, v0=None):
+    def scale(grid, T):
+        """s at temperature T, counted once per eigen-solve."""
         nonlocal temperature_evals
         temperature_evals += 1
-        return _power_top(_bs_scale(grid, KernelParams(T=T, mu=mu), d), W, v0)
+        return _bs_scale(grid, KernelParams(T=T, mu=mu), d)
 
     def on_grid(level, T_lo):
         """lam a_T - 1 as a function of log T on one grid built at T_lo,
@@ -318,7 +323,7 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         def f(ln_t):
             nonlocal v
             if ln_t not in seen:
-                a, v = top(grid, W, math.exp(ln_t), v)
+                a, v = _power_top(scale(grid, math.exp(ln_t)), W, v)
                 seen[ln_t] = lam * a - 1.0
             return seen[ln_t]
         return f
@@ -346,12 +351,13 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         T_star = root(level, T_lo, T_hi)
         fine = min(level + 1, _MAX_REFINE)
         grid, W = level_matrix(fine, T_star)
-        a, _ = top(grid, W, T_star)
+        a, second, u = _lanczos_top2(scale(grid, T_star), W)
         closure = abs(lam * a - 1.0)
         if closure <= tol:
-            return Tc0Result(T_c=T_star, lam=lam, closure=closure, refine_level=fine,
+            return Tc0Result(T_c=T_star, lam=lam, closure=closure,
+                             spectral_gap=(a - second) / a, refine_level=fine,
                              w_builds=w_builds, temperature_evals=temperature_evals,
-                             V=V, grid=grid, W=W)
+                             V=V, grid=grid, W=W, a_T=a, u=u)
         T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
     raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
 
@@ -375,27 +381,22 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It solves on the closure grid and W of tc, which must be the result of
-    tc0 on the same V, mu, d and lam: its W is symmetric bit for bit and is
-    not checked again, and a tc that disagrees on V, mu, d or lam raises
-    ValueError.  The top two eigenpairs of diag(s) W diag(s) come from
-    numpy Lanczos (_lanczos_top2) on the product v -> s W (s v), which never
-    forms the matrix; a fixed start vector makes repeated calls bit-identical.
-    Raises SolverError when the top of the spectrum is nearly degenerate.
+    It takes the closure grid, its W, the top eigenpair and the spectral
+    gap of tc, which must be the result of tc0 on the same V, mu, d and
+    lam: a tc that disagrees on V, mu, d or lam raises ValueError.  No
+    eigen-solver runs here, so closure and spectral_gap are tc's bit for
+    bit.  Raises SolverError when the top of the spectrum is nearly
+    degenerate.
     """
     grid, W = tc.grid, tc.W
     for name, agree in (("V", V == tc.V), ("d", d == V.d), ("lam", lam == tc.lam),
                         ("mu", abs(grid.mu - mu) <= 1e-15 * mu)):
         if not agree:
             raise ValueError(f"tc and the requested {name} disagree")
-    params = KernelParams(T=tc.T_c, mu=mu)
-    s = _bs_scale(grid, params, d)
-    top, second, u = _lanczos_top2(s, W)
-    if float(np.sum(grid.weights * u)) < 0:
-        u = -u
-    gap = (top - second) / top
-    if gap < 1e-8:
-        raise SolverError(f"near-degenerate ground state: relative gap {gap:.2e}")
+    s = _bs_scale(grid, KernelParams(T=tc.T_c, mu=mu), d)
+    u = -tc.u if float(np.sum(grid.weights * tc.u)) < 0 else tc.u
+    if tc.spectral_gap < 1e-8:
+        raise SolverError(f"near-degenerate ground state: relative gap {tc.spectral_gap:.2e}")
 
     # s^2 = B meas, so phi = sqrt(B / meas) u = s u / meas
     meas = grid.weights * grid.nodes ** (d - 1)
@@ -409,8 +410,8 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     rhs = lam * B * (W @ (meas * phi))
     eval_res = float(np.max(np.abs(phi - rhs)) / np.max(np.abs(phi)))
     return GroundState(mu=mu, d=d, lam=lam, T_c=tc.T_c, grid=grid, phi_hat=phi,
-                       spectral_gap=gap, eval_eq_residual=eval_res,
-                       closure=abs(lam * top - 1.0))
+                       spectral_gap=tc.spectral_gap, eval_eq_residual=eval_res,
+                       closure=tc.closure)
 
 
 def position_profile(state: GroundState, r) -> np.ndarray:

@@ -21,16 +21,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .boundary3d import (NEUMANN, TABLE1_REFERENCE, criterion, m3_profile,
+from .boundary3d import (NEUMANN, TABLE1_REFERENCE, _criterion_rule, criterion, m3_profile,
                          normalize_bc, table1_values)
 from .bs_solver import SolverError, tc0
 from .diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from .kernels import KernelParams, m_mu
-from .potentials import RadialPotential, _radial_panels, e_mu, from_config, to_config, vmu_spectrum
+from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
 from .quad import QuadratureError
 
 # Largest m3-profile row count, vmu-spectrum ell_max and node count of the
-# criterion's 16-node radial rule a config may ask for.
+# criterion's radial rule (boundary3d._criterion_rule) a config may ask for.
 _MAX_PROFILE_ROWS = 10 ** 6
 _MAX_ELL = 1000
 _MAX_CRITERION_NODES = 10 ** 6
@@ -280,7 +280,7 @@ def cmd_criterion(cfg: dict, tol, threads: int):
     inputs = {"potential": to_config(V), "bc": bc}
     mus = [_real(cfg, "mu", positive=True)] if "mu" in cfg else _real_list(cfg, "mu_sweep")
     for m in mus:
-        if 16 * _radial_panels(V, 4.0 * math.sqrt(m))[1].sum() > _MAX_CRITERION_NODES:
+        if _criterion_rule(V, m)[1] > _MAX_CRITERION_NODES:
             raise ConfigError(f"mu = {m!r} needs more than {_MAX_CRITERION_NODES} criterion nodes")
     if "mu" in cfg:
         mu = mus[0]
@@ -328,14 +328,11 @@ def cmd_tc0(cfg: dict, tol: float, threads: int):
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
                 "e_mu_m_mu_lambda": emm, "refine_level": r.refine_level,
                 "grid_size": len(r.grid), "w_builds": r.w_builds,
-                "temperature_evals": r.temperature_evals}
+                "temperature_evals": r.temperature_evals, "spectral_gap": r.spectral_gap}
 
     rows = _fanout(solve, lambdas, threads)
-    checks = []
-    for row in rows:
-        checks.append(_check(f"solved:lambda={row['lambda']:g}",
-                             "error" not in row, True,
-                             row.get("error", "converged")))
+    checks = [_check(f"solved:lambda={row['lambda']:g}", "error" not in row, True,
+                     row.get("error", "converged")) for row in rows]
     solved = [r for r in rows if "error" not in r]
     mono = all(a["Tc"] < b["Tc"]
                for i, a in enumerate(solved) for b in solved[i + 1:]

@@ -252,9 +252,11 @@ def test_tc0_finds_roots_anywhere_inside_the_window():
 
 def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     # The quick-start chain: T_c ~ 1e-16 mu.  One W for the level-0 search
-    # and one for the closure grid; every temperature only rescales W.
+    # and one for the closure grid; every temperature only rescales W.  The
+    # search runs power iteration, the closure one Lanczos solve, and
+    # temperature_evals counts both.
     from bcs import bs_solver
-    counts = {"w": 0, "top": 0}
+    counts = {"w": 0, "power": 0, "lanczos": 0}
 
     def counted(name, key):
         original = getattr(bs_solver, name)
@@ -265,11 +267,13 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
         monkeypatch.setattr(bs_solver, name, wrapper)
 
     counted("_w_matrix", "w")
-    counted("_power_top", "top")
+    counted("_power_top", "power")
+    counted("_lanczos_top2", "lanczos")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
     assert res.w_builds == counts["w"] == 2
-    assert res.temperature_evals == counts["top"]
+    assert counts["lanczos"] == 1
+    assert res.temperature_evals == counts["power"] + counts["lanczos"]
     assert res.temperature_evals <= 12
     assert (res.refine_level, len(res.grid)) == (1, 3180)
 
@@ -314,6 +318,22 @@ def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
         ground_state(GAUSS3, 1.1, 3, 0.6, tc=tc)
 
 
+def test_ground_state_takes_the_closure_solve_of_tc(monkeypatch):
+    # ground_state builds no grid or W and runs no eigen-solver: its top
+    # eigenpair and gap are those of tc0's closure solve, bit for bit.
+    from bcs import bs_solver
+    tc = tc0(GAUSS3, 1.0, 3, 0.6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ground_state must not build or solve again")
+    for name in ("_power_top", "_lanczos_top2", "build_grid", "_w_matrix"):
+        monkeypatch.setattr(bs_solver, name, forbidden)
+    state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
+    assert state.closure == tc.closure
+    assert state.spectral_gap == tc.spectral_gap
+    assert state.eval_eq_residual <= 1e-6
+
+
 def test_ground_state_rejects_a_tc_of_another_problem():
     # A Gaussian's tc handed over with a step potential used to return the
     # Gaussian's ground state labelled as the step's.
@@ -352,15 +372,20 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
 def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     # On a small grid the Lanczos pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
+    # ground_state solves nothing, so the hand-built tc carries the pair.
     V, _ = _potential(kind, d)
     params = KernelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, V, refine_level=0)
-    S = _dense_matrix(V, params, grid)
+    s, W = _bs_scale(grid, params, d), _w_matrix(V, grid.nodes)
+    S = s[:, None] * s[None, :] * W
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
-    tc = Tc0Result(T_c=1e-3, lam=1.0 / a1, closure=0.0, refine_level=0,
+    top, second, u = _lanczos_top2(s, W)
+    lam = 1.0 / a1
+    tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
+                   spectral_gap=(top - second) / top, refine_level=0,
                    w_builds=0, temperature_evals=0,
-                   V=V, grid=grid, W=_w_matrix(V, grid.nodes))
-    state = ground_state(V, 1.0, d, 1.0 / a1, tc=tc)
+                   V=V, grid=grid, W=W, a_T=top, u=u)
+    state = ground_state(V, 1.0, d, lam, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
     assert state.eval_eq_residual <= 1e-10

@@ -301,6 +301,7 @@ def test_tc0_rows_report_solver_trace(capsys, tmp_path):
     assert row["temperature_evals"] >= 3
     assert row["refine_level"] == 1
     assert row["grid_size"] == 1660
+    assert 0.0 < row["spectral_gap"] <= 1.0
     # the trace stays out of the CSV artifact
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "lambda,Tc,residual,e_mu_m_mu_lambda"
@@ -430,14 +431,17 @@ def test_vmu_spectrum_bounds_ell_max(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_report_is_deterministic_and_key_sorted(capsys, tmp_path):
-    cfg = write_config(tmp_path, "cfg.json",
-                       {"potential": GAUSS3, "bc": "neumann", "mu": 1.0})
-    _, first, _ = run(capsys, "criterion", "--config", cfg)
-    _, second, _ = run(capsys, "criterion", "--config", cfg)
-    a, b = json.loads(first), json.loads(second)
-    a.pop("wall_time_s"), b.pop("wall_time_s")
-    assert a == b
-    assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n"
+    # a threaded tc0 sweep too: its rows, solver trace and gaps included
+    for command, payload in (
+            ("criterion", {"potential": GAUSS3, "bc": "neumann", "mu": 1.0}),
+            ("tc0", {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.6, 0.5], "threads": 2})):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        _, first, _ = run(capsys, command, "--config", cfg)
+        _, second, _ = run(capsys, command, "--config", cfg)
+        a, b = json.loads(first), json.loads(second)
+        a.pop("wall_time_s"), b.pop("wall_time_s")
+        assert a == b
+        assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_flags_override_config_keys(capsys, tmp_path):
