@@ -4,17 +4,15 @@ The operator V^(1/2) B_T(p, 0) |V|^(1/2) is discretized on a radial momentum
 grid whose panels condense geometrically onto the Fermi surface in the shifted
 variable u = p^2 - mu, so temperatures down to 1e-16 mu stay resolved.  Its
 top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
-The s-wave kernel w_d(p, q) is a position-space radial transform taken on
-the fixed Gauss-Legendre rule of potentials.radial_edges, one matrix
-product for every potential and every d.
-
-The matrix is diag(s) W diag(s): W depends only on the grid, and the
-temperature enters through the scaling s alone.  tc0 therefore builds W
+The s-wave kernel is W = J diag(m) J^T, J[i, k] = j_d(p_i r_k) and
+m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
+for every potential and d.  The matrix is diag(s) W diag(s); W is never
+formed, and the temperature enters through s alone.  tc0 builds (J, m)
 once per refine level on a grid laid out for the lowest temperature it
 tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
 Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
 checks the closure on the finer grid and hands its top eigenpair and gap,
-with that grid and W, to ground_state, which builds and solves nothing again.
+with that grid and (J, m), to ground_state, which builds and solves nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
-from .potentials import _SPHERE_AREA, RadialPotential, _radial_measure, e_mu
+from .potentials import RadialPotential, _radial_measure, e_mu
 from .quad import _subdivide, gauss_panels
 from .special import j_d
 
@@ -114,17 +112,16 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
         shifted=np.concatenate([lo * lo - mu, u, hi * hi - mu]), p_max=p_max)
 
 
-def _w_matrix(V: RadialPotential, p: np.ndarray) -> np.ndarray:
-    """w_d(p_i, p_j) = int V(r) j_d(r; p_i^2) j_d(r; p_j^2) r^(d-1) dr.
-
-    One product J diag(V w r^(d-1)) J^T on the fixed radial rule for every
-    potential and every d; the panels resolve the product's frequencies up
-    to 2 p_max.  Symmetrized bit for bit, so diag(s) W diag(s) is too.
-    """
+def _w_factor(V: RadialPotential, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, m) with (J diag(m) J^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
+    j_d(r; p_j^2) r^(d-1) dr; the rule resolves frequencies up to 2 p_max."""
     r, m = _radial_measure(V, 2.0 * float(p[-1]))
-    J = j_d(np.multiply.outer(p, r), 1.0, V.d)
-    W = (J * m) @ J.T
-    return 0.5 * (W + W.T)
+    return j_d(np.multiply.outer(p, r), 1.0, V.d), m
+
+
+def _w_apply(J: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x = J (m (x J)), in 4 n nr flops and nothing of size n x n."""
+    return J @ (m * (x @ J))
 
 
 def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.ndarray:
@@ -134,21 +131,21 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
     return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
 
 
-def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
-    """Top eigenvalue and eigenvector of diag(s) W diag(s) by warm-started
-    power iteration, tc0's search route.  One product per step: the
-    Rayleigh quotient's product is the next unnormalized iterate.  Raises
-    SolverError when _POWER_STEPS steps do not converge."""
+def _power_top(s: np.ndarray, J: np.ndarray, m: np.ndarray, v0: np.ndarray | None):
+    """Top eigenvalue and eigenvector of diag(s) J diag(m) J^T diag(s) by
+    warm-started power iteration, tc0's search route.  One product per
+    step: the Rayleigh quotient's product is the next unnormalized iterate.
+    Raises SolverError when _POWER_STEPS steps do not converge."""
     n = len(s)
     v = np.ones(n) / math.sqrt(n) if v0 is None else v0
-    u = s * (W @ (s * v))
+    u = s * _w_apply(J, m, s * v)
     lam = 0.0
     for _ in range(_POWER_STEPS):
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             raise SolverError("matrix annihilated the iterate; potential too weak")
         u /= nrm
-        su = s * (W @ (s * u))
+        su = s * _w_apply(J, m, s * u)
         new = float(u @ su)
         if (abs(new - lam) <= _POWER_TOL * max(abs(new), 1e-300)
                 and float(np.abs(u @ v)) > 0.999999):
@@ -157,37 +154,37 @@ def _power_top(s: np.ndarray, W: np.ndarray, v0: np.ndarray | None):
     raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
 
-def _lanczos_top2(s: np.ndarray, W: np.ndarray):
-    """Top two eigenvalues of diag(s) W diag(s) and the top eigenvector by
-    Lanczos on v -> s W (s v), fully reorthogonalized (two passes), from
-    the fixed start ones(n) / sqrt(n).  The Krylov size doubles from
-    _LANCZOS_START until both Ritz residuals |beta_m y_m| are at most
-    _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
+def _lanczos_top2(s: np.ndarray, J: np.ndarray, m: np.ndarray):
+    """Top two eigenvalues and the top eigenvector of diag(s) J diag(m) J^T
+    diag(s) by Lanczos on v -> s W (s v), fully reorthogonalized (two
+    passes), from the fixed start ones(n) / sqrt(n).  The Krylov size
+    doubles from _LANCZOS_START until both Ritz residuals |beta_k y_k| are
+    at most _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
     n = len(s)
     cap = min(_LANCZOS_CAP, n)
     Q = np.empty((cap + 1, n))  # rows are touched, and paged in, as they fill
     Q[0] = 1.0 / math.sqrt(n)
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    j, m = 0, min(_LANCZOS_START, cap)
+    j, k = 0, min(_LANCZOS_START, cap)
     while True:
-        for j in range(j, m):
-            w = s * (W @ (s * Q[j]))
+        for j in range(j, k):
+            w = s * _w_apply(J, m, s * Q[j])
             alpha[j] = Q[j] @ w
             for _ in range(2):
                 w -= Q[:j + 1].T @ (Q[:j + 1] @ w)
             beta[j] = np.linalg.norm(w)
             if beta[j] == 0.0:  # invariant subspace: the Ritz pairs are exact
-                m = j + 1
+                k = j + 1
                 break
             Q[j + 1] = w / beta[j]
-        j = m
-        theta, Y = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[:m - 1], -1), UPLO="L")
-        if np.all(np.abs(beta[m - 1] * Y[-1, -2:]) <= _LANCZOS_TOL * abs(theta[-1])):
-            u = Y[:, -1] @ Q[:m]
+        j = k
+        theta, Y = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[:k - 1], -1), UPLO="L")
+        if np.all(np.abs(beta[k - 1] * Y[-1, -2:]) <= _LANCZOS_TOL * abs(theta[-1])):
+            u = Y[:, -1] @ Q[:k]
             return float(theta[-1]), float(theta[-2]), u / np.linalg.norm(u)
-        if m == cap:
+        if k == cap:
             raise SolverError(f"Lanczos did not converge with {cap} Krylov vectors")
-        m = min(2 * m, cap)
+        k = min(2 * k, cap)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4.0 * 2.0 ** -52) -> float:
@@ -248,12 +245,14 @@ class Tc0Result:
     closure: float          # |lam * a_T - 1| on the final refined grid
     spectral_gap: float     # (a_T - a_2) / a_T there
     refine_level: int
-    w_builds: int           # W matrices built, the closure grids included
+    w_builds: int           # W factors (J, m) built, the closure grids included
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
-    # the potential, the closure grid, its W and the closure's top eigenpair
+    bracket_moves: int      # bracket ends moved before Brent ran, all levels
+    # the potential, the closure grid, its W = J diag(m) J^T, the top eigenpair
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
-    W: np.ndarray = field(repr=False, compare=False)
+    J: np.ndarray = field(repr=False, compare=False)
+    m: np.ndarray = field(repr=False, compare=False)
     a_T: float = field(repr=False, compare=False)
     u: np.ndarray = field(repr=False, compare=False)
 
@@ -280,15 +279,15 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     The search stays inside [t_min_factor mu, t_max_factor mu].  Its first
     bracket is [T_pred/4, 4 T_pred] around the weak-coupling prediction
     lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a factor 4,
-    never past the window.  Each refine level builds one grid at the
-    bracket's lower end, which resolves every higher T, and one W; a
-    temperature only rescales it (diag(s) W diag(s)) and reuses the
-    previous top eigenvector as the power-iteration start.  Brent's method
-    in log T finds the root on that grid, and the closure |lam a_Tc - 1|
-    must meet tol on the next finer grid, else the next level searches
-    [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
-    temperature_evals; the result carries its grid, W, top eigenpair and gap.
-    """
+    never past the window; bracket_moves counts those moves.  Each refine
+    level builds one grid at the bracket's lower end, which resolves every
+    higher T, and one factor (J, m) of W; a temperature only rescales W
+    (diag(s) W diag(s)) and reuses the previous top eigenvector as the
+    power-iteration start.  Brent's method in log T finds the root on that
+    grid, and the closure |lam a_Tc - 1| must meet tol on the next finer
+    grid, else the next level searches [T_c/2, 2 T_c].  The closure is one
+    _lanczos_top2 solve, counted in temperature_evals; the result carries
+    its grid, (J, m), top eigenpair and gap.  Nothing n x n is formed."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
@@ -300,13 +299,13 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     if em <= 0:
         raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
 
-    w_builds = temperature_evals = 0
+    w_builds = temperature_evals = bracket_moves = 0
 
-    def level_matrix(level, T):
+    def level_factor(level, T):
         nonlocal w_builds
         w_builds += 1
         g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-        return g, _w_matrix(V, g.nodes)
+        return g, *_w_factor(V, g.nodes)
 
     def scale(grid, T):
         """s at temperature T, counted once per eigen-solve."""
@@ -317,31 +316,32 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     def on_grid(level, T_lo):
         """lam a_T - 1 as a function of log T on one grid built at T_lo,
         each solve warm-started from the previous eigenvector."""
-        grid, W = level_matrix(level, T_lo)
+        grid, J, m = level_factor(level, T_lo)
         seen, v = {}, None
 
         def f(ln_t):
             nonlocal v
             if ln_t not in seen:
-                a, v = _power_top(scale(grid, math.exp(ln_t)), W, v)
+                a, v = _power_top(scale(grid, math.exp(ln_t)), J, m, v)
                 seen[ln_t] = lam * a - 1.0
             return seen[ln_t]
         return f
 
     def root(level, T_lo, T_hi):
-        """Brent root in log T; only moving the lower end down rebuilds W."""
+        """Brent root in log T; only moving the lower end down rebuilds the factor."""
+        nonlocal bracket_moves
         f = on_grid(level, T_lo)
         while f(math.log(T_lo)) <= 0.0:
             if T_lo <= t_min:
                 raise SolverError(
                     f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
                     "the coupling may be too weak for the allowed range")
-            T_lo, T_hi = max(0.25 * T_lo, t_min), T_lo
+            T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
             f = on_grid(level, T_lo)
         while f(math.log(T_hi)) >= 0.0:
             if T_hi >= t_max:
                 raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
-            T_lo, T_hi = T_hi, min(4.0 * T_hi, t_max)
+            T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
         return math.exp(_brentq(f, math.log(T_lo), math.log(T_hi),
                                 xtol=1e-14, rtol=8.9e-16))
 
@@ -350,14 +350,14 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     for level in range(_MAX_REFINE + 1):
         T_star = root(level, T_lo, T_hi)
         fine = min(level + 1, _MAX_REFINE)
-        grid, W = level_matrix(fine, T_star)
-        a, second, u = _lanczos_top2(scale(grid, T_star), W)
+        grid, J, m = level_factor(fine, T_star)
+        a, second, u = _lanczos_top2(scale(grid, T_star), J, m)
         closure = abs(lam * a - 1.0)
         if closure <= tol:
             return Tc0Result(T_c=T_star, lam=lam, closure=closure,
                              spectral_gap=(a - second) / a, refine_level=fine,
                              w_builds=w_builds, temperature_evals=temperature_evals,
-                             V=V, grid=grid, W=W, a_T=a, u=u)
+                             bracket_moves=bracket_moves, V=V, grid=grid, J=J, m=m, a_T=a, u=u)
         T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
     raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
 
@@ -381,14 +381,14 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It takes the closure grid, its W, the top eigenpair and the spectral
+    It takes the closure grid, (J, m), the top eigenpair and the spectral
     gap of tc, which must be the result of tc0 on the same V, mu, d and
     lam: a tc that disagrees on V, mu, d or lam raises ValueError.  No
     eigen-solver runs here, so closure and spectral_gap are tc's bit for
     bit.  Raises SolverError when the top of the spectrum is nearly
     degenerate.
     """
-    grid, W = tc.grid, tc.W
+    grid = tc.grid
     for name, agree in (("V", V == tc.V), ("d", d == V.d), ("lam", lam == tc.lam),
                         ("mu", abs(grid.mu - mu) <= 1e-15 * mu)):
         if not agree:
@@ -403,11 +403,10 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     B = s * s / meas
     phi = s * u / meas
 
-    ip = _SPHERE_AREA[d] * float((meas * phi) @ W @ (meas * phi))
-    target = _SPHERE_AREA[d] * e_mu(V, mu)
-    phi = phi * math.sqrt(target / ip)
-
-    rhs = lam * B * (W @ (meas * phi))
+    # <phi, V phi> / |S^(d-1)| = (meas phi) W (meas phi)
+    Wx = _w_apply(tc.J, tc.m, meas * phi)
+    scale = math.sqrt(e_mu(V, mu) / float((meas * phi) @ Wx))
+    phi, rhs = scale * phi, lam * B * Wx * scale
     eval_res = float(np.max(np.abs(phi - rhs)) / np.max(np.abs(phi)))
     return GroundState(mu=mu, d=d, lam=lam, T_c=tc.T_c, grid=grid, phi_hat=phi,
                        spectral_gap=tc.spectral_gap, eval_eq_residual=eval_res,

@@ -328,7 +328,8 @@ def cmd_tc0(cfg: dict, tol: float, threads: int):
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
                 "e_mu_m_mu_lambda": emm, "refine_level": r.refine_level,
                 "grid_size": len(r.grid), "w_builds": r.w_builds,
-                "temperature_evals": r.temperature_evals, "spectral_gap": r.spectral_gap}
+                "temperature_evals": r.temperature_evals, "bracket_moves": r.bracket_moves,
+                "spectral_gap": r.spectral_gap}
 
     rows = _fanout(solve, lambdas, threads)
     checks = [_check(f"solved:lambda={row['lambda']:g}", "error" not in row, True,

@@ -25,7 +25,6 @@ from scipy import special as _sp
 from .quad import _subdivide, gauss_panels
 from .special import j_d
 
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # Fraction of its peak scale that |V| stays below beyond cutoff_radius().
 _CUTOFF_EPS = 1e-16
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from bcs.bs_solver import (
     _bs_scale,
     _lanczos_top2,
     _power_top,
-    _w_matrix,
+    _w_apply,
+    _w_factor,
     build_grid,
     ground_state,
     position_profile,
@@ -62,6 +64,12 @@ def test_grid_innermost_panel_tracks_temperature():
 # ---------------------------------------------------------------------------
 # interaction matrix elements
 # ---------------------------------------------------------------------------
+
+def _dense_w(V, p):
+    """J diag(m) J^T, the n x n W that the library only applies."""
+    J, m = _w_factor(V, p)
+    return (J * m) @ J.T
+
 
 # Two oracles for w_d(p, q): the momentum-side angular average of a closed
 # Vhat, and the position-side product of radial waves.
@@ -111,7 +119,7 @@ def test_w_matrix_matches_angular_average(kind, d):
     # only the Gaussian, which takes the closed form there, escaped.
     V, vhat = _potential(kind, d)
     p = np.array([0.3, 0.9, 1.4])
-    W = _w_matrix(V, p)
+    W = _dense_w(V, p)
     for i, pi in enumerate(p):
         for j, pj in enumerate(p):
             ref = oracles.angular_average_vhat(vhat, d, float(pi), float(pj))
@@ -122,7 +130,7 @@ def test_w_matrix_matches_gaussian_closed_form():
     p = build_grid(KernelParams(T=1e-5, mu=1.0), GAUSS3).nodes
     assert len(p) == 850
     ref = oracles.gaussian_w3_closed(1.0, 1.0, p[:, None], p[None, :])
-    err = np.max(np.abs(_w_matrix(GAUSS3, p) - ref))
+    err = np.max(np.abs(_dense_w(GAUSS3, p) - ref))
     assert err <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -131,22 +139,25 @@ def test_w_matrix_high_momentum_diagonal(d):
     # p = 13 is the grid's p_max for a unit-range potential at mu = 1.
     V = ExponentialPotential(d=d, a=1.0, ell=1.0)
     p = np.array([6.5, 13.0])
-    W = _w_matrix(V, p)
+    W = _dense_w(V, p)
     for i, pi in enumerate(p):
         ref = oracles.wd_position_space(V.value, V.cutoff_radius(), d, pi, pi)
         assert W[i, i] == pytest.approx(ref, rel=1e-8), pi
 
 
-def _dense_matrix(V, params, grid):
-    """diag(s) W diag(s), the matrix that tc0 and ground_state only apply."""
-    s = _bs_scale(grid, params, V.d)
-    return s[:, None] * s[None, :] * _w_matrix(V, grid.nodes)
-
-
-def test_bs_matrix_symmetric_bit_for_bit():
-    par = KernelParams(T=1e-3, mu=1.0)
-    S = _dense_matrix(GAUSS3, par, build_grid(par, GAUSS3))
-    assert np.array_equal(S, S.T)
+def test_bs_operator_symmetric_to_rounding():
+    # Lanczos assumes v -> s W (s v) is symmetric.  On the quick-start
+    # chain's closure grid, x.Ay and y.Ax agree to rounding of a_T.
+    par = KernelParams(T=1.0245186418036e-16, mu=1.0)
+    grid = build_grid(par, GAUSS3, refine_level=1)
+    assert len(grid) == 3180
+    s, (J, m) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes)
+    a_T = _lanczos_top2(s, J, m)[0]
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        x, y = rng.normal(size=(2, len(grid)))
+        xAy, yAx = x @ (s * _w_apply(J, m, s * y)), y @ (s * _w_apply(J, m, s * x))
+        assert abs(xAy - yAx) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(y) * a_T
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +165,12 @@ def test_bs_matrix_symmetric_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 def test_top_eigenvalue_matches_jacobi_oracle():
-    # _power_top is the one a_T route; with s = 1 it iterates on W itself.
+    # _power_top is the one a_T route; with s = 1 it iterates on W itself,
+    # here S = [A I] [A I]^T given by its factor.
     rng = np.random.default_rng(7)
     A = rng.normal(size=(12, 12))
     S = A @ A.T + np.eye(12)
-    a, u = _power_top(np.ones(12), S, None)
+    a, u = _power_top(np.ones(12), np.hstack([A, np.eye(12)]), np.ones(24), None)
     ref = oracles.jacobi_eigenvalues(S)
     assert a == pytest.approx(ref[0], rel=1e-12)
     assert np.linalg.norm(S @ u - a * u) < 1e-6 * a
@@ -169,14 +181,14 @@ def test_top_eigenvalue_validation():
     # W = diag(1, -1) from (1, 1) flips the iterate forever; running out of
     # steps is an error, not an answer.
     with pytest.raises(SolverError, match="did not converge in 600 steps"):
-        _power_top(np.ones(2), np.diag([1.0, -1.0]), None)
+        _power_top(np.ones(2), np.eye(2), np.array([1.0, -1.0]), None)
     with pytest.raises(SolverError, match="annihilated"):
-        _power_top(np.ones(2), np.zeros((2, 2)), None)
+        _power_top(np.ones(2), np.zeros((2, 2)), np.ones(2), None)
 
 
 def test_a_t0_grid_doubling_stability():
     par = KernelParams(T=1e-3, mu=1.0)
-    a0, a1 = (_power_top(_bs_scale(g, par, 3), _w_matrix(GAUSS3, g.nodes), None)[0]
+    a0, a1 = (_power_top(_bs_scale(g, par, 3), *_w_factor(GAUSS3, g.nodes), None)[0]
               for g in (build_grid(par, GAUSS3, refine_level=level) for level in (0, 1)))
     assert abs(a1 - a0) <= 1e-5 * abs(a1)
 
@@ -246,15 +258,22 @@ def test_tc0_finds_roots_anywhere_inside_the_window():
     hot = tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.0, t_max_factor=6.0)
     assert hot.T_c == pytest.approx(5.0257, rel=1e-4)
     assert hot.closure <= 1e-8
+    # The first bracket [T_pred/4, 4 T_pred] = [0.33, 5.30] holds this root;
+    # at lam = 2.5 the root 6.74 lies above it and the upper end moves once.
+    assert hot.bracket_moves == 0
+    hotter = tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.5, t_max_factor=60.0)
+    assert 6.5 < hotter.T_c < 7.0
+    assert hotter.closure <= 1e-8
+    assert hotter.bracket_moves == 1
     with pytest.raises(ValueError, match="t_min_factor < t_max_factor"):
         tc0(GAUSS3, 1.0, 3, 0.5, t_min_factor=1.0, t_max_factor=0.5)
 
 
 def test_tc0_builds_one_w_per_refine_level(monkeypatch):
-    # The quick-start chain: T_c ~ 1e-16 mu.  One W for the level-0 search
-    # and one for the closure grid; every temperature only rescales W.  The
-    # search runs power iteration, the closure one Lanczos solve, and
-    # temperature_evals counts both.
+    # The quick-start chain: T_c ~ 1e-16 mu.  One factor of W for the
+    # level-0 search and one for the closure grid; every temperature only
+    # rescales W.  The search runs power iteration, the closure one Lanczos
+    # solve, and temperature_evals counts both.
     from bcs import bs_solver
     counts = {"w": 0, "power": 0, "lanczos": 0}
 
@@ -266,7 +285,7 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(bs_solver, name, wrapper)
 
-    counted("_w_matrix", "w")
+    counted("_w_factor", "w")
     counted("_power_top", "power")
     counted("_lanczos_top2", "lanczos")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
@@ -276,6 +295,20 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     assert res.temperature_evals == counts["power"] + counts["lanczos"]
     assert res.temperature_evals <= 12
     assert (res.refine_level, len(res.grid)) == (1, 3180)
+
+
+def test_tc0_allocates_nothing_n_by_n():
+    # One 3180^2 float array is 77 MiB: the quick-start chain's tc0 peaks
+    # below that, and its result, which carries W's factor, holds far less.
+    tracemalloc.start()
+    try:
+        res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.grid) == 3180
+    assert peak <= 64 * 2 ** 20
+    assert held <= 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +325,16 @@ def test_ground_state_solves_eigenvalue_equation():
 def test_ground_state_normalization():
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     g = state.grid
-    from bcs.bs_solver import _w_matrix
     meas = g.weights * g.nodes ** 2
-    W = _w_matrix(GAUSS3, g.nodes)
+    W = _dense_w(GAUSS3, g.nodes)
     ip = 4.0 * math.pi * float((meas * state.phi_hat) @ W @ (meas * state.phi_hat))
     assert ip == pytest.approx(4.0 * math.pi * e_mu(GAUSS3, 1.0), rel=1e-10)
 
 
 def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
-    # tc0 hands its closure grid and W over; ground_state builds neither
-    # again, and gives what a run on a fresh tc0 result gives, bit for bit.
+    # tc0 hands its closure grid and W's factor over; ground_state builds
+    # neither again, and gives what a run on a fresh tc0 result gives, bit
+    # for bit.
     from bcs import bs_solver
     fresh = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc0(GAUSS3, 1.0, 3, 0.6))
     tc = tc0(GAUSS3, 1.0, 3, 0.6)
@@ -309,7 +342,7 @@ def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not build a grid or W")
     monkeypatch.setattr(bs_solver, "build_grid", forbidden)
-    monkeypatch.setattr(bs_solver, "_w_matrix", forbidden)
+    monkeypatch.setattr(bs_solver, "_w_factor", forbidden)
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     assert np.array_equal(state.phi_hat, fresh.phi_hat)
     assert state.spectral_gap == fresh.spectral_gap
@@ -326,7 +359,7 @@ def test_ground_state_takes_the_closure_solve_of_tc(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not build or solve again")
-    for name in ("_power_top", "_lanczos_top2", "build_grid", "_w_matrix"):
+    for name in ("_power_top", "_lanczos_top2", "build_grid", "_w_factor"):
         monkeypatch.setattr(bs_solver, name, forbidden)
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     assert state.closure == tc.closure
@@ -376,15 +409,15 @@ def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     V, _ = _potential(kind, d)
     params = KernelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, V, refine_level=0)
-    s, W = _bs_scale(grid, params, d), _w_matrix(V, grid.nodes)
-    S = s[:, None] * s[None, :] * W
+    s, (J, m) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes)
+    S = s[:, None] * s[None, :] * ((J * m) @ J.T)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
-    top, second, u = _lanczos_top2(s, W)
+    top, second, u = _lanczos_top2(s, J, m)
     lam = 1.0 / a1
     tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
                    spectral_gap=(top - second) / top, refine_level=0,
-                   w_builds=0, temperature_evals=0,
-                   V=V, grid=grid, W=W, a_T=top, u=u)
+                   w_builds=0, temperature_evals=0, bracket_moves=0,
+                   V=V, grid=grid, J=J, m=m, a_T=top, u=u)
     state = ground_state(V, 1.0, d, lam, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
@@ -396,9 +429,8 @@ def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
     # with many close eigenvalues leaves the residuals above tolerance.
     from bcs import bs_solver
     monkeypatch.setattr(bs_solver, "_LANCZOS_CAP", 24)
-    W = np.diag(np.linspace(1.0, 2.0, 400))
     with pytest.raises(SolverError, match="Lanczos did not converge with 24 Krylov vectors"):
-        _lanczos_top2(np.ones(400), W)
+        _lanczos_top2(np.ones(400), np.eye(400), np.linspace(1.0, 2.0, 400))
 
 
 # ---------------------------------------------------------------------------
