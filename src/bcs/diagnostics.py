@@ -2,17 +2,17 @@
 
 dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
-dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth fits
-the constant of that growth law to a sampled sweep.  The forms build no
-rule of their own for what the library already has: the d = 1 outer rule
-inside the Fermi shell is kernels._shell_rule, the d = 1 transform of V j1
-is a dot product with potentials._radial_measure, and a cosine transform
-at many momenta is one blocked product (_cos_sums): in d = 1 that
-transform at every outer node, and in d = 2 both the even-reflected kernel
-Vhat(|p - q|) + Vhat(p + q) and the transform of V j2 with its slope,
-cosine transforms of the line integrals of V and V j2 on one rule in the
-transverse coordinate y.  The d = 1 form stops its momentum tail on an
-explicit bound.
+dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth fits the
+constant of that growth law to a sampled sweep.  The forms build no rule of
+their own for what the library already has: the d = 1 outer rule inside
+the Fermi shell is kernels._shell_rule, the d = 1 transform of V j1 is a
+dot product with potentials._radial_measure, and a cosine transform at
+many momenta is one blocked product (_cos_sums): in d = 1 at every outer
+node, and in d = 2 for the V j2 table, from the line integral of V j2 on a
+rule in the transverse coordinate y.  On that rule the d = 2 kernel
+Vhat(|p - q|) + Vhat(p + q) is the cosine transform of the line integral of
+V, read at one set of Chebyshev points in q.  The d = 1 form stops its
+momentum tail on an explicit bound.
 """
 
 from __future__ import annotations
@@ -67,28 +67,21 @@ def _cos_sums(mid, offsets, z, g, phase=0.0):
     return np.concatenate(out)
 
 
-def _cos_transform(V: RadialPotential, mu: float, k_max: float, mid, offsets):
-    """w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr at every
-    p = mid + offset, on the radial measure sized to the frequency k_max, as
-    an array of shape (len(mid), len(offsets))."""
-    r, m = _radial_measure(V, k_max)
-    return _cos_sums(mid, offsets, r, math.sqrt(2.0 / math.pi) * m * j_d(r, mu, 1))
-
-
 def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=1 potential; grows like 1/T.
 
     Evaluates 2 Vhat(0) times the integral of (B_T(p, 0) w(p))^2 over p > 0,
-    where w is the transform of V j1 (_cos_transform), on fixed Gauss panels
-    at most 4 / cutoff_radius() wide in p, so that they resolve w^2.  Up to
-    sqrt(2 mu) the rule is kernels._shell_rule at that width; beyond it the
-    rule takes octaves [P, 2 P] of equal panels, each with the radial
-    measure sized to its upper end, so w on an octave is one blocked matrix
-    product.  There |B_T| <= 1 / (P^2 - mu), and Plancherel gives the
-    integral of w^2 over p > 0 as the integral of (V(r) j1(r))^2, so the
-    untaken tail is at most what is left of that after [0, P], over
-    (P^2 - mu)^2.  The octaves stop when this bound is below _TAIL_TOL of
-    the value, and raise QuadratureError once P rc passes _MAX_P_RC.
+    where w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr, the
+    transform of V j1 (_cos_sums), on fixed Gauss panels at most
+    4 / cutoff_radius() wide in p, so that they resolve w^2.  Up to sqrt(2 mu)
+    the rule is kernels._shell_rule at that width; beyond it the rule takes
+    octaves [P, 2 P] of equal panels, each with the radial measure sized to
+    its upper end, so w on an octave is one blocked matrix product.  There
+    |B_T| <= 1 / (P^2 - mu), and Plancherel gives the integral of w^2 over
+    p > 0 as the integral of (V(r) j1(r))^2, so the untaken tail is at most
+    what is left of that after [0, P], over (P^2 - mu)^2.  The octaves stop
+    when this bound is below _TAIL_TOL of the value, and raise
+    QuadratureError once P rc passes _MAX_P_RC.
     """
     if V.d != 1:
         raise ValueError("dt_form_d1 needs a d=1 potential")
@@ -108,7 +101,8 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     total = 0.0
     p_hi = math.sqrt(2.0 * mu)
     while True:
-        w = _cos_transform(V, mu, p_hi + root_mu, mid, offsets).ravel()
+        r, m = _radial_measure(V, p_hi + root_mu)
+        w = _cos_sums(mid, offsets, r, math.sqrt(2.0 / math.pi) * m * j_d(r, mu, 1)).ravel()
         total += float(np.dot(wp, (bt_radial_shifted(shifted, params) * w) ** 2))
         rest -= float(np.dot(wp, w * w))
         if max(rest, 0.0) <= _TAIL_TOL * total * (p_hi * p_hi - mu) ** 2:
@@ -156,10 +150,7 @@ def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
 
 def _transverse_rule(V: RadialPotential, mu: float, k_max: float):
     """Nodes y and weights of the measures U(y) dy and A(y) dy on [0, cutoff]
-    (_line_integral), exact enough for integrands with frequencies in y up
-    to k_max, and a mask of the panels _d2_tables groups by width: the plain
-    ones but for the plain half of the first panel, which as a group of one
-    would cost _cos_sums 34 sines and cosines a q node instead of 16 cosines.
+    (_line_integral), exact for integrands of frequencies in y up to k_max.
 
     U and A carry y^2 log y terms at 0 unless V is smooth in r^2, and a jump
     of V or of its n-th derivative at b gives them a (b - y)^(n + 1/2) end.
@@ -170,7 +161,6 @@ def _transverse_rule(V: RadialPotential, mu: float, k_max: float):
     edges = radial_edges(V, k_max)
     edges = _subdivide(edges, [2] + [1] * (len(edges) - 2))
     y, wy = gauss_panels(edges)
-    grouped = np.arange(len(edges) - 1) > 1
     ends = np.flatnonzero(np.isin(edges[1:], (*V.breakpoints, edges[-1])))
     for k, side in [(0, 0), *((k, 1) for k in ends)]:
         # t runs from the singular end c of the panel to its other end o
@@ -179,23 +169,14 @@ def _transverse_rule(V: RadialPotential, mu: float, k_max: float):
         t = (y[blk] - c) / (o - c)
         wy[blk] *= 2.0 * t
         y[blk] = c + (o - c) * t * t
-        grouped[k] = False
-    return edges, y, wy * _line_integral(V, mu, y), grouped
+    return y, wy * _line_integral(V, mu, y)
 
 
 @lru_cache(maxsize=4)
 def _d2_tables(V: RadialPotential, mu: float):
     """Momentum cutoff, V j2 transform table (_hermite) and the transverse
-    rule it is read from, shared by every dt_form_d2 temperature for one (V, mu) pair.
-
-    The rule comes whole, for the rows that share one q grid, and in
-    groups for the others, in the layout _cos_sums takes: the nodes of its
-    ungrouped panels as midpoints with the single offset 0, and its grouped
-    panels by width as midpoints and offsets.
-    """
-    root_mu = math.sqrt(mu)
-    rc = V.cutoff_radius()
-    rs = V.range_scale
+    rule it is read from, shared by every dt_form_d2 temperature for one (V, mu) pair."""
+    root_mu, rc, rs = math.sqrt(mu), V.cutoff_radius(), V.range_scale
 
     # Push the cutoff until the transform envelope, damped by the two
     # off-shell kernel factors, is negligible against the on-shell scale.
@@ -217,20 +198,11 @@ def _d2_tables(V: RadialPotential, mu: float):
     # table to keep its error, at most h^4/384 max |w''''|, below 1e-9 of its peak
     h = 0.35 / rc / 16.0
     n = int(math.ceil((math.sqrt(2.0) * P + 2.0 * h) / h)) + 1
-    edges, y, (uy, ay), grouped = _transverse_rule(V, mu, max(2.0 * P, (n - 1) * h + root_mu))
+    y, (uy, ay) = _transverse_rule(V, mu, max(2.0 * P, (n - 1) * h + root_mu))
     b = math.isqrt(n) + 1
     table = (h, *(_cos_sums(h * np.arange(0, n, b), h * np.arange(b), y, g, phase).ravel()[:n]
                   for g, phase in ((ay / math.pi, 0.0), (-y * ay / math.pi, 0.5 * math.pi))))
-
-    uy *= 2.0 / math.pi
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    alone = np.repeat(~grouped, 16)
-    groups = [(y[alone], np.zeros(1), uy[alone][:, None])]
-    for width in np.unique(np.round(half[grouped] / rc, 12)):
-        k = np.flatnonzero(grouped & (np.round(half / rc, 12) == width))
-        offsets = gauss_panels([-half[k[0]], half[k[0]]])[0]
-        groups.append((mid[k], offsets, uy.reshape(-1, 16)[k]))
-    return P, table, y, uy, groups
+    return P, table, y, uy * (2.0 / math.pi)
 
 
 def _hermite(table, s):
@@ -245,28 +217,57 @@ def _hermite(table, s):
             + t * t * ((3.0 - 2.0 * t) * f[k + 1] - h * t1 * df[k + 1]))
 
 
+def _chebyshev_count(Y: float, P: float) -> int:
+    """The smallest n with 2 (Y P / 4)^n / n! <= 1e-16, which bounds the error
+    of cos(q y), y <= Y, interpolated at n Chebyshev points in [0, P]."""
+    x = 0.25 * Y * P
+    return next(n for n in range(1, 1 << 30)
+                if math.lgamma(n + 1) - n * math.log(x) >= math.log(2e16))
+
+
+def _chebyshev_grid(y, P: float):
+    """Chebyshev points of the first kind in [0, P] for y up to y[-1], their
+    barycentric weights, and cos(y q) at them, of shape (len(y), n)."""
+    n = _chebyshev_count(y[-1], P)
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    nodes = 0.5 * P * (1.0 - np.cos(theta))
+    return nodes, np.sin(theta) * (-1.0) ** np.arange(n), np.cos(np.outer(y, nodes))
+
+
+def _lagrange(q, nodes, b):
+    """K[j, l] = b_l / (q_j - nodes_l) and its row sums s: K / s is the barycentric
+    Lagrange matrix from the nodes to the points q.  A q on a node gets a unit row."""
+    at = np.searchsorted(nodes, q).clip(max=len(nodes) - 1)
+    hit = nodes[at] == q
+    K = np.subtract.outer(q, nodes)
+    with np.errstate(divide="ignore"):
+        np.divide(b, K, out=K)
+    K[hit] = at[hit, None] == np.arange(len(nodes))
+    return K, K.sum(axis=1)
+
+
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     """Boundary pairing form for a d=2 potential; grows like ln(mu/T)^3.
 
     Iterated integral over p1 of a transverse double integral over (p2, q2)
     of u(p2) [Vhat(|p2 - q2|) + Vhat(p2 + q2)] u(q2), where u carries the
-    transform of V j2 and B_T.  The kernel is the cosine transform
-    (2/pi) * integral of U(y) cos(p2 y) cos(q2 y) dy of the line integral
-    U(y) of V, so the double integral is (2/pi) sum_m U_m c_m^2 with
-    c_m = sum_j u_j cos(q_j y_m) on a fixed transverse rule.  The q nodes
-    are Gauss panels refined geometrically toward the Fermi circle
-    crossing; every p1 outside the Fermi circle shares one q grid, so those
-    rows go through a matrix product in blocks.
+    transform of V j2 and B_T.  The kernel is (2/pi) times the integral of
+    U(y) cos(p2 y) cos(q2 y) dy, U the line integral of V, so the double
+    integral is (2/pi) sum_m U_m c_m^2 with c_m = sum_j u_j cos(q_j y_m) on
+    a fixed transverse rule.  Each p1 inside the Fermi circle has its own q
+    panels, refined toward its crossing, and those outside share one grid.
+    Every row's u goes onto one set of Chebyshev points (_lagrange), where
+    cos(q y) is tabulated once per call, so c is one product for all rows.
     """
     if V.d != 2:
         raise ValueError("dt_form_d2 needs a d=2 potential")
     params = KernelParams(T=float(T), mu=float(mu))
     T, mu = params.T, params.mu
-    root_mu = math.sqrt(mu)
+    root_mu, sqrt_T = math.sqrt(mu), math.sqrt(T)
     with _D2_LOCK:
-        P, w_table, y, uy, groups = _d2_tables(V, mu)
+        P, w_table, y, uy = _d2_tables(V, mu)
+    nodes, b, cos_y = _chebyshev_grid(y, P)
     base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
-    sqrt_T = math.sqrt(T)
 
     p1_nodes, p1_weights = gauss_panels(_refined_edges(P, base, root_mu, 0.25 * T / root_mu))
 
@@ -274,23 +275,22 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
         s_sq = p1[:, None] ** 2 + q * q
         return _hermite(w_table, np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
 
-    total = 0.0
+    def rows(a, w1):  # sum of w1 sum_m U_m c_m^2 over rows with coefficients a
+        return float(np.dot(uy @ np.square(cos_y @ a.T), w1))
+
     inside = p1_nodes * p1_nodes < mu
-    for p1, w1 in zip(p1_nodes[inside], p1_weights[inside]):
+    a = np.empty((np.count_nonzero(inside), len(nodes)))
+    for i, p1 in enumerate(p1_nodes[inside]):
         qstar = math.sqrt(mu - p1 * p1)
         q, wq = gauss_panels(_refined_edges(P, base, qstar, 0.5 * T / max(qstar, sqrt_T)))
-        u = u_rows(np.array([p1]), q, wq)[0]
-        row = 0.0
-        for m, offsets, w in groups:
-            c = _cos_sums(m, offsets, q, u)
-            row += float(np.sum(w * c * c))
-        total += float(w1) * row
+        K, s = _lagrange(q, nodes, b)
+        a[i] = (u_rows(np.array([p1]), q, wq)[0] / s) @ K
+    total = rows(a, p1_weights[inside])
     q, wq = gauss_panels(_refined_edges(P, base, 0.0, 0.5 * T / sqrt_T))
-    cos_yq = np.cos(np.outer(y, q))
+    K, s = _lagrange(q, nodes, b)
     p1_out, w1_out = p1_nodes[~inside], p1_weights[~inside]
     for i0 in range(0, len(p1_out), 48):
-        c = cos_yq @ u_rows(p1_out[i0:i0 + 48], q, wq).T
-        total += float(np.dot(uy @ (c * c), w1_out[i0:i0 + 48]))
+        total += rows((u_rows(p1_out[i0:i0 + 48], q, wq) / s) @ K, w1_out[i0:i0 + 48])
     return 4.0 * total
 
 

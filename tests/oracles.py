@@ -871,6 +871,25 @@ def step_d2_transforms(a: float, R: float, mu: float):
     return vhat, vj2
 
 
+def exponential_d2_transforms(a: float, ell: float, mu: float):
+    """Closed forms for a * exp(-r/ell) in d = 2, with p = 1/ell:
+    Vhat(k) = a p / (p^2 + k^2)^(3/2), and (V j2)^(s) = -a d/dp of
+    Gradshteyn-Ryzhik 6.612.3, integral of e^(-pt) J0(alpha t) J0(s t) dt
+    = 2 K(m) / (pi sqrt(R)) with R = p^2 + (alpha + s)^2, m = 4 alpha s / R
+    and alpha = sqrt(mu).  With dK/dm = (E - (1 - m) K) / (2 m (1 - m)),
+    that is a 2 p E(m) / (pi sqrt(R) (p^2 + (alpha - s)^2))."""
+    p, alpha = 1.0 / ell, math.sqrt(mu)
+
+    def vhat(k):
+        return a * p / (p * p + np.square(k)) ** 1.5
+
+    def vj2(s):
+        R = p * p + (alpha + s) ** 2
+        return 2.0 * a * p * special.ellipe(4.0 * alpha * s / R) \
+            / (math.pi * np.sqrt(R) * (p * p + (alpha - s) ** 2))
+    return vhat, vj2
+
+
 def dt_d2_direct(vhat, vj2, T: float, mu: float, fermi_width: float,
                  p_max: float, tail_width: float) -> float:
     """d=2 pairing form as a direct momentum-side sum.

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.special import j0, j1
 
 import oracles
@@ -18,7 +19,7 @@ from bcs.boundary3d import criterion
 from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, _radial_measure)
-from bcs.quad import QuadratureError
+from bcs.quad import QuadratureError, gauss_panels
 from bcs.special import j_d
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
@@ -113,14 +114,54 @@ def test_dt_d2_gaussian_matches_direct_sum():
     assert dt_form_d2(V, 1e-2, 1.0) == pytest.approx(ref, rel=1e-7)
 
 
-def test_dt_d2_step_matches_direct_sum():
+@pytest.fixture(scope="module")
+def step2_direct():
+    """The unit step's d = 2 form at T = 0.1 as a direct sum to p = 120."""
+    vhat, vj2 = oracles.step_d2_transforms(1.0, 1.0, 1.0)
+    return oracles.dt_d2_direct(vhat, vj2, 0.1, 1.0, fermi_width=0.05,
+                                p_max=120.0, tail_width=1.0)
+
+
+def test_dt_d2_step_matches_direct_sum(step2_direct):
     # The step's transforms decay like powers of k, so this also checks
     # that the momentum cutoff leaves a negligible tail.
-    vhat, vj2 = oracles.step_d2_transforms(1.0, 1.0, 1.0)
-    ref = oracles.dt_d2_direct(vhat, vj2, 0.1, 1.0, fermi_width=0.05,
-                               p_max=120.0, tail_width=1.0)
     V = StepPotential(d=2, a=1.0, R=1.0)
-    assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(ref, rel=1e-7)
+    assert dt_form_d2(V, 0.1, 1.0) == pytest.approx(step2_direct, rel=1e-7)
+
+
+def test_dt_d2_half_sized_chebyshev_grid_leaves_the_direct_sum(monkeypatch, step2_direct):
+    # Half the Chebyshev points the interpolation bound asks for (36 of 73)
+    # move the step's form off its direct sum by far more than 1e-7.
+    V = StepPotential(d=2, a=1.0, R=1.0)
+    count = diagnostics._chebyshev_count
+    monkeypatch.setattr(diagnostics, "_chebyshev_count", lambda Y, P: count(Y, P) // 2)
+    assert dt_form_d2(V, 0.1, 1.0) != pytest.approx(step2_direct, rel=1e-7)
+
+
+@pytest.mark.parametrize("mu", [0.01, 1.0])
+def test_exponential_d2_transforms_match_quadrature(mu):
+    # The closed forms against QUADPACK on [0, 60], where e^(-r/0.8) < 1e-32.
+    a, ell, alpha = 1.3, 0.8, math.sqrt(mu)
+    vhat, vj2 = oracles.exponential_d2_transforms(a, ell, mu)
+    for s in (0.0, 0.05, alpha, 0.37, 2.0, 6.0):
+        ref = integrate.quad(lambda r: a * math.exp(-r / ell) * j0(alpha * r) * j0(s * r) * r,
+                             0.0, 60.0, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+        assert vj2(s) == pytest.approx(ref, rel=1e-12), s
+    for k in (0.0, 0.5, 3.0):
+        assert vhat(k) == pytest.approx(oracles.exponential_hat_closed(a, ell, 2, k), rel=1e-14)
+
+
+def test_dt_d2_exponential_matches_direct_sum_below_its_cutoff():
+    # The closed-form transforms of e^-r at mu = 0.01, summed directly up to
+    # the library's own momentum cutoff P.  Summed on to p = 20 the direct
+    # sum grows by 1.2e-7 of itself: that tail is the cutoff's, not the
+    # route's, and this test does not check it.
+    V = ExponentialPotential(d=2, a=1.0, ell=1.0)
+    P = diagnostics._d2_tables(V, 0.01)[0]
+    vhat, vj2 = oracles.exponential_d2_transforms(1.0, 1.0, 0.01)
+    ref = oracles.dt_d2_direct(vhat, vj2, 1e-3, 0.01, fermi_width=0.005,
+                               p_max=P, tail_width=0.25)
+    assert dt_form_d2(V, 1e-3, 0.01) == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +243,42 @@ def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
     slope = (8.0 * (direct(k * h + e) - direct(k * h - e))
              - (direct(k * h + 2 * e) - direct(k * h - 2 * e))) / (12.0 * e)
     assert np.abs(df[k] - slope).max() <= 1e-10 * np.abs(df).max()
+
+
+@D2_TABLE_CASES
+def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
+    # Every row of the form reaches the transverse rule through the
+    # Chebyshev points in q: C @ (L^T u) must equal the plain cosine sum
+    # cos(y q) @ u, on an inside row's q grid refined at its Fermi crossing
+    # (T/mu = 1e-3) and on the grid the rows outside the circle share.
+    P, _, y, _ = diagnostics._d2_tables(V, mu)
+    nodes, b, cos_y = diagnostics._chebyshev_grid(y, P)
+    T, root_mu = 1e-3 * mu, math.sqrt(mu)
+    base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
+    rng = np.random.default_rng(11)
+    for qstar, width in ((0.6 * root_mu, 0.5 * T / (0.6 * root_mu)),
+                         (0.0, 0.5 * math.sqrt(T))):
+        q = gauss_panels(diagnostics._refined_edges(P, base, qstar, width))[0]
+        u = rng.normal(size=len(q))
+        K, s = diagnostics._lagrange(q, nodes, b)
+        got = cos_y @ ((u / s) @ K)
+        assert np.abs(got - np.cos(np.outer(y, q)) @ u).max() <= 1e-14 * np.abs(u).sum()
+
+
+def test_dt_d2_lagrange_row_on_a_chebyshev_point_is_a_unit_row():
+    # The barycentric quotient divides by zero at a q on a node; that row
+    # must come out as the node's row of the identity, with no warning.
+    nodes, b, _ = diagnostics._chebyshev_grid(np.linspace(0.0, 6.0, 40), 11.0)
+    q = np.array([0.0, nodes[0], 0.37, nodes[17], 5.5, nodes[-1], 11.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K, s = diagnostics._lagrange(q, nodes, b)
+    L = K / s[:, None]
+    assert np.isfinite(L).all()
+    eye = np.eye(len(nodes))
+    for j, k in ((1, 0), (3, 17), (5, len(nodes) - 1)):
+        assert np.array_equal(L[j], eye[k])
+    assert np.abs(L.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 @pytest.mark.parametrize("offsets, phase",
