@@ -11,16 +11,14 @@ a higher temperature than the bulk.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate
 
 from .potentials import RadialPotential, _radial_measure, _radial_panels
 from .quad import gauss_panels
-from .special import _sinc, si_cin
+from .special import _sinc, laplace_envelope, si_cin
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -63,46 +61,28 @@ def _t1_rule():
     return s, 1.0 - s, np.log((2.0 - s) / s), w / (2.0 * (1.0 - s))
 
 
-# Points per t1 block; each (points x nodes) temporary is then 27 kB.
-_BLOCK = 8
+# Points per t1 block; each (points x nodes) temporary is then 106 kB,
+# and each numpy call long enough that threads overlap in it instead of
+# queueing for the interpreter lock between calls.
+_BLOCK = 32
 
 # t1's table: _CHEB Chebyshev coefficients in log2 x on each octave
-# [2^j, 2^(j+1)), j in _OCTAVES; the lock lets threads build it once.
+# [2^j, 2^(j+1)), j in _OCTAVES.
 _OCTAVES = range(-2, 30)
 _CHEB = 12
-_T1_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=1)
-def _t1_table():
-    """Coefficients (degree, octave, [Re, Im]) of x L(x) = (1/2) int_0^inf
-    e^-u f(u/(2x)) du, f(y) = atanh(1/k)/k at k = 1 + iy, on 16-point Gauss
-    panels in u that shrink by 4 toward its log singularity at u = 0."""
-    u, w = gauss_panels(np.concatenate(([0.0], 4.0 ** np.arange(-22, 2),
-                                        np.arange(8.0, 41.0, 4.0))))
-    mass = 0.5 * np.exp(-u) * w
-
-    def envelope(t, j):
-        y = u / 2.0 ** (j + 1.5 + 0.5 * t)[:, None]
-        k = 1.0 + 1j * y
-        f = (np.log(k + 1.0) - np.log(y) - 0.5j * math.pi) / (2.0 * k)
-        return np.stack((f.real @ mass, f.imag @ mass), axis=1)  # real BLAS: fast
-
-    return np.stack([chebinterpolate(envelope, _CHEB - 1, (j,)) for j in _OCTAVES], axis=1)
+def _t1_kernel(y):
+    """h(y) = f(y/2)/2, f(y) = atanh(1/k)/k at k = 1 + iy: x L(x) =
+    int_0^inf e^-u h(u/x) du, the integral laplace_envelope tables."""
+    k = 1.0 + 0.5j * y
+    return (np.log(k + 1.0) - np.log(0.5 * y) - 0.5j * math.pi) / (4.0 * k)
 
 
 def _t1_tabled(x):
-    """t1 on [1/4, 2^30) from the envelope table: one Clenshaw sum a point,
-    gathering one degree at a time, so the work arrays stay O(points)."""
-    with _T1_LOCK:
-        coef = _t1_table()
-    m, e = np.frexp(x)
-    j, t = e - 1 - _OCTAVES[0], (2.0 * np.log2(m) + 1.0)[:, None]
-    b1 = b2 = 0.0
-    for c in coef[:0:-1]:
-        b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
-    env = coef[0][j] + t * b1 - b2
-    wave = np.cos(2.0 * x) * env[:, 1] + np.sin(2.0 * x) * env[:, 0]
+    """t1 on [1/4, 2^30) from the envelope table of x L(x)."""
+    env = laplace_envelope(_t1_kernel, _OCTAVES, _CHEB, x)
+    wave = np.cos(2.0 * x) * env.imag + np.sin(2.0 * x) * env.real
     return 2.0 / (math.pi * x) * (math.pi ** 2 / 8.0 + wave / x)
 
 
@@ -112,7 +92,7 @@ def t1(x):
     On [1/4, 2^30), sin^2 = (1 - cos)/2 and the cosine half's path turned
     onto k = 1 + iy give t1(x) = (2/(pi x)) [pi^2/8 - Re(i e^{2ix} L(x))],
     L(x) = int_0^inf e^{-2xy} atanh(1/(1+iy))/(1+iy) dy; L does not
-    oscillate, and x L(x) comes from _t1_table to 1e-14 relative.  Elsewhere
+    oscillate, and x L(x) comes from its table to 1e-14 relative.  Elsewhere
     arcoth(k)/k = int_0^1 dt/(k^2 - t^2), k integral first, gives
     t1(x) = (2/(pi x)) D(2x), D(w) = int_0^1 [2 sin^2(wt/2) ln((1+t)/(1-t))
                     + cos(wt) (Cin(w(1+t)) - Cin(w(1-t)))

@@ -138,14 +138,17 @@ def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
     panels sized for J0, each split into parts at most half a unit of s wide.
     """
     r_edges = radial_edges(V, math.sqrt(mu))
-    out = np.empty((2, len(y)))
-    for i, yi in enumerate(y):
+    rules = []
+    for yi in y:
         s_edges = np.arccosh(np.append(1.0, r_edges[r_edges > yi] / yi))
-        s, ws = gauss_panels(_subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5)))
-        c = np.cosh(s)
-        wc, v = ws * c, V.value(yi * c)
-        out[:, i] = np.dot(wc, v), np.dot(wc, v * j_d(yi * c, mu, 2))
-    return 2.0 * y * out
+        rules.append(gauss_panels(_subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5))))
+    # every y's rule in one array, so V and J0 take one call a table
+    sizes = np.array([len(s) for s, _ in rules])
+    c = np.cosh(np.concatenate([s for s, _ in rules]))
+    r = np.repeat(y, sizes) * c
+    v = V.value(r) * np.concatenate([ws for _, ws in rules]) * c
+    sums = np.add.reduceat(np.stack((v, v * j_d(r, mu, 2))), np.cumsum(sizes) - sizes, axis=1)
+    return 2.0 * y * sums
 
 
 def _transverse_rule(V: RadialPotential, mu: float, k_max: float):

@@ -20,10 +20,9 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special as _sp
 
 from .quad import _subdivide, gauss_panels
-from .special import j_d
+from .special import bessel_squares, j_d
 
 # Fraction of its peak scale that |V| stays below beyond cutoff_radius().
 _CUTOFF_EPS = 1e-16
@@ -286,11 +285,8 @@ def vmu_spectrum(V: RadialPotential, mu: float, ell_max: int) -> np.ndarray:
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
     # Bessel addition theorem: the Fermi-sphere projections of Vhat are
-    # position-space integrals against squared (spherical) Bessel functions.
+    # position-space integrals against squared (spherical) Bessel functions,
+    # J_l in d = 2 and sqrt(2/pi) j_l in d = 3.
     r, m = _radial_measure(V, 2.0 * math.sqrt(mu))
-    ell, z = np.arange(ell_max + 1)[:, None], math.sqrt(mu) * r
-    if V.d == 2:
-        basis = _sp.jv(ell, z)
-    else:
-        basis = math.sqrt(2.0 / math.pi) * _sp.spherical_jn(ell, z)
-    return basis ** 2 @ m
+    out = bessel_squares(ell_max, math.sqrt(mu) * r, V.d) @ m
+    return out if V.d == 2 else (2.0 / math.pi) * out

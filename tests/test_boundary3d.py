@@ -10,7 +10,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 import oracles
-from bcs import boundary3d
+from bcs import special
 from bcs.boundary3d import (
     TABLE1_REFERENCE,
     criterion,
@@ -88,9 +88,10 @@ def test_t1_table_between_its_nodes_matches_turned_path_oracle():
 
 
 def test_t1_table_built_once_under_threads():
-    # A threaded criterion sweep builds the table once and equals the
-    # serial sweep bit for bit; a barrier and a short switch interval make
-    # a race on the first build likely.
+    # A threaded criterion sweep builds each table once (t1's and the one
+    # si_cin reads for t4) and equals the serial sweep bit for bit; a
+    # barrier and a short switch interval make a race on the first build
+    # likely.
     V = GaussianPotential(d=3, a=1.0, ell=1.0)
     mus = (0.5, 2.0)
     start = threading.Barrier(len(mus), timeout=60.0)
@@ -99,7 +100,7 @@ def test_t1_table_built_once_under_threads():
         start.wait()
         return criterion(V, mu, "neumann")
 
-    boundary3d._t1_table.cache_clear()
+    special._laplace_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -107,7 +108,7 @@ def test_t1_table_built_once_under_threads():
             threaded = list(pool.map(crit, mus, timeout=120.0))
     finally:
         sys.setswitchinterval(interval)
-    assert boundary3d._t1_table.cache_info().misses == 1
+    assert special._laplace_table.cache_info().misses == 2
     assert threaded == [criterion(V, mu, "neumann") for mu in mus]
 
 

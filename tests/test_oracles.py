@@ -1,8 +1,9 @@
 """The oracles stay independent of the package they check, the package runs
-on its own fixed rules and numpy, with scipy.special its one scipy import,
-and it keeps only what it calls itself."""
+on its own fixed rules and numpy, with scipy only behind the tabulated
+potential's interpolant, and it keeps only what it calls itself."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
@@ -41,37 +42,80 @@ def _scipy_imports(tree, scope=()):
             yield from _scipy_imports(node, scope)
 
 
-def test_library_imports_only_scipy_special():
-    # src/bcs runs on numpy and scipy.special: no adaptive quadrature
-    # (scipy.integrate), and no scipy.optimize, scipy.sparse, scipy.linalg or
-    # scipy.interpolate behind its start-up.  The one exception is the
-    # monotone interpolant a tabulated potential builds when it is made.
+def test_library_imports_scipy_only_for_the_tabulated_interpolant():
+    # src/bcs runs on numpy alone: no scipy.special, no adaptive quadrature
+    # (scipy.integrate), no scipy.optimize, scipy.sparse or scipy.linalg.
+    # The one scipy import is the monotone interpolant a tabulated
+    # potential builds when it is made.
     allowed = {("potentials.py", ("TabulatedPotential", "__post_init__"), "scipy.interpolate")}
     modules = sorted(pathlib.Path(bcs.__file__).parent.glob("*.py"))
     assert modules, "no modules found under the bcs package"
     found = {(path.name, scope, module) for path in modules
              for scope, module in _scipy_imports(ast.parse(path.read_text(encoding="utf-8")))}
-    assert ("special.py", (), "scipy.special") in found, "the walk missed the scipy imports"
-    assert allowed <= found, "the tabulated potential's interpolant import moved"
-    offending = sorted((f for f in found - allowed if f[2] != "scipy.special"), key=str)
-    assert not offending, f"src/bcs imports more of scipy than scipy.special: {offending}"
+    assert allowed <= found, "the walk missed the tabulated potential's interpolant import"
+    assert found == allowed, f"src/bcs imports more of scipy: {sorted(found - allowed, key=str)}"
 
 
-def test_cli_start_up_loads_only_scipy_special():
-    # A fresh interpreter that imports the CLI, as every bcs command does,
-    # loads none of the scipy subpackages the library replaced with numpy.
+def _fresh_interpreter(code: str, *args: str) -> list:
+    """Lines a fresh interpreter prints when it runs code with this
+    checkout's src first on its path and args in sys.argv[1:]."""
     src = str(pathlib.Path(bcs.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import bcs.cli; "
-            "print(bcs.cli.__file__); print(' '.join(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout.splitlines()
+    prelude = f"import sys; sys.path.insert(0, {src!r}); "
+    out = subprocess.run([sys.executable, "-c", prelude + code, *args], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src), out[0]
-    loaded = out[1].split()
-    assert "scipy.special" in loaded
-    banned = ("scipy.optimize", "scipy.sparse", "scipy.interpolate", "scipy.linalg",
-              "scipy.integrate")
-    offending = sorted(m for m in loaded for b in banned if m == b or m.startswith(b + "."))
+    return out[1:]
+
+
+def test_cli_start_up_loads_no_scipy():
+    # A fresh interpreter that imports the CLI, as every bcs command does,
+    # loads no scipy, and none of the numpy subpackages scipy.special
+    # brought with it; a plain `import numpy` loads none of those either.
+    (line,) = _fresh_interpreter("import bcs.cli; print(bcs.cli.__file__); "
+                                 "print(' '.join(sys.modules))")
+    banned = ("scipy", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random")
+    offending = sorted(m for m in line.split() for b in banned if m == b or m.startswith(b + "."))
     assert not offending, f"import bcs.cli loads {offending}"
+
+
+_RUN_COMMANDS = """
+import contextlib, io, json, os, tempfile
+import bcs.cli
+print(bcs.cli.__file__)
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for i, (command, cfg) in enumerate(json.loads(sys.argv[1])):
+        path = os.path.join(tmp, f"config{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(bcs.cli.main([command, "--config", path]))
+print(json.dumps(codes))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+# A tiny config of each command kind the benchmark runs.
+_COMMAND_KINDS = [
+    ("table1", {}),
+    ("m3-profile", {"bc": "neumann", "x_max": 4.0, "step": 2.0}),
+    ("criterion", {"potential": {"kind": "gaussian", "d": 3}, "bc": "neumann", "mu": 1.0}),
+    ("vmu-spectrum", {"potential": {"kind": "exponential", "d": 2}, "mu": 1.0, "ell_max": 2}),
+    ("vmu-spectrum", {"potential": {"kind": "gaussian", "d": 3}, "mu": 1.0, "ell_max": 2}),
+    ("tc0", {"potential": {"kind": "gaussian", "d": 3}, "mu": 1.0, "lambdas": [0.6]}),
+    ("dt-growth", {"potential": {"kind": "step", "d": 1}, "mu": 1.0,
+                   "t_factors": [1e-2, 1e-3, 1e-4]}),
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 2}, "mu": 1.0,
+                   "t_factors": [0.2, 0.1, 0.05]}),
+]
+
+
+def test_cli_commands_run_without_loading_scipy():
+    # One fresh interpreter runs every command kind of the benchmark, and
+    # scipy is still not loaded after the last: a command that imported it
+    # lazily would pay that import inside its own time on every run.
+    codes, loaded = _fresh_interpreter(_RUN_COMMANDS, json.dumps(_COMMAND_KINDS))
+    assert json.loads(codes) == [0] * len(_COMMAND_KINDS)
+    assert json.loads(loaded) == []
 
 
 def _top_level_bindings(tree):

@@ -1,12 +1,15 @@
-"""Special functions against quadrature oracles and known constants."""
+"""Special functions against quadrature oracles, known constants and
+scipy.special."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 import oracles
-from bcs.special import j_d, si_cin
+from bcs import special
+from bcs.special import bessel_squares, j_d, si_cin
 
 
 def test_si_matches_quadrature_oracle():
@@ -41,6 +44,13 @@ def test_cin_rejects_negative():
         si_cin(-1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, [0.5, math.nan]])
+def test_si_cin_rejects_nan_and_infinity(x):
+    # NaN compares false with everything, so a bare x < 0 test let it through.
+    with pytest.raises(ValueError, match="x >= 0"):
+        si_cin(x)
+
+
 def test_j0_matches_power_series_oracle():
     # j_2 at mu = 1 is J0.  The alternating series cancels ~x^2/4 digits, so
     # stop at moderate x.
@@ -71,8 +81,8 @@ def test_j_d_origin_values():
 
 
 def test_j_d_sinc_series_branch_accuracy():
-    # Below the z = 1e-4 switch the series must agree with sin(z)/z, which
-    # is still fully accurate in doubles at these arguments.
+    # _sinc takes the quotient sin(z)/z at every z > 0, with no series
+    # branch, so it must stay accurate at small z.
     c = math.sqrt(2.0 / math.pi)
     for z in (1e-5, 5e-5, 0.99e-4):
         assert abs(j_d(z, 1.0, 3) - c * math.sin(z) / z) < 1e-15
@@ -93,3 +103,96 @@ def test_elementwise_and_scalar_types():
     assert j_d(xs, 1.0, 3).shape == xs.shape
     np.testing.assert_allclose(
         j_d(xs, 2.0, 2), [j_d(float(x), 2.0, 2) for x in xs], rtol=1e-15)
+
+
+# -- numpy routines against scipy.special -------------------------------------
+#
+# Each test states its target, puts points at every switch and one ulp to
+# either side of it, and shows that an under-sized variant of the routine
+# misses the target on the same points.
+
+
+def _around(points):
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, np.inf)])
+
+
+def _si_cin_errors():
+    """Largest relative errors of Si and Cin on a log grid from 1e-12 to
+    1e9, at the series end 2, at the octave ends of the table and at its
+    end 64.  Si comes from scipy's sici; so does Cin = gamma + ln x - Ci
+    from 1 up, and below 1, where that form cancels, from a 30-point
+    Gauss rule of 2 sin^2(xs/2)/s on [0, 1], a smooth positive integrand."""
+    x = np.concatenate([np.geomspace(1e-12, 1e9, 2000), _around(2.0 ** np.arange(1, 7)),
+                        np.linspace(1.9, 2.1, 41), np.linspace(60.0, 68.0, 41)])
+    si_ref, ci = sp.sici(x)
+    s, w = np.polynomial.legendre.leggauss(30)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    small = (2.0 * np.sin(0.5 * np.multiply.outer(x, s)) ** 2 / s) @ w
+    cin_ref = np.where(x < 1.0, small, np.euler_gamma + np.log(x) - ci)
+    si, cin = si_cin(x)
+    return np.max(np.abs(si / si_ref - 1.0)), np.max(np.abs(cin / cin_ref - 1.0))
+
+
+def test_si_cin_relative_accuracy_against_scipy():
+    # Target 1e-15 relative on both (reads 4.4e-16 on each).
+    assert max(_si_cin_errors()) < 1e-15
+
+
+def test_si_cin_one_series_term_short_misses_its_target(monkeypatch):
+    # Ten terms leave Si 1.2e-15 off just below the series end at 2.
+    monkeypatch.setattr(special, "_SI_SERIES", special._SI_SERIES[:-1])
+    monkeypatch.setattr(special, "_CIN_SERIES", special._CIN_SERIES[:-1])
+    assert max(_si_cin_errors()) > 1e-15
+
+
+def test_si_cin_one_table_coefficient_short_misses_its_target(monkeypatch):
+    # Twelve Chebyshev terms an octave leave Cin 1.1e-15 off near 2.
+    monkeypatch.setattr(special, "_SICI_CHEB", special._SICI_CHEB - 1)
+    assert max(_si_cin_errors()) > 1e-15
+
+
+def _j0_error():
+    """Largest absolute error of J0 on [0, 1e5]: a fine grid to 60, a log
+    grid beyond, the first 40 zeros, and the switch at 25.  The reference
+    is scipy's jv(0, x); scipy's j0 reduces x - pi/4 in floating point
+    and reads up to 7e-15 off at x ~ 2e4."""
+    x = np.concatenate([np.linspace(0.0, 60.0, 6001), np.geomspace(60.0, 1e5, 2000),
+                        sp.jn_zeros(0, 40), _around([special._J0_SWITCH])])
+    return np.max(np.abs(j_d(x, 1.0, 2) - sp.jv(0, x)))
+
+
+def test_j0_absolute_accuracy_against_scipy():
+    # Target 1e-15 absolute (reads 7.3e-16).
+    assert _j0_error() < 1e-15
+
+
+def test_j0_chebyshev_sum_three_terms_short_misses_its_target(monkeypatch):
+    # 27 of the 30 terms leave J0 1e-14 off near x = 3.
+    monkeypatch.setattr(special, "_J0_CHEB", special._J0_CHEB - 3)
+    assert _j0_error() > 1e-15
+
+
+def _bessel_square_error(d):
+    """Largest absolute error of the squared bases against scipy's jv or
+    spherical_jn on a log grid of z in [1e-6, 100]: all l <= 1000, and
+    l <= 4 alone, as vmu-spectrum asks, where the recurrence starts from z."""
+    z = np.concatenate([np.geomspace(1e-6, 100.0, 120), [1.0, 10.0, 50.0]])
+    ell = np.arange(1001)[:, None]
+    ref = (sp.jv(ell, z) if d == 2 else sp.spherical_jn(ell, z)) ** 2
+    return max(np.max(np.abs(bessel_squares(1000, z, d) - ref)),
+               np.max(np.abs(bessel_squares(4, z, d) - ref[:5])))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bessel_squares_absolute_accuracy_against_scipy(d):
+    # Target 1e-15 absolute (reads 3.6e-16 in d = 2, 4.4e-16 in d = 3).
+    assert _bessel_square_error(d) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bessel_squares_started_too_low_miss_their_target(monkeypatch, d):
+    # Started only 8 orders past max(l_max, z), the recurrence has not
+    # forgotten its seed at z = 100: 2e-5 off in d = 2, 2e-7 in d = 3.
+    monkeypatch.setattr(special, "_miller_start", lambda ell_max, z_max: int(max(ell_max, z_max)) + 8)
+    assert _bessel_square_error(d) > 1e-15
