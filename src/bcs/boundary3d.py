@@ -61,9 +61,9 @@ def _t1_rule():
     return s, 1.0 - s, np.log((2.0 - s) / s), w / (2.0 * (1.0 - s))
 
 
-# Points per t1 block; each (points x nodes) temporary is then 106 kB,
-# and each numpy call long enough that threads overlap in it instead of
-# queueing for the interpreter lock between calls.
+# Points per t1 block: enough to spread the fixed cost of si_cin's numpy
+# calls over many points, while each (points x nodes) temporary stays at
+# 106 kB.
 _BLOCK = 32
 
 # t1's table: _CHEB Chebyshev coefficients in log2 x on each octave

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -80,14 +79,6 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([c if isinstance(c, str) else _fmt17(c) for c in row])
 
 
-def _fanout(fn, items, threads: int) -> list:
-    """Map fn over items, optionally through a thread pool, in input order."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _checked_keys(command: str, cfg: dict, required, optional) -> None:
     allowed = set(required) | set(optional) | {"out", "threads"}
     unknown = sorted(set(cfg) - allowed)
@@ -130,6 +121,9 @@ def _real_list(cfg: dict, key: str) -> list:
 
 
 def _threads(cfg: dict) -> int:
+    """The config's ``threads`` count, checked and echoed in the report's
+    inputs but unused: every command runs its sweep in order on the
+    calling thread, since no sweep ran faster on a thread pool."""
     val = cfg.get("threads", 1)
     if isinstance(val, bool) or not isinstance(val, int) or val < 1:
         raise ConfigError("config key 'threads' must be a positive integer")
@@ -161,13 +155,13 @@ def _command(name: str, help_text: str, required=(), optional=(), *,
              tol_default=None, tol_nonnegative: bool = False):
     """Register a command body under ``name`` behind the steps every command
     shares.  The runner checks the config keys against ``required`` and
-    ``optional`` (``out`` and ``threads`` are accepted everywhere, ``tol``
-    only by a command with a ``tol_default``), reads ``tol`` (default
-    ``tol_default``; positive, or nonnegative when ``tol_nonnegative``),
-    ``threads`` and ``out``, times the body, echoes those three keys into
-    the report's inputs and writes ``out``.
+    ``optional`` (``out`` and a worker count that selects nothing are
+    accepted everywhere, ``tol`` only by a command with a ``tol_default``),
+    reads ``tol`` (default ``tol_default``; positive, or nonnegative when
+    ``tol_nonnegative``), that count and ``out``, times the body, echoes
+    those three keys into the report's inputs and writes ``out``.
 
-    The body takes (cfg, tol, threads) and returns (inputs, results, checks,
+    The body takes (cfg, tol) and returns (inputs, results, checks,
     error_estimates, table); ``out`` receives the CSV ``table`` given as
     (header, rows), or the report itself when ``table`` is None.
     """
@@ -182,7 +176,7 @@ def _command(name: str, help_text: str, required=(), optional=(), *,
             threads = _threads(cfg)
             out = cfg.get("out")
             start = time.perf_counter()
-            inputs, results, checks, estimates, table = body(cfg, tol, threads)
+            inputs, results, checks, estimates, table = body(cfg, tol)
             inputs.update(tol=tol, threads=threads, out=out)
             report = RunReport(name, inputs, results, checks, estimates,
                                time.perf_counter() - start)
@@ -198,7 +192,7 @@ def _command(name: str, help_text: str, required=(), optional=(), *,
 
 
 @_command("table1", "check the profile-table values and derivatives", tol_default=1e-6)
-def cmd_table1(cfg: dict, tol: float, threads: int):
+def cmd_table1(cfg: dict, tol: float):
     """Recompute every populated profile-table cell and compare to reference.
 
     ``tol`` is the tolerance on values; first and second derivatives get
@@ -228,7 +222,7 @@ def cmd_table1(cfg: dict, tol: float, threads: int):
 
 @_command("m3-profile", "sample the boundary profile to CSV",
           ("bc", "x_max", "step"), tol_default=1e-6)
-def cmd_m3_profile(cfg: dict, tol: float, threads: int):
+def cmd_m3_profile(cfg: dict, tol: float):
     """Sample the boundary profile on a uniform grid and write `x,m3` CSV.
 
     Neumann runs enforce the value 4 at x = 0 and a strictly negative
@@ -262,7 +256,7 @@ def cmd_m3_profile(cfg: dict, tol: float, threads: int):
 
 @_command("criterion", "evaluate the half-space pairing criterion",
           ("potential", "bc"), ("mu", "mu_sweep"))
-def cmd_criterion(cfg: dict, tol, threads: int):
+def cmd_criterion(cfg: dict, tol):
     """Evaluate the half-space pairing criterion at one mu or over a sweep.
 
     Sweeps write a `mu,value,sign` CSV to ``out``; a single-mu run writes
@@ -290,7 +284,7 @@ def cmd_criterion(cfg: dict, tol, threads: int):
                    "per_term": dict(rep.per_term)}
         return inputs, results, [], {"value_error_estimate": rep.error_estimate}, None
 
-    reps = _fanout(lambda m: criterion(V, m, bc), mus, threads)
+    reps = [criterion(V, m, bc) for m in mus]
     inputs["mu_sweep"] = mus
     results = {"sweep": [{"mu": m, "value": r.value, "sign": r.sign}
                          for m, r in zip(mus, reps)]}
@@ -302,7 +296,7 @@ def cmd_criterion(cfg: dict, tol, threads: int):
 
 @_command("tc0", "critical temperatures over a coupling sweep",
           ("potential", "mu", "lambdas"), ("t_min_factor", "t_max_factor"), tol_default=1e-8)
-def cmd_tc0(cfg: dict, tol: float, threads: int):
+def cmd_tc0(cfg: dict, tol: float):
     """Critical temperatures over a coupling list, one CSV row per lambda.
 
     Solver failures are recorded per row and fail the run; so does any
@@ -331,7 +325,7 @@ def cmd_tc0(cfg: dict, tol: float, threads: int):
                 "temperature_evals": r.temperature_evals, "bracket_moves": r.bracket_moves,
                 "spectral_gap": r.spectral_gap}
 
-    rows = _fanout(solve, lambdas, threads)
+    rows = [solve(lam) for lam in lambdas]
     checks = [_check(f"solved:lambda={row['lambda']:g}", "error" not in row, True,
                      row.get("error", "converged")) for row in rows]
     solved = [r for r in rows if "error" not in r]
@@ -353,7 +347,7 @@ def cmd_tc0(cfg: dict, tol: float, threads: int):
 
 @_command("dt-growth", "boundary pairing form growth diagnostics",
           ("potential", "mu", "t_factors"), tol_default=0.25)
-def cmd_dt_growth(cfg: dict, tol: float, threads: int):
+def cmd_dt_growth(cfg: dict, tol: float):
     """Boundary pairing form over a temperature sweep plus its growth fit.
 
     d = 1 potentials fit value ~ C/T, d = 2 fit C ln(mu/T)^3.  The fit
@@ -377,7 +371,7 @@ def cmd_dt_growth(cfg: dict, tol: float, threads: int):
         form, model, basis = dt_form_d1, "inverse_T", [1.0 / t for t in temps]
     else:
         form, model, basis = dt_form_d2, "log_cubed", [math.log(mu / t) ** 3 for t in temps]
-    values = _fanout(lambda T: form(V, T, mu), temps, threads)
+    values = [form(V, T, mu) for T in temps]
     c, dev = fit_growth(values, basis)
 
     checks = [_check("growth_fit_within_tol", dev <= tol, False,
@@ -394,7 +388,7 @@ def cmd_dt_growth(cfg: dict, tol: float, threads: int):
 @_command("vmu-spectrum", "Fermi-surface angular components of the interaction",
           ("potential", "mu", "ell_max"), tol_default=0.0,
           tol_nonnegative=True)
-def cmd_vmu_spectrum(cfg: dict, tol: float, threads: int):
+def cmd_vmu_spectrum(cfg: dict, tol: float):
     """Angular components of the interaction on the Fermi surface.
 
     Reports v_0..v_ell_max and whether the ground component strictly
@@ -437,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the primary artifact here")
         p.add_argument("--tol", type=float,
                        help="override the command's tolerance")
-        p.add_argument("--threads", type=int,
-                       help="worker threads for sweeps")
     return parser
 
 
@@ -459,8 +451,6 @@ def _load_config(args: argparse.Namespace) -> dict:
         cfg["out"] = args.out
     if args.tol is not None:
         cfg["tol"] = args.tol
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 

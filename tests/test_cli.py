@@ -1,12 +1,13 @@
 """Command-line interface: schemas, artifacts, exit codes, determinism."""
 
 import json
+import threading
 import time
 
 import pytest
 
 import oracles
-from bcs import boundary3d
+from bcs import boundary3d, cli
 from bcs.boundary3d import t1, t2, t3, t4
 from bcs.cli import cmd_table1, main
 
@@ -24,6 +25,27 @@ def write_config(tmp_path, name, payload):
 
 
 GAUSS3 = {"kind": "gaussian", "d": 3, "a": 1.0, "ell": 1.0}
+
+
+def record_threads(monkeypatch, *names):
+    """Wrap each named library function as bcs.cli calls it; the returned
+    list collects the thread of every call."""
+    idents = []
+    for name in names:
+        def spy(*args, _fn=getattr(cli, name), **kwargs):
+            idents.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    return idents
+
+
+def without_timing_and_threads(stdout):
+    """The report minus the two fields that may differ between runs that
+    differ only in the config's "threads": the wall time and its echo."""
+    report = json.loads(stdout)
+    report.pop("wall_time_s")
+    report["inputs"].pop("threads")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +190,25 @@ def test_criterion_zero_potential_is_inconclusive_not_an_error(capsys, tmp_path)
     assert json.loads(stdout)["results"]["sign"] == "inconclusive"
 
 
-def test_criterion_mu_sweep_csv_in_input_order(capsys, tmp_path):
+def test_criterion_mu_sweep_csv_in_input_order(capsys, tmp_path, monkeypatch):
+    # "threads" selects nothing: 3 and 1 give one report and one CSV, and
+    # every criterion call runs on the calling thread.
+    idents = record_threads(monkeypatch, "criterion")
     out = tmp_path / "sweep.csv"
-    cfg = write_config(tmp_path, "cfg.json",
-                       {"potential": GAUSS3, "bc": "dirichlet",
-                        "mu_sweep": [2.0, 0.5, 1.0], "threads": 3})
-    code, stdout, _ = run(capsys, "criterion", "--config", cfg,
-                          "--out", str(out))
-    assert code == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
+    reports, tables = [], []
+    for threads in (3, 1):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"potential": GAUSS3, "bc": "dirichlet",
+                            "mu_sweep": [2.0, 0.5, 1.0], "threads": threads})
+        code, stdout, _ = run(capsys, "criterion", "--config", cfg,
+                              "--out", str(out))
+        assert code == 0
+        reports.append(without_timing_and_threads(stdout))
+        tables.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert tables[0] == tables[1]
+    assert idents == [threading.main_thread().ident] * 6
+    lines = tables[0].decode("utf-8").splitlines()
     assert lines[0] == "mu,value,sign"
     mus = [float(line.split(",")[0]) for line in lines[1:]]
     assert mus == [2.0, 0.5, 1.0]
@@ -431,18 +463,27 @@ def test_vmu_spectrum_bounds_ell_max(capsys, tmp_path):
 # report and config plumbing
 # ---------------------------------------------------------------------------
 
-def test_report_is_deterministic_and_key_sorted(capsys, tmp_path):
-    # a threaded tc0 sweep too: its rows, solver trace and gaps included
+def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
+    # Each config runs with "threads" 3, then 1, which selects nothing: the
+    # reports (tc0's rows, solver trace and gaps included) and the tc0 CSV
+    # match, and every library call runs on the calling thread.
+    idents = record_threads(monkeypatch, "criterion", "tc0", "dt_form_d1")
+    out = tmp_path / "artifact"
     for command, payload in (
             ("criterion", {"potential": GAUSS3, "bc": "neumann", "mu": 1.0}),
-            ("tc0", {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.6, 0.5], "threads": 2})):
-        cfg = write_config(tmp_path, "cfg.json", payload)
-        _, first, _ = run(capsys, command, "--config", cfg)
-        _, second, _ = run(capsys, command, "--config", cfg)
-        a, b = json.loads(first), json.loads(second)
-        a.pop("wall_time_s"), b.pop("wall_time_s")
-        assert a == b
-        assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n"
+            ("tc0", {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.6, 0.5]}),
+            ("dt-growth", {"potential": {"kind": "gaussian", "d": 1}, "mu": 1.0,
+                           "t_factors": [1e-1, 1e-2, 1e-3]})):
+        runs = []
+        for threads in (3, 1):
+            cfg = write_config(tmp_path, "cfg.json", {**payload, "threads": threads})
+            _, stdout, _ = run(capsys, command, "--config", cfg, "--out", str(out))
+            assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+            runs.append((without_timing_and_threads(stdout), out.read_bytes()))
+        assert runs[0][0] == runs[1][0]
+        if command == "tc0":
+            assert runs[0][1].startswith(b"lambda,Tc,") and runs[0][1] == runs[1][1]
+    assert idents == [threading.main_thread().ident] * 2 * (1 + 2 + 3)
 
 
 def test_cli_flags_override_config_keys(capsys, tmp_path):

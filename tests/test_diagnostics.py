@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import j0, j1
+from scipy.special import j0, j1, zeta
 
 import oracles
 from bcs import diagnostics
@@ -66,6 +66,29 @@ def test_dt_d1_inverse_temperature_fit():
     assert c == pytest.approx(oracles.FROZEN_DT1_FIT_C, rel=1e-7)
     assert dev == pytest.approx(oracles.FROZEN_DT1_FIT_DEV, abs=1e-8)
     assert dev < 0.2
+
+
+@pytest.mark.parametrize("V, vhat", [
+    (GAUSS1, lambda k: oracles.gaussian_hat_closed(1.0, 1.0, 1, k)),
+    (ExponentialPotential(d=1, a=1.0, ell=1.0),
+     lambda k: oracles.exponential_hat_closed(1.0, 1.0, 1, k)),
+    (StepPotential(d=1, a=1.0, R=1.0), lambda k: oracles.step_hat_closed(1.0, 1.0, 1, k)),
+    (_table(1), oracles.table_hat(np.array(_table(1).r_values),
+                                  np.array(_table(1).v_values), 1))],
+    ids=["gaussian", "exponential", "step", "tabulated"])
+def test_dt_d1_growth_constant(V, vhat):
+    # T dt_form_d1 -> C1 = 2 Vhat(0) w^2 I / (4 sqrt(mu)) with I = 28 zeta(3)
+    # / pi^2 and w = sqrt(pi/2) (Vhat(0) + Vhat(2 sqrt(mu))) / pi, the d = 1
+    # transforms taken from the oracles.  The deviation is linear in T/mu
+    # (measured +1.8e-4, -6.6e-4, +2.2e-4 and -1.1e-3 at 1e-3), so it must
+    # stay below 2 T/mu and fall tenfold from 1e-3 to 1e-4.  About 0.25 s for the four.
+    mu = 1.0
+    k_f = math.sqrt(mu)
+    w = math.sqrt(math.pi / 2.0) * (vhat(0.0) + vhat(2.0 * k_f)) / math.pi
+    c1 = 2.0 * vhat(0.0) * w * w * (28.0 * zeta(3.0) / math.pi ** 2) / (4.0 * k_f)
+    dev = {t: t * mu * dt_form_d1(V, t * mu, mu) / c1 - 1.0 for t in (1e-3, 1e-4)}
+    assert all(abs(d) <= 2.0 * t for t, d in dev.items()), dev
+    assert dev[1e-3] / dev[1e-4] == pytest.approx(10.0, rel=0.05), dev
 
 
 def test_dt_d1_wrong_dimension_rejected():

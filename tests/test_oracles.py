@@ -71,9 +71,11 @@ def test_cli_start_up_loads_no_scipy():
     # A fresh interpreter that imports the CLI, as every bcs command does,
     # loads no scipy, and none of the numpy subpackages scipy.special
     # brought with it; a plain `import numpy` loads none of those either.
+    # Nor does it load a thread pool: every command runs on one thread.
     (line,) = _fresh_interpreter("import bcs.cli; print(bcs.cli.__file__); "
                                  "print(' '.join(sys.modules))")
-    banned = ("scipy", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random")
+    banned = ("scipy", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random",
+              "concurrent.futures")
     offending = sorted(m for m in line.split() for b in banned if m == b or m.startswith(b + "."))
     assert not offending, f"import bcs.cli loads {offending}"
 
