@@ -36,6 +36,12 @@ _BLOCK = 1 << 19
 # for the cutoff radius rc, so it gives up once P rc passes _MAX_P_RC.
 _TAIL_TOL = 1e-13
 _MAX_P_RC = 4096.0
+# Both forms lay their momentum panels _PANEL_RC / rc wide.  Away from the
+# Fermi surface their integrands carry frequencies k <= 2 rc (products of two
+# transforms of functions on [0, rc]), and the 16-point rule integrates
+# e^(ikq) on a panel of half-width h = 2 / rc to within
+# 2^33 (16!)^4 4^32 / (33 (32!)^3) h = 5.1e-26 h.
+_PANEL_RC = 4.0
 # Threads sweeping temperatures of one (V, mu) pair build its d = 2 tables once.
 _D2_LOCK = threading.Lock()
 
@@ -72,8 +78,8 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
 
     Evaluates 2 Vhat(0) times the integral of (B_T(p, 0) w(p))^2 over p > 0,
     where w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr, the
-    transform of V j1 (_cos_sums), on fixed Gauss panels at most
-    4 / cutoff_radius() wide in p, so that they resolve w^2.  Up to sqrt(2 mu)
+    transform of V j1 (_cos_sums), on fixed Gauss panels at most _PANEL_RC /
+    cutoff_radius() wide in p, so that they resolve w^2.  Up to sqrt(2 mu)
     the rule is kernels._shell_rule at that width; beyond it the rule takes
     octaves [P, 2 P] of equal panels, each with the radial measure sized to
     its upper end, so w on an octave is one blocked matrix product.  There
@@ -89,7 +95,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     mu = params.mu
     root_mu = math.sqrt(mu)
     rc = V.cutoff_radius()
-    width = 4.0 / rc
+    width = _PANEL_RC / rc
 
     # up to sqrt(2 mu) every node is its own midpoint
     mid, wp, shifted = _shell_rule(params.T, mu, width)
@@ -136,17 +142,22 @@ def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
 
     Runs in s with x = y sinh s, r = y cosh s, on the images of the radial
     panels sized for J0, each split into parts at most half a unit of s wide.
+    Every y's edges, 0 and then arccosh(r / y) for each radial edge r > y, go
+    into one sequence and one rule; the step back to 0 from one y's last edge
+    to the next y's first is a panel of negative width, and its nodes are dropped.
     """
     r_edges = radial_edges(V, math.sqrt(mu))
-    rules = []
-    for yi in y:
-        s_edges = np.arccosh(np.append(1.0, r_edges[r_edges > yi] / yi))
-        rules.append(gauss_panels(_subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5))))
-    # every y's rule in one array, so V and J0 take one call a table
-    sizes = np.array([len(s) for s, _ in rules])
-    c = np.cosh(np.concatenate([s for s, _ in rules]))
+    iy, ir = np.nonzero(r_edges > y[:, None])
+    first = np.searchsorted(iy, np.arange(len(y)))
+    s_edges = np.insert(np.arccosh(r_edges[ir] / y[iy]), first, 0.0)
+    edges = _subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5))
+    s, ws = gauss_panels(edges)
+    back = np.diff(edges) < 0.0
+    keep = np.repeat(~back, 16)
+    sizes = 16 * np.bincount(np.cumsum(back)[~back], minlength=len(y))
+    c = np.cosh(s[keep])
     r = np.repeat(y, sizes) * c
-    v = V.value(r) * np.concatenate([ws for _, ws in rules]) * c
+    v = V.value(r) * ws[keep] * c
     sums = np.add.reduceat(np.stack((v, v * j_d(r, mu, 2))), np.cumsum(sizes) - sizes, axis=1)
     return 2.0 * y * sums
 
@@ -270,7 +281,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     with _D2_LOCK:
         P, w_table, y, uy = _d2_tables(V, mu)
     nodes, b, cos_y = _chebyshev_grid(y, P)
-    base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
+    base = _PANEL_RC / V.cutoff_radius()
 
     p1_nodes, p1_weights = gauss_panels(_refined_edges(P, base, root_mu, 0.25 * T / root_mu))
 

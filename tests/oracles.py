@@ -393,6 +393,17 @@ def moment_position_space(value, rc: float, d: int, n: int, points=None) -> floa
     return area * _tight_quad(lambda r: value(r) * r ** (n + d - 1), rc, points)
 
 
+def line_integrals(value, rc: float, y: float, mu: float, points=None):
+    """U(y), the integral of V(sqrt(x^2 + y^2)) over the whole x line, and
+    A(y), the same of V(r) J0(sqrt(mu) r), by QUADPACK in x on
+    [0, sqrt(rc^2 - y^2)], broken where r crosses ``points``."""
+    xs = [math.sqrt(b * b - y * y) for b in points or () if b > y]
+    u = lambda x: value(math.hypot(x, y))
+    a = lambda x: u(x) * special.j0(math.sqrt(mu) * math.hypot(x, y))
+    x_max = math.sqrt(rc * rc - y * y)
+    return 2.0 * _tight_quad(u, x_max, xs), 2.0 * _tight_quad(a, x_max, xs)
+
+
 def m_mu_substitution(T: float, mu: float, d: int) -> float:
     """Fermi-shell mass via the substitution u = (t^2 - mu)/(2T).
 

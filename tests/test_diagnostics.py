@@ -277,7 +277,7 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
     P, _, y, _ = diagnostics._d2_tables(V, mu)
     nodes, b, cos_y = diagnostics._chebyshev_grid(y, P)
     T, root_mu = 1e-3 * mu, math.sqrt(mu)
-    base = min(4.0 / V.cutoff_radius(), 0.25 * root_mu)
+    base = diagnostics._PANEL_RC / V.cutoff_radius()
     rng = np.random.default_rng(11)
     for qstar, width in ((0.6 * root_mu, 0.5 * T / (0.6 * root_mu)),
                          (0.0, 0.5 * math.sqrt(T))):
@@ -286,6 +286,50 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
         K, s = diagnostics._lagrange(q, nodes, b)
         got = cos_y @ ((u / s) @ K)
         assert np.abs(got - np.cos(np.outer(y, q)) @ u).max() <= 1e-14 * np.abs(u).sum()
+
+
+@D2_TABLE_CASES
+def test_dt_d2_half_panel_width_leaves_the_form(monkeypatch, V, mu):
+    # The panel width _PANEL_RC / rc is converged: halving it moves no
+    # form at T/mu = 0.1 by more than 1e-13 (measured at most 3.9e-15).
+    # The five cases cost 1.1-1.4 s together on a 2-core host.
+    form = dt_form_d2(V, 0.1 * mu, mu)
+    monkeypatch.setattr(diagnostics, "_PANEL_RC", 0.5 * diagnostics._PANEL_RC)
+    assert dt_form_d2(V, 0.1 * mu, mu) == pytest.approx(form, rel=1e-13, abs=0.0)
+
+
+def test_dt_d2_eightfold_panel_width_moves_the_step(monkeypatch):
+    # Eight times the width under-resolves the step's slowly decaying
+    # transform: its form moves by 6.5e-10, far more than 1e-11.
+    V = StepPotential(d=2, a=1.0, R=1.0)
+    form = dt_form_d2(V, 0.1, 1.0)
+    monkeypatch.setattr(diagnostics, "_PANEL_RC", 8.0 * diagnostics._PANEL_RC)
+    assert dt_form_d2(V, 0.1, 1.0) != pytest.approx(form, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("V, mu", [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0),
+                                   (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01),
+                                   (StepPotential(d=2, a=1.0, R=1.0), 1.0),
+                                   (_table(2), 1.0)],
+                         ids=["gaussian", "exponential", "step", "tabulated"])
+def test_line_integrals_match_quadpack(V, mu):
+    # U(y) and A(y) against QUADPACK in x (a warning fails the test), near
+    # y = 0, mid-range, near the cutoff and one ulp either side of every
+    # interior break.  A jump at the cutoff itself (the step's) is checked
+    # at 0.99 of it: closer in, U ~ 2 sqrt(R^2 - y^2) inherits the rounding
+    # of R / y in the rule's edge arccosh(R / y).
+    rc = V.cutoff_radius()
+    y = [1e-9, 0.5 * rc, 0.99 * rc]
+    for b in V.breakpoints:
+        if b < rc:
+            y += [np.nextafter(b, 0.0), np.nextafter(b, rc)]
+    y = np.sort(y)
+    for yi, *got in zip(y, *diagnostics._line_integral(V, mu, y)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = oracles.line_integrals(V.value, rc, yi, mu, V.breakpoints)
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= max(1e-12 * abs(r), 1e-15), (yi, g, r)
 
 
 def test_dt_d2_lagrange_row_on_a_chebyshev_point_is_a_unit_row():
