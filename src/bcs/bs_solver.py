@@ -6,7 +6,8 @@ variable u = p^2 - mu, so temperatures down to 1e-16 mu stay resolved.  Its
 top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
 The s-wave kernel is W = J diag(m) J^T, J[i, k] = j_d(p_i r_k) and
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
-for every potential and d.  The matrix is diag(s) W diag(s); W is never
+for every potential and d; special.j_d_outer builds J in place, with no
+work array of its size.  The matrix is diag(s) W diag(s); W is never
 formed, and the temperature enters through s alone.  tc0 builds (J, m)
 once per refine level on a grid laid out for the lowest temperature it
 tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
@@ -25,7 +26,7 @@ import numpy as np
 from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
 from .potentials import RadialPotential, _radial_measure, e_mu
 from .quad import _subdivide, gauss_panels
-from .special import j_d
+from .special import j_d_outer
 
 
 # Gauss nodes per grid panel.
@@ -114,9 +115,10 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
 
 def _w_factor(V: RadialPotential, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(J, m) with (J diag(m) J^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
-    j_d(r; p_j^2) r^(d-1) dr; the rule resolves frequencies up to 2 p_max."""
+    j_d(r; p_j^2) r^(d-1) dr; the rule resolves frequencies up to 2 p_max.
+    J, n x nr (8 MiB for the chain's 3,180 x 320), is the one array its size."""
     r, m = _radial_measure(V, 2.0 * float(p[-1]))
-    return j_d(np.multiply.outer(p, r), 1.0, V.d), m
+    return j_d_outer(p, r, V.d), m
 
 
 def _w_apply(J: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -422,4 +424,4 @@ def position_profile(state: GroundState, r) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     p = state.grid.nodes
     coef = state.grid.weights * p ** (state.d - 1) * state.phi_hat
-    return coef @ j_d(np.multiply.outer(p, r), 1.0, state.d)
+    return coef @ j_d_outer(p, r, state.d)

@@ -80,8 +80,10 @@ def _shell_rule(T: float, mu: float, width: float = math.inf):
     t^0 would carry an integrable 1/sqrt singularity at a = -mu).
     """
     a_edges, t_edges = _fermi_shell_edges(T, mu)
-    a, wa = gauss_panels(_subdivide(a_edges, np.ceil(np.diff(np.sqrt(mu + a_edges)) / width)))
-    sides = [gauss_panels(_subdivide(e, np.ceil(np.diff(e) / width))) for e in t_edges]
+    if width < math.inf:  # an infinite width splits nothing
+        a_edges = _subdivide(a_edges, np.ceil(np.diff(np.sqrt(mu + a_edges)) / width))
+        t_edges = [_subdivide(e, np.ceil(np.diff(e) / width)) for e in t_edges]
+    (a, wa), *sides = [gauss_panels(e) for e in (a_edges, *t_edges)]
     t = np.sqrt(mu + a)
     return (np.concatenate([t] + [s for s, _ in sides]),
             np.concatenate([0.5 * wa / t] + [w for _, w in sides]),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .quad import _subdivide, gauss_panels
-from .special import bessel_squares, j_d
+from .special import bessel_squares, j_d, j_d_outer
 
 # Fraction of its peak scale that |V| stays below beyond cutoff_radius().
 _CUTOFF_EPS = 1e-16
@@ -259,7 +259,7 @@ def fourier_hat(V: RadialPotential, k):
     if np.any(k < 0):
         raise ValueError("k must be nonnegative")
     r, m = _radial_measure(V, float(k.max(initial=0.0)))
-    out = j_d(np.multiply.outer(k, r), 1.0, V.d) @ m
+    out = j_d_outer(k, r, V.d) @ m
     return out if out.ndim else float(out)
 
 

@@ -2,8 +2,8 @@
 Cin, absolute for the Bessel functions): the sine integral Si and the
 entire cosine integral Cin, J0, the squares of the Bessel functions J_l and
 j_l, the radial profiles j_d of the Fermi-sphere surface measure in
-d = 1, 2, 3, and the per-octave Chebyshev tables of Laplace-type integrals
-that Si, Cin and the boundary term t1 read.
+d = 1, 2, 3 (j_d_outer on an outer product), and the per-octave Chebyshev
+tables of Laplace-type integrals that Si, Cin and the boundary term t1 read.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ def _j0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Points per J0 block: its work arrays then stay in cache.
-_J0_BLOCK = 32768
+# Points per J0 block: its work arrays, about ten of 128 kB, stay in cache.
+_J0_BLOCK = 16384
 
 
 def j_d(r, mu: float, d: int):
@@ -235,19 +235,30 @@ def j_d(r, mu: float, d: int):
     if mu <= 0:
         raise ValueError("mu must be positive")
     z = np.sqrt(mu) * np.asarray(r, dtype=float)
+    out = _SQRT_2_OVER_PI * _sinc(z) if d == 3 else j_d_outer(1.0, z.ravel(), d).reshape(z.shape)
+    return out if out.ndim else float(out)
+
+
+def j_d_outer(k, r, d: int) -> np.ndarray:
+    """J[..., l] = j_d(k r_l; 1) for k of any shape and a 1-d r, with no work
+    array of J's size: cos, sin or J0 overwrite the outer product k r, and in
+    d = 3 k divides the rows and r the columns, zeros taking sqrt(2/pi)."""
+    k, r = np.abs(np.asarray(k, dtype=float)), np.abs(np.asarray(r, dtype=float))
+    out = np.multiply.outer(k, r)
     if d == 1:
-        out = _SQRT_2_OVER_PI * np.cos(z)
+        np.cos(out, out=out)
+        out *= _SQRT_2_OVER_PI
     elif d == 2:
-        flat = np.abs(z).ravel()
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, _J0_BLOCK):
-            out[lo:lo + _J0_BLOCK] = _j0(flat[lo:lo + _J0_BLOCK])
-        out = out.reshape(z.shape)
+        for block in np.split(out.reshape(-1), range(_J0_BLOCK, out.size, _J0_BLOCK)):
+            block[:] = _j0(block)
     elif d == 3:
-        out = _SQRT_2_OVER_PI * _sinc(z)
+        np.sin(out, out=out)
+        out *= (_SQRT_2_OVER_PI / np.where(k == 0.0, 1.0, k))[..., None]
+        out /= np.where(r == 0.0, 1.0, r)
+        out[k == 0.0] = out[..., r == 0.0] = _SQRT_2_OVER_PI
     else:
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
-    return out if out.ndim else float(out)
+    return out
 
 
 def _sinc(z):

@@ -209,6 +209,14 @@ def test_shell_rule_panels_match_linspace_split():
                 math.sqrt(2.0 * mu), rel=1e-14)
 
 
+def test_shell_rule_at_infinite_width_skips_only_no_op_splits():
+    # m_mu's rule takes width = inf and skips _subdivide; a width far past
+    # every panel runs it and splits nothing, so the rules agree bit for bit.
+    for T in (1e-16, 1e-5, 0.3):
+        for unsplit, split in zip(_shell_rule(T, 1.0), _shell_rule(T, 1.0, 1e300)):
+            assert np.array_equal(unsplit, split)
+
+
 def test_m_mu_validation():
     with pytest.raises(ValueError, match="d must be"):
         m_mu(KernelParams(T=1.0, mu=1.0), 4)
