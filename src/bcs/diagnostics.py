@@ -11,8 +11,9 @@ many momenta is one blocked product (_cos_sums): in d = 1 at every outer
 node, and in d = 2 for the V j2 table, from the line integral of V j2 on a
 rule in the transverse coordinate y.  On that rule the d = 2 kernel
 Vhat(|p - q|) + Vhat(p + q) is the cosine transform of the line integral of
-V, read at one set of Chebyshev points in q.  The d = 1 form stops its
-momentum tail on an explicit bound.
+V, read at one set of Chebyshev points in q.  Many rows' rules (the line
+integral's in y, the form's in q) are laid as one (quad.gauss_rows).  The
+d = 1 form stops its momentum tail on an explicit bound.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import numpy as np
 
 from .kernels import KernelParams, _shell_rule, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
-from .quad import QuadratureError, _ladder, _subdivide, gauss_panels
+from .quad import QuadratureError, _subdivide, gauss_panels, gauss_rows
 from .special import j_d
 
 
-# _cos_sums runs its products in blocks of about this many matrix entries.
-_BLOCK = 1 << 19
+# Blocks of this many matrix entries: _cos_sums's products, dt_form_d2's Lagrange matrices.
+_BLOCK, _LAGRANGE_BLOCK = 1 << 19, 1 << 18
 # dt_form_d1 stops once the bound on its untaken tail is below _TAIL_TOL of
 # the accumulated value.  The cost of an octave [P, 2 P] grows like (P rc)^2
 # for the cutoff radius rc, so it gives up once P rc passes _MAX_P_RC.
@@ -125,15 +126,18 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
         p_hi *= 2.0
 
 
-def _refined_edges(length, base, center, width):
-    """Panel edges on [0, length] at most ``base`` apart, with a ladder of
-    edges at center +/- width * 2^k (quad._ladder, out to 2 base) so the
-    panels close down onto a thermal layer of that width at ``center``
-    without a global fine grid."""
-    off = _ladder(max(width, 1e-14 * length), 2.0 * base)
-    pts = np.concatenate([center - off[::-1], [center], center + off])
-    edges = np.concatenate([[0.0], pts[(pts > 0.0) & (pts < length)], [length]])
-    return _subdivide(edges, np.ceil(np.diff(edges) / base))
+def _refined_rows(length, base, centers, widths):
+    """quad.gauss_rows on [0, length] for rows of panels at most ``base`` wide, with a ladder
+    of edges at each center +/- width * 2^k (quad._ladder's offsets) out to 2 base, so panels
+    close down onto a thermal layer of that width at the center without a global fine grid."""
+    c = np.asarray(centers, dtype=float)[:, None]
+    w = np.maximum(widths, 1e-14 * length)
+    off = np.multiply.outer(w, 2.0 ** np.arange(np.ceil(np.log2(2.0 * base / w.min())) + 1))
+    off[off >= 2.0 * base] = np.inf
+    pts = np.hstack([np.zeros_like(c), c - off[:, ::-1], c, c + off, np.full_like(c, length)])
+    keep = (pts > 0.0) & (pts < length)
+    keep[:, [0, -1]] = True
+    return gauss_rows(pts[keep], base)
 
 
 def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
@@ -144,20 +148,15 @@ def _line_integral(V: RadialPotential, mu: float, y: np.ndarray) -> np.ndarray:
     panels sized for J0, each split into parts at most half a unit of s wide.
     Every y's edges, 0 and then arccosh(r / y) for each radial edge r > y, go
     into one sequence and one rule; the step back to 0 from one y's last edge
-    to the next y's first is a panel of negative width, and its nodes are dropped.
+    to the next y's first is a panel of negative width (quad.gauss_rows).
     """
     r_edges = radial_edges(V, math.sqrt(mu))
     iy, ir = np.nonzero(r_edges > y[:, None])
     first = np.searchsorted(iy, np.arange(len(y)))
-    s_edges = np.insert(np.arccosh(r_edges[ir] / y[iy]), first, 0.0)
-    edges = _subdivide(s_edges, np.ceil(np.diff(s_edges) / 0.5))
-    s, ws = gauss_panels(edges)
-    back = np.diff(edges) < 0.0
-    keep = np.repeat(~back, 16)
-    sizes = 16 * np.bincount(np.cumsum(back)[~back], minlength=len(y))
-    c = np.cosh(s[keep])
+    s, ws, sizes = gauss_rows(np.insert(np.arccosh(r_edges[ir] / y[iy]), first, 0.0), 0.5)
+    c = np.cosh(s)
     r = np.repeat(y, sizes) * c
-    v = V.value(r) * ws[keep] * c
+    v = V.value(r) * ws * c
     sums = np.add.reduceat(np.stack((v, v * j_d(r, mu, 2))), np.cumsum(sizes) - sizes, axis=1)
     return 2.0 * y * sums
 
@@ -248,12 +247,12 @@ def _chebyshev_grid(y, P: float):
     return nodes, np.sin(theta) * (-1.0) ** np.arange(n), np.cos(np.outer(y, nodes))
 
 
-def _lagrange(q, nodes, b):
-    """K[j, l] = b_l / (q_j - nodes_l) and its row sums s: K / s is the barycentric
-    Lagrange matrix from the nodes to the points q.  A q on a node gets a unit row."""
+def _lagrange(q, nodes, b, out=None):
+    """K[j, l] = b_l / (q_j - nodes_l), into ``out`` if given, and its row sums s: K / s is the
+    barycentric Lagrange matrix from the nodes to the points q.  A q on a node gets a unit row."""
     at = np.searchsorted(nodes, q).clip(max=len(nodes) - 1)
     hit = nodes[at] == q
-    K = np.subtract.outer(q, nodes)
+    K = np.subtract.outer(q, nodes, out=out)
     with np.errstate(divide="ignore"):
         np.divide(b, K, out=K)
     K[hit] = at[hit, None] == np.arange(len(nodes))
@@ -272,6 +271,8 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     panels, refined toward its crossing, and those outside share one grid.
     Every row's u goes onto one set of Chebyshev points (_lagrange), where
     cos(q y) is tabulated once per call, so c is one product for all rows.
+    Inside, u and K are built on the q panels of as many rows as one buffer
+    holds, laid back to back (_refined_rows), then contracted row by row.
     """
     if V.d != 2:
         raise ValueError("dt_form_d2 needs a d=2 potential")
@@ -283,28 +284,35 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     nodes, b, cos_y = _chebyshev_grid(y, P)
     base = _PANEL_RC / V.cutoff_radius()
 
-    p1_nodes, p1_weights = gauss_panels(_refined_edges(P, base, root_mu, 0.25 * T / root_mu))
-
     def u_rows(p1, q, wq):
-        s_sq = p1[:, None] ** 2 + q * q
+        s_sq = p1 * p1 + q * q
         return _hermite(w_table, np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
 
     def rows(a, w1):  # sum of w1 sum_m U_m c_m^2 over rows with coefficients a
         return float(np.dot(uy @ np.square(cos_y @ a.T), w1))
 
+    p1_nodes, p1_weights, _ = _refined_rows(P, base, [root_mu], [0.25 * T / root_mu])
     inside = p1_nodes * p1_nodes < mu
-    a = np.empty((np.count_nonzero(inside), len(nodes)))
-    for i, p1 in enumerate(p1_nodes[inside]):
-        qstar = math.sqrt(mu - p1 * p1)
-        q, wq = gauss_panels(_refined_edges(P, base, qstar, 0.5 * T / max(qstar, sqrt_T)))
-        K, s = _lagrange(q, nodes, b)
-        a[i] = (u_rows(np.array([p1]), q, wq)[0] / s) @ K
+    qstar = np.sqrt(mu - p1_nodes[inside] ** 2)
+    q, wq, counts = _refined_rows(P, base, qstar, 0.5 * T / np.maximum(qstar, sqrt_T))
+    ends = np.cumsum(counts)
+    buf = np.empty((max(_LAGRANGE_BLOCK // len(nodes), counts.max()), len(nodes)))
+    a, i = np.empty((len(counts), len(nodes))), 0
+    while i < len(counts):  # rows i to j - 1, the most whose K fits the buffer
+        lo = ends[i] - counts[i]
+        j = np.searchsorted(ends, lo + len(buf), side="right")
+        g = slice(lo, ends[j - 1])
+        K, s = _lagrange(q[g], nodes, b, buf[:g.stop - lo])
+        v = u_rows(np.repeat(p1_nodes[inside][i:j], counts[i:j]), q[g], wq[g]) / s
+        cut = ends[i:j - 1] - lo
+        a[i:j] = [vr @ Kr for vr, Kr in zip(np.split(v, cut), np.split(K, cut))]
+        i = j
     total = rows(a, p1_weights[inside])
-    q, wq = gauss_panels(_refined_edges(P, base, 0.0, 0.5 * T / sqrt_T))
+    q, wq, _ = _refined_rows(P, base, [0.0], [0.5 * T / sqrt_T])
     K, s = _lagrange(q, nodes, b)
     p1_out, w1_out = p1_nodes[~inside], p1_weights[~inside]
     for i0 in range(0, len(p1_out), 48):
-        total += rows((u_rows(p1_out[i0:i0 + 48], q, wq) / s) @ K, w1_out[i0:i0 + 48])
+        total += rows((u_rows(p1_out[i0:i0 + 48, None], q, wq) / s) @ K, w1_out[i0:i0 + 48])
     return 4.0 * total
 
 

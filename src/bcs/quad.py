@@ -1,7 +1,7 @@
 """1-D quadrature: the fixed Gauss-Legendre panel rule that every integral in
-the library runs on, the two panel layouts every caller builds its edges
-from (_subdivide, _ladder), and the error its callers raise when a fixed
-rule cannot meet its contract."""
+the library runs on, alone or on rows laid back to back (gauss_rows), the two
+panel layouts every caller builds its edges from (_subdivide, _ladder), and
+the error its callers raise when a fixed rule cannot meet its contract."""
 
 from __future__ import annotations
 
@@ -26,6 +26,18 @@ def gauss_panels(edges, n: int = 16):
     e = np.asarray(edges, dtype=float)
     mid, half = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * np.diff(e)[:, None]
     return (half * x + mid).ravel(), (half * w).ravel()
+
+
+def gauss_rows(edges, width: float, n: int = 16):
+    """Nodes, weights and node count of each row of edges laid back to back,
+    every row starting below the last edge of the one before: gauss_panels on
+    each panel split into parts at most ``width`` wide (_subdivide), but none
+    on the panels of negative width between rows."""
+    e = _subdivide(edges, np.ceil(np.diff(edges) / width))
+    x, w = gauss_panels(e, n)
+    back = np.diff(e) < 0.0
+    keep = np.repeat(~back, n)
+    return x[keep], w[keep], n * np.bincount(np.cumsum(back)[~back], minlength=back.sum() + 1)
 
 
 def _subdivide(edges, counts):

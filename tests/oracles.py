@@ -928,6 +928,38 @@ def dt_d2_direct(vhat, vj2, T: float, mu: float, fermi_width: float,
     return 4.0 * float(np.dot(wg, rows))
 
 
+def refined_row_rule(length: float, base: float, center: float, width: float):
+    """One row of the d = 2 form's p1 or q rule, laid panel by panel: edges 0,
+    center -/+ width 2^k for every k >= 0 with width 2^k < 2 base (width
+    floored at 1e-14 length) that lie inside (0, length), and length; every
+    panel cut into ceil(its length / base) equal parts by np.linspace, and
+    the 16-point Gauss-Legendre rule on each part."""
+    width, off = max(width, 1e-14 * length), []
+    while width < 2.0 * base:
+        off.append(width)
+        width *= 2.0
+    pts = [center - o for o in reversed(off)] + [center] + [center + o for o in off]
+    edges = [0.0] + [p for p in pts if 0.0 < p < length] + [length]
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / base)), endpoint=False)
+        for a, b in zip(cuts, [*cuts[1:], hi]):
+            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+            weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def gaussian_d2_growth_c3(a: float, mu: float) -> float:
+    """Leading coefficient C3 of the d = 2 form's growth C3 ln(mu/T)^3 for
+    a exp(-r^2): C3 = 4 c0 w^2 / (3 pi sqrt(mu)), with c0 = a pi / 2, half
+    the plane integral of V, and w = (V j2)^(sqrt(mu)) = (a/2) e^(-mu/2)
+    I0(mu/2) (gaussian_d2_transforms at s = sqrt(mu))."""
+    c0 = 0.5 * math.pi * a
+    w = 0.5 * a * math.exp(-0.5 * mu) * float(special.i0(0.5 * mu))
+    return 4.0 * c0 * w * w / (3.0 * math.pi * math.sqrt(mu))
+
+
 # ---------------------------------------------------------------------------
 # frozen reference values
 # ---------------------------------------------------------------------------

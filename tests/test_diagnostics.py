@@ -4,6 +4,7 @@ weak-coupling boundary energy oracle against the criterion."""
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +20,7 @@ from bcs.boundary3d import criterion
 from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, _radial_measure)
-from bcs.quad import QuadratureError, gauss_panels
+from bcs.quad import QuadratureError
 from bcs.special import j_d
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
@@ -281,11 +282,53 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
     rng = np.random.default_rng(11)
     for qstar, width in ((0.6 * root_mu, 0.5 * T / (0.6 * root_mu)),
                          (0.0, 0.5 * math.sqrt(T))):
-        q = gauss_panels(diagnostics._refined_edges(P, base, qstar, width))[0]
+        q = diagnostics._refined_rows(P, base, [qstar], [width])[0]
         u = rng.normal(size=len(q))
         K, s = diagnostics._lagrange(q, nodes, b)
         got = cos_y @ ((u / s) @ K)
         assert np.abs(got - np.cos(np.outer(y, q)) @ u).max() <= 1e-14 * np.abs(u).sum()
+
+
+@D2_TABLE_CASES
+def test_dt_d2_row_rules_match_per_row_layout(V, mu):
+    # The rows laid back to back are, bit for bit, the per-row layout of
+    # oracles.refined_row_rule: the p1 rule, every inside row's q rule and
+    # the rows' shared outside rule at T/mu = 0.1 and 1e-3, and rows whose
+    # width is below the 1e-14 P floor, centred at 0 and at P.
+    P = diagnostics._d2_tables(V, mu)[0]
+    base = diagnostics._PANEL_RC / V.cutoff_radius()
+    root_mu = math.sqrt(mu)
+    cases = [([0.0, 0.3 * root_mu, root_mu, P], [1e-30, 0.0, 1e-15 * P, 0.5 * 1e-14 * P])]
+    for T in (0.1 * mu, 1e-3 * mu):
+        p1 = diagnostics._refined_rows(P, base, [root_mu], [0.25 * T / root_mu])[0]
+        qstar = [math.sqrt(mu - p * p) for p in p1 if p * p < mu]
+        cases += [([root_mu], [0.25 * T / root_mu]), ([0.0], [0.5 * T / math.sqrt(T)]),
+                  (qstar, [0.5 * T / max(c, math.sqrt(T)) for c in qstar])]
+    for centers, widths in cases:
+        x, w, counts = diagnostics._refined_rows(P, base, centers, widths)
+        ref = [oracles.refined_row_rule(P, base, c, h) for c, h in zip(centers, widths)]
+        assert counts.tolist() == [len(r[0]) for r in ref]
+        assert np.array_equal(x, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(w, np.concatenate([r[1] for r in ref]))
+
+
+@pytest.mark.parametrize("V, mu, cap_mib",
+                         [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0, 8.0),
+                          (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01, 12.0)],
+                         ids=["gaussian", "exponential"])
+def test_dt_d2_memory_peak_at_low_temperature(V, mu, cap_mib):
+    # The inside rows' Lagrange matrices go through one buffer of about
+    # 2^18 entries, group by group, so one call at T/mu = 1e-3 (tables built
+    # first) peaks at 4.9 and 8.9 MiB; with every inside row's K laid at
+    # once it peaks at 71 and 280 MiB.
+    diagnostics._d2_tables(V, mu)
+    tracemalloc.start()
+    try:
+        dt_form_d2(V, 1e-3 * mu, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2.0 ** 20, peak / 2.0 ** 20
 
 
 @D2_TABLE_CASES
@@ -394,6 +437,21 @@ def test_dt_d2_threads_share_one_table_build():
         sys.setswitchinterval(interval)
     assert diagnostics._d2_tables.cache_info().misses == 1
     assert values == [dt_form_d2(V, T, 1.0) for T in (0.08, 0.04, 1e-2)]
+
+
+def test_dt_d2_log_cubed_growth_constant():
+    # A cubic in L = ln(mu/T) fitted to the unit Gaussian's form at
+    # T = 1e-3 ... 1e-8 leads with C3 = 4 c0 w^2 / (3 pi sqrt(mu)), the
+    # constants from closed forms (oracles.gaussian_d2_growth_c3); measured
+    # c3 / C3 - 1 = 2.8e-7.  A form 1e-4 too large moves c3 by 1e-4 and
+    # fails.  About 0.7 s.
+    V, mu = GaussianPotential(d=2, a=1.0, ell=1.0), 1.0
+    temps = mu * 10.0 ** -np.arange(3.0, 9.0)
+    forms = np.array([dt_form_d2(V, T, mu) for T in temps])
+    c3 = oracles.gaussian_d2_growth_c3(1.0, mu)
+    fit = lambda f: np.polyfit(np.log(mu / temps), f, 3)[0] / c3 - 1.0
+    assert abs(fit(forms)) <= 1e-5, fit(forms)
+    assert abs(fit(forms * (1.0 + 1e-4))) > 1e-5
 
 
 def test_dt_d2_integrand_symmetric_in_transverse_momenta():

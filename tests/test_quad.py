@@ -10,7 +10,7 @@ from scipy import integrate
 import oracles
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, radial_edges)
-from bcs.quad import _ladder, _subdivide, gauss_panels
+from bcs.quad import _ladder, _subdivide, gauss_panels, gauss_rows
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,24 @@ def test_finite_polynomials_near_exact(coeffs, a, width, cuts):
     approx = float(np.dot(w, np.polynomial.polynomial.polyval((x - a) / width, coeffs)))
     exact = width * math.fsum(c / (k + 1) for k, c in enumerate(coeffs))
     assert abs(approx - exact) <= 1e-13 * width * (1.0 + sum(map(abs, coeffs)))
+
+
+def test_gauss_rows_match_gauss_panels_row_by_row():
+    # Rows of edges laid back to back, each row starting below the last edge
+    # of the one before it, give every row's split gauss_panels rule
+    # concatenated, bit for bit, and each row's node count; single-panel
+    # rows included.
+    rng = np.random.default_rng(5)
+    for width in (0.7, 10.0):
+        for _ in range(20):
+            rows = [rng.uniform(-1.0, -0.5) + np.concatenate(
+                        [[0.0], np.cumsum(rng.uniform(0.6, 2.0, rng.integers(1, 7)))])
+                    for _ in range(rng.integers(1, 6))]
+            x, w, counts = gauss_rows(np.concatenate(rows), width)
+            ref = [gauss_panels(_subdivide(e, np.ceil(np.diff(e) / width))) for e in rows]
+            assert np.array_equal(x, np.concatenate([r[0] for r in ref]))
+            assert np.array_equal(w, np.concatenate([r[1] for r in ref]))
+            assert counts.tolist() == [len(r[0]) for r in ref]
 
 
 # ---------------------------------------------------------------------------
