@@ -5,8 +5,9 @@ prints a RunReport as JSON with stable key order.  ``--out`` writes the
 command's primary artifact: a CSV table where the contract names one
 (m3-profile, tc0, criterion mu sweeps), otherwise a copy of the report.
 Exit code 0 means every enforced check passed; 1 means at least one
-failed; 2 means the config never validated.  Observational checks are
-reported but never affect the exit code.
+failed; 2 means the config never validated (stderr ``config error:``) or
+the library raised while the command ran (stderr ``error:``).
+Observational checks are reported but never affect the exit code.
 """
 from __future__ import annotations
 

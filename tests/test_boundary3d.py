@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +14,8 @@ import oracles
 from bcs import special
 from bcs.boundary3d import (
     TABLE1_REFERENCE,
+    _TERM_SIGNS,
+    _term_sums,
     criterion,
     derivatives_at_zero,
     m3,
@@ -274,11 +277,20 @@ def _criterion_case(kind):
     if kind == "exponential":
         V = ExponentialPotential(d=3, a=1.0, ell=1.0)
         return V, V.value, oracles.exponential_r_fourier(1.0, 1.0)
-    if kind == "step":
-        V = StepPotential(d=3, a=1.0, R=2.0)
-        return V, V.value, oracles.step_r_fourier(1.0, 2.0)
-    r = np.linspace(0.0, 6.0, 40)
-    v = np.exp(-r * r)
+    if kind in ("step", "step1"):
+        R = 2.0 if kind == "step" else 1.0
+        V = StepPotential(d=3, a=1.0, R=R)
+        return V, V.value, oracles.step_r_fourier(1.0, R)
+    if kind == "shell":
+        # 81 knots of a Gaussian shell at r = 1 on [0, 2], samples below
+        # 1e-14 and the last one set to 0: its Neumann value turns negative.
+        r = np.linspace(0.0, 2.0, 81)
+        v = np.exp(-(r - 1.0) ** 2 / (2.0 * 0.15 ** 2))
+        v[v < 1e-14] = 0.0
+        v[-1] = 0.0
+    else:
+        r = np.linspace(0.0, 6.0, 40)
+        v = np.exp(-r * r)
     interp = PchipInterpolator(r, v)
     return (TabulatedPotential(d=3, r_values=tuple(r), v_values=tuple(v)),
             lambda x: float(interp(x)), oracles.pchip_r_fourier(r, v))
@@ -300,3 +312,69 @@ def test_criterion_matches_momentum_side_oracle(kind, mu):
         assert diff < 1e-12, bc
         assert diff <= rep.error_estimate, bc
         assert rep.sign == "positive"
+
+
+def _value_of(sums, mu, bc):
+    """The criterion's value from _term_sums, summed as criterion sums it."""
+    pref = 4.0 * math.pi / math.sqrt(mu)
+    return math.fsum(pref * s * v for s, v in zip(_TERM_SIGNS[bc], sums))
+
+
+@pytest.mark.parametrize("mu", [1e-4, 0.25, 2.0, 100.0])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "step1",
+                                  "tabulated", "shell"])
+def test_criterion_rule_resolves_below_its_estimate(kind, mu):
+    # The estimate is the roundoff floor alone, so doubling the rule to 32
+    # nodes per panel must move the value by less than it.
+    V = _criterion_case(kind)[0]
+    coarse, fine = _term_sums(V, mu, 16)[0], _term_sums(V, mu, 32)[0]
+    for bc in ("neumann", "dirichlet"):
+        rep = criterion(V, mu, bc)
+        assert rep.value == _value_of(coarse, mu, bc), bc
+        assert abs(_value_of(fine, mu, bc) - rep.value) <= rep.error_estimate, bc
+
+
+def test_undersized_criterion_rule_misses_its_estimate():
+    # 8 nodes per panel do not resolve k_max = 4 sqrt(mu) on the unit
+    # Gaussian: they miss by 5.1 times the estimate at mu = 0.5 and by 32
+    # times at mu = 2.
+    V = GaussianPotential(d=3, a=1.0, ell=1.0)
+    for mu in (0.5, 2.0):
+        rep = criterion(V, mu, "neumann")
+        undersized = _value_of(_term_sums(V, mu, 8)[0], mu, "neumann")
+        assert abs(undersized - rep.value) > 4.0 * rep.error_estimate, mu
+
+
+def test_criterion_negative_on_a_shell_table():
+    # The shell's Neumann value is negative for mu in about (2.66, 6.37) and
+    # positive on either side, while its Dirichlet value stays positive.
+    # Tier-1 cost about 0.15 s, two thirds of it the momentum-side oracle.
+    V, value, c_plus = _criterion_case("shell")
+    rep = criterion(V, 4.0, "neumann")
+    assert rep.value == pytest.approx(-0.3203627523732, abs=1e-13)
+    assert rep.sign == "negative"
+    terms = oracles.criterion_terms_momentum_side(value, V.cutoff_radius(), 4.0,
+                                                  c_plus, V.breakpoints)
+    ref = {name: s * terms[name]
+           for name, s in zip(("t1", "t2", "t3", "t4"), _TERM_SIGNS["neumann"])}
+    for name, val in ref.items():
+        assert rep.per_term[name] == pytest.approx(val, abs=1e-12), name
+    assert rep.value == pytest.approx(math.fsum(ref.values()), abs=1e-12)
+    for mu, bc in [(2.5, "neumann"), (7.0, "neumann"), (2.5, "dirichlet"),
+                   (4.0, "dirichlet"), (7.0, "dirichlet")]:
+        assert criterion(V, mu, bc).sign == "positive", (mu, bc)
+
+
+def test_criterion_memory_peak_at_large_mu():
+    # The unit Gaussian at mu = 1e6 runs one 16-node pass over 48,560 nodes
+    # and peaks at 7.9 MiB (t1's table built first); with a second pass at
+    # 32 nodes for the error estimate it peaked at 15.8 MiB.
+    V = GaussianPotential(d=3, a=1.0, ell=1.0)
+    criterion(V, 1.0, "neumann")
+    tracemalloc.start()
+    try:
+        criterion(V, 1e6, "neumann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20

@@ -356,6 +356,18 @@ def test_tc0_validation(capsys, tmp_path):
     assert "tc0 needs a nonnegative potential" in err
 
 
+def test_tc0_library_error_exits_2_with_error_prefix(capsys, tmp_path):
+    # The config validates, but tc0 rejects the temperature window when it
+    # runs: exit 2 with the library's message, and no report on stdout.
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.5],
+                        "t_min_factor": 10.0, "t_max_factor": 1.0})
+    code, stdout, err = run(capsys, "tc0", "--config", cfg)
+    assert code == 2
+    assert err == "error: need 0 < t_min_factor < t_max_factor\n"
+    assert stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # dt-growth
 # ---------------------------------------------------------------------------
