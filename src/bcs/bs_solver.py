@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelParams, _fermi_shell_edges, bt_radial_shifted, m_mu
+from .kernels import KernelParams, _fermi_shell_edges, _shell_rule, bt_log_slope, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, e_mu
 from .quad import _subdivide, gauss_panels
 from .special import j_d_outer
@@ -36,8 +36,8 @@ _PANEL_NODES = 10
 _MAX_REFINE = 3
 _POWER_TOL = 1e-13
 _POWER_STEPS = 600
-# Brent's iteration budget, and the Krylov sizes and tolerance of Lanczos.
-_BRENT_STEPS = 100
+# The root search's step budget, and the Krylov sizes and tolerance of Lanczos.
+_NEWTON_STEPS = 100
 _LANCZOS_START = 12
 _LANCZOS_CAP = 192
 _LANCZOS_TOL = 1e-14
@@ -189,55 +189,29 @@ def _lanczos_top2(s: np.ndarray, J: np.ndarray, m: np.ndarray):
         k = min(2 * k, cap)
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4.0 * 2.0 ** -52) -> float:
-    """Root of f in [xa, xb] by Brent's method, a line-for-line port of
-    scipy's brentq.c (rtol defaults to its 4 eps): the same iterates and
-    evaluations.  Stops once half the bracket is below (xtol + rtol |x|) / 2.
-    Raises SolverError when f(xa) and f(xb) share a sign, when f returns
-    NaN, or after _BRENT_STEPS iterations."""
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
+def _newton(f, lo: float, hi: float, xtol: float) -> float:
+    """Root in [lo, hi] of f(x) -> (value, slope), which falls through zero
+    there (the caller checks the ends), by Newton steps from the midpoint.
+    A step that would leave the bracket, or is over half the step before
+    last, bisects instead, so the search ends at the first step at most
+    xtol long even when f is noisy, at the latest once the bracket closes
+    to xtol; with noise e in f that point is within xtol + e / |slope| of
+    the root.  SolverError on NaN and after _NEWTON_STEPS steps."""
+    x, steps = 0.5 * (lo + hi), (hi - lo, hi - lo)  # the last two steps
+    for _ in range(_NEWTON_STEPS):
+        fx, slope = f(x)
+        if math.isnan(fx) or math.isnan(slope):
             raise SolverError(f"root search met NaN at x = {x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError("root not bracketed: f(a) and f(b) have the same sign")
-    for _ in range(_BRENT_STEPS):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise SolverError(f"Brent's method did not converge in {_BRENT_STEPS} iterations")
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx > 0.0 else (lo, x)
+        step = -fx / slope if slope else math.inf
+        if not (lo <= x + step <= hi and abs(step) <= 0.5 * abs(steps[0])):
+            step = 0.5 * (lo + hi) - x
+        x, steps = x + step, (steps[1], step)
+        if abs(step) <= xtol:
+            return x
+    raise SolverError(f"root search did not converge in {_NEWTON_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -249,7 +223,7 @@ class Tc0Result:
     refine_level: int
     w_builds: int           # W factors (J, m) built, the closure grids included
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
-    bracket_moves: int      # bracket ends moved before Brent ran, all levels
+    bracket_moves: int      # bracket ends moved before the root search, all levels
     # the potential, the closure grid, its W = J diag(m) J^T, the top eigenpair
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
@@ -261,16 +235,21 @@ class Tc0Result:
 
 def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) -> float:
     """Weak-coupling prediction: the root of lam e_mu m_mu(T) = 1 in log T,
-    clamped to [t_min, t_max].  m_mu falls monotonically in T."""
-    def g(ln_t):
-        return lam_em * m_mu(KernelParams(T=math.exp(ln_t), mu=mu), d) - 1.0
+    clamped to [t_min, t_max].  m_mu falls monotonically in T; its slope in
+    log T is the sum of w t^(d-1) B_T g, g = d ln B_T / d ln T, on m_mu's
+    own shell rule."""
+    def f(ln_t):
+        params = KernelParams(T=math.exp(ln_t), mu=mu)
+        t, w, a = _shell_rule(params.T, mu)
+        bt = bt_radial_shifted(a, params) * t ** (d - 1)
+        return lam_em * float(w @ bt) - 1.0, lam_em * float(w @ (bt * bt_log_slope(a, params)))
 
     lo, hi = math.log(t_min), math.log(t_max)
-    if g(lo) <= 0.0:
+    if f(lo)[0] <= 0.0:
         return t_min
-    if g(hi) >= 0.0:
+    if f(hi)[0] >= 0.0:
         return t_max
-    return math.exp(_brentq(g, lo, hi, xtol=1e-3))
+    return math.exp(_newton(f, lo, hi, xtol=1e-3))
 
 
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
@@ -285,11 +264,13 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     level builds one grid at the bracket's lower end, which resolves every
     higher T, and one factor (J, m) of W; a temperature only rescales W
     (diag(s) W diag(s)) and reuses the previous top eigenvector as the
-    power-iteration start.  Brent's method in log T finds the root on that
-    grid, and the closure |lam a_Tc - 1| must meet tol on the next finer
-    grid, else the next level searches [T_c/2, 2 T_c].  The closure is one
-    _lanczos_top2 solve, counted in temperature_evals; the result carries
-    its grid, (J, m), top eigenpair and gap.  Nothing n x n is formed."""
+    power-iteration start.  _newton finds the root on that grid in log T
+    with the Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top
+    eigenvector, g = d ln B_T / d ln T), and the closure |lam a_Tc - 1| must
+    meet tol on the next finer grid, else the next level searches
+    [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
+    temperature_evals; the result carries its grid, (J, m), top eigenpair
+    and gap.  Nothing n x n is formed."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
@@ -316,36 +297,35 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         return _bs_scale(grid, KernelParams(T=T, mu=mu), d)
 
     def on_grid(level, T_lo):
-        """lam a_T - 1 as a function of log T on one grid built at T_lo,
-        each solve warm-started from the previous eigenvector."""
+        """lam a_T - 1 and its slope as functions of log T on one grid built
+        at T_lo, each solve warm-started from the previous eigenvector."""
         grid, J, m = level_factor(level, T_lo)
-        seen, v = {}, None
+        v = None
 
         def f(ln_t):
             nonlocal v
-            if ln_t not in seen:
-                a, v = _power_top(scale(grid, math.exp(ln_t)), J, m, v)
-                seen[ln_t] = lam * a - 1.0
-            return seen[ln_t]
+            T = math.exp(ln_t)
+            a, v = _power_top(scale(grid, T), J, m, v)
+            g = bt_log_slope(grid.shifted, KernelParams(T=T, mu=mu))
+            return lam * a - 1.0, lam * a * float((v * v) @ g)
         return f
 
     def root(level, T_lo, T_hi):
-        """Brent root in log T; only moving the lower end down rebuilds the factor."""
+        """Newton root in log T; only moving the lower end down rebuilds the factor."""
         nonlocal bracket_moves
         f = on_grid(level, T_lo)
-        while f(math.log(T_lo)) <= 0.0:
+        while f(math.log(T_lo))[0] <= 0.0:
             if T_lo <= t_min:
                 raise SolverError(
                     f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
                     "the coupling may be too weak for the allowed range")
             T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
             f = on_grid(level, T_lo)
-        while f(math.log(T_hi)) >= 0.0:
+        while f(math.log(T_hi))[0] >= 0.0:
             if T_hi >= t_max:
                 raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
             T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
-        return math.exp(_brentq(f, math.log(T_lo), math.log(T_hi),
-                                xtol=1e-14, rtol=8.9e-16))
+        return math.exp(_newton(f, math.log(T_lo), math.log(T_hi), xtol=1e-14))
 
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)

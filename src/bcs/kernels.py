@@ -2,10 +2,11 @@
 
 Momentum arguments enter as a = p^2 - mu.  The two-body kernel is
 K(a, b) = (a + b) / (tanh(a/2T) + tanh(b/2T)); the solve chain needs only
-B_T(p, 0) = 1 / K(a, a) = tanh(a/2T)/a and its integral m_mu over the Fermi
-shell, both evaluated so that T can be driven to the 1e-16 mu scale without
-overflow or cancellation.  The full kernel K(a, b) and the tanh mean
-inequality are proof tools and live with the test oracles.
+B_T(p, 0) = 1 / K(a, a) = tanh(a/2T)/a, its slope d ln B_T / d ln T for the
+temperature search, and its integral m_mu over the Fermi shell, all
+evaluated so that T can be driven to the 1e-16 mu scale without overflow or
+cancellation.  The full kernel K(a, b) and the tanh mean inequality are
+proof tools and live with the test oracles.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def bt_radial_shifted(a, params: KernelParams):
         series = 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
     out = np.where(small, series, direct) * (0.5 / params.T)
     return out if out.ndim else float(out)
+
+
+def bt_log_slope(a, params: KernelParams) -> np.ndarray:
+    """g = d ln B_T(p, 0) / d ln T = -y / sinh(y), y = |a| / T, elementwise;
+    -1 at a = 0.  y stops at 700, where |g| < 1e-300, so sinh never overflows."""
+    with np.errstate(over="ignore"):
+        y = np.minimum(np.abs(np.asarray(a, dtype=float)) / params.T, 700.0)
+    return np.where(y > 0.0, -y / np.sinh(np.where(y > 0.0, y, 1.0)), -1.0)
 
 
 def _fermi_shell_edges(T: float, mu: float):

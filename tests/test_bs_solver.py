@@ -13,9 +13,9 @@ import oracles
 from bcs.bs_solver import (
     SolverError,
     Tc0Result,
-    _brentq,
     _bs_scale,
     _lanczos_top2,
+    _newton,
     _power_top,
     _w_apply,
     _w_factor,
@@ -273,9 +273,10 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     # The quick-start chain: T_c ~ 1e-16 mu.  One factor of W for the
     # level-0 search and one for the closure grid; every temperature only
     # rescales W.  The search runs power iteration, the closure one Lanczos
-    # solve, and temperature_evals counts both.
+    # solve, and temperature_evals counts both.  The weak-coupling
+    # prediction evaluates m_mu's shell rule 4 times.
     from bcs import bs_solver
-    counts = {"w": 0, "power": 0, "lanczos": 0}
+    counts = {"w": 0, "power": 0, "lanczos": 0, "rule": 0}
 
     def counted(name, key):
         original = getattr(bs_solver, name)
@@ -288,12 +289,15 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     counted("_w_factor", "w")
     counted("_power_top", "power")
     counted("_lanczos_top2", "lanczos")
+    counted("_shell_rule", "rule")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
     assert res.w_builds == counts["w"] == 2
     assert counts["lanczos"] == 1
     assert res.temperature_evals == counts["power"] + counts["lanczos"]
     assert res.temperature_evals <= 12
+    assert counts["rule"] <= 5
+    assert res.bracket_moves == 0
     assert (res.refine_level, len(res.grid)) == (1, 3180)
 
 
@@ -436,69 +440,107 @@ def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Brent's method
+# the root search
 # ---------------------------------------------------------------------------
 
-def _counted(f):
-    """f with a count of its calls."""
-    def g(x):
-        g.calls += 1
-        return f(x)
-    g.calls = 0
-    return g
+def _assert_lands_on_brentq(f, a, b, xtol):
+    """_newton lands within brentq's own stop, xtol + 4 eps |x|, of the root
+    that scipy's brentq finds on f's values."""
+    root = _newton(f, a, b, xtol)
+    ref = brentq(lambda x: f(x)[0], a, b, xtol=xtol)
+    assert abs(root - ref) <= xtol + 4.0 * 2.0 ** -52 * abs(ref), (root, ref)
 
 
-def _assert_brent_parity(f, a, b, **tol):
-    """_brentq and scipy's brentq reach the same root, bit for bit, after
-    the same number of evaluations."""
-    ours, theirs = _counted(f), _counted(f)
-    root = _brentq(ours, a, b, **tol)
-    ref, info = brentq(theirs, a, b, full_output=True, **tol)
-    assert root == ref
-    assert ours.calls == theirs.calls == info.function_calls
-
-
-def test_brentq_matches_scipy_on_the_temperature_search(monkeypatch):
-    # Every root search of tc0, the weak-coupling prediction and the search
-    # on each refine level, replayed on the same closure functions: tc0
-    # memoizes them, so both solvers see the same values.
+def _record_searches(monkeypatch):
+    """The (f, a, b, xtol) of every root search tc0 runs from here on."""
     from bcs import bs_solver
     calls = []
 
-    def recorded(f, a, b, **tol):
-        calls.append((f, a, b, tol))
-        return _brentq(f, a, b, **tol)
-    monkeypatch.setattr(bs_solver, "_brentq", recorded)
+    def recorded(f, a, b, xtol):
+        calls.append((f, a, b, xtol))
+        return _newton(f, a, b, xtol)
+    monkeypatch.setattr(bs_solver, "_newton", recorded)
+    return calls
+
+
+def test_newton_matches_brentq_on_the_temperature_search(monkeypatch):
+    # Every root search of tc0, the weak-coupling prediction and the search
+    # on each refine level, replayed on the same functions of log T.
+    calls = _record_searches(monkeypatch)
     for lam, t_min in ((0.6, 1e-8), (0.15, 1e-18)):
         tc0(GAUSS3, 1.0, 3, lam, t_min_factor=t_min)
-    assert {c[3]["xtol"] for c in calls} == {1e-3, 1e-14}
+    assert {c[3] for c in calls} == {1e-3, 1e-14}
     assert len(calls) >= 4
-    for f, a, b, tol in calls:
-        _assert_brent_parity(f, a, b, **tol)
+    for f, a, b, xtol in calls:
+        _assert_lands_on_brentq(f, a, b, xtol)
 
 
 @pytest.mark.parametrize("f, a, b", [
-    (lambda x: x - 1.0, 1.0, 2.0),                # root at the left end
-    (lambda x: x - 2.0, 1.0, 2.0),                # root at the right end
-    (lambda x: x ** 20 - 0.5, 0.0, 1.0),          # flat, then steep
-    (lambda x: 3.0 * x - 1.0, -1.0, 2.0),         # linear
-    (lambda x: math.expm1(40.0 * (x - 0.97)), 0.0, 1.0),
+    (lambda x: (1.0 - x, -1.0), 1.0, 2.0),                          # root at the left end
+    (lambda x: (2.0 - x, -1.0), 1.0, 2.0),                          # root at the right end
+    (lambda x: (0.5 - x ** 20, -20.0 * x ** 19), 0.0, 1.0),         # flat, then steep
+    (lambda x: (1.0 - 3.0 * x, -3.0), -1.0, 2.0),                   # linear
+    (lambda x: (-math.expm1(40.0 * (x - 0.97)), -40.0 * math.exp(40.0 * (x - 0.97))),
+     0.0, 1.0),
 ], ids=["left-end", "right-end", "flat-steep", "linear", "exp-wall"])
-@pytest.mark.parametrize("tol", [{"xtol": 1e-3}, {"xtol": 1e-14, "rtol": 8.9e-16}],
-                         ids=["coarse", "fine"])
-def test_brentq_matches_scipy_on_analytic_functions(f, a, b, tol):
-    _assert_brent_parity(f, a, b, **tol)
+@pytest.mark.parametrize("xtol", [1e-3, 1e-14], ids=["coarse", "fine"])
+def test_newton_matches_brentq_on_analytic_functions(f, a, b, xtol):
+    _assert_lands_on_brentq(f, a, b, xtol)
 
 
-def test_brentq_raises_instead_of_returning_an_iterate(monkeypatch):
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_search_slope_matches_central_difference(kind, d, monkeypatch):
+    # The slope of the last search's f at T_c, lam a_T sum u_i^2 g_i with
+    # power iteration's u, against a central difference of f's value with
+    # step 1e-4 in log T.  The difference takes its values from Lanczos:
+    # power iteration resolves a_T to about 1e-13, which divided by the step
+    # alone reads up to 1.3e-8.  Measured 1e-12 to 2.2e-11.
     from bcs import bs_solver
-    with pytest.raises(SolverError, match="not bracketed"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
+    calls = _record_searches(monkeypatch)
+    V, _ = _potential(kind, d)
+    x = math.log(tc0(V, 1.0, d, 0.5).T_c)
+    f, h = calls[-1][0], 1e-4
+    slope = f(x)[1]
+    monkeypatch.setattr(bs_solver, "_power_top",
+                        lambda s, J, m, v0: _lanczos_top2(s, J, m)[::2])
+    assert (f(x + h)[0] - f(x - h)[0]) / (2.0 * h) == pytest.approx(slope, rel=1e-9)
+
+
+def test_newton_returns_an_exact_zero():
+    # f is 0.0 on [0.2, 0.4]: the Newton step from the midpoint lands on
+    # 0.4, which is returned, not bisected away from.
+    def f(x):
+        f.calls += 1
+        return (0.2 - x, -1.0) if x < 0.2 else (0.4 - x, -1.0) if x > 0.4 else (0.0, 0.0)
+    f.calls = 0
+    assert _newton(f, 0.0, 1.0, 1e-14) == 0.4
+    assert f.calls == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_stops_on_noisy_values(seed):
+    # Power iteration resolves lam a_T - 1 to about 1e-13, which at the
+    # chain's slope of 0.03 is 3e-12 in log T, far above xtol = 1e-14.  A
+    # linear f with that noise and slope still ends within the step budget,
+    # within xtol + 1e-13 / 0.03 of the root.  Seed 0 alternates the sign
+    # of the noise, the rest draw it.
+    rng = np.random.default_rng(seed)
+    sign = iter(np.resize([1.0, -1.0], 100) if seed == 0 else rng.uniform(-1.0, 1.0, 100))
+    root, xtol = -36.8, 1e-14
+
+    def f(x):
+        return -0.03 * (x - root) + 1e-13 * next(sign), -0.03
+    assert abs(_newton(f, root - 1.0, root + 2.0, xtol) - root) <= xtol + 1e-13 / 0.03
+
+
+def test_newton_raises_instead_of_returning_an_iterate(monkeypatch):
+    from bcs import bs_solver
     with pytest.raises(SolverError, match="NaN"):
-        _brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-14)
-    monkeypatch.setattr(bs_solver, "_BRENT_STEPS", 3)
-    with pytest.raises(SolverError, match="did not converge in 3 iterations"):
-        _brentq(lambda x: x ** 20 - 0.5, 0.0, 1.0, xtol=1e-14)
+        _newton(lambda x: (0.75 - x, -1.0) if x <= 0.5 else (math.nan, -1.0), 0.0, 1.0, 1e-14)
+    monkeypatch.setattr(bs_solver, "_NEWTON_STEPS", 3)
+    with pytest.raises(SolverError, match="did not converge in 3 steps"):
+        _newton(lambda x: (0.5 - x ** 20, -20.0 * x ** 19), 0.0, 1.0, 1e-14)
 
 
 def test_position_profile_shape_and_origin():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from bcs.kernels import (KernelParams, _fermi_shell_edges, _shell_rule,
-                         bt_radial_shifted, m_mu)
+                         bt_log_slope, bt_radial_shifted, m_mu)
 from bcs.quad import _subdivide
 from oracles import bt, kt, tanh_inequality_gap
 
@@ -96,8 +96,10 @@ def test_bt_radial_quiet_at_tiny_temperature():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tiny = bt_radial_shifted(a, KernelParams(T=1e-300, mu=1.0))
+        slope = bt_log_slope(a, KernelParams(T=1e-300, mu=1.0))
         assert m_mu(KernelParams(T=1e-300, mu=1.0), 3) > 690.0
     assert np.all(np.isfinite(tiny)) and np.all(tiny > 0.0)
+    assert np.all(np.isfinite(slope)) and np.all((-1.0 <= slope) & (slope < 0.0))
     # Elsewhere the values are those of the plain series-or-tanh form.
     for T in (1e-3, 1e-18):
         z = a * (0.5 / T)
@@ -108,6 +110,21 @@ def test_bt_radial_quiet_at_tiny_temperature():
             series = 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
         ref = np.where(small, series, direct) * (0.5 / T)
         assert np.array_equal(bt_radial_shifted(a, KernelParams(T=T, mu=1.0)), ref)
+
+
+def test_bt_log_slope_matches_central_difference():
+    # g = d ln B_T / d ln T against a central difference with step 1e-4 in
+    # log T, across the thermal layer and at a = 0, where g = -1 and B_T
+    # takes its series branch.  Far outside the layer ln B_T no longer moves,
+    # and the difference reads its rounding, eps |ln B_T| / 2h, about 1e-12.
+    a = np.array([-5.0, -0.3, -1e-7, 0.0, 1e-7, 1e-3, 0.3, 5.0, 40.0])
+    h = 1e-4
+    for T in (1e-3, 0.1, 2.0):
+        up, down = (np.log(bt_radial_shifted(a, KernelParams(T=T * math.exp(s), mu=1.0)))
+                    for s in (h, -h))
+        np.testing.assert_allclose(bt_log_slope(a, KernelParams(T=T, mu=1.0)),
+                                   (up - down) / (2.0 * h), rtol=1e-8, atol=1e-10)
+    assert bt_log_slope(0.0, KernelParams(T=1e-3, mu=1.0)) == -1.0
 
 
 @given(finite_args, finite_args)
