@@ -237,17 +237,18 @@ def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) 
     """Weak-coupling prediction: the root of lam e_mu m_mu(T) = 1 in log T,
     clamped to [t_min, t_max].  m_mu falls monotonically in T; its slope in
     log T is the sum of w t^(d-1) B_T g, g = d ln B_T / d ln T, on m_mu's
-    own shell rule."""
-    def f(ln_t):
+    own shell rule, computed only for _newton."""
+    def f(ln_t, slope=True):
         params = KernelParams(T=math.exp(ln_t), mu=mu)
         t, w, a = _shell_rule(params.T, mu)
         bt = bt_radial_shifted(a, params) * t ** (d - 1)
-        return lam_em * float(w @ bt) - 1.0, lam_em * float(w @ (bt * bt_log_slope(a, params)))
+        value = lam_em * float(w @ bt) - 1.0
+        return (value, lam_em * float(w @ (bt * bt_log_slope(a, params)))) if slope else value
 
     lo, hi = math.log(t_min), math.log(t_max)
-    if f(lo)[0] <= 0.0:
+    if f(lo, slope=False) <= 0.0:
         return t_min
-    if f(hi)[0] >= 0.0:
+    if f(hi, slope=False) >= 0.0:
         return t_max
     return math.exp(_newton(f, lo, hi, xtol=1e-3))
 
@@ -297,15 +298,17 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         return _bs_scale(grid, KernelParams(T=T, mu=mu), d)
 
     def on_grid(level, T_lo):
-        """lam a_T - 1 and its slope as functions of log T on one grid built
-        at T_lo, each solve warm-started from the previous eigenvector."""
+        """lam a_T - 1 in log T, with its slope unless slope=False, on one grid
+        built at T_lo; each solve warm-starts from the previous eigenvector."""
         grid, J, m = level_factor(level, T_lo)
         v = None
 
-        def f(ln_t):
+        def f(ln_t, slope=True):
             nonlocal v
             T = math.exp(ln_t)
             a, v = _power_top(scale(grid, T), J, m, v)
+            if not slope:
+                return lam * a - 1.0
             g = bt_log_slope(grid.shifted, KernelParams(T=T, mu=mu))
             return lam * a - 1.0, lam * a * float((v * v) @ g)
         return f
@@ -314,14 +317,14 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         """Newton root in log T; only moving the lower end down rebuilds the factor."""
         nonlocal bracket_moves
         f = on_grid(level, T_lo)
-        while f(math.log(T_lo))[0] <= 0.0:
+        while f(math.log(T_lo), slope=False) <= 0.0:
             if T_lo <= t_min:
                 raise SolverError(
                     f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
                     "the coupling may be too weak for the allowed range")
             T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
             f = on_grid(level, T_lo)
-        while f(math.log(T_hi))[0] >= 0.0:
+        while f(math.log(T_hi), slope=False) >= 0.0:
             if T_hi >= t_max:
                 raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
             T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1

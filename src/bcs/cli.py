@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Each subcommand reads a JSON run config, dispatches to the library, and
-prints a RunReport as JSON with stable key order.  ``--out`` writes the
-command's primary artifact: a CSV table where the contract names one
-(m3-profile, tc0, criterion mu sweeps), otherwise a copy of the report.
+prints a RunReport as one line of sorted-key JSON (``python -m json.tool``
+pretty-prints it).  ``--out`` writes the command's primary artifact: a CSV
+table where the contract names one (m3-profile, tc0, criterion mu sweeps),
+otherwise a copy of the report.  ``main`` builds its parser once a process.
 Exit code 0 means every enforced check passed; 1 means at least one
 failed; 2 means the config never validated (stderr ``config error:``) or
 the library raised while the command ran (stderr ``error:``).
@@ -12,13 +13,12 @@ Observational checks are reported but never affect the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .boundary3d import (NEUMANN, TABLE1_REFERENCE, _criterion_rule, criterion, m3_profile,
@@ -60,24 +60,23 @@ class RunReport:
         return all(c["passed"] for c in self.checks if c["enforced"])
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        """One line; the fields are serialized in place, not deep-copied."""
+        return json.dumps(vars(self), sort_keys=True) + "\n"
 
 
 def _check(name: str, passed: bool, enforced: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "enforced": enforced,
-            "detail": detail}
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
+    return {"name": name, "passed": bool(passed), "enforced": enforced, "detail": detail}
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """CRLF-terminated CSV of tuple rows, numbers with 17 significant
+    digits, one %-format per row.  A column keeps the type of its cell in
+    the first row; str cells are labels that need no CSV quoting."""
+    first = rows[0] if rows else ()
+    fmt = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt17(c) for c in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([fmt % row for row in rows]))
 
 
 def _checked_keys(command: str, cfg: dict, required, optional) -> None:
@@ -289,8 +288,7 @@ def cmd_criterion(cfg: dict, tol):
     inputs["mu_sweep"] = mus
     results = {"sweep": [{"mu": m, "value": r.value, "sign": r.sign}
                          for m, r in zip(mus, reps)]}
-    estimates = {"max_value_error_estimate":
-                 max(r.error_estimate for r in reps)}
+    estimates = {"max_value_error_estimate": max(r.error_estimate for r in reps)}
     table = (("mu", "value", "sign"), [(m, r.value, r.sign) for m, r in zip(mus, reps)])
     return inputs, results, [], estimates, table
 
@@ -338,8 +336,7 @@ def cmd_tc0(cfg: dict, tol: float):
 
     inputs = {"potential": to_config(V), "mu": mu, "lambdas": lambdas,
               "t_min_factor": t_min_factor, "t_max_factor": t_max_factor}
-    estimates = {"max_closure_residual":
-                 max((r["residual"] for r in solved), default=None)}
+    estimates = {"max_closure_residual": max((r["residual"] for r in solved), default=None)}
     table = (("lambda", "Tc", "residual", "e_mu_m_mu_lambda"),
              [(r["lambda"], r["Tc"], r["residual"], r["e_mu_m_mu_lambda"])
               for r in solved])
@@ -378,8 +375,7 @@ def cmd_dt_growth(cfg: dict, tol: float):
     checks = [_check("growth_fit_within_tol", dev <= tol, False,
                      f"max relative deviation {dev:.3e}")]
     inputs = {"potential": to_config(V), "mu": mu, "t_factors": t_factors}
-    results = {"samples": [{"T": t, "value": v}
-                           for t, v in zip(temps, values)],
+    results = {"samples": [{"T": t, "value": v} for t, v in zip(temps, values)],
                "fit": {"model": model, "fitted_constant": c,
                        "max_relative_deviation": dev}}
     estimates = {"fit_max_relative_deviation": dev}
@@ -419,6 +415,7 @@ def cmd_vmu_spectrum(cfg: dict, tol: float):
     return inputs, results, checks, {}, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcs",

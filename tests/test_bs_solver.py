@@ -24,7 +24,7 @@ from bcs.bs_solver import (
     position_profile,
     tc0,
 )
-from bcs.kernels import KernelParams, m_mu
+from bcs.kernels import KernelParams, bt_log_slope, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, e_mu)
 
@@ -299,6 +299,31 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     assert counts["rule"] <= 5
     assert res.bracket_moves == 0
     assert (res.refine_level, len(res.grid)) == (1, 3180)
+
+
+@pytest.mark.parametrize("V, lam, t_min", [
+    (GAUSS3, 0.5, 1e-8), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8), (GAUSS3, 0.15, 1e-18),
+], ids=["gaussian3", "step1", "chain"])
+def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, monkeypatch):
+    # The bracket-end checks of the prediction and of each search need only
+    # the sign of f; only _newton's evaluations compute bt_log_slope, six
+    # per tc0 on the bulk sweep's rows and the quick-start chain.
+    from bcs import bs_solver
+    slopes, steps = [0], [0]
+
+    def counted_slope(*args):
+        slopes[0] += 1
+        return bt_log_slope(*args)
+
+    def counted_newton(f, a, b, xtol):
+        def g(x):
+            steps[0] += 1
+            return f(x)
+        return _newton(g, a, b, xtol)
+    monkeypatch.setattr(bs_solver, "bt_log_slope", counted_slope)
+    monkeypatch.setattr(bs_solver, "_newton", counted_newton)
+    tc0(V, 1.0, V.d, lam, t_min_factor=t_min)
+    assert slopes[0] == steps[0] == 6
 
 
 def test_tc0_allocates_nothing_n_by_n():

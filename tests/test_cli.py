@@ -1,6 +1,12 @@
 """Command-line interface: schemas, artifacts, exit codes, determinism."""
 
+import csv
+import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -490,7 +496,7 @@ def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
         for threads in (3, 1):
             cfg = write_config(tmp_path, "cfg.json", {**payload, "threads": threads})
             _, stdout, _ = run(capsys, command, "--config", cfg, "--out", str(out))
-            assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+            assert stdout == json.dumps(json.loads(stdout), sort_keys=True) + "\n"
             runs.append((without_timing_and_threads(stdout), out.read_bytes()))
         assert runs[0][0] == runs[1][0]
         if command == "tc0":
@@ -541,3 +547,119 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("bcs ")
+
+
+# ---------------------------------------------------------------------------
+# output paths: CSV bytes, report content, the per-process parser
+# ---------------------------------------------------------------------------
+
+# The exact bytes of two small artifacts, recorded before _write_csv moved
+# from one csv.writer call per row to one %-format per row.
+M3_NEUMANN_X2_CSV = (
+    b"x,m3\r\n0,4\r\n0.25,3.305461222275305\r\n0.5,2.5436038539311721\r\n"
+    b"0.75,1.787970054141939\r\n1,1.1051660530038065\r\n1.25,0.54640102271473334\r\n"
+    b"1.5,0.14185950783218759\r\n1.75,-0.10134696645181418\r\n2,-0.19754894865731587\r\n")
+CRITERION_SWEEP_CSV = (
+    b"mu,value,sign\r\n2,1.1324290893653624,positive\r\n"
+    b"0.5,1.0590747512047707,positive\r\n1,1.2071650020976894,positive\r\n")
+
+
+@pytest.mark.parametrize("command, payload, expected", [
+    ("m3-profile", {"bc": "neumann", "x_max": 2.0, "step": 0.25}, M3_NEUMANN_X2_CSV),
+    ("criterion", {"potential": GAUSS3, "bc": "dirichlet", "mu_sweep": [2.0, 0.5, 1.0]},
+     CRITERION_SWEEP_CSV),
+], ids=["m3-profile", "criterion-sweep"])
+def test_csv_artifacts_keep_their_bytes(capsys, tmp_path, command, payload, expected):
+    out = tmp_path / "artifact.csv"
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    code, _, _ = run(capsys, command, "--config", cfg, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == expected
+
+
+def test_write_csv_matches_the_csv_module(tmp_path):
+    # The old writer: csv.writer with CRLF rows, every number as
+    # format(float(x), ".17g"), strings as they are.
+    rows = [(-0.0, 5e-324, 1e300, 1.0 / 3.0, "positive"),
+            (2, -1e-300, float("inf"), 0.1, "inconclusive")]
+    header = ("a", "b", "c", "d", "sign")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else format(float(c), ".17g") for c in row])
+    for table, expected in ((rows, buf.getvalue()), ([], "a,b,c,d,sign\r\n")):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), header, table)
+        assert path.read_bytes() == expected.encode("utf-8")
+    assert buf.getvalue().splitlines()[1] == (
+        "-0,4.9406564584124654e-324,1.0000000000000001e+300,0.33333333333333331,positive")
+
+
+OUTPUT_CASES = [
+    ("table1", {}),
+    ("m3-profile", {"bc": "dirichlet", "x_max": 1.0, "step": 0.25}),
+    ("criterion", {"potential": GAUSS3, "bc": "neumann", "mu": 1.0}),
+    ("tc0", {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.6]}),
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 1}, "mu": 1.0,
+                   "t_factors": [1e-1, 1e-2, 1e-3]}),
+    ("vmu-spectrum", {"potential": GAUSS3, "mu": 1.0, "ell_max": 2}),
+]
+
+
+@pytest.mark.parametrize("command, payload", OUTPUT_CASES, ids=[c for c, _ in OUTPUT_CASES])
+def test_report_is_one_line_with_the_asdict_content(capsys, tmp_path, command, payload):
+    # The report serializes its fields in place; the content equals what
+    # the deep copy dataclasses.asdict gives, and stdout is one line.
+    report = cli._RUNNERS[command][0](dict(payload))
+    assert json.loads(report.to_json()) == json.loads(json.dumps(dataclasses.asdict(report)))
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    code, stdout, _ = run(capsys, command, "--config", cfg)
+    assert code == 0
+    assert stdout.endswith("\n") and stdout.count("\n") == 1
+    assert without_timing_and_threads(stdout) == without_timing_and_threads(report.to_json())
+
+
+def test_parser_is_built_once_and_leaks_no_flag(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "profile.csv"
+    cfg = write_config(tmp_path, "cfg.json", {"bc": "neumann", "x_max": 2.0, "step": 0.5})
+    code, stdout, _ = run(capsys, "m3-profile", "--config", cfg, "--out", str(out), "--tol", "0.5")
+    assert code == 0
+    assert json.loads(stdout)["inputs"]["out"] == str(out)
+    assert json.loads(stdout)["inputs"]["tol"] == 0.5
+    out.unlink()
+    code, stdout, _ = run(capsys, "m3-profile", "--config", cfg)
+    assert code == 0
+    assert json.loads(stdout)["inputs"]["out"] is None
+    assert json.loads(stdout)["inputs"]["tol"] == 1e-6
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("bcs ")
+    for argv in (["no-such-command"], ["table1", "--tol", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "table1")
+    assert code == 0 and json.loads(stdout)["inputs"]["tol"] == 1e-6
+
+
+def test_import_builds_no_parser():
+    # A fresh interpreter: importing bcs.cli constructs no ArgumentParser.
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import bcs.cli\n"
+             "print(len(built), bcs.cli.build_parser.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["0", "0"]
