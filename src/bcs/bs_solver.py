@@ -6,11 +6,13 @@ variable u = p^2 - mu, so temperatures down to 1e-16 mu stay resolved.  Its
 top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
 The s-wave kernel is W = J diag(m) J^T, J[i, k] = j_d(p_i r_k) and
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
-for every potential and d; special.j_d_outer builds J in place, with no
-work array of its size.  The matrix is diag(s) W diag(s); W is never
-formed, and the temperature enters through s alone.  tc0 builds (J, m)
-once per refine level on a grid laid out for the lowest temperature it
-tries, starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
+for every potential and d; potentials._radial_waves builds J a panel at a
+time by angle addition in d = 1 and 3 (special.j_d_outer in place in
+d = 2), with no work array of its size.  The matrix is diag(s) W diag(s);
+W is never formed, and the temperature enters through s alone.  tc0
+builds (J, m) once per refine level on a grid laid out for the lowest
+temperature it tries, starting from the weak-coupling prediction
+lam e_mu m_mu(T) = 1.
 Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
 checks the closure on the finer grid and hands its top eigenpair and gap,
 with that grid and (J, m), to ground_state, which builds and solves nothing.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelParams, _fermi_shell_edges, _shell_rule, bt_log_slope, bt_radial_shifted
-from .potentials import RadialPotential, _radial_measure, e_mu
+from .potentials import RadialPotential, _radial_waves, e_mu
 from .quad import _subdivide, gauss_panels
 from .special import j_d_outer
 
@@ -115,10 +117,10 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
 
 def _w_factor(V: RadialPotential, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(J, m) with (J diag(m) J^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
-    j_d(r; p_j^2) r^(d-1) dr; the rule resolves frequencies up to 2 p_max.
-    J, n x nr (8 MiB for the chain's 3,180 x 320), is the one array its size."""
-    r, m = _radial_measure(V, 2.0 * float(p[-1]))
-    return j_d_outer(p, r, V.d), m
+    j_d(r; p_j^2) r^(d-1) dr, from potentials._radial_waves on the rule that
+    resolves frequencies up to 2 p_max.  J, n x nr (8 MiB for the chain's
+    3,180 x 320), is the one array its size."""
+    return _radial_waves(V, p, 2.0 * float(p[-1]))
 
 
 def _w_apply(J: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -189,15 +191,17 @@ def _lanczos_top2(s: np.ndarray, J: np.ndarray, m: np.ndarray):
         k = min(2 * k, cap)
 
 
-def _newton(f, lo: float, hi: float, xtol: float) -> float:
+def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> float:
     """Root in [lo, hi] of f(x) -> (value, slope), which falls through zero
-    there (the caller checks the ends), by Newton steps from the midpoint.
-    A step that would leave the bracket, or is over half the step before
-    last, bisects instead, so the search ends at the first step at most
-    xtol long even when f is noisy, at the latest once the bracket closes
-    to xtol; with noise e in f that point is within xtol + e / |slope| of
-    the root.  SolverError on NaN and after _NEWTON_STEPS steps."""
-    x, steps = 0.5 * (lo + hi), (hi - lo, hi - lo)  # the last two steps
+    there: the caller checked the ends, f(lo) = f_lo >= 0 >= f(hi) = f_hi
+    and f_lo > f_hi.  Newton steps start from the secant point of those two
+    values.  A step that would leave the bracket, or is over half the step
+    before last, bisects instead, so the search ends at the first step at
+    most xtol long even when f is noisy, at the latest once the bracket
+    closes to xtol; with noise e in f that point is within xtol + e / |slope|
+    of the root.  SolverError on NaN and after _NEWTON_STEPS steps."""
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    steps = (hi - lo, hi - lo)  # the last two steps
     for _ in range(_NEWTON_STEPS):
         fx, slope = f(x)
         if math.isnan(fx) or math.isnan(slope):
@@ -246,11 +250,11 @@ def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) 
         return (value, lam_em * float(w @ (bt * bt_log_slope(a, params)))) if slope else value
 
     lo, hi = math.log(t_min), math.log(t_max)
-    if f(lo, slope=False) <= 0.0:
+    if (f_lo := f(lo, slope=False)) <= 0.0:
         return t_min
-    if f(hi, slope=False) >= 0.0:
+    if (f_hi := f(hi, slope=False)) >= 0.0:
         return t_max
-    return math.exp(_newton(f, lo, hi, xtol=1e-3))
+    return math.exp(_newton(f, lo, hi, 1e-3, f_lo, f_hi))
 
 
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
@@ -265,8 +269,9 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     level builds one grid at the bracket's lower end, which resolves every
     higher T, and one factor (J, m) of W; a temperature only rescales W
     (diag(s) W diag(s)) and reuses the previous top eigenvector as the
-    power-iteration start.  _newton finds the root on that grid in log T
-    with the Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top
+    power-iteration start.  _newton finds the root on that grid in log T,
+    from the secant point of the bracket ends' values, with the
+    Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top
     eigenvector, g = d ln B_T / d ln T), and the closure |lam a_Tc - 1| must
     meet tol on the next finer grid, else the next level searches
     [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
@@ -317,18 +322,19 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         """Newton root in log T; only moving the lower end down rebuilds the factor."""
         nonlocal bracket_moves
         f = on_grid(level, T_lo)
-        while f(math.log(T_lo), slope=False) <= 0.0:
+        while (f_lo := f(math.log(T_lo), slope=False)) <= 0.0:
             if T_lo <= t_min:
                 raise SolverError(
                     f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
                     "the coupling may be too weak for the allowed range")
             T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
             f = on_grid(level, T_lo)
-        while f(math.log(T_hi), slope=False) >= 0.0:
+        while (f_hi := f(math.log(T_hi), slope=False)) >= 0.0:
             if T_hi >= t_max:
                 raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
             T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
-        return math.exp(_newton(f, math.log(T_lo), math.log(T_hi), xtol=1e-14))
+            f_lo = f_hi
+        return math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
 
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)

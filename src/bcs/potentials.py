@@ -252,14 +252,51 @@ def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):
     return r, V.value(r) * w * r ** (V.d - 1)
 
 
+def _radial_waves(V: RadialPotential, k: np.ndarray, k_max: float):
+    """(J, m): J[i, l] = j_d(k_i r_l; 1) for a 1-d k >= 0 on the rule of
+    _radial_measure(V, k_max), and its masses m.  In d = 1 and 3 a node is
+    r = e + o, its panel's left edge plus one of the 16 offsets shared by
+    the equal panels of its knot interval, so angle addition takes sin and
+    cos at 2 edges a panel and 16 offsets an interval; the first edge is 0,
+    which keeps d = 3 exact near r = 0.  J is the transpose of a (panel,
+    offset, k) array built a panel at a time.  d = 2 takes j_d_outer."""
+    r, m = _radial_measure(V, k_max)
+    if V.d == 2:
+        return j_d_outer(k, r, 2), m
+    knots, counts = _radial_panels(V, k_max)
+    edges, n = _subdivide(knots, counts), counts.astype(int)
+    c = math.sqrt(2.0 / math.pi)
+    scale = c if V.d == 1 else c / np.where(k == 0.0, 1.0, k)
+    nodes = r.reshape(-1, 16)
+    inv_r = 1.0 / nodes[..., None]
+    J, tmp = np.empty((len(nodes), 16, len(k))), np.empty((16, len(k)))
+    for first, end in zip(np.cumsum(n) - n, np.cumsum(n)):
+        so = np.multiply.outer(nodes[first] - edges[first], k)
+        co = np.cos(so)
+        co *= scale
+        np.sin(so, out=so)
+        so *= scale
+        for j in range(first, end):
+            se, ce = np.sin(edges[j] * k), np.cos(edges[j] * k)
+            # cos(e + o) = ce co - se so,  sin(e + o) = se co + ce so
+            a, b = (ce, -se) if V.d == 1 else (se, ce)
+            np.multiply(a, co, out=J[j])
+            J[j] += np.multiply(b, so, out=tmp)
+            if V.d == 3:
+                J[j] *= inv_r[j]
+    if V.d == 3:
+        J[..., k == 0.0] = c
+    return J.reshape(len(r), len(k)).T, m
+
+
 def fourier_hat(V: RadialPotential, k):
     """Radial Fourier transform with the (2 pi)^(-d/2) convention,
     elementwise in k: the integral of V(r) j_d(k r) r^(d-1) dr."""
     k = np.asarray(k, dtype=float)
     if np.any(k < 0):
         raise ValueError("k must be nonnegative")
-    r, m = _radial_measure(V, float(k.max(initial=0.0)))
-    out = j_d_outer(k, r, V.d) @ m
+    J, m = _radial_waves(V, k.ravel(), float(k.max(initial=0.0)))
+    out = (J @ m).reshape(k.shape)
     return out if out.ndim else float(out)
 
 

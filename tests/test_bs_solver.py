@@ -301,13 +301,16 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     assert (res.refine_level, len(res.grid)) == (1, 3180)
 
 
-@pytest.mark.parametrize("V, lam, t_min", [
-    (GAUSS3, 0.5, 1e-8), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8), (GAUSS3, 0.15, 1e-18),
+@pytest.mark.parametrize("V, lam, t_min, evals", [
+    (GAUSS3, 0.5, 1e-8, 5), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8, 6),
+    (GAUSS3, 0.15, 1e-18, 4),
 ], ids=["gaussian3", "step1", "chain"])
-def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, monkeypatch):
+def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatch):
     # The bracket-end checks of the prediction and of each search need only
-    # the sign of f; only _newton's evaluations compute bt_log_slope, six
-    # per tc0 on the bulk sweep's rows and the quick-start chain.
+    # the sign of f, and their values start _newton at the secant point;
+    # only _newton's evaluations compute bt_log_slope, 5, 6 and 4 per tc0
+    # on a bulk sweep row of each kind and the quick-start chain (6 each
+    # from the log-midpoint).
     from bcs import bs_solver
     slopes, steps = [0], [0]
 
@@ -315,15 +318,15 @@ def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, monkeypatch):
         slopes[0] += 1
         return bt_log_slope(*args)
 
-    def counted_newton(f, a, b, xtol):
+    def counted_newton(f, a, b, xtol, f_a, f_b):
         def g(x):
             steps[0] += 1
             return f(x)
-        return _newton(g, a, b, xtol)
+        return _newton(g, a, b, xtol, f_a, f_b)
     monkeypatch.setattr(bs_solver, "bt_log_slope", counted_slope)
     monkeypatch.setattr(bs_solver, "_newton", counted_newton)
     tc0(V, 1.0, V.d, lam, t_min_factor=t_min)
-    assert slopes[0] == steps[0] == 6
+    assert slopes[0] == steps[0] == evals
 
 
 def test_tc0_allocates_nothing_n_by_n():
@@ -471,7 +474,7 @@ def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
 def _assert_lands_on_brentq(f, a, b, xtol):
     """_newton lands within brentq's own stop, xtol + 4 eps |x|, of the root
     that scipy's brentq finds on f's values."""
-    root = _newton(f, a, b, xtol)
+    root = _newton(f, a, b, xtol, f(a)[0], f(b)[0])
     ref = brentq(lambda x: f(x)[0], a, b, xtol=xtol)
     assert abs(root - ref) <= xtol + 4.0 * 2.0 ** -52 * abs(ref), (root, ref)
 
@@ -481,9 +484,9 @@ def _record_searches(monkeypatch):
     from bcs import bs_solver
     calls = []
 
-    def recorded(f, a, b, xtol):
+    def recorded(f, a, b, xtol, f_a, f_b):
         calls.append((f, a, b, xtol))
-        return _newton(f, a, b, xtol)
+        return _newton(f, a, b, xtol, f_a, f_b)
     monkeypatch.setattr(bs_solver, "_newton", recorded)
     return calls
 
@@ -533,13 +536,13 @@ def test_search_slope_matches_central_difference(kind, d, monkeypatch):
 
 
 def test_newton_returns_an_exact_zero():
-    # f is 0.0 on [0.2, 0.4]: the Newton step from the midpoint lands on
-    # 0.4, which is returned, not bisected away from.
+    # f is 0.0 on [0.2, 0.4]: the Newton step from the secant point of its
+    # ends, 0.5, lands on 0.4, which is returned, not bisected away from.
     def f(x):
         f.calls += 1
-        return (0.2 - x, -1.0) if x < 0.2 else (0.4 - x, -1.0) if x > 0.4 else (0.0, 0.0)
+        return (0.6 - 3.0 * x, -3.0) if x < 0.2 else (0.4 - x, -1.0) if x > 0.4 else (0.0, 0.0)
     f.calls = 0
-    assert _newton(f, 0.0, 1.0, 1e-14) == 0.4
+    assert _newton(f, 0.0, 1.0, 1e-14, 0.6, -0.6) == 0.4
     assert f.calls == 2
 
 
@@ -556,16 +559,18 @@ def test_newton_stops_on_noisy_values(seed):
 
     def f(x):
         return -0.03 * (x - root) + 1e-13 * next(sign), -0.03
-    assert abs(_newton(f, root - 1.0, root + 2.0, xtol) - root) <= xtol + 1e-13 / 0.03
+    a, b = root - 1.0, root + 2.0
+    assert abs(_newton(f, a, b, xtol, f(a)[0], f(b)[0]) - root) <= xtol + 1e-13 / 0.03
 
 
 def test_newton_raises_instead_of_returning_an_iterate(monkeypatch):
     from bcs import bs_solver
     with pytest.raises(SolverError, match="NaN"):
-        _newton(lambda x: (0.75 - x, -1.0) if x <= 0.5 else (math.nan, -1.0), 0.0, 1.0, 1e-14)
+        _newton(lambda x: (0.75 - x, -1.0) if x <= 0.5 or x == 1.0 else (math.nan, -1.0),
+                0.0, 1.0, 1e-14, 0.75, -0.25)
     monkeypatch.setattr(bs_solver, "_NEWTON_STEPS", 3)
     with pytest.raises(SolverError, match="did not converge in 3 steps"):
-        _newton(lambda x: (0.5 - x ** 20, -20.0 * x ** 19), 0.0, 1.0, 1e-14)
+        _newton(lambda x: (0.5 - x ** 20, -20.0 * x ** 19), 0.0, 1.0, 1e-14, 0.5, -0.5)
 
 
 def test_position_profile_shape_and_origin():
