@@ -7,12 +7,12 @@ top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
 The s-wave kernel is W = J diag(m) J^T, J[i, k] = j_d(p_i r_k) and
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
 for every potential and d; potentials._radial_waves builds J a panel at a
-time by angle addition in d = 1 and 3 (special.j_d_outer in place in
-d = 2), with no work array of its size.  The matrix is diag(s) W diag(s);
-W is never formed, and the temperature enters through s alone.  tc0
-builds (J, m) once per refine level on a grid laid out for the lowest
-temperature it tries, starting from the weak-coupling prediction
-lam e_mu m_mu(T) = 1.
+time by angle addition in d = 1 and 3 (J0 over the outer product k r, in
+place, in d = 2), with no work array of its size.  The matrix is
+diag(s) W diag(s); W is never formed, and the temperature enters through
+s alone.  tc0 builds (J, m) once per refine level on a grid laid out for
+the lowest temperature it tries, starting from the weak-coupling
+prediction lam e_mu m_mu(T) = 1.
 Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
 checks the closure on the finer grid and hands its top eigenpair and gap,
 with that grid and (J, m), to ground_state, which builds and solves nothing.
@@ -28,7 +28,7 @@ import numpy as np
 from .kernels import KernelParams, _fermi_shell_edges, _shell_rule, bt_log_slope, bt_radial_shifted
 from .potentials import RadialPotential, _radial_waves, e_mu
 from .quad import _subdivide, gauss_panels
-from .special import j_d_outer
+from .special import j_d
 
 
 # Gauss nodes per grid panel.
@@ -413,4 +413,4 @@ def position_profile(state: GroundState, r) -> np.ndarray:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     p = state.grid.nodes
     coef = state.grid.weights * p ** (state.d - 1) * state.phi_hat
-    return coef @ j_d_outer(p, r, state.d)
+    return coef @ j_d(np.multiply.outer(p, r), 1.0, state.d)

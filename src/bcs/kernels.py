@@ -36,20 +36,12 @@ class KernelParams:
 def bt_radial_shifted(a, params: KernelParams):
     """B_T(p, 0) = tanh(a/2T)/a on the momentum axis, elementwise in a = p^2 - mu.
 
-    The a -> 0 limit 1/(2T) is taken by series, so Fermi-surface nodes are safe.
-    Both branches run on every entry and np.where keeps one; the series
-    overflows (and gives inf - inf) on the large entries it does not keep,
-    which happens for T below about 1e-150 mu.
+    The quotient tanh(z)/z, z = a/2T, is accurate to an ulp down to the
+    smallest z, so only z = 0 takes the limit, 1/(2T), as special._sinc does.
     """
-    a = np.asarray(a, dtype=float)
-    z = a * (0.5 / params.T)
-    small = np.abs(z) < 1e-6
-    zs = np.where(small, 1.0, z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.tanh(zs) / zs
-        z2 = z * z
-        series = 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-    out = np.where(small, series, direct) * (0.5 / params.T)
+    z = np.asarray(a, dtype=float) * (0.5 / params.T)
+    with np.errstate(invalid="ignore"):
+        out = np.where(z == 0.0, 1.0, np.tanh(z) / z) * (0.5 / params.T)
     return out if out.ndim else float(out)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .quad import _subdivide, gauss_panels
-from .special import bessel_squares, j_d, j_d_outer
+from .special import _j0, bessel_squares, j_d
 
 # Fraction of its peak scale that |V| stays below beyond cutoff_radius().
 _CUTOFF_EPS = 1e-16
@@ -259,10 +259,10 @@ def _radial_waves(V: RadialPotential, k: np.ndarray, k_max: float):
     the equal panels of its knot interval, so angle addition takes sin and
     cos at 2 edges a panel and 16 offsets an interval; the first edge is 0,
     which keeps d = 3 exact near r = 0.  J is the transpose of a (panel,
-    offset, k) array built a panel at a time.  d = 2 takes j_d_outer."""
+    offset, k) array built a panel at a time.  d = 2 takes _j0 of k r in place."""
     r, m = _radial_measure(V, k_max)
     if V.d == 2:
-        return j_d_outer(k, r, 2), m
+        return _j0(np.multiply.outer(k, r)), m
     knots, counts = _radial_panels(V, k_max)
     edges, n = _subdivide(knots, counts), counts.astype(int)
     c = math.sqrt(2.0 / math.pi)

@@ -28,16 +28,16 @@ def gauss_panels(edges, n: int = 16):
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def gauss_rows(edges, width: float, n: int = 16):
+def gauss_rows(edges, width: float):
     """Nodes, weights and node count of each row of edges laid back to back,
-    every row starting below the last edge of the one before: gauss_panels on
-    each panel split into parts at most ``width`` wide (_subdivide), but none
-    on the panels of negative width between rows."""
+    every row starting below the last edge of the one before: the 16-point
+    gauss_panels on each panel split into parts at most ``width`` wide
+    (_subdivide), but none on the panels of negative width between rows."""
     e = _subdivide(edges, np.ceil(np.diff(edges) / width))
-    x, w = gauss_panels(e, n)
+    x, w = gauss_panels(e)
     back = np.diff(e) < 0.0
-    keep = np.repeat(~back, n)
-    return x[keep], w[keep], n * np.bincount(np.cumsum(back)[~back], minlength=back.sum() + 1)
+    keep = np.repeat(~back, 16)
+    return x[keep], w[keep], 16 * np.bincount(np.cumsum(back)[~back], minlength=back.sum() + 1)
 
 
 def _subdivide(edges, counts):

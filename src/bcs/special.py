@@ -2,7 +2,7 @@
 Cin, absolute for the Bessel functions): the sine integral Si and the
 entire cosine integral Cin, J0, the squares of the Bessel functions J_l and
 j_l, the radial profiles j_d of the Fermi-sphere surface measure in
-d = 1, 2, 3 (j_d_outer on an outer product), and the per-octave Chebyshev
+d = 1, 2, 3 on arrays of any shape, and the per-octave Chebyshev
 tables of Laplace-type integrals that Si, Cin and the boundary term t1 read.
 """
 
@@ -199,7 +199,7 @@ def _j0_chebyshev(switch: float, terms: int) -> np.ndarray:
     return c
 
 
-def _j0(x: np.ndarray) -> np.ndarray:
+def _j0_flat(x: np.ndarray) -> np.ndarray:
     """J0 of a flat array of x >= 0.  The Chebyshev sum runs in Reinsch's
     form, in u = (2x/X)^2 = 2 (t + 1), which keeps its accuracy at t = -1,
     where the plain Clenshaw sum lost 5e-15 near x = 0."""
@@ -226,39 +226,35 @@ def _j0(x: np.ndarray) -> np.ndarray:
 _J0_BLOCK = 16384
 
 
+def _j0(x: np.ndarray) -> np.ndarray:
+    """J0 of a contiguous array of x >= 0 of any shape, in place, a block
+    of _J0_BLOCK points at a time, so no work array grows with x."""
+    flat = x.reshape(-1)
+    for block in np.split(flat, range(_J0_BLOCK, flat.size, _J0_BLOCK)):
+        block[:] = _j0_flat(block)
+    return x
+
+
 def j_d(r, mu: float, d: int):
     """Radial profile of the plane-wave average over the Fermi sphere.
 
     j_1 = sqrt(2/pi) cos(sqrt(mu) r), j_2 = J0(sqrt(mu) r),
-    j_3 = sqrt(2/pi) sin(sqrt(mu) r)/(sqrt(mu) r), elementwise in r.
+    j_3 = sqrt(2/pi) sin(sqrt(mu) r)/(sqrt(mu) r), elementwise in r of any
+    shape; a scalar r gives a float.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    z = np.sqrt(mu) * np.asarray(r, dtype=float)
-    out = _SQRT_2_OVER_PI * _sinc(z) if d == 3 else j_d_outer(1.0, z.ravel(), d).reshape(z.shape)
-    return out if out.ndim else float(out)
-
-
-def j_d_outer(k, r, d: int) -> np.ndarray:
-    """J[..., l] = j_d(k r_l; 1) for k of any shape and a 1-d r, with no work
-    array of J's size: cos, sin or J0 overwrite the outer product k r, and in
-    d = 3 k divides the rows and r the columns, zeros taking sqrt(2/pi)."""
-    k, r = np.abs(np.asarray(k, dtype=float)), np.abs(np.asarray(r, dtype=float))
-    out = np.multiply.outer(k, r)
+    r = np.asarray(r, dtype=float)
+    z = np.sqrt(mu) * np.atleast_1d(r)  # a fresh array, so the routes may overwrite it
     if d == 1:
-        np.cos(out, out=out)
-        out *= _SQRT_2_OVER_PI
+        out = _SQRT_2_OVER_PI * np.cos(z, out=z)
     elif d == 2:
-        for block in np.split(out.reshape(-1), range(_J0_BLOCK, out.size, _J0_BLOCK)):
-            block[:] = _j0(block)
+        out = _j0(np.abs(z, out=z))
     elif d == 3:
-        np.sin(out, out=out)
-        out *= (_SQRT_2_OVER_PI / np.where(k == 0.0, 1.0, k))[..., None]
-        out /= np.where(r == 0.0, 1.0, r)
-        out[k == 0.0] = out[..., r == 0.0] = _SQRT_2_OVER_PI
+        out = _SQRT_2_OVER_PI * _sinc(z)
     else:
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
-    return out
+    return out if r.ndim else float(out[0])
 
 
 def _sinc(z):

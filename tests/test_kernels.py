@@ -77,9 +77,16 @@ def test_bt_validation():
 
 
 def test_bt_radial_series_branch():
+    # a = 0 takes the limit 1/(2T), and for |a/2T| from 1e-300 to 1e-6 the
+    # direct quotient stays within 2 ulp of math.tanh(z)/z, so Fermi-surface
+    # nodes need no series.
     par = KernelParams(T=0.8, mu=1.0)
-    assert bt_radial_shifted(0.0, par) == pytest.approx(0.5 / par.T, rel=1e-15)
-    # Straddle the series switch at |a/2T| = 1e-6.
+    assert bt_radial_shifted(0.0, par) == 0.5 / par.T
+    unit = KernelParams(T=0.5, mu=1.0)  # 0.5/T = 1, so B_T = tanh(a)/a
+    z = np.geomspace(1e-300, 1e-6, 2941)  # ten points a decade
+    z = np.concatenate([z, -z])
+    ref = np.array([math.tanh(x) / x for x in z])
+    assert np.all(np.abs(bt_radial_shifted(z, unit) - ref) <= 2.0 * np.spacing(ref))
     for a in (1e-7, 1.5e-6, -1e-7):
         ref = math.tanh(a / (2.0 * par.T)) / a
         assert bt_radial_shifted(a, par) == pytest.approx(ref, rel=1e-12)
@@ -90,7 +97,7 @@ def test_bt_radial_series_branch():
 
 def test_bt_radial_quiet_at_tiny_temperature():
     # The log-T solve for the weak-coupling T_c prediction reaches
-    # T = 1e-300 mu; squaring every z there overflowed to inf - inf.
+    # T = 1e-300 mu, where z = a/2T runs past 1e300: no warning may fire.
     a = np.concatenate([-np.geomspace(1.0, 1e-320, 60), [0.0],
                         np.geomspace(1e-320, 200.0, 60)])
     with warnings.catch_warnings():
@@ -100,22 +107,18 @@ def test_bt_radial_quiet_at_tiny_temperature():
         assert m_mu(KernelParams(T=1e-300, mu=1.0), 3) > 690.0
     assert np.all(np.isfinite(tiny)) and np.all(tiny > 0.0)
     assert np.all(np.isfinite(slope)) and np.all((-1.0 <= slope) & (slope < 0.0))
-    # Elsewhere the values are those of the plain series-or-tanh form.
+    # Elsewhere the values are those of the direct quotient.
     for T in (1e-3, 1e-18):
         z = a * (0.5 / T)
-        small = np.abs(z) < 1e-6
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = np.tanh(np.where(small, 1.0, z)) / np.where(small, 1.0, z)
-            z2 = z * z
-            series = 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0
-        ref = np.where(small, series, direct) * (0.5 / T)
+        with np.errstate(invalid="ignore"):
+            ref = np.where(z == 0.0, 1.0, np.tanh(z) / z) * (0.5 / T)
         assert np.array_equal(bt_radial_shifted(a, KernelParams(T=T, mu=1.0)), ref)
 
 
 def test_bt_log_slope_matches_central_difference():
     # g = d ln B_T / d ln T against a central difference with step 1e-4 in
     # log T, across the thermal layer and at a = 0, where g = -1 and B_T
-    # takes its series branch.  Far outside the layer ln B_T no longer moves,
+    # takes its limit.  Far outside the layer ln B_T no longer moves,
     # and the difference reads its rounding, eps |ln B_T| / 2h, about 1e-12.
     a = np.array([-5.0, -0.3, -1e-7, 0.0, 1e-7, 1e-3, 0.3, 5.0, 40.0])
     h = 1e-4

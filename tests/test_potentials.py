@@ -25,7 +25,7 @@ from bcs.potentials import (
     to_config,
     vmu_spectrum,
 )
-from bcs.special import j_d_outer
+from bcs.special import j_d
 
 
 def _tabulated(d=3):
@@ -322,9 +322,10 @@ def test_vmu_spectrum_validation():
 # ---------------------------------------------------------------------------
 
 # Every entry within _WAVES_C eps (1 + |k r|) of j_d on the exact product
-# k r; the measured worst is 1.8 in d = 1 and 2.4 in d = 3 (j_d_outer: 0.6
-# and 1.3), both on the tabulated kind.  The |k r| term is the rounding of
-# the argument, which every route has: ulp(960) = 1.1e-13.
+# k r; the measured worst is 1.8 in d = 1 and 2.4 in d = 3 (j_d on the
+# rounded product: 0.6 and 0.9), both on the tabulated kind.  The |k r|
+# term is the rounding of the argument, which every route has:
+# ulp(960) = 1.1e-13.
 _WAVES_C = 4.0
 
 
@@ -354,15 +355,25 @@ def _waves_error(J, k, r, d):
 @pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
 def test_radial_waves_within_the_argument_rounding(kind, d):
     # The k = 0 row, the first panel's nodes (the lowest below 2e-3) and
-    # |k r| up to 1,000, on the rule and masses of _radial_measure;
-    # j_d_outer on the same nodes meets the same bound.
+    # |k r| up to 1,000, on the rule and masses of _radial_measure; j_d on
+    # the rounded product k r meets the same bound.
     V, k, k_max = _waves_case(kind, d)
     J, m = _radial_waves(V, k, k_max)
     r, m_rule = _radial_measure(V, k_max)
     assert np.array_equal(m, m_rule) and J.shape == (len(k), len(r))
     assert r[0] < 1e-2 and np.max(np.multiply.outer(k, r)) > 990.0
     assert _waves_error(J, k, r, d) <= _WAVES_C
-    assert _waves_error(j_d_outer(k, r, d), k, r, d) <= _WAVES_C
+    assert _waves_error(j_d(np.multiply.outer(k, r), 1.0, d), k, r, d) <= _WAVES_C
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_radial_waves_d2_is_j_d_on_the_product(kind):
+    # In d = 2 J is J0 of the outer product k r, the k = 0 row included,
+    # bit for bit.
+    V, k, k_max = _waves_case(kind, 2)
+    J, m = _radial_waves(V, k, k_max)
+    r = _radial_measure(V, k_max)[0]
+    assert np.array_equal(J, j_d(np.multiply.outer(k, r), 1.0, 2))
 
 
 def test_radial_waves_need_the_first_panel_anchored_at_zero():
@@ -383,13 +394,16 @@ def test_radial_waves_need_the_first_panel_anchored_at_zero():
 
 
 @pytest.mark.parametrize("V, shape", [
-    (GaussianPotential(d=3), (3180, 320)), (ExponentialPotential(d=1), (3180, 1920))],
-    ids=["chain", "exponential1"])
+    (GaussianPotential(d=3), (3180, 320)), (ExponentialPotential(d=1), (3180, 1920)),
+    (GaussianPotential(d=2), (3180, 320))],
+    ids=["chain", "exponential1", "gaussian2"])
 def test_radial_waves_allocate_no_second_matrix(V, shape):
     # The chain's J (the unit Gaussian in d = 3, k to 2 p_max = 26) and the
     # exponential's in d = 1, built a panel at a time: the work arrays
     # (three of 16 rows) add 3/20 and 3/120 of J (peaks read 1.17 and 1.03
-    # J), and the build may add a quarter, as j_d_outer may.
+    # J).  The Gaussian's in d = 2 is J0 written over the product k r, a
+    # block of 16,384 points at a time (reads 1.14 J).  The build may add a
+    # quarter.
     k = np.linspace(0.0, 13.0, shape[0])
     _radial_waves(V, k[:2], 26.0)  # Gauss-Legendre nodes are cached on first use
     tracemalloc.start()

@@ -2,7 +2,6 @@
 scipy.special."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy import special as sp
 
 import oracles
 from bcs import special
-from bcs.special import bessel_squares, j_d, j_d_outer, si_cin
+from bcs.special import bessel_squares, j_d, si_cin
 
 
 def test_si_matches_quadrature_oracle():
@@ -89,7 +88,7 @@ def test_j_d_sinc_series_branch_accuracy():
         assert abs(j_d(z, 1.0, 3) - c * math.sin(z) / z) < 1e-15
 
 
-# -- the outer-product primitive ------------------------------------------------
+# -- j_d on outer products ------------------------------------------------------
 
 _OUTER_K = np.concatenate([[0.0], np.geomspace(1e-8, 1e-3, 5), np.linspace(0.0, 40.0, 201)[1:]])
 _OUTER_R = np.concatenate([[0.0], np.geomspace(1e-8, 1e-3, 5), np.linspace(0.0, 10.0, 101)[1:]])
@@ -97,46 +96,15 @@ _OUTER_R = np.concatenate([[0.0], np.geomspace(1e-8, 1e-3, 5), np.linspace(0.0, 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_j_d_outer_matches_scipy(d):
-    # The grid holds k = 0 and r = 0, whose row and column take the limits.
-    # scipy's jv(0, .) stands for J0 (its j0 reads 2e-15 off at z = 400).
+    # j_d on the outer product k r.  The grid holds k = 0 and r = 0, whose
+    # row and column take the limits.  scipy's jv(0, .) stands for J0 (its
+    # j0 reads 2e-15 off at z = 400).
     z = np.multiply.outer(_OUTER_K, _OUTER_R)
     c = math.sqrt(2.0 / math.pi)
     ref = {1: c * np.cos(z), 2: sp.jv(0, z), 3: c * sp.spherical_jn(0, z)}[d]
-    J = j_d_outer(_OUTER_K, _OUTER_R, d)
+    J = j_d(z, 1.0, d)
     assert J.shape == z.shape
     assert np.max(np.abs(J - ref)) <= 1e-15
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_j_d_outer_within_four_ulp_of_j_d(d):
-    # j_d on the product k r: in d = 1 and 2 it runs through j_d_outer and
-    # agrees bit for bit; in d = 3 it divides sin by the product, not by k
-    # and r in turn (reads 3 ulp).
-    old = j_d(np.multiply.outer(_OUTER_K, _OUTER_R), 1.0, d)
-    ulps = np.abs(j_d_outer(_OUTER_K, _OUTER_R, d) - old) / np.spacing(np.abs(old))
-    assert np.max(ulps) <= (4.0 if d == 3 else 0.0)
-
-
-def test_j_d_outer_scalar_k_and_validation():
-    assert np.array_equal(j_d_outer(0.7, _OUTER_R, 3), j_d_outer([0.7], _OUTER_R, 3)[0])
-    with pytest.raises(ValueError, match="d must be"):
-        j_d_outer(_OUTER_K, _OUTER_R, 4)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_j_d_outer_allocates_no_second_matrix(d):
-    # A 2,000 x 400 J holds 6.4 MB; its build may add a quarter of that
-    # (reads 1.02 in d = 1 and 3, 1.21 in d = 2).  Forming the product k r
-    # and taking j_d of it peaks at 4.0-4.1 times it.
-    k, r = np.linspace(0.0, 40.0, 2000), np.linspace(0.0, 10.0, 400)
-    j_d_outer(k[:2], r, d)  # J0's coefficient table is cached on first use
-    tracemalloc.start()
-    try:
-        J = j_d_outer(k, r, d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * J.nbytes
 
 
 def test_j_d_validation():
@@ -149,7 +117,12 @@ def test_j_d_validation():
 def test_elementwise_and_scalar_types():
     xs = np.array([0.3, 1.0, 4.0])
     assert all(isinstance(v, float) for v in si_cin(1.0))
-    assert isinstance(j_d(1.0, 1.0, 2), float)
+    # A 0-d r gives a float, not a numpy scalar, equal to the one-point
+    # array's entry in every d.
+    for d in (1, 2, 3):
+        for r in (0.0, 0.7, np.float64(30.0), np.array(3.0)):
+            assert type(j_d(r, 1.3, d)) is float
+            assert j_d(r, 1.3, d) == j_d([r], 1.3, d)[0]
     assert all(v.shape == xs.shape for v in si_cin(xs))
     assert j_d(xs, 1.0, 3).shape == xs.shape
     np.testing.assert_allclose(
