@@ -388,10 +388,10 @@ def cmd_dt_growth(cfg: dict, tol: float):
 def cmd_vmu_spectrum(cfg: dict, tol: float):
     """Angular components of the interaction on the Fermi surface.
 
-    Reports v_0..v_ell_max and whether the ground component strictly
-    dominates (margin ``tol``, default 0).  The verdict is observational:
-    a potential is allowed to violate it.  ell_max = 0 leaves nothing to
-    compare against and is rejected.
+    Reports v_0..v_ell_max and whether v_0 strictly exceeds every v_ell, odd
+    and even (margin ``tol``, default 0); the step can have v_1 > v_0, and for
+    pair functions even in the relative coordinate only even ell compete.  The
+    verdict is observational.  ell_max = 0 leaves nothing to compare: rejected.
     """
     V = _potential(cfg)
     if V.d not in (2, 3):

@@ -4,16 +4,16 @@ dt_form_d1 and dt_form_d2 evaluate the quadratic form that measures how
 strongly a boundary enhances pairing at temperature T in one and two
 dimensions, where it diverges like 1/T and ln(mu/T)^3; fit_growth fits the
 constant of that growth law to a sampled sweep.  The forms build no rule of
-their own for what the library already has: the d = 1 outer rule inside
-the Fermi shell is kernels._shell_rule, the d = 1 transform of V j1 is a
-dot product with potentials._radial_measure, and a cosine transform at
-many momenta is one blocked product (_cos_sums): in d = 1 at every outer
-node, and in d = 2 for the V j2 table, from the line integral of V j2 on a
-rule in the transverse coordinate y.  On that rule the d = 2 kernel
-Vhat(|p - q|) + Vhat(p + q) is the cosine transform of the line integral of
-V, read at one set of Chebyshev points in q.  Many rows' rules (the line
-integral's in y, the form's in q) are laid as one (quad.gauss_rows).  The
-d = 1 form stops its momentum tail on an explicit bound.
+their own for what the library already has: the d = 1 outer rule inside the
+Fermi shell is kernels._shell_rule, the d = 1 transform of V j1 is a dot
+product with potentials._radial_measure, and a cosine transform at many momenta
+is one blocked product (_cos_sums): in d = 1 at every outer node, and in d = 2
+for the V j2 table, from the line integral of V j2 on a rule in the transverse
+coordinate y.  On that rule the d = 2 kernel Vhat(|p - q|) + Vhat(p + q) is the
+cosine transform of the line integral of V, read at Chebyshev points on pieces
+of the q range.  Many rows' rules (the line integral's in y, the form's in q)
+are laid as one (quad.gauss_rows).  The d = 1 form stops its momentum tail on
+an explicit bound.
 """
 
 from __future__ import annotations
@@ -239,24 +239,32 @@ def _chebyshev_count(Y: float, P: float) -> int:
 
 
 def _chebyshev_grid(y, P: float):
-    """Chebyshev points of the first kind in [0, P] for y up to y[-1], their
-    barycentric weights, and cos(y q) at them, of shape (len(y), n)."""
-    n = _chebyshev_count(y[-1], P)
+    """[0, P] in the most equal pieces k with k n(Y, P / k) <= 2 n(Y, P) (_chebyshev_count's
+    bound holds on a piece wherever it sits; past k_max even P / (2 n)'s count breaks this), so
+    cos(y X) costs at most twice one grid's: the starts, offsets xi of the first-kind Chebyshev
+    points on each piece, their barycentric weights, and cos(y X) at all k n points X, y <= Y."""
+    Y, n = y[-1], _chebyshev_count(y[-1], P)
+    k_max = 2 * n // _chebyshev_count(Y, 0.5 * P / n)
+    k = max(k for k in range(1, k_max + 1) if k * _chebyshev_count(Y, P / k) <= 2 * n)
+    n, starts = _chebyshev_count(Y, P / k), (P / k) * np.arange(k)
     theta = (np.arange(n) + 0.5) * (math.pi / n)
-    nodes = 0.5 * P * (1.0 - np.cos(theta))
-    return nodes, np.sin(theta) * (-1.0) ** np.arange(n), np.cos(np.outer(y, nodes))
+    xi = 0.5 * (P / k) * (1.0 - np.cos(theta))
+    X = (starts[:, None] + xi).ravel()
+    return starts, xi, np.sin(theta) * (-1.0) ** np.arange(n), np.cos(np.outer(y, X))
 
 
-def _lagrange(q, nodes, b, out=None):
-    """K[j, l] = b_l / (q_j - nodes_l), into ``out`` if given, and its row sums s: K / s is the
-    barycentric Lagrange matrix from the nodes to the points q.  A q on a node gets a unit row."""
-    at = np.searchsorted(nodes, q).clip(max=len(nodes) - 1)
-    hit = nodes[at] == q
-    K = np.subtract.outer(q, nodes, out=out)
+def _lagrange(q, starts, xi, b, out=None):
+    """Each q's piece (q = P is the last's), K[l, j] = b_l / (t_j - xi_l) at t = q - its start,
+    into ``out`` if given, and K's column sums s: K / s is the barycentric Lagrange matrix."""
+    piece = np.searchsorted(starts, q, side="right") - 1
+    t = q - starts[piece]
+    at = np.searchsorted(xi, t).clip(max=len(xi) - 1)
+    hit = xi[at] == t
+    K = np.subtract(t, xi[:, None], out=out)
     with np.errstate(divide="ignore"):
-        np.divide(b, K, out=K)
-    K[hit] = at[hit, None] == np.arange(len(nodes))
-    return K, K.sum(axis=1)
+        np.divide(b[:, None], K, out=K)
+    K[:, hit] = at[hit] == np.arange(len(xi))[:, None]
+    return piece, K, K.sum(axis=0)
 
 
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
@@ -269,10 +277,10 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     integral is (2/pi) sum_m U_m c_m^2 with c_m = sum_j u_j cos(q_j y_m) on
     a fixed transverse rule.  Each p1 inside the Fermi circle has its own q
     panels, refined toward its crossing, and those outside share one grid.
-    Every row's u goes onto one set of Chebyshev points (_lagrange), where
-    cos(q y) is tabulated once per call, so c is one product for all rows.
-    Inside, u and K are built on the q panels of as many rows as one buffer
-    holds, laid back to back (_refined_rows), then contracted row by row.
+    Each q goes onto the Chebyshev points of its piece of [0, P] (_lagrange),
+    where cos(q y) is tabulated once, so c is one product for all rows.  Inside,
+    u and K are built on the q panels of as many rows as one buffer holds, laid
+    back to back (_refined_rows), then summed per row and piece at once.
     """
     if V.d != 2:
         raise ValueError("dt_form_d2 needs a d=2 potential")
@@ -281,38 +289,40 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     root_mu, sqrt_T = math.sqrt(mu), math.sqrt(T)
     with _D2_LOCK:
         P, w_table, y, uy = _d2_tables(V, mu)
-    nodes, b, cos_y = _chebyshev_grid(y, P)
-    base = _PANEL_RC / V.cutoff_radius()
+    starts, xi, b, cos_y = _chebyshev_grid(y, P)
+    k, n, base = len(starts), len(xi), _PANEL_RC / V.cutoff_radius()
 
     def u_rows(p1, q, wq):
         s_sq = p1 * p1 + q * q
         return _hermite(w_table, np.sqrt(s_sq)) * bt_radial_shifted(s_sq - mu, params) * wq
 
     def rows(a, w1):  # sum of w1 sum_m U_m c_m^2 over rows with coefficients a
-        return float(np.dot(uy @ np.square(cos_y @ a.T), w1))
+        return float(np.dot(uy @ np.square(c := cos_y @ a.T, out=c), w1))
 
     p1_nodes, p1_weights, _ = _refined_rows(P, base, [root_mu], [0.25 * T / root_mu])
     inside = p1_nodes * p1_nodes < mu
     qstar = np.sqrt(mu - p1_nodes[inside] ** 2)
     q, wq, counts = _refined_rows(P, base, qstar, 0.5 * T / np.maximum(qstar, sqrt_T))
     ends = np.cumsum(counts)
-    buf = np.empty((max(_LAGRANGE_BLOCK // len(nodes), counts.max()), len(nodes)))
-    a, i = np.empty((len(counts), len(nodes))), 0
+    buf = np.empty(n * max(_LAGRANGE_BLOCK // n, counts.max()))
+    a, i = np.zeros((len(counts) * k, n)), 0  # row r's piece p is a[r k + p]
     while i < len(counts):  # rows i to j - 1, the most whose K fits the buffer
         lo = ends[i] - counts[i]
-        j = np.searchsorted(ends, lo + len(buf), side="right")
+        j = np.searchsorted(ends, lo + len(buf) // n, side="right")
         g = slice(lo, ends[j - 1])
-        K, s = _lagrange(q[g], nodes, b, buf[:g.stop - lo])
-        v = u_rows(np.repeat(p1_nodes[inside][i:j], counts[i:j]), q[g], wq[g]) / s
-        cut = ends[i:j - 1] - lo
-        a[i:j] = [vr @ Kr for vr, Kr in zip(np.split(v, cut), np.split(K, cut))]
+        piece, K, s = _lagrange(q[g], starts, xi, b, buf[:n * (g.stop - lo)].reshape(n, -1))
+        K *= u_rows(np.repeat(p1_nodes[inside][i:j], counts[i:j]), q[g], wq[g]) / s
+        seg = np.repeat(np.arange(i * k, j * k, k), counts[i:j]) + piece
+        first = np.flatnonzero(np.diff(seg, prepend=-1))
+        a[seg[first]] = np.add.reduceat(K, first, axis=1).T
         i = j
-    total = rows(a, p1_weights[inside])
+    total = rows(a.reshape(len(counts), k * n), p1_weights[inside])
     q, wq, _ = _refined_rows(P, base, [0.0], [0.5 * T / sqrt_T])
-    K, s = _lagrange(q, nodes, b)
-    p1_out, w1_out = p1_nodes[~inside], p1_weights[~inside]
-    for i0 in range(0, len(p1_out), 48):
-        total += rows((u_rows(p1_out[i0:i0 + 48, None], q, wq) / s) @ K, w1_out[i0:i0 + 48])
+    piece, K, s = _lagrange(q, starts, xi, b)
+    pieces = [slice(*np.searchsorted(piece, [p, p + 1])) for p in range(k)]
+    for r in np.split(np.flatnonzero(~inside), range(48, np.count_nonzero(~inside), 48)):
+        v = u_rows(p1_nodes[r, None], q, wq) / s
+        total += rows(np.hstack([v[:, g] @ K[:, g].T for g in pieces]), p1_weights[r])
     return 4.0 * total
 
 

@@ -109,6 +109,26 @@ def test_dt_d1_rejects_uncertified_integral(monkeypatch):
         dt_form_d1(StepPotential(d=1, a=1.0, R=1.0), 1e-2, 1.0)
 
 
+@pytest.mark.parametrize("V, t_factors",
+                         [(GAUSS1, (1e-1, 1e-2, 1e-3)),
+                          (StepPotential(d=1, a=1.0, R=1.0), (1e-1, 1e-2, 1e-3)),
+                          (ExponentialPotential(d=1, a=1.0, ell=1.0), (1e-2, 1e-3)),
+                          (_table(1), (1e-1, 1e-2, 1e-3))],
+                         ids=["gaussian", "step", "exponential", "tabulated"])
+def test_dt_d1_tail_tolerance_holds(monkeypatch, V, t_factors):
+    # The tail bound at _TAIL_TOL leaves every form within 1e-12 of its
+    # value with the tail taken to 1e-15 (measured at most 3.8e-14), while
+    # a bound at 1e-9 moves each by 2.3e-12 or more.  The exponential at
+    # T = 0.1 is left out: its 1e-15 tail alone costs 0.4 s.
+    forms = [dt_form_d1(V, t, 1.0) for t in t_factors]
+    monkeypatch.setattr(diagnostics, "_TAIL_TOL", 1e-15)
+    refs = [dt_form_d1(V, t, 1.0) for t in t_factors]
+    monkeypatch.setattr(diagnostics, "_TAIL_TOL", 1e-9)
+    for t, form, ref in zip(t_factors, forms, refs):
+        assert form == pytest.approx(ref, rel=1e-12, abs=0.0), t
+        assert dt_form_d1(V, t, 1.0) != pytest.approx(ref, rel=1e-12, abs=0.0), t
+
+
 # ---------------------------------------------------------------------------
 # d = 2
 # ---------------------------------------------------------------------------
@@ -154,8 +174,9 @@ def test_dt_d2_step_matches_direct_sum(step2_direct):
 
 
 def test_dt_d2_half_sized_chebyshev_grid_leaves_the_direct_sum(monkeypatch, step2_direct):
-    # Half the Chebyshev points the interpolation bound asks for (36 of 73)
-    # move the step's form off its direct sum by far more than 1e-7.
+    # Half the Chebyshev points the interpolation bound asks for (4 pieces
+    # of 16 instead of 4 of 33) move the step's form off its direct sum by
+    # 5.5e-7, more than 1e-7; the full grid is 7.3e-9 off.
     V = StepPotential(d=2, a=1.0, R=1.0)
     count = diagnostics._chebyshev_count
     monkeypatch.setattr(diagnostics, "_chebyshev_count", lambda Y, P: count(Y, P) // 2)
@@ -272,11 +293,12 @@ def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
 @D2_TABLE_CASES
 def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
     # Every row of the form reaches the transverse rule through the
-    # Chebyshev points in q: C @ (L^T u) must equal the plain cosine sum
-    # cos(y q) @ u, on an inside row's q grid refined at its Fermi crossing
-    # (T/mu = 1e-3) and on the grid the rows outside the circle share.
+    # Chebyshev points of the pieces of [0, P]: C @ a, with a the sum over
+    # each piece's q of L^T u, must equal the plain cosine sum cos(y q) @ u,
+    # on an inside row's q grid refined at its Fermi crossing (T/mu = 1e-3)
+    # and on the grid the rows outside the circle share.
     P, _, y, _ = diagnostics._d2_tables(V, mu)
-    nodes, b, cos_y = diagnostics._chebyshev_grid(y, P)
+    starts, xi, b, cos_y = diagnostics._chebyshev_grid(y, P)
     T, root_mu = 1e-3 * mu, math.sqrt(mu)
     base = diagnostics._PANEL_RC / V.cutoff_radius()
     rng = np.random.default_rng(11)
@@ -284,8 +306,10 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
                          (0.0, 0.5 * math.sqrt(T))):
         q = diagnostics._refined_rows(P, base, [qstar], [width])[0]
         u = rng.normal(size=len(q))
-        K, s = diagnostics._lagrange(q, nodes, b)
-        got = cos_y @ ((u / s) @ K)
+        piece, K, s = diagnostics._lagrange(q, starts, xi, b)
+        a = np.zeros((len(starts), len(xi)))
+        np.add.at(a, piece, (K * (u / s)).T)
+        got = cos_y @ a.ravel()
         assert np.abs(got - np.cos(np.outer(y, q)) @ u).max() <= 1e-14 * np.abs(u).sum()
 
 
@@ -319,8 +343,8 @@ def test_dt_d2_row_rules_match_per_row_layout(V, mu):
 def test_dt_d2_memory_peak_at_low_temperature(V, mu, cap_mib):
     # The inside rows' Lagrange matrices go through one buffer of about
     # 2^18 entries, group by group, so one call at T/mu = 1e-3 (tables built
-    # first) peaks at 4.9 and 8.9 MiB; with every inside row's K laid at
-    # once it peaks at 71 and 280 MiB.
+    # first) peaks at 5.1 and 8.9 MiB; with every inside row's K laid at
+    # once it peaked at 71 and 280 MiB on one grid of [0, P].
     diagnostics._d2_tables(V, mu)
     tracemalloc.start()
     try:
@@ -376,19 +400,41 @@ def test_line_integrals_match_quadpack(V, mu):
 
 
 def test_dt_d2_lagrange_row_on_a_chebyshev_point_is_a_unit_row():
-    # The barycentric quotient divides by zero at a q on a node; that row
-    # must come out as the node's row of the identity, with no warning.
-    nodes, b, _ = diagnostics._chebyshev_grid(np.linspace(0.0, 6.0, 40), 11.0)
-    q = np.array([0.0, nodes[0], 0.37, nodes[17], 5.5, nodes[-1], 11.0])
+    # The barycentric quotient divides by zero at a q whose offset into its
+    # piece is a Chebyshev point; that q's column must come out as the
+    # point's unit column, with no warning.  A q on a piece boundary belongs
+    # to the piece it starts and q = P to the last piece, and there the
+    # columns interpolate cos(y q) from their own piece's points.
+    y, P = np.linspace(0.0, 6.0, 40), 11.0
+    starts, xi, b, cos_y = diagnostics._chebyshev_grid(y, P)
+    n = len(xi)
+    assert (len(starts), n) == (4, 33)
+    # offsets 8 and 22 survive the round trip starts[p] + xi[l] - starts[p]
+    q = np.array([0.0, xi[0], 0.37, starts[1] + xi[8], starts[2], 5.5, starts[3] + xi[22], P])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K, s = diagnostics._lagrange(q, nodes, b)
-    L = K / s[:, None]
+        piece, K, s = diagnostics._lagrange(q, starts, xi, b)
+    L = K / s
     assert np.isfinite(L).all()
-    eye = np.eye(len(nodes))
-    for j, k in ((1, 0), (3, 17), (5, len(nodes) - 1)):
-        assert np.array_equal(L[j], eye[k])
-    assert np.abs(L.sum(axis=1) - 1.0).max() <= 1e-14
+    assert piece.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
+    eye = np.eye(n)
+    for j, l in ((1, 0), (3, 8), (6, 22)):
+        assert np.array_equal(L[:, j], eye[l])
+    assert np.abs(L.sum(axis=0) - 1.0).max() <= 1e-14
+    for j in (4, 7):
+        own = cos_y[:, piece[j] * n:(piece[j] + 1) * n]
+        assert np.abs(own @ L[:, j] - np.cos(y * q[j])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("block", [1 << 12, 1 << 22], ids=["small", "large"])
+def test_dt_d2_lagrange_block_leaves_the_form_bit_identical(monkeypatch, block):
+    # The buffer's size only decides which inside rows share a group; each
+    # row's sums over its nodes in each piece must not depend on it.  At
+    # 2^12 entries every group is one row; at 2^22 all rows share one.
+    V = StepPotential(d=2, a=1.0, R=1.0)
+    form = dt_form_d2(V, 1e-3, 1.0)
+    monkeypatch.setattr(diagnostics, "_LAGRANGE_BLOCK", block)
+    assert dt_form_d2(V, 1e-3, 1.0) == form
 
 
 @pytest.mark.parametrize("offsets, phase",
