@@ -4,18 +4,19 @@ The operator V^(1/2) B_T(p, 0) |V|^(1/2) is discretized on a radial momentum
 grid whose panels condense geometrically onto the Fermi surface in the shifted
 variable u = p^2 - mu, so temperatures down to 1e-16 mu stay resolved.  Its
 top eigenvalue a_T fixes the critical temperature through lam * a_T = 1.
-The s-wave kernel is W = J diag(m) J^T, J[i, k] = j_d(p_i r_k) and
+The s-wave kernel w_d(p, q) = sum_k m_k j_d(p r_k) j_d(q r_k), with
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
-for every potential and d; potentials._radial_waves builds J a panel at a
-time by angle addition in d = 1 and 3 (J0 over the outer product k r, in
-place, in d = 2), with no work array of its size.  The matrix is
-diag(s) W diag(s); W is never formed, and the temperature enters through
-s alone.  tc0 builds (J, m) once per refine level on a grid laid out for
-the lowest temperature it tries, starting from the weak-coupling
-prediction lam e_mu m_mu(T) = 1.
+is band-limited in p and q since r_k <= rc.  So W = L Wc L^T for every
+potential and d: Wc is the kernel on the quad._chebyshev_count(rc, P)
+Chebyshev points X of [0, P], P the grid's top node, and L the
+barycentric Lagrange matrix of X onto the grid (quad._lagrange), n x nc
+with nc a few dozen.  The matrix is diag(s) W diag(s); W is never formed,
+and the temperature enters through s alone.  tc0 builds (L, Wc) once per
+refine level on a grid laid out for the lowest temperature it tries,
+starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
 Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
 checks the closure on the finer grid and hands its top eigenpair and gap,
-with that grid and (J, m), to ground_state, which builds and solves nothing.
+with that grid and (L, Wc), to ground_state, which builds and solves nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .kernels import KernelParams, _fermi_shell_edges, _shell_rule, bt_log_slope, bt_radial_shifted
 from .potentials import RadialPotential, _radial_waves, e_mu
-from .quad import _subdivide, gauss_panels
+from .quad import _chebyshev_count, _chebyshev_points, _lagrange, _subdivide, gauss_panels
 from .special import j_d
 
 
@@ -43,6 +44,9 @@ _NEWTON_STEPS = 100
 _LANCZOS_START = 12
 _LANCZOS_CAP = 192
 _LANCZOS_TOL = 1e-14
+# The roundoff floor of f = lam a - 1 near its root: below it the last bits
+# of f are noise, so _newton takes that Newton step and returns.
+_F_FLOOR = 16.0 * np.finfo(float).eps
 
 
 class SolverError(Exception):
@@ -116,16 +120,26 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
 
 
 def _w_factor(V: RadialPotential, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J, m) with (J diag(m) J^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
-    j_d(r; p_j^2) r^(d-1) dr, from potentials._radial_waves on the rule that
-    resolves frequencies up to 2 p_max.  J, n x nr (8 MiB for the chain's
-    3,180 x 320), is the one array its size."""
-    return _radial_waves(V, p, 2.0 * float(p[-1]))
+    """(L, Wc) with (L Wc L^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
+    j_d(r; p_j^2) r^(d-1) dr on the rule of potentials._radial_measure that
+    resolves frequencies up to 2 P, P = p[-1].  Its nodes stop at rc =
+    V.cutoff_radius(), so j_d(q r) is interpolated in q on [0, P] to 1e-16
+    from the nc = quad._chebyshev_count(rc, P) Chebyshev points X: Wc =
+    Jc diag(m) Jc^T, symmetrized, with Jc, m = _radial_waves(V, X, 2 P), and
+    L (n x nc) is the barycentric Lagrange matrix of X onto p.  L is the
+    one array of size n (2 MiB for the chain's 3,180 x 82)."""
+    P = float(p[-1])
+    X, b = _chebyshev_points(_chebyshev_count(V.cutoff_radius(), P), P)
+    _, K, s = _lagrange(p, np.zeros(1), X, b)
+    K /= s
+    Jc, m = _radial_waves(V, X, 2.0 * P)
+    Wc = (Jc * m) @ Jc.T
+    return K.T, 0.5 * (Wc + Wc.T)
 
 
-def _w_apply(J: np.ndarray, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x = J (m (x J)), in 4 n nr flops and nothing of size n x n."""
-    return J @ (m * (x @ J))
+def _w_apply(L: np.ndarray, Wc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W x = L (Wc (x L)), in 4 n nc + 2 nc^2 flops and nothing of size n x n."""
+    return L @ (Wc @ (x @ L))
 
 
 def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.ndarray:
@@ -135,21 +149,21 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
     return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
 
 
-def _power_top(s: np.ndarray, J: np.ndarray, m: np.ndarray, v0: np.ndarray | None):
-    """Top eigenvalue and eigenvector of diag(s) J diag(m) J^T diag(s) by
+def _power_top(s: np.ndarray, L: np.ndarray, Wc: np.ndarray, v0: np.ndarray | None):
+    """Top eigenvalue and eigenvector of diag(s) L Wc L^T diag(s) by
     warm-started power iteration, tc0's search route.  One product per
     step: the Rayleigh quotient's product is the next unnormalized iterate.
     Raises SolverError when _POWER_STEPS steps do not converge."""
     n = len(s)
     v = np.ones(n) / math.sqrt(n) if v0 is None else v0
-    u = s * _w_apply(J, m, s * v)
+    u = s * _w_apply(L, Wc, s * v)
     lam = 0.0
     for _ in range(_POWER_STEPS):
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             raise SolverError("matrix annihilated the iterate; potential too weak")
         u /= nrm
-        su = s * _w_apply(J, m, s * u)
+        su = s * _w_apply(L, Wc, s * u)
         new = float(u @ su)
         if (abs(new - lam) <= _POWER_TOL * max(abs(new), 1e-300)
                 and float(np.abs(u @ v)) > 0.999999):
@@ -158,9 +172,9 @@ def _power_top(s: np.ndarray, J: np.ndarray, m: np.ndarray, v0: np.ndarray | Non
     raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
 
-def _lanczos_top2(s: np.ndarray, J: np.ndarray, m: np.ndarray):
-    """Top two eigenvalues and the top eigenvector of diag(s) J diag(m) J^T
-    diag(s) by Lanczos on v -> s W (s v), fully reorthogonalized (two
+def _lanczos_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
+    """Top two eigenvalues and the top eigenvector of diag(s) L Wc L^T diag(s)
+    by Lanczos on v -> s W (s v), fully reorthogonalized (two
     passes), from the fixed start ones(n) / sqrt(n).  The Krylov size
     doubles from _LANCZOS_START until both Ritz residuals |beta_k y_k| are
     at most _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
@@ -172,7 +186,7 @@ def _lanczos_top2(s: np.ndarray, J: np.ndarray, m: np.ndarray):
     j, k = 0, min(_LANCZOS_START, cap)
     while True:
         for j in range(j, k):
-            w = s * _w_apply(J, m, s * Q[j])
+            w = s * _w_apply(L, Wc, s * Q[j])
             alpha[j] = Q[j] @ w
             for _ in range(2):
                 w -= Q[:j + 1].T @ (Q[:j + 1] @ w)
@@ -195,21 +209,23 @@ def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> f
     """Root in [lo, hi] of f(x) -> (value, slope), which falls through zero
     there: the caller checked the ends, f(lo) = f_lo >= 0 >= f(hi) = f_hi
     and f_lo > f_hi.  Newton steps start from the secant point of those two
-    values.  A step that would leave the bracket, or is over half the step
-    before last, bisects instead, so the search ends at the first step at
-    most xtol long even when f is noisy, at the latest once the bracket
-    closes to xtol; with noise e in f that point is within xtol + e / |slope|
-    of the root.  SolverError on NaN and after _NEWTON_STEPS steps."""
+    values.  Once |f| <= _F_FLOOR its last bits are noise: the search takes
+    that Newton step (if it stays in the bracket) and returns.  Otherwise a
+    step that would leave the bracket, or is over half the step before last,
+    bisects instead, so the search ends at the first step at most xtol long
+    even when f is noisy, at the latest once the bracket closes to xtol;
+    with noise e in f that point is within xtol + e / |slope| of the root.
+    SolverError on NaN and after _NEWTON_STEPS steps."""
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     steps = (hi - lo, hi - lo)  # the last two steps
     for _ in range(_NEWTON_STEPS):
         fx, slope = f(x)
         if math.isnan(fx) or math.isnan(slope):
             raise SolverError(f"root search met NaN at x = {x!r}")
-        if fx == 0.0:
-            return x
         lo, hi = (x, hi) if fx > 0.0 else (lo, x)
         step = -fx / slope if slope else math.inf
+        if abs(fx) <= _F_FLOOR:
+            return x + step if lo <= x + step <= hi else x
         if not (lo <= x + step <= hi and abs(step) <= 0.5 * abs(steps[0])):
             step = 0.5 * (lo + hi) - x
         x, steps = x + step, (steps[1], step)
@@ -220,19 +236,20 @@ def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> f
 
 @dataclass(frozen=True)
 class Tc0Result:
+    """tc0's T_c with how the search reached it, and what ground_state takes
+    over: the closure grid, W = L Wc L^T on it as its factor, the top eigenpair."""
     T_c: float
     lam: float
     closure: float          # |lam * a_T - 1| on the final refined grid
     spectral_gap: float     # (a_T - a_2) / a_T there
     refine_level: int
-    w_builds: int           # W factors (J, m) built, the closure grids included
+    w_builds: int           # W factors (L, Wc) built, the closure grids included
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
     bracket_moves: int      # bracket ends moved before the root search, all levels
-    # the potential, the closure grid, its W = J diag(m) J^T, the top eigenpair
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
-    J: np.ndarray = field(repr=False, compare=False)
-    m: np.ndarray = field(repr=False, compare=False)
+    L: np.ndarray = field(repr=False, compare=False)
+    Wc: np.ndarray = field(repr=False, compare=False)
     a_T: float = field(repr=False, compare=False)
     u: np.ndarray = field(repr=False, compare=False)
 
@@ -267,7 +284,7 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a factor 4,
     never past the window; bracket_moves counts those moves.  Each refine
     level builds one grid at the bracket's lower end, which resolves every
-    higher T, and one factor (J, m) of W; a temperature only rescales W
+    higher T, and one factor (L, Wc) of W; a temperature only rescales W
     (diag(s) W diag(s)) and reuses the previous top eigenvector as the
     power-iteration start.  _newton finds the root on that grid in log T,
     from the secant point of the bracket ends' values, with the
@@ -275,7 +292,7 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     eigenvector, g = d ln B_T / d ln T), and the closure |lam a_Tc - 1| must
     meet tol on the next finer grid, else the next level searches
     [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
-    temperature_evals; the result carries its grid, (J, m), top eigenpair
+    temperature_evals; the result carries its grid, (L, Wc), top eigenpair
     and gap.  Nothing n x n is formed."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
@@ -305,13 +322,13 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     def on_grid(level, T_lo):
         """lam a_T - 1 in log T, with its slope unless slope=False, on one grid
         built at T_lo; each solve warm-starts from the previous eigenvector."""
-        grid, J, m = level_factor(level, T_lo)
+        grid, L, Wc = level_factor(level, T_lo)
         v = None
 
         def f(ln_t, slope=True):
             nonlocal v
             T = math.exp(ln_t)
-            a, v = _power_top(scale(grid, T), J, m, v)
+            a, v = _power_top(scale(grid, T), L, Wc, v)
             if not slope:
                 return lam * a - 1.0
             g = bt_log_slope(grid.shifted, KernelParams(T=T, mu=mu))
@@ -341,14 +358,14 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     for level in range(_MAX_REFINE + 1):
         T_star = root(level, T_lo, T_hi)
         fine = min(level + 1, _MAX_REFINE)
-        grid, J, m = level_factor(fine, T_star)
-        a, second, u = _lanczos_top2(scale(grid, T_star), J, m)
+        grid, L, Wc = level_factor(fine, T_star)
+        a, second, u = _lanczos_top2(scale(grid, T_star), L, Wc)
         closure = abs(lam * a - 1.0)
         if closure <= tol:
             return Tc0Result(T_c=T_star, lam=lam, closure=closure,
                              spectral_gap=(a - second) / a, refine_level=fine,
                              w_builds=w_builds, temperature_evals=temperature_evals,
-                             bracket_moves=bracket_moves, V=V, grid=grid, J=J, m=m, a_T=a, u=u)
+                             bracket_moves=bracket_moves, V=V, grid=grid, L=L, Wc=Wc, a_T=a, u=u)
         T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
     raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
 
@@ -372,7 +389,7 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It takes the closure grid, (J, m), the top eigenpair and the spectral
+    It takes the closure grid, (L, Wc), the top eigenpair and the spectral
     gap of tc, which must be the result of tc0 on the same V, mu, d and
     lam: a tc that disagrees on V, mu, d or lam raises ValueError.  No
     eigen-solver runs here, so closure and spectral_gap are tc's bit for
@@ -395,7 +412,7 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     phi = s * u / meas
 
     # <phi, V phi> / |S^(d-1)| = (meas phi) W (meas phi)
-    Wx = _w_apply(tc.J, tc.m, meas * phi)
+    Wx = _w_apply(tc.L, tc.Wc, meas * phi)
     scale = math.sqrt(e_mu(V, mu) / float((meas * phi) @ Wx))
     phi, rhs = scale * phi, lam * B * Wx * scale
     eval_res = float(np.max(np.abs(phi - rhs)) / np.max(np.abs(phi)))

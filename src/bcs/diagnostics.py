@@ -26,7 +26,8 @@ import numpy as np
 
 from .kernels import KernelParams, _shell_rule, bt_radial_shifted
 from .potentials import RadialPotential, _radial_measure, fourier_hat, radial_edges
-from .quad import QuadratureError, _subdivide, gauss_panels, gauss_rows
+from .quad import (QuadratureError, _chebyshev_count, _chebyshev_points, _lagrange, _subdivide,
+                   gauss_panels, gauss_rows)
 from .special import j_d
 
 
@@ -230,14 +231,6 @@ def _hermite(table, s):
             + t * t * ((3.0 - 2.0 * t) * f[k + 1] - h * t1 * df[k + 1]))
 
 
-def _chebyshev_count(Y: float, P: float) -> int:
-    """The smallest n with 2 (Y P / 4)^n / n! <= 1e-16, which bounds the error
-    of cos(q y), y <= Y, interpolated at n Chebyshev points in [0, P]."""
-    x = 0.25 * Y * P
-    return next(n for n in range(1, 1 << 30)
-                if math.lgamma(n + 1) - n * math.log(x) >= math.log(2e16))
-
-
 def _chebyshev_grid(y, P: float):
     """[0, P] in the most equal pieces k with k n(Y, P / k) <= 2 n(Y, P) (_chebyshev_count's
     bound holds on a piece wherever it sits; past k_max even P / (2 n)'s count breaks this), so
@@ -246,25 +239,9 @@ def _chebyshev_grid(y, P: float):
     Y, n = y[-1], _chebyshev_count(y[-1], P)
     k_max = 2 * n // _chebyshev_count(Y, 0.5 * P / n)
     k = max(k for k in range(1, k_max + 1) if k * _chebyshev_count(Y, P / k) <= 2 * n)
-    n, starts = _chebyshev_count(Y, P / k), (P / k) * np.arange(k)
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    xi = 0.5 * (P / k) * (1.0 - np.cos(theta))
-    X = (starts[:, None] + xi).ravel()
-    return starts, xi, np.sin(theta) * (-1.0) ** np.arange(n), np.cos(np.outer(y, X))
-
-
-def _lagrange(q, starts, xi, b, out=None):
-    """Each q's piece (q = P is the last's), K[l, j] = b_l / (t_j - xi_l) at t = q - its start,
-    into ``out`` if given, and K's column sums s: K / s is the barycentric Lagrange matrix."""
-    piece = np.searchsorted(starts, q, side="right") - 1
-    t = q - starts[piece]
-    at = np.searchsorted(xi, t).clip(max=len(xi) - 1)
-    hit = xi[at] == t
-    K = np.subtract(t, xi[:, None], out=out)
-    with np.errstate(divide="ignore"):
-        np.divide(b[:, None], K, out=K)
-    K[:, hit] = at[hit] == np.arange(len(xi))[:, None]
-    return piece, K, K.sum(axis=0)
+    starts = (P / k) * np.arange(k)
+    xi, b = _chebyshev_points(_chebyshev_count(Y, P / k), P / k)
+    return starts, xi, b, np.cos(np.outer(y, (starts[:, None] + xi).ravel()))
 
 
 def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:

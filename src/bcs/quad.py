@@ -1,10 +1,13 @@
 """1-D quadrature: the fixed Gauss-Legendre panel rule that every integral in
 the library runs on, alone or on rows laid back to back (gauss_rows), the two
-panel layouts every caller builds its edges from (_subdivide, _ladder), and
-the error its callers raise when a fixed rule cannot meet its contract."""
+panel layouts every caller builds its edges from (_subdivide, _ladder), the
+one Chebyshev interpolation of band-limited functions (_chebyshev_count,
+_chebyshev_points, _lagrange), and the error its callers raise when a fixed
+rule cannot meet its contract."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -57,3 +60,34 @@ def _ladder(width: float, reach: float):
     offsets that halve from reach down to width toward a thin layer."""
     steps = width * 2.0 ** np.arange(np.ceil(np.log2(reach / width)) + 1)
     return steps[steps < reach]
+
+
+def _chebyshev_count(Y: float, P: float) -> int:
+    """The smallest n with 2 (Y P / 4)^n / n! <= 1e-16, which bounds the error
+    of cos(q y), y <= Y, interpolated at n Chebyshev points in [0, P], and of
+    any f(q) with |f^(n)| <= Y^n, such as j_d(q r) for r <= Y."""
+    x = 0.25 * Y * P
+    return next(n for n in range(1, 1 << 30)
+                if math.lgamma(n + 1) - n * math.log(x) >= math.log(2e16))
+
+
+def _chebyshev_points(n: int, width: float):
+    """The n first-kind Chebyshev points xi of [0, width], ascending, and
+    their barycentric weights b."""
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    return 0.5 * width * (1.0 - np.cos(theta)), np.sin(theta) * (-1.0) ** np.arange(n)
+
+
+def _lagrange(q, starts, xi, b, out=None):
+    """Each q's piece (q = P is the last's), K[l, j] = b_l / (t_j - xi_l) at t = q - its start,
+    into ``out`` if given, and K's column sums s: K / s is the barycentric Lagrange matrix
+    of the pieces' points starts + xi onto q."""
+    piece = np.searchsorted(starts, q, side="right") - 1
+    t = q - starts[piece]
+    at = np.searchsorted(xi, t).clip(max=len(xi) - 1)
+    hit = xi[at] == t
+    K = np.subtract(t, xi[:, None], out=out)
+    with np.errstate(divide="ignore"):
+        np.divide(b[:, None], K, out=K)
+    K[:, hit] = at[hit] == np.arange(len(xi))[:, None]
+    return piece, K, K.sum(axis=0)

@@ -359,8 +359,8 @@ def test_10_route_equivalences(capsys):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
         vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
         for p, q in pts:
-            J, m = _w_factor(V, np.array([min(p, q), max(p, q)]))
-            W = (J * m) @ J.T
+            L, Wc = _w_factor(V, np.array([min(p, q), max(p, q)]))
+            W = L @ Wc @ L.T
             diff = abs(W[0, 1] - oracles.angular_average_vhat(vhat, d, p, q))
             worst_w = max(worst_w, diff)
             if diff > 1e-6:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, special
 from scipy.optimize import brentq
 
 import oracles
@@ -26,7 +26,8 @@ from bcs.bs_solver import (
 )
 from bcs.kernels import KernelParams, bt_log_slope, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
-                            TabulatedPotential, e_mu)
+                            TabulatedPotential, _radial_measure, _radial_waves, e_mu)
+from bcs.quad import _chebyshev_points
 
 GAUSS3 = GaussianPotential(d=3, a=1.0, ell=1.0)
 
@@ -66,9 +67,9 @@ def test_grid_innermost_panel_tracks_temperature():
 # ---------------------------------------------------------------------------
 
 def _dense_w(V, p):
-    """J diag(m) J^T, the n x n W that the library only applies."""
-    J, m = _w_factor(V, p)
-    return (J * m) @ J.T
+    """L Wc L^T, the n x n W that the library only applies."""
+    L, Wc = _w_factor(V, p)
+    return L @ Wc @ L.T
 
 
 # Two oracles for w_d(p, q): the momentum-side angular average of a closed
@@ -145,18 +146,52 @@ def test_w_matrix_high_momentum_diagonal(d):
         assert W[i, i] == pytest.approx(ref, rel=1e-8), pi
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_w_table_interpolates_radial_waves_within_the_argument_rounding(kind, d, monkeypatch):
+    # W's factor reads j_d(p r), r <= rc, off its Chebyshev table in p:
+    # L j_d(X r) at the nodes of a level-1 grid against numpy's cos and
+    # scipy's j0 and spherical_jn(0, .) of p r, within 4 eps (8 + |p r|):
+    # the rounding of p r (p r reaches 479 for the exponential) and the
+    # interpolation's own, a few eps times its Lebesgue constant (below 5
+    # for the exponential's 358 points).  Worst reads 3.0, the exponential
+    # in d = 2 near p r = 0.  Half the table's count leaves errors of 1e-6
+    # to 2.
+    from bcs import bs_solver
+    V, _ = _potential(kind, d)
+    p = build_grid(KernelParams(T=1e-3, mu=1.0), V, refine_level=1).nodes
+    r = _radial_measure(V, 2.0 * p[-1])[0]
+    c = math.sqrt(2.0 / math.pi)
+
+    def error():
+        L = _w_factor(V, p)[0]
+        table = _radial_waves(V, _chebyshev_points(L.shape[1], p[-1])[0], 2.0 * p[-1])[0]
+        worst = 0.0
+        for rows in np.array_split(np.arange(len(p)), 8):
+            pr = np.multiply.outer(p[rows], r)
+            ref = (c * np.cos(pr) if d == 1 else special.j0(pr) if d == 2
+                   else c * special.spherical_jn(0, pr))
+            err = np.abs(L[rows] @ table - ref) / (np.finfo(float).eps * (8.0 + pr))
+            worst = max(worst, float(err.max()))
+        return worst
+    assert error() <= 4.0
+    count = bs_solver._chebyshev_count
+    monkeypatch.setattr(bs_solver, "_chebyshev_count", lambda Y, P: count(Y, P) // 2)
+    assert error() > 4.0
+
+
 def test_bs_operator_symmetric_to_rounding():
     # Lanczos assumes v -> s W (s v) is symmetric.  On the quick-start
     # chain's closure grid, x.Ay and y.Ax agree to rounding of a_T.
     par = KernelParams(T=1.0245186418036e-16, mu=1.0)
     grid = build_grid(par, GAUSS3, refine_level=1)
     assert len(grid) == 3180
-    s, (J, m) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes)
-    a_T = _lanczos_top2(s, J, m)[0]
+    s, (L, Wc) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes)
+    a_T = _lanczos_top2(s, L, Wc)[0]
     rng = np.random.default_rng(11)
     for _ in range(8):
         x, y = rng.normal(size=(2, len(grid)))
-        xAy, yAx = x @ (s * _w_apply(J, m, s * y)), y @ (s * _w_apply(J, m, s * x))
+        xAy, yAx = x @ (s * _w_apply(L, Wc, s * y)), y @ (s * _w_apply(L, Wc, s * x))
         assert abs(xAy - yAx) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(y) * a_T
 
 
@@ -170,7 +205,7 @@ def test_top_eigenvalue_matches_jacobi_oracle():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(12, 12))
     S = A @ A.T + np.eye(12)
-    a, u = _power_top(np.ones(12), np.hstack([A, np.eye(12)]), np.ones(24), None)
+    a, u = _power_top(np.ones(12), np.hstack([A, np.eye(12)]), np.eye(24), None)
     ref = oracles.jacobi_eigenvalues(S)
     assert a == pytest.approx(ref[0], rel=1e-12)
     assert np.linalg.norm(S @ u - a * u) < 1e-6 * a
@@ -181,9 +216,9 @@ def test_top_eigenvalue_validation():
     # W = diag(1, -1) from (1, 1) flips the iterate forever; running out of
     # steps is an error, not an answer.
     with pytest.raises(SolverError, match="did not converge in 600 steps"):
-        _power_top(np.ones(2), np.eye(2), np.array([1.0, -1.0]), None)
+        _power_top(np.ones(2), np.eye(2), np.diag([1.0, -1.0]), None)
     with pytest.raises(SolverError, match="annihilated"):
-        _power_top(np.ones(2), np.zeros((2, 2)), np.ones(2), None)
+        _power_top(np.ones(2), np.zeros((2, 2)), np.eye(2), None)
 
 
 def test_a_t0_grid_doubling_stability():
@@ -311,6 +346,29 @@ def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatc
     # only _newton's evaluations compute bt_log_slope, 5, 6 and 4 per tc0
     # on a bulk sweep row of each kind and the quick-start chain (6 each
     # from the log-midpoint).
+    assert _slopes_and_newton_evals(V, lam, t_min, monkeypatch) == (evals, evals)
+
+
+@pytest.mark.parametrize("k", [-4, -2, -1, 1, 2, 4])
+def test_tc0_newton_evals_ignore_the_last_bits_of_w(k, monkeypatch):
+    # Wc scaled by 1 + k eps moves only the last bits of f = lam a - 1,
+    # below _newton's floor, so the counts above hold.  With the stop at
+    # xtol = 1e-14 alone the chain read 5 at k = +1 (and 4 to 6 for |k| up
+    # to 16, where the floor keeps 4).
+    from bcs import bs_solver
+    factor = bs_solver._w_factor
+
+    def scaled(V, p):
+        L, Wc = factor(V, p)
+        return L, Wc * (1.0 + k * np.finfo(float).eps)
+    monkeypatch.setattr(bs_solver, "_w_factor", scaled)
+    assert [_slopes_and_newton_evals(V, lam, t_min, monkeypatch)[1] for V, lam, t_min in (
+        (GAUSS3, 0.5, 1e-8), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8),
+        (GAUSS3, 0.15, 1e-18))] == [5, 6, 4]
+
+
+def _slopes_and_newton_evals(V, lam, t_min, monkeypatch):
+    """bt_log_slope calls and _newton's evaluations of f in one tc0."""
     from bcs import bs_solver
     slopes, steps = [0], [0]
 
@@ -326,14 +384,15 @@ def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatc
     monkeypatch.setattr(bs_solver, "bt_log_slope", counted_slope)
     monkeypatch.setattr(bs_solver, "_newton", counted_newton)
     tc0(V, 1.0, V.d, lam, t_min_factor=t_min)
-    assert slopes[0] == steps[0] == evals
+    return slopes[0], steps[0]
 
 
 def test_tc0_allocates_nothing_n_by_n():
     # One 3180^2 float array is 77 MiB: the quick-start chain's tc0 peaks
     # far below that, and its result, which carries W's factor, holds less.
-    # J (3180 x 320, 8 MiB) is built with no work array of its size, so the
-    # peak reads 12.6 MiB; j_d on the full outer product peaks at 32 MiB.
+    # Its L (3180 x 82, 2 MiB) is the one array of size n in the factor,
+    # and the Lanczos basis (at most 193 x 3180) the largest one in the
+    # solve: the peak reads 6.9 MiB and the result 2.1 MiB.
     tracemalloc.start()
     try:
         res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
@@ -341,8 +400,8 @@ def test_tc0_allocates_nothing_n_by_n():
     finally:
         tracemalloc.stop()
     assert len(res.grid) == 3180
-    assert peak <= 20 * 2 ** 20
-    assert held <= 16 * 2 ** 20
+    assert peak <= 10 * 2 ** 20
+    assert held <= 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +502,15 @@ def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     V, _ = _potential(kind, d)
     params = KernelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, V, refine_level=0)
-    s, (J, m) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes)
-    S = s[:, None] * s[None, :] * ((J * m) @ J.T)
+    s, (L, Wc) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes)
+    S = s[:, None] * s[None, :] * (L @ Wc @ L.T)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
-    top, second, u = _lanczos_top2(s, J, m)
+    top, second, u = _lanczos_top2(s, L, Wc)
     lam = 1.0 / a1
     tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
                    spectral_gap=(top - second) / top, refine_level=0,
                    w_builds=0, temperature_evals=0, bracket_moves=0,
-                   V=V, grid=grid, J=J, m=m, a_T=top, u=u)
+                   V=V, grid=grid, L=L, Wc=Wc, a_T=top, u=u)
     state = ground_state(V, 1.0, d, lam, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
@@ -464,7 +523,7 @@ def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
     from bcs import bs_solver
     monkeypatch.setattr(bs_solver, "_LANCZOS_CAP", 24)
     with pytest.raises(SolverError, match="Lanczos did not converge with 24 Krylov vectors"):
-        _lanczos_top2(np.ones(400), np.eye(400), np.linspace(1.0, 2.0, 400))
+        _lanczos_top2(np.ones(400), np.eye(400), np.diag(np.linspace(1.0, 2.0, 400)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +590,7 @@ def test_search_slope_matches_central_difference(kind, d, monkeypatch):
     f, h = calls[-1][0], 1e-4
     slope = f(x)[1]
     monkeypatch.setattr(bs_solver, "_power_top",
-                        lambda s, J, m, v0: _lanczos_top2(s, J, m)[::2])
+                        lambda s, L, Wc, v0: _lanczos_top2(s, L, Wc)[::2])
     assert (f(x + h)[0] - f(x - h)[0]) / (2.0 * h) == pytest.approx(slope, rel=1e-9)
 
 
