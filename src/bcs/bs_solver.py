@@ -174,16 +174,16 @@ def _power_top(s: np.ndarray, L: np.ndarray, Wc: np.ndarray, v0: np.ndarray | No
 
 def _lanczos_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
     """Top two eigenvalues and the top eigenvector of diag(s) L Wc L^T diag(s)
-    by Lanczos on v -> s W (s v), fully reorthogonalized (two
-    passes), from the fixed start ones(n) / sqrt(n).  The Krylov size
-    doubles from _LANCZOS_START until both Ritz residuals |beta_k y_k| are
-    at most _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
+    by Lanczos on v -> s W (s v), fully reorthogonalized (two passes), from
+    the fixed start ones(n) / sqrt(n).  The Krylov size, and the basis with
+    it, doubles from _LANCZOS_START until both Ritz residuals |beta_k y_k|
+    are at most _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
     n = len(s)
     cap = min(_LANCZOS_CAP, n)
-    Q = np.empty((cap + 1, n))  # rows are touched, and paged in, as they fill
+    j, k = 0, min(_LANCZOS_START, cap)
+    Q = np.empty((k + 1, n))
     Q[0] = 1.0 / math.sqrt(n)
     alpha, beta = np.zeros(cap), np.zeros(cap)
-    j, k = 0, min(_LANCZOS_START, cap)
     while True:
         for j in range(j, k):
             w = s * _w_apply(L, Wc, s * Q[j])
@@ -203,6 +203,7 @@ def _lanczos_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
         if k == cap:
             raise SolverError(f"Lanczos did not converge with {cap} Krylov vectors")
         k = min(2 * k, cap)
+        Q = np.vstack((Q, np.empty((k - j, n))))
 
 
 def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> float:

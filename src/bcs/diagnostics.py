@@ -40,10 +40,10 @@ _TAIL_TOL = 1e-13
 _MAX_P_RC = 4096.0
 # Both forms lay their momentum panels _PANEL_RC / rc wide.  Away from the
 # Fermi surface their integrands carry frequencies k <= 2 rc (products of two
-# transforms of functions on [0, rc]), and the 16-point rule integrates
-# e^(ikq) on a panel of half-width h = 2 / rc to within
-# 2^33 (16!)^4 4^32 / (33 (32!)^3) h = 5.1e-26 h.
-_PANEL_RC = 4.0
+# transforms of functions on [0, rc]), and the 16-point rule integrates e^(ikq)
+# on a panel of half-width h = _PANEL_RC / (2 rc), so kh <= _PANEL_RC, to within
+# 2^33 (16!)^4 (kh)^32 / (33 (32!)^3) h = 2.2e-16 h, the library's 1e-16 target.
+_PANEL_RC = 8.0
 # Threads sweeping temperatures of one (V, mu) pair build its d = 2 tables once.
 _D2_LOCK = threading.Lock()
 
@@ -81,7 +81,7 @@ def dt_form_d1(V: RadialPotential, T: float, mu: float) -> float:
     Evaluates 2 Vhat(0) times the integral of (B_T(p, 0) w(p))^2 over p > 0,
     where w(p) = (2/pi) integral of V(r) cos(sqrt(mu) r) cos(p r) dr, the
     transform of V j1 (_cos_sums), on fixed Gauss panels at most _PANEL_RC /
-    cutoff_radius() wide in p, so that they resolve w^2.  Up to sqrt(2 mu)
+    cutoff_radius() wide in p, which resolve w^2 (the bound at _PANEL_RC).  Up to sqrt(2 mu)
     the rule is kernels._shell_rule at that width; beyond it the rule takes
     octaves [P, 2 P] of equal panels, each with the radial measure sized to
     its upper end, so w on an octave is one blocked matrix product.  There
@@ -186,10 +186,12 @@ def _transverse_rule(V: RadialPotential, mu: float, k_max: float):
     return y, wy * _line_integral(V, mu, y)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _d2_tables(V: RadialPotential, mu: float):
-    """Momentum cutoff, V j2 transform table (_hermite) and the transverse
-    rule it is read from, shared by every dt_form_d2 temperature for one (V, mu) pair."""
+    """Momentum cutoff P, V j2 transform table (_hermite), the transverse rule's nodes y and
+    weights, and _chebyshev_grid(y, P), shared read-only by every dt_form_d2 temperature and
+    thread for one (V, mu) pair.  Its cos(y X) is most of it: 40.1 MiB (3,856 x 1,363) for the
+    unit exponential at mu = 1, so the two pairs kept hold at most about 80 MiB there."""
     root_mu, rc, rs = math.sqrt(mu), V.cutoff_radius(), V.range_scale
 
     # Push the cutoff until the transform envelope, damped by the two
@@ -216,7 +218,11 @@ def _d2_tables(V: RadialPotential, mu: float):
     b = math.isqrt(n) + 1
     table = (h, *(_cos_sums(h * np.arange(0, n, b), h * np.arange(b), y, g, phase).ravel()[:n]
                   for g, phase in ((ay / math.pi, 0.0), (-y * ay / math.pi, 0.5 * math.pi))))
-    return P, table, y, uy * (2.0 / math.pi)
+    uy *= 2.0 / math.pi
+    grid = _chebyshev_grid(y, P)
+    for a in (*table[1:], y, uy, *grid):
+        a.setflags(write=False)
+    return P, table, y, uy, grid
 
 
 def _hermite(table, s):
@@ -235,7 +241,8 @@ def _chebyshev_grid(y, P: float):
     """[0, P] in the most equal pieces k with k n(Y, P / k) <= 2 n(Y, P) (_chebyshev_count's
     bound holds on a piece wherever it sits; past k_max even P / (2 n)'s count breaks this), so
     cos(y X) costs at most twice one grid's: the starts, offsets xi of the first-kind Chebyshev
-    points on each piece, their barycentric weights, and cos(y X) at all k n points X, y <= Y."""
+    points on each piece, their barycentric weights, and cos(y X) at all k n points X, y <= Y.
+    It depends on (V, mu) alone, so _d2_tables builds it once for every temperature."""
     Y, n = y[-1], _chebyshev_count(y[-1], P)
     k_max = 2 * n // _chebyshev_count(Y, 0.5 * P / n)
     k = max(k for k in range(1, k_max + 1) if k * _chebyshev_count(Y, P / k) <= 2 * n)
@@ -255,7 +262,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     a fixed transverse rule.  Each p1 inside the Fermi circle has its own q
     panels, refined toward its crossing, and those outside share one grid.
     Each q goes onto the Chebyshev points of its piece of [0, P] (_lagrange),
-    where cos(q y) is tabulated once, so c is one product for all rows.  Inside,
+    where cos(q y) is tabulated once per (V, mu), so c is one product for all rows.  Inside,
     u and K are built on the q panels of as many rows as one buffer holds, laid
     back to back (_refined_rows), then summed per row and piece at once.
     """
@@ -265,8 +272,7 @@ def dt_form_d2(V: RadialPotential, T: float, mu: float) -> float:
     T, mu = params.T, params.mu
     root_mu, sqrt_T = math.sqrt(mu), math.sqrt(T)
     with _D2_LOCK:
-        P, w_table, y, uy = _d2_tables(V, mu)
-    starts, xi, b, cos_y = _chebyshev_grid(y, P)
+        P, w_table, _, uy, (starts, xi, b, cos_y) = _d2_tables(V, mu)
     k, n, base = len(starts), len(xi), _PANEL_RC / V.cutoff_radius()
 
     def u_rows(p1, q, wq):

@@ -20,7 +20,7 @@ from bcs.boundary3d import criterion
 from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, _radial_measure)
-from bcs.quad import QuadratureError
+from bcs.quad import QuadratureError, gauss_panels
 from bcs.special import j_d
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
@@ -177,9 +177,11 @@ def test_dt_d2_half_sized_chebyshev_grid_leaves_the_direct_sum(monkeypatch, step
     # Half the Chebyshev points the interpolation bound asks for (4 pieces
     # of 16 instead of 4 of 33) move the step's form off its direct sum by
     # 5.5e-7, more than 1e-7; the full grid is 7.3e-9 off.
+    # The grid is built with the tables, so they are built afresh, uncached.
     V = StepPotential(d=2, a=1.0, R=1.0)
     count = diagnostics._chebyshev_count
     monkeypatch.setattr(diagnostics, "_chebyshev_count", lambda Y, P: count(Y, P) // 2)
+    monkeypatch.setattr(diagnostics, "_d2_tables", diagnostics._d2_tables.__wrapped__)
     assert dt_form_d2(V, 0.1, 1.0) != pytest.approx(step2_direct, rel=1e-7)
 
 
@@ -296,9 +298,10 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
     # Chebyshev points of the pieces of [0, P]: C @ a, with a the sum over
     # each piece's q of L^T u, must equal the plain cosine sum cos(y q) @ u,
     # on an inside row's q grid refined at its Fermi crossing (T/mu = 1e-3)
-    # and on the grid the rows outside the circle share.
-    P, _, y, _ = diagnostics._d2_tables(V, mu)
-    starts, xi, b, cos_y = diagnostics._chebyshev_grid(y, P)
+    # and on the grid the rows outside the circle share.  The grid comes
+    # with the tables, read-only, since threads share it.
+    P, _, y, _, (starts, xi, b, cos_y) = diagnostics._d2_tables(V, mu)
+    assert not any(a.flags.writeable for a in (y, starts, xi, b, cos_y))
     T, root_mu = 1e-3 * mu, math.sqrt(mu)
     base = diagnostics._PANEL_RC / V.cutoff_radius()
     rng = np.random.default_rng(11)
@@ -337,14 +340,15 @@ def test_dt_d2_row_rules_match_per_row_layout(V, mu):
 
 
 @pytest.mark.parametrize("V, mu, cap_mib",
-                         [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0, 8.0),
-                          (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01, 12.0)],
+                         [(GaussianPotential(d=2, a=1.0, ell=1.0), 1.0, 6.0),
+                          (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01, 8.0)],
                          ids=["gaussian", "exponential"])
 def test_dt_d2_memory_peak_at_low_temperature(V, mu, cap_mib):
     # The inside rows' Lagrange matrices go through one buffer of about
-    # 2^18 entries, group by group, so one call at T/mu = 1e-3 (tables built
-    # first) peaks at 5.1 and 8.9 MiB; with every inside row's K laid at
-    # once it peaked at 71 and 280 MiB on one grid of [0, P].
+    # 2^18 entries, group by group, and cos(y X) is built with the tables,
+    # so one call at T/mu = 1e-3 (tables built first) peaks at 4.4 and
+    # 5.9 MiB; with every inside row's K laid at once it peaked at 71 and
+    # 280 MiB on one grid of [0, P].
     diagnostics._d2_tables(V, mu)
     tracemalloc.start()
     try:
@@ -355,19 +359,49 @@ def test_dt_d2_memory_peak_at_low_temperature(V, mu, cap_mib):
     assert peak <= cap_mib * 2.0 ** 20, peak / 2.0 ** 20
 
 
+def test_panel_width_meets_its_gauss_bound():
+    # The bound stated at _PANEL_RC on the 16-point rule's error for
+    # e^(ikq) on a panel of half-width h, per unit h, at the top k h =
+    # _PANEL_RC: 2.2e-16 at 8, within the library's 1e-16 target; at 10 it
+    # is 2.7e-13.  The rule's own error on cos(k h x) over [-1, 1] follows
+    # it: 4.2e-16 at 8 (rounding) and 1.3e-13 at 10.
+    f = math.factorial
+    bound = lambda kh: 2.0 ** 33 * f(16) ** 4 * kh ** 32 / (33 * f(32) ** 3)
+    x, w = gauss_panels([-1.0, 1.0])
+    error = lambda kh: abs(w @ np.cos(kh * x) - 2.0 * math.sin(kh) / kh)
+    assert bound(diagnostics._PANEL_RC) <= 1e-15
+    assert error(diagnostics._PANEL_RC) <= 1e-15
+    assert bound(10.0) > 1e-15 and error(10.0) > 1e-15
+
+
+@pytest.mark.parametrize("V", [GAUSS1, StepPotential(d=1, a=1.0, R=1.0),
+                               ExponentialPotential(d=1, a=1.0, ell=1.0), _table(1)],
+                         ids=["gaussian", "step", "exponential", "tabulated"])
+def test_dt_d1_half_panel_width_leaves_the_form(monkeypatch, V):
+    # The panel width _PANEL_RC / rc is converged in d = 1 too: halving it
+    # moves no form at T/mu = 0.1 or 1e-2 by more than 1e-13 (measured at
+    # most 2.5e-16).  The four kinds cost about 0.2 s together.
+    temps = (0.1, 1e-2)
+    forms = [dt_form_d1(V, T, 1.0) for T in temps]
+    monkeypatch.setattr(diagnostics, "_PANEL_RC", 0.5 * diagnostics._PANEL_RC)
+    for T, form in zip(temps, forms):
+        assert dt_form_d1(V, T, 1.0) == pytest.approx(form, rel=1e-13, abs=0.0), T
+
+
 @D2_TABLE_CASES
 def test_dt_d2_half_panel_width_leaves_the_form(monkeypatch, V, mu):
     # The panel width _PANEL_RC / rc is converged: halving it moves no
-    # form at T/mu = 0.1 by more than 1e-13 (measured at most 3.9e-15).
-    # The five cases cost 1.1-1.4 s together on a 2-core host.
+    # form at T/mu = 0.1 by more than 1e-13 (measured at most 3.6e-15, the
+    # Gaussian at mu = 100).  The five cases cost about 0.15 s together on
+    # a 2-core host.
     form = dt_form_d2(V, 0.1 * mu, mu)
     monkeypatch.setattr(diagnostics, "_PANEL_RC", 0.5 * diagnostics._PANEL_RC)
     assert dt_form_d2(V, 0.1 * mu, mu) == pytest.approx(form, rel=1e-13, abs=0.0)
 
 
 def test_dt_d2_eightfold_panel_width_moves_the_step(monkeypatch):
-    # Eight times the width under-resolves the step's slowly decaying
-    # transform: its form moves by 6.5e-10, far more than 1e-11.
+    # Eight times the width (64 / rc) under-resolves the step's slowly
+    # decaying transform: its form moves by 3.5e-11, more than 1e-11.
     V = StepPotential(d=2, a=1.0, R=1.0)
     form = dt_form_d2(V, 0.1, 1.0)
     monkeypatch.setattr(diagnostics, "_PANEL_RC", 8.0 * diagnostics._PANEL_RC)
