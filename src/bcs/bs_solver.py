@@ -11,12 +11,12 @@ potential and d: Wc is the kernel on the quad._chebyshev_count(rc, P)
 Chebyshev points X of [0, P], P the grid's top node, and L the
 barycentric Lagrange matrix of X onto the grid (quad._lagrange), n x nc
 with nc a few dozen.  The matrix is diag(s) W diag(s); W is never formed,
-and the temperature enters through s alone.  tc0 builds (L, Wc) once per
-refine level on a grid laid out for the lowest temperature it tries,
-starting from the weak-coupling prediction lam e_mu m_mu(T) = 1.
-Power iteration serves its search; one numpy Lanczos solve on v -> s W (s v)
-checks the closure on the finer grid and hands its top eigenpair and gap,
-with that grid and (L, Wc), to ground_state, which builds and solves nothing.
+and the temperature enters through s alone.  tc0 searches on one level-0
+grid laid out for the lowest temperature it tries, starting from the
+weak-coupling prediction lam e_mu m_mu(T) = 1, by power iteration; one
+numpy Lanczos solve on v -> s W (s v) checks the closure on the level-1
+grid and hands its top eigenpair and gap, with that grid and (L, Wc), to
+ground_state, which builds and solves nothing.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .special import j_d
 
 # Gauss nodes per grid panel.
 _PANEL_NODES = 10
-# Refine levels tc0 may go through, and the relative tolerance and step
-# budget of the power iteration.
-_MAX_REFINE = 3
+# The relative tolerance and step budget of the power iteration.
 _POWER_TOL = 1e-13
 _POWER_STEPS = 600
 # The root search's step budget, and the Krylov sizes and tolerance of Lanczos.
@@ -241,12 +239,12 @@ class Tc0Result:
     over: the closure grid, W = L Wc L^T on it as its factor, the top eigenpair."""
     T_c: float
     lam: float
-    closure: float          # |lam * a_T - 1| on the final refined grid
+    closure: float          # |lam * a_T - 1| on the level-1 closure grid
     spectral_gap: float     # (a_T - a_2) / a_T there
-    refine_level: int
+    refine_level: int       # the closure grid's level, always 1
     w_builds: int           # W factors (L, Wc) built, the closure grids included
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
-    bracket_moves: int      # bracket ends moved before the root search, all levels
+    bracket_moves: int      # bracket ends moved before the root search
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
     L: np.ndarray = field(repr=False, compare=False)
@@ -283,18 +281,17 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     The search stays inside [t_min_factor mu, t_max_factor mu].  Its first
     bracket is [T_pred/4, 4 T_pred] around the weak-coupling prediction
     lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a factor 4,
-    never past the window; bracket_moves counts those moves.  Each refine
-    level builds one grid at the bracket's lower end, which resolves every
+    never past the window; bracket_moves counts those moves.  The search
+    builds one level-0 grid at the bracket's lower end, which resolves every
     higher T, and one factor (L, Wc) of W; a temperature only rescales W
     (diag(s) W diag(s)) and reuses the previous top eigenvector as the
     power-iteration start.  _newton finds the root on that grid in log T,
     from the secant point of the bracket ends' values, with the
     Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top
-    eigenvector, g = d ln B_T / d ln T), and the closure |lam a_Tc - 1| must
-    meet tol on the next finer grid, else the next level searches
-    [T_c/2, 2 T_c].  The closure is one _lanczos_top2 solve, counted in
-    temperature_evals; the result carries its grid, (L, Wc), top eigenpair
-    and gap.  Nothing n x n is formed."""
+    eigenvector, g = d ln B_T / d ln T).  The closure |lam a_Tc - 1| is one
+    _lanczos_top2 solve on the level-1 grid, counted in temperature_evals;
+    it must meet tol, else SolverError names it.  The result carries that
+    grid, (L, Wc), top eigenpair and gap.  Nothing n x n is formed."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
@@ -320,10 +317,11 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         temperature_evals += 1
         return _bs_scale(grid, KernelParams(T=T, mu=mu), d)
 
-    def on_grid(level, T_lo):
-        """lam a_T - 1 in log T, with its slope unless slope=False, on one grid
-        built at T_lo; each solve warm-starts from the previous eigenvector."""
-        grid, L, Wc = level_factor(level, T_lo)
+    def on_grid(T_lo):
+        """lam a_T - 1 in log T, with its slope unless slope=False, on one
+        level-0 grid built at T_lo; each solve warm-starts from the previous
+        eigenvector."""
+        grid, L, Wc = level_factor(0, T_lo)
         v = None
 
         def f(ln_t, slope=True):
@@ -336,39 +334,33 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
             return lam * a - 1.0, lam * a * float((v * v) @ g)
         return f
 
-    def root(level, T_lo, T_hi):
-        """Newton root in log T; only moving the lower end down rebuilds the factor."""
-        nonlocal bracket_moves
-        f = on_grid(level, T_lo)
-        while (f_lo := f(math.log(T_lo), slope=False)) <= 0.0:
-            if T_lo <= t_min:
-                raise SolverError(
-                    f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
-                    "the coupling may be too weak for the allowed range")
-            T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
-            f = on_grid(level, T_lo)
-        while (f_hi := f(math.log(T_hi), slope=False)) >= 0.0:
-            if T_hi >= t_max:
-                raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
-            T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
-            f_lo = f_hi
-        return math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
-
+    # Newton root in log T; only moving the lower end down rebuilds the factor.
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
-    for level in range(_MAX_REFINE + 1):
-        T_star = root(level, T_lo, T_hi)
-        fine = min(level + 1, _MAX_REFINE)
-        grid, L, Wc = level_factor(fine, T_star)
-        a, second, u = _lanczos_top2(scale(grid, T_star), L, Wc)
-        closure = abs(lam * a - 1.0)
-        if closure <= tol:
-            return Tc0Result(T_c=T_star, lam=lam, closure=closure,
-                             spectral_gap=(a - second) / a, refine_level=fine,
-                             w_builds=w_builds, temperature_evals=temperature_evals,
-                             bracket_moves=bracket_moves, V=V, grid=grid, L=L, Wc=Wc, a_T=a, u=u)
-        T_lo, T_hi = max(0.5 * T_star, t_min), min(2.0 * T_star, t_max)
-    raise SolverError(f"closure |lam*a-1| stayed above {tol} after {_MAX_REFINE} refinements")
+    f = on_grid(T_lo)
+    while (f_lo := f(math.log(T_lo), slope=False)) <= 0.0:
+        if T_lo <= t_min:
+            raise SolverError(
+                f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
+                "the coupling may be too weak for the allowed range")
+        T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
+        f = on_grid(T_lo)
+    while (f_hi := f(math.log(T_hi), slope=False)) >= 0.0:
+        if T_hi >= t_max:
+            raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
+        T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
+        f_lo = f_hi
+    T_c = math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
+
+    grid, L, Wc = level_factor(1, T_c)
+    a, second, u = _lanczos_top2(scale(grid, T_c), L, Wc)
+    closure = abs(lam * a - 1.0)
+    if closure > tol:
+        raise SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 grid "
+                          f"misses tol = {tol}")
+    return Tc0Result(T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
+                     refine_level=1, w_builds=w_builds, temperature_evals=temperature_evals,
+                     bracket_moves=bracket_moves, V=V, grid=grid, L=L, Wc=Wc, a_T=a, u=u)
 
 
 @dataclass(frozen=True)

@@ -254,39 +254,24 @@ def _radial_measure(V: RadialPotential, k_max: float, n: int = 16):
 
 def _radial_waves(V: RadialPotential, k: np.ndarray, k_max: float):
     """(J, m): J[i, l] = j_d(k_i r_l; 1) for a 1-d k >= 0 on the rule of
-    _radial_measure(V, k_max), and its masses m.  In d = 1 and 3 a node is
-    r = e + o, its panel's left edge plus one of the 16 offsets shared by
-    the equal panels of its knot interval, so angle addition takes sin and
-    cos at 2 edges a panel and 16 offsets an interval; the first edge is 0,
-    which keeps d = 3 exact near r = 0.  J is the transpose of a (panel,
-    offset, k) array built a panel at a time.  d = 2 takes _j0 of k r in place."""
+    _radial_measure(V, k_max), and its masses m.  j_d is written in place
+    over the product k r, so J is the one array of its size: cos in d = 1,
+    _j0 in d = 2, and in d = 3 sin divided by k and then by r (r > 0 on
+    the rule), the k = 0 row set to its limit sqrt(2/pi)."""
     r, m = _radial_measure(V, k_max)
+    J = np.multiply.outer(k, r)
     if V.d == 2:
-        return _j0(np.multiply.outer(k, r)), m
-    knots, counts = _radial_panels(V, k_max)
-    edges, n = _subdivide(knots, counts), counts.astype(int)
+        return _j0(J), m
     c = math.sqrt(2.0 / math.pi)
-    scale = c if V.d == 1 else c / np.where(k == 0.0, 1.0, k)
-    nodes = r.reshape(-1, 16)
-    inv_r = 1.0 / nodes[..., None]
-    J, tmp = np.empty((len(nodes), 16, len(k))), np.empty((16, len(k)))
-    for first, end in zip(np.cumsum(n) - n, np.cumsum(n)):
-        so = np.multiply.outer(nodes[first] - edges[first], k)
-        co = np.cos(so)
-        co *= scale
-        np.sin(so, out=so)
-        so *= scale
-        for j in range(first, end):
-            se, ce = np.sin(edges[j] * k), np.cos(edges[j] * k)
-            # cos(e + o) = ce co - se so,  sin(e + o) = se co + ce so
-            a, b = (ce, -se) if V.d == 1 else (se, ce)
-            np.multiply(a, co, out=J[j])
-            J[j] += np.multiply(b, so, out=tmp)
-            if V.d == 3:
-                J[j] *= inv_r[j]
-    if V.d == 3:
-        J[..., k == 0.0] = c
-    return J.reshape(len(r), len(k)).T, m
+    if V.d == 1:
+        np.cos(J, out=J)
+        J *= c
+        return J, m
+    np.sin(J, out=J)
+    J *= (c / np.where(k == 0.0, 1.0, k))[:, None]
+    J /= r
+    J[k == 0.0] = c
+    return J, m
 
 
 def fourier_hat(V: RadialPotential, k):

@@ -304,27 +304,30 @@ def test_tc0_finds_roots_anywhere_inside_the_window():
         tc0(GAUSS3, 1.0, 3, 0.5, t_min_factor=1.0, t_max_factor=0.5)
 
 
+def _count_calls(monkeypatch, **names):
+    """Counts, by keyword, of the calls to the bs_solver functions named."""
+    from bcs import bs_solver
+    counts = dict.fromkeys(names, 0)
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for key, name in names.items():
+        monkeypatch.setattr(bs_solver, name, counted(key, getattr(bs_solver, name)))
+    return counts
+
+
 def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     # The quick-start chain: T_c ~ 1e-16 mu.  One factor of W for the
     # level-0 search and one for the closure grid; every temperature only
     # rescales W.  The search runs power iteration, the closure one Lanczos
     # solve, and temperature_evals counts both.  The weak-coupling
     # prediction evaluates m_mu's shell rule 4 times.
-    from bcs import bs_solver
-    counts = {"w": 0, "power": 0, "lanczos": 0, "rule": 0}
-
-    def counted(name, key):
-        original = getattr(bs_solver, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(bs_solver, name, wrapper)
-
-    counted("_w_factor", "w")
-    counted("_power_top", "power")
-    counted("_lanczos_top2", "lanczos")
-    counted("_shell_rule", "rule")
+    counts = _count_calls(monkeypatch, w="_w_factor", power="_power_top",
+                          lanczos="_lanczos_top2", rule="_shell_rule")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
     assert res.w_builds == counts["w"] == 2
@@ -334,6 +337,16 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     assert counts["rule"] <= 5
     assert res.bracket_moves == 0
     assert (res.refine_level, len(res.grid)) == (1, 3180)
+
+
+def test_tc0_raises_at_once_when_the_closure_misses_tol(monkeypatch):
+    # One search on the level-0 grid and one Lanczos closure on the level-1
+    # grid: a closure above tol raises there and names it, with no second
+    # search on a finer grid.
+    counts = _count_calls(monkeypatch, w="_w_factor", lanczos="_lanczos_top2")
+    with pytest.raises(SolverError, match=r"closure \|lam\*a-1\| = .* misses tol = 1e-20"):
+        tc0(GAUSS3, 1.0, 3, 0.5, tol=1e-20)
+    assert counts == {"w": 2, "lanczos": 1}
 
 
 @pytest.mark.parametrize("V, lam, t_min, evals", [

@@ -318,14 +318,14 @@ def test_vmu_spectrum_validation():
 
 
 # ---------------------------------------------------------------------------
-# J = j_d(k r) on the radial rule, by angle addition over its panels
+# J = j_d(k r) on the radial rule, written in place over the product k r
 # ---------------------------------------------------------------------------
 
 # Every entry within _WAVES_C eps (1 + |k r|) of j_d on the exact product
-# k r; the measured worst is 1.8 in d = 1 and 2.4 in d = 3 (j_d on the
-# rounded product: 0.6 and 0.9), both on the tabulated kind.  The |k r|
-# term is the rounding of the argument, which every route has:
-# ulp(960) = 1.1e-13.
+# k r; the measured worst is 0.6 in d = 1 and 1.3 in d = 3 (the step; sin
+# divided by k and then by r), and j_d on the rounded product reads 0.6 and
+# 0.9.  The |k r| term is the rounding of the argument, which every route
+# has: ulp(960) = 1.1e-13.
 _WAVES_C = 4.0
 
 
@@ -376,34 +376,16 @@ def test_radial_waves_d2_is_j_d_on_the_product(kind):
     assert np.array_equal(J, j_d(np.multiply.outer(k, r), 1.0, 2))
 
 
-def test_radial_waves_need_the_first_panel_anchored_at_zero():
-    # About its centre c the first panel's lowest node is r = c - delta,
-    # and sin(k c) cos(k delta) - cos(k c) sin(k delta) loses eps k c of a
-    # value near k r, which the d = 3 division by k r then amplifies by c / r
-    # (94 at the lowest Gauss node): it reads 64 against the bound's 4.
-    V, k, k_max = _waves_case("gaussian", 3)
-    r = _radial_measure(V, k_max)[0][:16]
-    c = 0.5 * (r[0] + r[-1])
-    kc, kd = np.multiply.outer(k, np.full(16, c)), np.multiply.outer(k, r - c)
-    with np.errstate(invalid="ignore"):
-        J = np.sqrt(2.0 / math.pi) * (np.sin(kc) * np.cos(kd) + np.cos(kc) * np.sin(kd)) \
-            / np.multiply.outer(k, r)
-    J[0] = np.sqrt(2.0 / math.pi)
-    assert _waves_error(J, k, r, 3) > 4.0 * _WAVES_C
-    assert _waves_error(_radial_waves(V, k, k_max)[0][:, :16], k, r, 3) <= _WAVES_C
-
-
 @pytest.mark.parametrize("V, shape", [
     (GaussianPotential(d=3), (3180, 320)), (ExponentialPotential(d=1), (3180, 1920)),
     (GaussianPotential(d=2), (3180, 320))],
     ids=["chain", "exponential1", "gaussian2"])
 def test_radial_waves_allocate_no_second_matrix(V, shape):
     # The chain's J (the unit Gaussian in d = 3, k to 2 p_max = 26) and the
-    # exponential's in d = 1, built a panel at a time: the work arrays
-    # (three of 16 rows) add 3/20 and 3/120 of J (peaks read 1.17 and 1.03
-    # J).  The Gaussian's in d = 2 is J0 written over the product k r, a
-    # block of 16,384 points at a time (reads 1.14 J).  The build may add a
-    # quarter.
+    # exponential's in d = 1: sin or cos written over the product k r, with
+    # only vectors beside it (peaks read 1.02 and 1.00 J).  The Gaussian's
+    # in d = 2 is J0 written over the product, a block of 16,384 points at
+    # a time (reads 1.14 J).  The build may add a quarter.
     k = np.linspace(0.0, 13.0, shape[0])
     _radial_waves(V, k[:2], 26.0)  # Gauss-Legendre nodes are cached on first use
     tracemalloc.start()
