@@ -8,15 +8,14 @@ The s-wave kernel w_d(p, q) = sum_k m_k j_d(p r_k) j_d(q r_k), with
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
 is band-limited in p and q since r_k <= rc.  So W = L Wc L^T for every
 potential and d: Wc is the kernel on the quad._chebyshev_count(rc, P)
-Chebyshev points X of [0, P], P the grid's top node, and L the
-barycentric Lagrange matrix of X onto the grid (quad._lagrange), n x nc
-with nc a few dozen.  The matrix is diag(s) W diag(s); W is never formed,
-and the temperature enters through s alone.  tc0 searches on one level-0
-grid laid out for the lowest temperature it tries, starting from the
-weak-coupling prediction lam e_mu m_mu(T) = 1, by power iteration; one
-numpy Lanczos solve on v -> s W (s v) checks the closure on the level-1
-grid and hands its top eigenpair and gap, with that grid and (L, Wc), to
-ground_state, which builds and solves nothing.
+Chebyshev points X of [0, P], P = p_max, set by V and mu alone, so one
+table serves all of tc0's grids; L, n x nc with nc a few dozen, is the
+barycentric Lagrange matrix of X onto a grid.  The matrix is diag(s) W
+diag(s); W is never formed, and the temperature enters through s alone.
+tc0 searches on one level-0 grid by warm-started power iteration (0.09 ms
+a solve at n = 1,660); one direct nc x nc solve (0.7-1 ms there) checks the
+closure on the level-1 grid and hands its top eigenpair and gap, with that
+grid and (L, Wc), to ground_state, which builds and solves nothing.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ _PANEL_NODES = 10
 # The relative tolerance and step budget of the power iteration.
 _POWER_TOL = 1e-13
 _POWER_STEPS = 600
-# The root search's step budget, and the Krylov sizes and tolerance of Lanczos.
+# The root search's step budget.
 _NEWTON_STEPS = 100
-_LANCZOS_START = 12
-_LANCZOS_CAP = 192
-_LANCZOS_TOL = 1e-14
 # The roundoff floor of f = lam a - 1 near its root: below it the last bits
 # of f are noise, so _newton takes that Newton step and returns.
 _F_FLOOR = 16.0 * np.finfo(float).eps
@@ -117,22 +113,23 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
         shifted=np.concatenate([lo * lo - mu, u, hi * hi - mu]), p_max=p_max)
 
 
-def _w_factor(V: RadialPotential, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, Wc) with (L Wc L^T)[i, j] = w_d(p_i, p_j) = int V(r) j_d(r; p_i^2)
-    j_d(r; p_j^2) r^(d-1) dr on the rule of potentials._radial_measure that
-    resolves frequencies up to 2 P, P = p[-1].  Its nodes stop at rc =
-    V.cutoff_radius(), so j_d(q r) is interpolated in q on [0, P] to 1e-16
-    from the nc = quad._chebyshev_count(rc, P) Chebyshev points X: Wc =
-    Jc diag(m) Jc^T, symmetrized, with Jc, m = _radial_waves(V, X, 2 P), and
-    L (n x nc) is the barycentric Lagrange matrix of X onto p.  L is the
-    one array of size n (2 MiB for the chain's 3,180 x 82)."""
-    P = float(p[-1])
-    X, b = _chebyshev_points(_chebyshev_count(V.cutoff_radius(), P), P)
-    _, K, s = _lagrange(p, np.zeros(1), X, b)
-    K /= s
+def _w_table(V: RadialPotential, P: float) -> np.ndarray:
+    """Wc = Jc diag(m) Jc^T, symmetrized, with Jc, m = _radial_waves(V, X, 2 P):
+    the kernel w_d on the nc = quad._chebyshev_count(rc, P) Chebyshev points
+    X of [0, P].  The radial rule stops at rc = V.cutoff_radius(), so X
+    interpolates j_d(q r) in q on [0, P] to 1e-16."""
+    X = _chebyshev_points(_chebyshev_count(V.cutoff_radius(), P), P)[0]
     Jc, m = _radial_waves(V, X, 2.0 * P)
     Wc = (Jc * m) @ Jc.T
-    return K.T, 0.5 * (Wc + Wc.T)
+    return 0.5 * (Wc + Wc.T)
+
+
+def _w_lagrange(p: np.ndarray, nc: int, P: float) -> np.ndarray:
+    """L, the barycentric Lagrange matrix of the nc Chebyshev points of [0, P]
+    onto p <= P, so W = L Wc L^T on p: n x nc, 2 MiB for the chain."""
+    _, K, s = _lagrange(p, np.zeros(1), *_chebyshev_points(nc, P))
+    K /= s
+    return K.T
 
 
 def _w_apply(L: np.ndarray, Wc: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,38 +167,24 @@ def _power_top(s: np.ndarray, L: np.ndarray, Wc: np.ndarray, v0: np.ndarray | No
     raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
 
 
-def _lanczos_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
-    """Top two eigenvalues and the top eigenvector of diag(s) L Wc L^T diag(s)
-    by Lanczos on v -> s W (s v), fully reorthogonalized (two passes), from
-    the fixed start ones(n) / sqrt(n).  The Krylov size, and the basis with
-    it, doubles from _LANCZOS_START until both Ritz residuals |beta_k y_k|
-    are at most _LANCZOS_TOL of the top Ritz value; SolverError at _LANCZOS_CAP."""
-    n = len(s)
-    cap = min(_LANCZOS_CAP, n)
-    j, k = 0, min(_LANCZOS_START, cap)
-    Q = np.empty((k + 1, n))
-    Q[0] = 1.0 / math.sqrt(n)
-    alpha, beta = np.zeros(cap), np.zeros(cap)
-    while True:
-        for j in range(j, k):
-            w = s * _w_apply(L, Wc, s * Q[j])
-            alpha[j] = Q[j] @ w
-            for _ in range(2):
-                w -= Q[:j + 1].T @ (Q[:j + 1] @ w)
-            beta[j] = np.linalg.norm(w)
-            if beta[j] == 0.0:  # invariant subspace: the Ritz pairs are exact
-                k = j + 1
-                break
-            Q[j + 1] = w / beta[j]
-        j = k
-        theta, Y = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[:k - 1], -1), UPLO="L")
-        if np.all(np.abs(beta[k - 1] * Y[-1, -2:]) <= _LANCZOS_TOL * abs(theta[-1])):
-            u = Y[:, -1] @ Q[:k]
-            return float(theta[-1]), float(theta[-2]), u / np.linalg.norm(u)
-        if k == cap:
-            raise SolverError(f"Lanczos did not converge with {cap} Krylov vectors")
-        k = min(2 * k, cap)
-        Q = np.vstack((Q, np.empty((k - j, n))))
+def _direct_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
+    """Top two eigenvalues and the unit top eigenvector of B Wc B^T, B =
+    diag(s) L, tc0's closure route.  G = B^T B is summed over sixteen row
+    blocks, so no second array of L's size exists.  With eigh(G) = Q g Q^T
+    (negative roundoff clipped to 0) and C = Q g^(1/2), M = C^T Wc C is
+    G^(1/2) Wc G^(1/2) turned by Q and shares B Wc B^T's nonzero spectrum;
+    M y = a y makes B Wc C y / a the unit eigenvector (C^T Wc G Wc C = M^2).
+    Its cost grows like n nc^2 + nc^3."""
+    nc, k = len(Wc), math.ceil(len(s) / 16)
+    G = np.zeros((nc, nc))
+    for i in range(0, len(s), k):
+        B = s[i:i + k, None] * L[i:i + k]
+        G += B.T @ B
+    g, Q = np.linalg.eigh(G)
+    C = Q * np.sqrt(g.clip(min=0.0))
+    WC = Wc @ C
+    theta, Y = np.linalg.eigh(C.T @ WC)
+    return float(theta[-1]), float(theta[-2]), s * (L @ (WC @ Y[:, -1])) / theta[-1]
 
 
 def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> float:
@@ -242,7 +225,7 @@ class Tc0Result:
     closure: float          # |lam * a_T - 1| on the level-1 closure grid
     spectral_gap: float     # (a_T - a_2) / a_T there
     refine_level: int       # the closure grid's level, always 1
-    w_builds: int           # W factors (L, Wc) built, the closure grids included
+    w_builds: int           # grids built, each with its L; one table Wc serves them all
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
     bracket_moves: int      # bracket ends moved before the root search
     V: RadialPotential = field(repr=False, compare=False)
@@ -278,20 +261,22 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         tol: float = 1e-8) -> Tc0Result:
     """Critical temperature of the translation-invariant problem at coupling lam.
 
-    The search stays inside [t_min_factor mu, t_max_factor mu].  Its first
-    bracket is [T_pred/4, 4 T_pred] around the weak-coupling prediction
-    lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a factor 4,
-    never past the window; bracket_moves counts those moves.  The search
-    builds one level-0 grid at the bracket's lower end, which resolves every
-    higher T, and one factor (L, Wc) of W; a temperature only rescales W
-    (diag(s) W diag(s)) and reuses the previous top eigenvector as the
-    power-iteration start.  _newton finds the root on that grid in log T,
-    from the secant point of the bracket ends' values, with the
-    Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top
-    eigenvector, g = d ln B_T / d ln T).  The closure |lam a_Tc - 1| is one
-    _lanczos_top2 solve on the level-1 grid, counted in temperature_evals;
-    it must meet tol, else SolverError names it.  The result carries that
-    grid, (L, Wc), top eigenpair and gap.  Nothing n x n is formed."""
+    V must be nonnegative, else ValueError: power iteration finds the
+    eigenvalue of largest magnitude, the top one only when W is positive
+    semidefinite, as for V >= 0.  The search stays inside [t_min_factor mu,
+    t_max_factor mu].  Its first bracket is [T_pred/4, 4 T_pred] around the
+    weak-coupling prediction lam e_mu m_mu(T_pred) = 1; an end that misses
+    moves out by a factor 4, never past the window; bracket_moves counts
+    those moves.  The search builds one level-0 grid at the bracket's lower
+    end, which resolves every higher T, and its L; the table Wc is laid once,
+    with the first grid.  A temperature only rescales W and reuses the
+    previous top eigenvector as the power-iteration start.  _newton finds
+    the root on that grid in log T, from the secant point of the bracket
+    ends' values, with the Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u
+    the unit top eigenvector, g = d ln B_T / d ln T).  The closure
+    |lam a_Tc - 1| is one _direct_top2 solve on the level-1 grid, counted in
+    temperature_evals; it must meet tol, else SolverError names it.  The
+    result carries that grid, (L, Wc), top eigenpair and gap; nothing is n x n."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
@@ -299,42 +284,41 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     t_min, t_max = t_min_factor * mu, t_max_factor * mu
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min_factor < t_max_factor")
+    if not V.is_nonnegative():
+        raise ValueError("tc0 needs a nonnegative potential: power iteration finds the "
+                         "top of the spectrum only when W has no negative eigenvalues")
     em = e_mu(V, mu)
     if em <= 0:
         raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
 
     w_builds = temperature_evals = bracket_moves = 0
+    Wc = None
 
-    def level_factor(level, T):
-        nonlocal w_builds
+    def level_factor(level, T):  # a grid at T and its L; the first lays Wc
+        nonlocal w_builds, Wc
         w_builds += 1
         g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-        return g, *_w_factor(V, g.nodes)
-
-    def scale(grid, T):
-        """s at temperature T, counted once per eigen-solve."""
-        nonlocal temperature_evals
-        temperature_evals += 1
-        return _bs_scale(grid, KernelParams(T=T, mu=mu), d)
+        if Wc is None:
+            Wc = _w_table(V, g.p_max)
+        return g, _w_lagrange(g.nodes, len(Wc), g.p_max)
 
     def on_grid(T_lo):
         """lam a_T - 1 in log T, with its slope unless slope=False, on one
-        level-0 grid built at T_lo; each solve warm-starts from the previous
-        eigenvector."""
-        grid, L, Wc = level_factor(0, T_lo)
+        level-0 grid built at T_lo, each solve warm-started from the last."""
+        grid, L = level_factor(0, T_lo)
         v = None
 
         def f(ln_t, slope=True):
-            nonlocal v
-            T = math.exp(ln_t)
-            a, v = _power_top(scale(grid, T), L, Wc, v)
+            nonlocal v, temperature_evals
+            temperature_evals += 1
+            params = KernelParams(T=math.exp(ln_t), mu=mu)
+            a, v = _power_top(_bs_scale(grid, params, d), L, Wc, v)
             if not slope:
                 return lam * a - 1.0
-            g = bt_log_slope(grid.shifted, KernelParams(T=T, mu=mu))
-            return lam * a - 1.0, lam * a * float((v * v) @ g)
+            return lam * a - 1.0, lam * a * float((v * v) @ bt_log_slope(grid.shifted, params))
         return f
 
-    # Newton root in log T; only moving the lower end down rebuilds the factor.
+    # Newton root in log T; only moving the lower end down builds a new grid and L.
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
     f = on_grid(T_lo)
@@ -351,15 +335,16 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
         f_lo = f_hi
     T_c = math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
+    del f  # the search grid and its L go before the closure grid is built
 
-    grid, L, Wc = level_factor(1, T_c)
-    a, second, u = _lanczos_top2(scale(grid, T_c), L, Wc)
+    grid, L = level_factor(1, T_c)
+    a, second, u = _direct_top2(_bs_scale(grid, KernelParams(T=T_c, mu=mu), d), L, Wc)
     closure = abs(lam * a - 1.0)
     if closure > tol:
         raise SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 grid "
                           f"misses tol = {tol}")
     return Tc0Result(T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
-                     refine_level=1, w_builds=w_builds, temperature_evals=temperature_evals,
+                     refine_level=1, w_builds=w_builds, temperature_evals=temperature_evals + 1,
                      bracket_moves=bracket_moves, V=V, grid=grid, L=L, Wc=Wc, a_T=a, u=u)
 
 
@@ -382,12 +367,12 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It takes the closure grid, (L, Wc), the top eigenpair and the spectral
-    gap of tc, which must be the result of tc0 on the same V, mu, d and
-    lam: a tc that disagrees on V, mu, d or lam raises ValueError.  No
-    eigen-solver runs here, so closure and spectral_gap are tc's bit for
-    bit.  Raises SolverError when the top of the spectrum is nearly
-    degenerate.
+    It takes the closure grid, (L, Wc), and the top eigenpair and spectral
+    gap of tc0's direct closure solve from tc, which must be the result of
+    tc0 on the same V, mu, d and lam: a tc that disagrees on V, mu, d or
+    lam raises ValueError.  Nothing is built and no eigen-solver runs here,
+    so closure and spectral_gap are tc's bit for bit.  Raises SolverError
+    when the top of the spectrum is nearly degenerate.
     """
     grid = tc.grid
     for name, agree in (("V", V == tc.V), ("d", d == V.d), ("lam", lam == tc.lam),

@@ -23,7 +23,8 @@ from bcs.boundary3d import criterion, m3, m3_profile, t4, table1_values
 from bcs.bs_solver import (
     _bs_scale,
     _power_top,
-    _w_factor,
+    _w_lagrange,
+    _w_table,
     build_grid,
     ground_state,
     position_profile,
@@ -36,6 +37,12 @@ from bcs.special import j_d
 
 GAUSS3 = GaussianPotential(d=3, a=1.0, ell=1.0)
 BCS = ("dirichlet", "neumann")
+
+
+def _w_factor(V, p, P):
+    """(L, Wc) of W on the nodes p <= P, its table laid on [0, P]."""
+    Wc = _w_table(V, P)
+    return _w_lagrange(p, len(Wc), P), Wc
 
 
 def _report(capsys, num, label, failures, detail=""):
@@ -207,7 +214,7 @@ def test_06_self_consistency(capsys):
     a_vals = []
     for level in (tc.refine_level, tc.refine_level + 1):
         g = build_grid(params, GAUSS3, refine_level=level)
-        a, _ = _power_top(_bs_scale(g, params, 3), *_w_factor(GAUSS3, g.nodes), None)
+        a, _ = _power_top(_bs_scale(g, params, 3), *_w_factor(GAUSS3, g.nodes, g.p_max), None)
         a_vals.append(a)
     doubling_move = abs(a_vals[1] - a_vals[0]) / abs(a_vals[1])
 
@@ -359,7 +366,7 @@ def test_10_route_equivalences(capsys):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
         vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
         for p, q in pts:
-            L, Wc = _w_factor(V, np.array([min(p, q), max(p, q)]))
+            L, Wc = _w_factor(V, np.array([min(p, q), max(p, q)]), max(p, q))
             W = L @ Wc @ L.T
             diff = abs(W[0, 1] - oracles.angular_average_vhat(vhat, d, p, q))
             worst_w = max(worst_w, diff)

@@ -14,11 +14,12 @@ from bcs.bs_solver import (
     SolverError,
     Tc0Result,
     _bs_scale,
-    _lanczos_top2,
+    _direct_top2,
     _newton,
     _power_top,
     _w_apply,
-    _w_factor,
+    _w_lagrange,
+    _w_table,
     build_grid,
     ground_state,
     position_profile,
@@ -65,6 +66,14 @@ def test_grid_innermost_panel_tracks_temperature():
 # ---------------------------------------------------------------------------
 # interaction matrix elements
 # ---------------------------------------------------------------------------
+
+def _w_factor(V, p, P=None):
+    """(L, Wc) of W on the nodes p, its table laid on [0, P], P = p[-1] unless
+    given (tc0 lays it on [0, grid.p_max])."""
+    P = float(p[-1]) if P is None else P
+    Wc = _w_table(V, P)
+    return _w_lagrange(p, len(Wc), P), Wc
+
 
 def _dense_w(V, p):
     """L Wc L^T, the n x n W that the library only applies."""
@@ -150,22 +159,23 @@ def test_w_matrix_high_momentum_diagonal(d):
 @pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
 def test_w_table_interpolates_radial_waves_within_the_argument_rounding(kind, d, monkeypatch):
     # W's factor reads j_d(p r), r <= rc, off its Chebyshev table in p:
-    # L j_d(X r) at the nodes of a level-1 grid against numpy's cos and
-    # scipy's j0 and spherical_jn(0, .) of p r, within 4 eps (8 + |p r|):
-    # the rounding of p r (p r reaches 479 for the exponential) and the
-    # interpolation's own, a few eps times its Lebesgue constant (below 5
-    # for the exponential's 358 points).  Worst reads 3.0, the exponential
-    # in d = 2 near p r = 0.  Half the table's count leaves errors of 1e-6
+    # L j_d(X r) at the nodes of a level-1 grid, X on [0, p_max] as in tc0,
+    # against numpy's cos and scipy's j0 and spherical_jn(0, .) of p r,
+    # within 4 eps (8 + |p r|): the rounding of p r (p r reaches 479 for the
+    # exponential) and the interpolation's own, a few eps times its Lebesgue
+    # constant (below 5 for the exponential's 358 points).  Worst reads 2.3,
+    # the exponential in d = 2.  Half the table's count leaves errors of 1e-6
     # to 2.
     from bcs import bs_solver
     V, _ = _potential(kind, d)
-    p = build_grid(KernelParams(T=1e-3, mu=1.0), V, refine_level=1).nodes
-    r = _radial_measure(V, 2.0 * p[-1])[0]
+    grid = build_grid(KernelParams(T=1e-3, mu=1.0), V, refine_level=1)
+    p, P = grid.nodes, grid.p_max
+    r = _radial_measure(V, 2.0 * P)[0]
     c = math.sqrt(2.0 / math.pi)
 
     def error():
-        L = _w_factor(V, p)[0]
-        table = _radial_waves(V, _chebyshev_points(L.shape[1], p[-1])[0], 2.0 * p[-1])[0]
+        L = _w_factor(V, p, P)[0]
+        table = _radial_waves(V, _chebyshev_points(L.shape[1], P)[0], 2.0 * P)[0]
         worst = 0.0
         for rows in np.array_split(np.arange(len(p)), 8):
             pr = np.multiply.outer(p[rows], r)
@@ -181,13 +191,14 @@ def test_w_table_interpolates_radial_waves_within_the_argument_rounding(kind, d,
 
 
 def test_bs_operator_symmetric_to_rounding():
-    # Lanczos assumes v -> s W (s v) is symmetric.  On the quick-start
-    # chain's closure grid, x.Ay and y.Ax agree to rounding of a_T.
+    # Power iteration and the closure's eigh assume v -> s W (s v) is
+    # symmetric.  On the quick-start chain's closure grid, x.Ay and y.Ax
+    # agree to rounding of a_T.
     par = KernelParams(T=1.0245186418036e-16, mu=1.0)
     grid = build_grid(par, GAUSS3, refine_level=1)
     assert len(grid) == 3180
-    s, (L, Wc) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes)
-    a_T = _lanczos_top2(s, L, Wc)[0]
+    s, (L, Wc) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes, grid.p_max)
+    a_T = _direct_top2(s, L, Wc)[0]
     rng = np.random.default_rng(11)
     for _ in range(8):
         x, y = rng.normal(size=(2, len(grid)))
@@ -223,7 +234,7 @@ def test_top_eigenvalue_validation():
 
 def test_a_t0_grid_doubling_stability():
     par = KernelParams(T=1e-3, mu=1.0)
-    a0, a1 = (_power_top(_bs_scale(g, par, 3), *_w_factor(GAUSS3, g.nodes), None)[0]
+    a0, a1 = (_power_top(_bs_scale(g, par, 3), *_w_factor(GAUSS3, g.nodes, g.p_max), None)[0]
               for g in (build_grid(par, GAUSS3, refine_level=level) for level in (0, 1)))
     assert abs(a1 - a0) <= 1e-5 * abs(a1)
 
@@ -321,18 +332,19 @@ def _count_calls(monkeypatch, **names):
 
 
 def test_tc0_builds_one_w_per_refine_level(monkeypatch):
-    # The quick-start chain: T_c ~ 1e-16 mu.  One factor of W for the
-    # level-0 search and one for the closure grid; every temperature only
-    # rescales W.  The search runs power iteration, the closure one Lanczos
-    # solve, and temperature_evals counts both.  The weak-coupling
-    # prediction evaluates m_mu's shell rule 4 times.
-    counts = _count_calls(monkeypatch, w="_w_factor", power="_power_top",
-                          lanczos="_lanczos_top2", rule="_shell_rule")
+    # The quick-start chain: T_c ~ 1e-16 mu.  One kernel table Wc, laid
+    # with the level-0 search grid, and one Lagrange matrix L for that grid
+    # and one for the closure grid; every temperature only rescales W.  The
+    # search runs power iteration, the closure one direct solve, and
+    # temperature_evals counts both.  The weak-coupling prediction
+    # evaluates m_mu's shell rule 4 times.
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", power="_power_top",
+                          direct="_direct_top2", rule="_shell_rule")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
-    assert res.w_builds == counts["w"] == 2
-    assert counts["lanczos"] == 1
-    assert res.temperature_evals == counts["power"] + counts["lanczos"]
+    assert res.w_builds == counts["L"] == 2
+    assert counts["table"] == counts["direct"] == 1
+    assert res.temperature_evals == counts["power"] + counts["direct"]
     assert res.temperature_evals <= 12
     assert counts["rule"] <= 5
     assert res.bracket_moves == 0
@@ -340,13 +352,39 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
 
 
 def test_tc0_raises_at_once_when_the_closure_misses_tol(monkeypatch):
-    # One search on the level-0 grid and one Lanczos closure on the level-1
+    # One search on the level-0 grid and one direct closure on the level-1
     # grid: a closure above tol raises there and names it, with no second
     # search on a finer grid.
-    counts = _count_calls(monkeypatch, w="_w_factor", lanczos="_lanczos_top2")
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", direct="_direct_top2")
     with pytest.raises(SolverError, match=r"closure \|lam\*a-1\| = .* misses tol = 1e-20"):
         tc0(GAUSS3, 1.0, 3, 0.5, tol=1e-20)
-    assert counts == {"w": 2, "lanczos": 1}
+    assert counts == {"table": 1, "L": 2, "direct": 1}
+
+
+def test_tc0_lays_one_table_when_the_lower_end_moves(monkeypatch):
+    # Moving the bracket's lower end down builds a finer search grid, but
+    # the table depends on (V, mu) alone: one table, three L.
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange")
+    res = tc0(ExponentialPotential(d=1), 10.0, 1, 0.4, t_min_factor=1e-12)
+    assert res.bracket_moves == 1
+    assert res.w_builds == counts["L"] == 3
+    assert counts["table"] == 1
+    assert res.closure <= 1e-14
+
+
+def test_tc0_rejects_a_sign_changing_potential(monkeypatch):
+    # Power iteration finds the eigenvalue of largest magnitude, the top
+    # only when W has no negative eigenvalues.  On this table it read -6.70
+    # at T = 1e-8 mu, where dense eigh reads lam a = 4.86, and the search
+    # reported no bracket; so tc0 refuses such a V before building anything.
+    r = np.linspace(0.0, 8.0, 161)
+    v = np.exp(-r * r) - 10.0 * np.exp(-(r - 3.0) ** 2 / 0.05)
+    v[-1] = 0.0
+    V = TabulatedPotential(d=3, r_values=tuple(r), v_values=tuple(v))
+    counts = _count_calls(monkeypatch, grid="build_grid", table="_w_table")
+    with pytest.raises(ValueError, match="nonnegative potential"):
+        tc0(V, (math.pi / 3.0) ** 2, 3, 2.0)
+    assert counts == {"grid": 0, "table": 0}
 
 
 @pytest.mark.parametrize("V, lam, t_min, evals", [
@@ -369,12 +407,9 @@ def test_tc0_newton_evals_ignore_the_last_bits_of_w(k, monkeypatch):
     # xtol = 1e-14 alone the chain read 5 at k = +1 (and 4 to 6 for |k| up
     # to 16, where the floor keeps 4).
     from bcs import bs_solver
-    factor = bs_solver._w_factor
-
-    def scaled(V, p):
-        L, Wc = factor(V, p)
-        return L, Wc * (1.0 + k * np.finfo(float).eps)
-    monkeypatch.setattr(bs_solver, "_w_factor", scaled)
+    table = bs_solver._w_table
+    monkeypatch.setattr(bs_solver, "_w_table",
+                        lambda V, P: table(V, P) * (1.0 + k * np.finfo(float).eps))
     assert [_slopes_and_newton_evals(V, lam, t_min, monkeypatch)[1] for V, lam, t_min in (
         (GAUSS3, 0.5, 1e-8), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8),
         (GAUSS3, 0.15, 1e-18))] == [5, 6, 4]
@@ -403,10 +438,10 @@ def _slopes_and_newton_evals(V, lam, t_min, monkeypatch):
 def test_tc0_allocates_nothing_n_by_n():
     # One 3180^2 float array is 77 MiB: the quick-start chain's tc0 peaks
     # far below that, and its result, which carries W's factor, holds less.
-    # Its L (3180 x 82, 2 MiB) is the one array of size n in the factor.
-    # The Lanczos basis grows with the Krylov size, and the closure stops
-    # at 12 or 24 vectors, so the peak reads 2.6 MiB; a basis laid at its
-    # cap (193 x 3180) would alone take 4.7 MiB.  The result holds 2.1 MiB.
+    # Its L (3180 x 82, 2 MiB) is the one array of size n in the factor;
+    # the closure's G sums sixteen row blocks of L.  The search grid's L
+    # (1 MiB) is released before the closure grid is built, so the peak
+    # reads 2.6 MiB (3.7 MiB when it was held).  The result holds 2.1 MiB.
     tracemalloc.start()
     try:
         res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
@@ -414,7 +449,7 @@ def test_tc0_allocates_nothing_n_by_n():
     finally:
         tracemalloc.stop()
     assert len(res.grid) == 3180
-    assert peak <= 4 * 2 ** 20
+    assert peak <= 3 * 2 ** 20
     assert held <= 4 * 2 ** 20
 
 
@@ -448,8 +483,8 @@ def test_ground_state_reuses_the_closure_grid_and_w(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not build a grid or W")
-    monkeypatch.setattr(bs_solver, "build_grid", forbidden)
-    monkeypatch.setattr(bs_solver, "_w_factor", forbidden)
+    for name in ("build_grid", "_w_table", "_w_lagrange"):
+        monkeypatch.setattr(bs_solver, name, forbidden)
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     assert np.array_equal(state.phi_hat, fresh.phi_hat)
     assert state.spectral_gap == fresh.spectral_gap
@@ -466,7 +501,7 @@ def test_ground_state_takes_the_closure_solve_of_tc(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not build or solve again")
-    for name in ("_power_top", "_lanczos_top2", "build_grid", "_w_factor"):
+    for name in ("_power_top", "_direct_top2", "build_grid", "_w_table", "_w_lagrange"):
         monkeypatch.setattr(bs_solver, name, forbidden)
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     assert state.closure == tc.closure
@@ -510,16 +545,16 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
 def test_ground_state_top_pair_matches_dense_eigh(kind, d):
-    # On a small grid the Lanczos pair equals the dense spectrum: with
+    # On a small grid the direct pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
     # ground_state solves nothing, so the hand-built tc carries the pair.
     V, _ = _potential(kind, d)
     params = KernelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, V, refine_level=0)
-    s, (L, Wc) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes)
+    s, (L, Wc) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes, grid.p_max)
     S = s[:, None] * s[None, :] * (L @ Wc @ L.T)
     a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
-    top, second, u = _lanczos_top2(s, L, Wc)
+    top, second, u = _direct_top2(s, L, Wc)
     lam = 1.0 / a1
     tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
                    spectral_gap=(top - second) / top, refine_level=0,
@@ -531,13 +566,21 @@ def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     assert state.eval_eq_residual <= 1e-10
 
 
-def test_lanczos_raises_at_its_krylov_cap(monkeypatch):
-    # Running out of Krylov vectors is an error, not an answer: a spectrum
-    # with many close eigenvalues leaves the residuals above tolerance.
-    from bcs import bs_solver
-    monkeypatch.setattr(bs_solver, "_LANCZOS_CAP", 24)
-    with pytest.raises(SolverError, match="Lanczos did not converge with 24 Krylov vectors"):
-        _lanczos_top2(np.ones(400), np.eye(400), np.diag(np.linspace(1.0, 2.0, 400)))
+def test_direct_top2_with_more_table_points_than_nodes():
+    # nc > n leaves G = B^T B singular, as for the exponential at mu = 100
+    # (nc = 1,449 on 820 nodes): the top pair and vector still match dense
+    # eigh of the n x n matrix.
+    rng = np.random.default_rng(5)
+    n, nc = 12, 30
+    s, L, A = rng.uniform(0.5, 2.0, n), rng.normal(size=(n, nc)), rng.normal(size=(nc, nc))
+    Wc = A @ A.T
+    S = s[:, None] * (L @ Wc @ L.T) * s[None, :]
+    vals, vecs = np.linalg.eigh(S)
+    top, second, u = _direct_top2(s, L, Wc)
+    assert top == pytest.approx(vals[-1], rel=1e-13)
+    assert second == pytest.approx(vals[-2], rel=1e-13)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-13)
+    assert np.linalg.norm(u - math.copysign(1.0, u @ vecs[:, -1]) * vecs[:, -1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +637,11 @@ def test_newton_matches_brentq_on_analytic_functions(f, a, b, xtol):
 def test_search_slope_matches_central_difference(kind, d, monkeypatch):
     # The slope of the last search's f at T_c, lam a_T sum u_i^2 g_i with
     # power iteration's u, against a central difference of f's value with
-    # step 1e-4 in log T.  The difference takes its values from Lanczos:
-    # power iteration resolves a_T to about 1e-13, which divided by the step
-    # alone reads up to 1.3e-8.  Measured 1e-12 to 2.2e-11.
+    # step 1e-4 in log T.  The difference takes its values from the direct
+    # solve: power iteration resolves a_T to about 1e-13, which divided by
+    # the step alone reads up to 1.3e-8.  Measured 5e-13 to 9.6e-11, the
+    # worst the step in d = 3, where the direct solve's last bits (a few
+    # eps of a_T, as dense eigh's) over the step reach that size.
     from bcs import bs_solver
     calls = _record_searches(monkeypatch)
     V, _ = _potential(kind, d)
@@ -604,7 +649,7 @@ def test_search_slope_matches_central_difference(kind, d, monkeypatch):
     f, h = calls[-1][0], 1e-4
     slope = f(x)[1]
     monkeypatch.setattr(bs_solver, "_power_top",
-                        lambda s, L, Wc, v0: _lanczos_top2(s, L, Wc)[::2])
+                        lambda s, L, Wc, v0: _direct_top2(s, L, Wc)[::2])
     assert (f(x + h)[0] - f(x - h)[0]) / (2.0 * h) == pytest.approx(slope, rel=1e-9)
 
 
