@@ -8,14 +8,15 @@ The s-wave kernel w_d(p, q) = sum_k m_k j_d(p r_k) j_d(q r_k), with
 m = V w r^(d-1) on the fixed radial rule r_k of potentials.radial_edges,
 is band-limited in p and q since r_k <= rc.  So W = L Wc L^T for every
 potential and d: Wc is the kernel on the quad._chebyshev_count(rc, P)
-Chebyshev points X of [0, P], P = p_max, set by V and mu alone, so one
-table serves all of tc0's grids; L, n x nc with nc a few dozen, is the
-barycentric Lagrange matrix of X onto a grid.  The matrix is diag(s) W
-diag(s); W is never formed, and the temperature enters through s alone.
-tc0 searches on one level-0 grid by warm-started power iteration (0.09 ms
-a solve at n = 1,660); one direct nc x nc solve (0.7-1 ms there) checks the
-closure on the level-1 grid and hands its top eigenpair and gap, with that
-grid and (L, Wc), to ground_state, which builds and solves nothing.
+Chebyshev points X of [0, P], P = p_max, set by V and mu alone, and L is
+the barycentric Lagrange matrix of X onto a grid.  Wc, positive semidefinite
+for V >= 0, has a numerical rank k far below its size nc (30 of 82 points
+for the chain), so tc0 factors it once, Wc = Z Z^T (nc x k), and each grid
+holds Y = L Z (n x k): W = Y Y^T.  The matrix is diag(s) W diag(s); W is
+never formed, and the temperature enters through s alone.  Every a_T, in
+the search and at the closure, is one exact solve, _top2: the k x k Gram
+matrix of diag(s) Y shares its nonzero spectrum.  ground_state takes the
+closure's grid, Y, top eigenpair and gap from tc0 and solves nothing.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .special import j_d
 
 # Gauss nodes per grid panel.
 _PANEL_NODES = 10
-# The relative tolerance and step budget of the power iteration.
-_POWER_TOL = 1e-13
-_POWER_STEPS = 600
+# The eigenvalues of W's table kept in its factor, relative to the top one.
+_RANK_EPS = 1e-16
 # The root search's step budget.
 _NEWTON_STEPS = 100
 # The roundoff floor of f = lam a - 1 near its root: below it the last bits
@@ -114,14 +114,20 @@ def build_grid(params: KernelParams, V: RadialPotential, *,
 
 
 def _w_table(V: RadialPotential, P: float) -> np.ndarray:
-    """Wc = Jc diag(m) Jc^T, symmetrized, with Jc, m = _radial_waves(V, X, 2 P):
-    the kernel w_d on the nc = quad._chebyshev_count(rc, P) Chebyshev points
-    X of [0, P].  The radial rule stops at rc = V.cutoff_radius(), so X
-    interpolates j_d(q r) in q on [0, P] to 1e-16."""
+    """Z, nc x k, with Wc = Z Z^T up to _RANK_EPS: Wc = Jc diag(m) Jc^T, with
+    Jc, m = _radial_waves(V, X, 2 P), is the kernel w_d on the nc =
+    quad._chebyshev_count(rc, P) Chebyshev points X of [0, P].  The radial
+    rule stops at rc = V.cutoff_radius(), so X interpolates j_d(q r) in q on
+    [0, P] to 1e-16.  Wc is positive semidefinite for V >= 0: Z = U_k g_k^(1/2)
+    keeps its eigenpairs above _RANK_EPS times the top one, g_1, and drops
+    the rest, eigh's roundoff below 0 included.  By Weyl the cutoff moves no
+    eigenvalue of diag(s) L Wc L^T diag(s) by more than _RANK_EPS g_1
+    |diag(s) L|^2, at most 1.04e-14 a_T on the four kinds' level-0 grids."""
     X = _chebyshev_points(_chebyshev_count(V.cutoff_radius(), P), P)[0]
     Jc, m = _radial_waves(V, X, 2.0 * P)
-    Wc = (Jc * m) @ Jc.T
-    return 0.5 * (Wc + Wc.T)
+    g, U = np.linalg.eigh((Jc * m) @ Jc.T)
+    keep = g > _RANK_EPS * g[-1]
+    return U[:, keep] * np.sqrt(g[keep])
 
 
 def _w_lagrange(p: np.ndarray, nc: int, P: float) -> np.ndarray:
@@ -132,11 +138,6 @@ def _w_lagrange(p: np.ndarray, nc: int, P: float) -> np.ndarray:
     return K.T
 
 
-def _w_apply(L: np.ndarray, Wc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x = L (Wc (x L)), in 4 n nc + 2 nc^2 flops and nothing of size n x n."""
-    return L @ (Wc @ (x @ L))
-
-
 def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.ndarray:
     """s_i = sqrt(w_i) p_i^((d-1)/2) sqrt(B_i): the Birman-Schwinger matrix
     is diag(s) W diag(s)."""
@@ -144,47 +145,16 @@ def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.nda
     return np.sqrt(grid.weights) * grid.nodes ** (0.5 * (d - 1)) * np.sqrt(B)
 
 
-def _power_top(s: np.ndarray, L: np.ndarray, Wc: np.ndarray, v0: np.ndarray | None):
-    """Top eigenvalue and eigenvector of diag(s) L Wc L^T diag(s) by
-    warm-started power iteration, tc0's search route.  One product per
-    step: the Rayleigh quotient's product is the next unnormalized iterate.
-    Raises SolverError when _POWER_STEPS steps do not converge."""
-    n = len(s)
-    v = np.ones(n) / math.sqrt(n) if v0 is None else v0
-    u = s * _w_apply(L, Wc, s * v)
-    lam = 0.0
-    for _ in range(_POWER_STEPS):
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            raise SolverError("matrix annihilated the iterate; potential too weak")
-        u /= nrm
-        su = s * _w_apply(L, Wc, s * u)
-        new = float(u @ su)
-        if (abs(new - lam) <= _POWER_TOL * max(abs(new), 1e-300)
-                and float(np.abs(u @ v)) > 0.999999):
-            return new, u
-        lam, v, u = new, u, su
-    raise SolverError(f"power iteration did not converge in {_POWER_STEPS} steps")
-
-
-def _direct_top2(s: np.ndarray, L: np.ndarray, Wc: np.ndarray):
-    """Top two eigenvalues and the unit top eigenvector of B Wc B^T, B =
-    diag(s) L, tc0's closure route.  G = B^T B is summed over sixteen row
-    blocks, so no second array of L's size exists.  With eigh(G) = Q g Q^T
-    (negative roundoff clipped to 0) and C = Q g^(1/2), M = C^T Wc C is
-    G^(1/2) Wc G^(1/2) turned by Q and shares B Wc B^T's nonzero spectrum;
-    M y = a y makes B Wc C y / a the unit eigenvector (C^T Wc G Wc C = M^2).
-    Its cost grows like n nc^2 + nc^3."""
-    nc, k = len(Wc), math.ceil(len(s) / 16)
-    G = np.zeros((nc, nc))
-    for i in range(0, len(s), k):
-        B = s[i:i + k, None] * L[i:i + k]
-        G += B.T @ B
-    g, Q = np.linalg.eigh(G)
-    C = Q * np.sqrt(g.clip(min=0.0))
-    WC = Wc @ C
-    theta, Y = np.linalg.eigh(C.T @ WC)
-    return float(theta[-1]), float(theta[-2]), s * (L @ (WC @ Y[:, -1])) / theta[-1]
+def _top2(s: np.ndarray, Y: np.ndarray):
+    """Top two eigenvalues and the unit top eigenvector of B B^T, B =
+    diag(s) Y, the matrix diag(s) W diag(s) with W = Y Y^T.  The k x k Gram
+    matrix B^T B shares its nonzero spectrum, so one eigh of it gives the
+    pair exactly, and B^T B y = a y makes B y / sqrt(a) the unit
+    eigenvector.  No iteration, tolerance or start vector; 2 n k^2 + O(k^3)
+    flops."""
+    B = s[:, None] * Y
+    theta, y = np.linalg.eigh(B.T @ B)
+    return float(theta[-1]), float(theta[-2]), B @ y[:, -1] / math.sqrt(theta[-1])
 
 
 def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> float:
@@ -219,19 +189,17 @@ def _newton(f, lo: float, hi: float, xtol: float, f_lo: float, f_hi: float) -> f
 @dataclass(frozen=True)
 class Tc0Result:
     """tc0's T_c with how the search reached it, and what ground_state takes
-    over: the closure grid, W = L Wc L^T on it as its factor, the top eigenpair."""
+    over: the closure grid, W = Y Y^T on it as its factor, the top eigenpair."""
     T_c: float
     lam: float
     closure: float          # |lam * a_T - 1| on the level-1 closure grid
     spectral_gap: float     # (a_T - a_2) / a_T there
-    refine_level: int       # the closure grid's level, always 1
-    w_builds: int           # grids built, each with its L; one table Wc serves them all
+    w_builds: int           # grids built, each with its Y; one table factor Z serves them all
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
     bracket_moves: int      # bracket ends moved before the root search
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
-    L: np.ndarray = field(repr=False, compare=False)
-    Wc: np.ndarray = field(repr=False, compare=False)
+    Y: np.ndarray = field(repr=False, compare=False)
     a_T: float = field(repr=False, compare=False)
     u: np.ndarray = field(repr=False, compare=False)
 
@@ -261,22 +229,22 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         tol: float = 1e-8) -> Tc0Result:
     """Critical temperature of the translation-invariant problem at coupling lam.
 
-    V must be nonnegative, else ValueError: power iteration finds the
-    eigenvalue of largest magnitude, the top one only when W is positive
-    semidefinite, as for V >= 0.  The search stays inside [t_min_factor mu,
-    t_max_factor mu].  Its first bracket is [T_pred/4, 4 T_pred] around the
-    weak-coupling prediction lam e_mu m_mu(T_pred) = 1; an end that misses
-    moves out by a factor 4, never past the window; bracket_moves counts
-    those moves.  The search builds one level-0 grid at the bracket's lower
-    end, which resolves every higher T, and its L; the table Wc is laid once,
-    with the first grid.  A temperature only rescales W and reuses the
-    previous top eigenvector as the power-iteration start.  _newton finds
-    the root on that grid in log T, from the secant point of the bracket
-    ends' values, with the Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u
-    the unit top eigenvector, g = d ln B_T / d ln T).  The closure
-    |lam a_Tc - 1| is one _direct_top2 solve on the level-1 grid, counted in
-    temperature_evals; it must meet tol, else SolverError names it.  The
-    result carries that grid, (L, Wc), top eigenpair and gap; nothing is n x n."""
+    V must be nonnegative, else ValueError: B^T B, B = diag(s) Y, shares the
+    top of diag(s) W diag(s) only when W = Y Y^T, positive semidefinite as
+    for V >= 0.  The search stays inside [t_min_factor mu, t_max_factor mu].
+    Its first bracket is [T_pred/4, 4 T_pred] around the weak-coupling
+    prediction lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a
+    factor 4, never past the window; bracket_moves counts those moves.  The
+    search builds one level-0 grid at the bracket's lower end, which resolves
+    every higher T, and its Y; the table factor Z is laid once, with the
+    first grid.  A temperature only rescales W: each one is a _top2 solve.
+    _newton finds the root on that grid in log T, from the secant point of
+    the bracket ends' values, with the Hellmann-Feynman slope lam a_T sum
+    u_i^2 g_i (u the unit top eigenvector, g = d ln B_T / d ln T).  The
+    closure |lam a_Tc - 1| is one more _top2 solve on the level-1 grid,
+    counted in temperature_evals; it must meet tol, else SolverError names
+    it.  The result carries that grid, Y, top eigenpair and gap; nothing is
+    n x n."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
     if lam <= 0:
@@ -285,40 +253,39 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min_factor < t_max_factor")
     if not V.is_nonnegative():
-        raise ValueError("tc0 needs a nonnegative potential: power iteration finds the "
-                         "top of the spectrum only when W has no negative eigenvalues")
+        raise ValueError("tc0 needs a nonnegative potential: B^T B shares the top of "
+                         "diag(s) W diag(s) only when W has no negative eigenvalues")
     em = e_mu(V, mu)
     if em <= 0:
         raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
 
     w_builds = temperature_evals = bracket_moves = 0
-    Wc = None
+    Z = None
 
-    def level_factor(level, T):  # a grid at T and its L; the first lays Wc
-        nonlocal w_builds, Wc
+    def level_factor(level, T):  # a grid at T and Y = L Z on it; the first lays Z
+        nonlocal w_builds, Z
         w_builds += 1
         g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-        if Wc is None:
-            Wc = _w_table(V, g.p_max)
-        return g, _w_lagrange(g.nodes, len(Wc), g.p_max)
+        if Z is None:
+            Z = _w_table(V, g.p_max)
+        return g, _w_lagrange(g.nodes, len(Z), g.p_max) @ Z
 
     def on_grid(T_lo):
         """lam a_T - 1 in log T, with its slope unless slope=False, on one
-        level-0 grid built at T_lo, each solve warm-started from the last."""
-        grid, L = level_factor(0, T_lo)
-        v = None
+        level-0 grid built at T_lo."""
+        grid, Y = level_factor(0, T_lo)
 
         def f(ln_t, slope=True):
-            nonlocal v, temperature_evals
+            nonlocal temperature_evals
             temperature_evals += 1
             params = KernelParams(T=math.exp(ln_t), mu=mu)
-            a, v = _power_top(_bs_scale(grid, params, d), L, Wc, v)
+            a, _, u = _top2(_bs_scale(grid, params, d), Y)
             if not slope:
                 return lam * a - 1.0
-            return lam * a - 1.0, lam * a * float((v * v) @ bt_log_slope(grid.shifted, params))
+            return lam * a - 1.0, lam * a * float((u * u) @ bt_log_slope(grid.shifted, params))
         return f
 
-    # Newton root in log T; only moving the lower end down builds a new grid and L.
+    # Newton root in log T; only moving the lower end down builds a new grid and Y.
     T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
     T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
     f = on_grid(T_lo)
@@ -335,17 +302,17 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
         f_lo = f_hi
     T_c = math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
-    del f  # the search grid and its L go before the closure grid is built
+    del f  # the search grid and its Y go before the closure grid is built
 
-    grid, L = level_factor(1, T_c)
-    a, second, u = _direct_top2(_bs_scale(grid, KernelParams(T=T_c, mu=mu), d), L, Wc)
+    grid, Y = level_factor(1, T_c)
+    a, second, u = _top2(_bs_scale(grid, KernelParams(T=T_c, mu=mu), d), Y)
     closure = abs(lam * a - 1.0)
     if closure > tol:
         raise SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 grid "
                           f"misses tol = {tol}")
     return Tc0Result(T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
-                     refine_level=1, w_builds=w_builds, temperature_evals=temperature_evals + 1,
-                     bracket_moves=bracket_moves, V=V, grid=grid, L=L, Wc=Wc, a_T=a, u=u)
+                     w_builds=w_builds, temperature_evals=temperature_evals + 1,
+                     bracket_moves=bracket_moves, V=V, grid=grid, Y=Y, a_T=a, u=u)
 
 
 @dataclass(frozen=True)
@@ -367,8 +334,8 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
 
     phi_hat solves phi = lam B_T (V phi)^ on the grid; it is scaled so
     <phi, V phi> = |S^(d-1)| e_mu and signed positive at the Fermi surface.
-    It takes the closure grid, (L, Wc), and the top eigenpair and spectral
-    gap of tc0's direct closure solve from tc, which must be the result of
+    It takes the closure grid, Y, and the top eigenpair and spectral gap of
+    tc0's closure solve from tc, which must be the result of
     tc0 on the same V, mu, d and lam: a tc that disagrees on V, mu, d or
     lam raises ValueError.  Nothing is built and no eigen-solver runs here,
     so closure and spectral_gap are tc's bit for bit.  Raises SolverError
@@ -390,7 +357,7 @@ def ground_state(V: RadialPotential, mu: float, d: int, lam: float, *,
     phi = s * u / meas
 
     # <phi, V phi> / |S^(d-1)| = (meas phi) W (meas phi)
-    Wx = _w_apply(tc.L, tc.Wc, meas * phi)
+    Wx = tc.Y @ ((meas * phi) @ tc.Y)
     scale = math.sqrt(e_mu(V, mu) / float((meas * phi) @ Wx))
     phi, rhs = scale * phi, lam * B * Wx * scale
     eval_res = float(np.max(np.abs(phi - rhs)) / np.max(np.abs(phi)))

@@ -303,8 +303,6 @@ def cmd_tc0(cfg: dict, tol: float):
     is the closure tolerance |lambda a_T - 1| passed to the solver.
     """
     V = _potential(cfg)
-    if not V.is_nonnegative():
-        raise ConfigError("tc0 needs a nonnegative potential")
     mu = _real(cfg, "mu", positive=True)
     lambdas = _real_list(cfg, "lambdas")
     t_min_factor = _real(cfg, "t_min_factor", positive=True, default=1e-8)
@@ -319,8 +317,7 @@ def cmd_tc0(cfg: dict, tol: float):
             return {"lambda": lam, "error": str(exc)}
         emm = em * m_mu(KernelParams(T=r.T_c, mu=mu), V.d) * lam
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
-                "e_mu_m_mu_lambda": emm, "refine_level": r.refine_level,
-                "grid_size": len(r.grid), "w_builds": r.w_builds,
+                "e_mu_m_mu_lambda": emm, "grid_size": len(r.grid), "w_builds": r.w_builds,
                 "temperature_evals": r.temperature_evals, "bracket_moves": r.bracket_moves,
                 "spectral_gap": r.spectral_gap}
 

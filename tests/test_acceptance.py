@@ -22,7 +22,7 @@ import oracles
 from bcs.boundary3d import criterion, m3, m3_profile, t4, table1_values
 from bcs.bs_solver import (
     _bs_scale,
-    _power_top,
+    _top2,
     _w_lagrange,
     _w_table,
     build_grid,
@@ -40,9 +40,9 @@ BCS = ("dirichlet", "neumann")
 
 
 def _w_factor(V, p, P):
-    """(L, Wc) of W on the nodes p <= P, its table laid on [0, P]."""
-    Wc = _w_table(V, P)
-    return _w_lagrange(p, len(Wc), P), Wc
+    """Y = L Z, W = Y Y^T on the nodes p <= P, its table laid on [0, P]."""
+    Z = _w_table(V, P)
+    return _w_lagrange(p, len(Z), P) @ Z
 
 
 def _report(capsys, num, label, failures, detail=""):
@@ -212,9 +212,9 @@ def test_06_self_consistency(capsys):
     gs = ground_state(GAUSS3, 1.0, 3, lam, tc=tc)
     params = KernelParams(T=tc.T_c, mu=1.0)
     a_vals = []
-    for level in (tc.refine_level, tc.refine_level + 1):
+    for level in (1, 2):  # tc0's closure grid and the one twice as fine
         g = build_grid(params, GAUSS3, refine_level=level)
-        a, _ = _power_top(_bs_scale(g, params, 3), *_w_factor(GAUSS3, g.nodes, g.p_max), None)
+        a = _top2(_bs_scale(g, params, 3), _w_factor(GAUSS3, g.nodes, g.p_max))[0]
         a_vals.append(a)
     doubling_move = abs(a_vals[1] - a_vals[0]) / abs(a_vals[1])
 
@@ -366,8 +366,8 @@ def test_10_route_equivalences(capsys):
         V = GaussianPotential(d=d, a=1.0, ell=1.0)
         vhat = functools.partial(oracles.gaussian_hat_closed, 1.0, 1.0, d)
         for p, q in pts:
-            L, Wc = _w_factor(V, np.array([min(p, q), max(p, q)]), max(p, q))
-            W = L @ Wc @ L.T
+            Y = _w_factor(V, np.array([min(p, q), max(p, q)]), max(p, q))
+            W = Y @ Y.T
             diff = abs(W[0, 1] - oracles.angular_average_vhat(vhat, d, p, q))
             worst_w = max(worst_w, diff)
             if diff > 1e-6:

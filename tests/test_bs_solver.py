@@ -14,10 +14,8 @@ from bcs.bs_solver import (
     SolverError,
     Tc0Result,
     _bs_scale,
-    _direct_top2,
     _newton,
-    _power_top,
-    _w_apply,
+    _top2,
     _w_lagrange,
     _w_table,
     build_grid,
@@ -28,7 +26,7 @@ from bcs.bs_solver import (
 from bcs.kernels import KernelParams, bt_log_slope, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, _radial_measure, _radial_waves, e_mu)
-from bcs.quad import _chebyshev_points
+from bcs.quad import _chebyshev_count, _chebyshev_points
 
 GAUSS3 = GaussianPotential(d=3, a=1.0, ell=1.0)
 
@@ -68,17 +66,41 @@ def test_grid_innermost_panel_tracks_temperature():
 # ---------------------------------------------------------------------------
 
 def _w_factor(V, p, P=None):
-    """(L, Wc) of W on the nodes p, its table laid on [0, P], P = p[-1] unless
-    given (tc0 lays it on [0, grid.p_max])."""
+    """(L, Z) of W = (L Z) (L Z)^T on the nodes p, its table laid on [0, P],
+    P = p[-1] unless given (tc0 lays it on [0, grid.p_max])."""
     P = float(p[-1]) if P is None else P
-    Wc = _w_table(V, P)
-    return _w_lagrange(p, len(Wc), P), Wc
+    Z = _w_table(V, P)
+    return _w_lagrange(p, len(Z), P), Z
 
 
 def _dense_w(V, p):
-    """L Wc L^T, the n x n W that the library only applies."""
-    L, Wc = _w_factor(V, p)
-    return L @ Wc @ L.T
+    """Y Y^T, Y = L Z, the n x n W that the library only applies."""
+    L, Z = _w_factor(V, p)
+    Y = L @ Z
+    return Y @ Y.T
+
+
+def _full_table(V, P):
+    """Wc, the kernel table on the Chebyshev points of [0, P] that _w_table
+    factors, with every eigenvalue kept."""
+    X = _chebyshev_points(_chebyshev_count(V.cutoff_radius(), P), P)[0]
+    Jc, m = _radial_waves(V, X, 2.0 * P)
+    return (Jc * m) @ Jc.T
+
+
+@functools.cache
+def _dense_top_pair(kind, d):
+    """The level-0 grid at T = 1e-3, mu = 1 of each kind and d, its s and L,
+    and scipy's dense eigh of diag(s) L Wc L^T diag(s) there, Wc the full
+    table: its top two eigenvalues (ascending) and top eigenvector."""
+    V, _ = _potential(kind, d)
+    par = KernelParams(T=1e-3, mu=1.0)
+    grid = build_grid(par, V, refine_level=0)
+    s, Wc = _bs_scale(grid, par, d), _full_table(V, grid.p_max)
+    L = _w_lagrange(grid.nodes, len(Wc), grid.p_max)
+    S = s[:, None] * (L @ Wc @ L.T) * s[None, :]
+    vals, vecs = linalg.eigh(S, subset_by_index=[len(S) - 2, len(S) - 1])
+    return V, grid, s, L, vals, vecs[:, -1]
 
 
 # Two oracles for w_d(p, q): the momentum-side angular average of a closed
@@ -190,20 +212,23 @@ def test_w_table_interpolates_radial_waves_within_the_argument_rounding(kind, d,
     assert error() > 4.0
 
 
-def test_bs_operator_symmetric_to_rounding():
-    # Power iteration and the closure's eigh assume v -> s W (s v) is
-    # symmetric.  On the quick-start chain's closure grid, x.Ay and y.Ax
-    # agree to rounding of a_T.
+def test_w_factor_matches_its_table_to_rounding():
+    # Y Y^T is symmetric by construction; what the factor can get wrong is
+    # the table it stands for.  On the quick-start chain's closure grid,
+    # x.(s Y Y^T s y) and x.(s L Wc L^T s y), Wc with every eigenvalue kept,
+    # agree to rounding of a_T: the eigenvalues that _w_table drops are
+    # below 1e-16 of its top one.
     par = KernelParams(T=1.0245186418036e-16, mu=1.0)
     grid = build_grid(par, GAUSS3, refine_level=1)
     assert len(grid) == 3180
-    s, (L, Wc) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes, grid.p_max)
-    a_T = _direct_top2(s, L, Wc)[0]
+    s, (L, Z) = _bs_scale(grid, par, 3), _w_factor(GAUSS3, grid.nodes, grid.p_max)
+    Y, Wc = L @ Z, _full_table(GAUSS3, grid.p_max)
+    a_T = _top2(s, Y)[0]
     rng = np.random.default_rng(11)
     for _ in range(8):
         x, y = rng.normal(size=(2, len(grid)))
-        xAy, yAx = x @ (s * _w_apply(L, Wc, s * y)), y @ (s * _w_apply(L, Wc, s * x))
-        assert abs(xAy - yAx) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(y) * a_T
+        xY, yY, xL, yL = (s * x) @ Y, (s * y) @ Y, (s * x) @ L, (s * y) @ L
+        assert abs(xY @ yY - xL @ Wc @ yL) <= 1e-15 * np.linalg.norm(x) * np.linalg.norm(y) * a_T
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +236,60 @@ def test_bs_operator_symmetric_to_rounding():
 # ---------------------------------------------------------------------------
 
 def test_top_eigenvalue_matches_jacobi_oracle():
-    # _power_top is the one a_T route; with s = 1 it iterates on W itself,
-    # here S = [A I] [A I]^T given by its factor.
+    # _top2 is the one a_T route; with s = 1 it solves W = Y Y^T itself,
+    # here S = Y Y^T + I given by Y = [A I].  With k = 30 columns on n = 12
+    # rows (k > n, as the exponential's nc = 1,449 on 820 nodes at mu = 100
+    # before the rank cutoff) B^T B is singular, and the top pair and vector
+    # still match the dense spectrum.
     rng = np.random.default_rng(7)
     A = rng.normal(size=(12, 12))
     S = A @ A.T + np.eye(12)
-    a, u = _power_top(np.ones(12), np.hstack([A, np.eye(12)]), np.eye(24), None)
+    a, second, u = _top2(np.ones(12), np.hstack([A, np.eye(12)]))
     ref = oracles.jacobi_eigenvalues(S)
     assert a == pytest.approx(ref[0], rel=1e-12)
-    assert np.linalg.norm(S @ u - a * u) < 1e-6 * a
+    assert second == pytest.approx(ref[1], rel=1e-12)
+    assert np.linalg.norm(S @ u - a * u) < 1e-12 * a
     assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
 
+    rng = np.random.default_rng(5)
+    s, Y = rng.uniform(0.5, 2.0, 12), rng.normal(size=(12, 30))
+    vals, vecs = np.linalg.eigh(s[:, None] * (Y @ Y.T) * s[None, :])
+    top, second, u = _top2(s, Y)
+    assert top == pytest.approx(vals[-1], rel=1e-13)
+    assert second == pytest.approx(vals[-2], rel=1e-13)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-13)
+    assert np.linalg.norm(u - math.copysign(1.0, u @ vecs[:, -1]) * vecs[:, -1]) <= 1e-12
 
-def test_top_eigenvalue_validation():
-    # W = diag(1, -1) from (1, 1) flips the iterate forever; running out of
-    # steps is an error, not an answer.
-    with pytest.raises(SolverError, match="did not converge in 600 steps"):
-        _power_top(np.ones(2), np.eye(2), np.diag([1.0, -1.0]), None)
-    with pytest.raises(SolverError, match="annihilated"):
-        _power_top(np.ones(2), np.zeros((2, 2)), np.eye(2), None)
+
+def test_top2_meets_the_rank_cutoffs_target(monkeypatch):
+    # The factor keeps the eigenvalues of Wc above _RANK_EPS = 1e-16 of its
+    # top one g_1.  The truncation moves no eigenvalue of diag(s) L Wc L^T
+    # diag(s) by more than _RANK_EPS g_1 |diag(s) L|^2 (Weyl), at most
+    # 1.04e-14 a_T on these grids (the exponential in d = 3); the negative
+    # eigenvalues it also drops are eigh's roundoff, Wc being positive
+    # semidefinite, at most 3.7e-16 g_1.  Target: the top pair and vector of
+    # _top2 on Y = L Z within 1e-14 of scipy's dense eigh of the full table
+    # on a level-0 grid, every kind in d = 1, 2 and 3.  Measured 2.2e-15;
+    # the cutoff at 1e-12 reads 8.7e-13 (the exponential in d = 3) and fails.
+    from bcs import bs_solver
+    cases = [_dense_top_pair(kind, d) for kind in ("gaussian", "exponential", "step", "tabulated")
+             for d in (1, 2, 3)]
+
+    def worst():
+        err = 0.0
+        for V, grid, s, L, (a2, a1), v in cases:
+            top, second, u = _top2(s, L @ _w_table(V, grid.p_max))
+            err = max(err, abs(top - a1) / a1, abs(second - a2) / a1,
+                      float(np.linalg.norm(u - math.copysign(1.0, u @ v) * v)))
+        return err
+    assert worst() <= 1e-14
+    monkeypatch.setattr(bs_solver, "_RANK_EPS", 1e-12)
+    assert worst() > 1e-14
 
 
 def test_a_t0_grid_doubling_stability():
     par = KernelParams(T=1e-3, mu=1.0)
-    a0, a1 = (_power_top(_bs_scale(g, par, 3), *_w_factor(GAUSS3, g.nodes, g.p_max), None)[0]
+    a0, a1 = (_top2(_bs_scale(g, par, 3), np.matmul(*_w_factor(GAUSS3, g.nodes, g.p_max)))[0]
               for g in (build_grid(par, GAUSS3, refine_level=level) for level in (0, 1)))
     assert abs(a1 - a0) <= 1e-5 * abs(a1)
 
@@ -332,33 +387,41 @@ def _count_calls(monkeypatch, **names):
 
 
 def test_tc0_builds_one_w_per_refine_level(monkeypatch):
-    # The quick-start chain: T_c ~ 1e-16 mu.  One kernel table Wc, laid
-    # with the level-0 search grid, and one Lagrange matrix L for that grid
-    # and one for the closure grid; every temperature only rescales W.  The
-    # search runs power iteration, the closure one direct solve, and
-    # temperature_evals counts both.  The weak-coupling prediction
+    # The quick-start chain: T_c ~ 1e-16 mu.  One kernel table factor Z,
+    # laid with the level-0 search grid, and one Lagrange matrix L for that
+    # grid and one for the closure grid; every temperature only rescales W.
+    # Every temperature of the search and the closure is one _top2 solve,
+    # and temperature_evals counts them all.  The weak-coupling prediction
     # evaluates m_mu's shell rule 4 times.
-    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", power="_power_top",
-                          direct="_direct_top2", rule="_shell_rule")
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", solve="_top2",
+                          rule="_shell_rule")
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
     assert res.w_builds == counts["L"] == 2
-    assert counts["table"] == counts["direct"] == 1
-    assert res.temperature_evals == counts["power"] + counts["direct"]
+    assert counts["table"] == 1
+    assert res.temperature_evals == counts["solve"]
     assert res.temperature_evals <= 12
     assert counts["rule"] <= 5
     assert res.bracket_moves == 0
-    assert (res.refine_level, len(res.grid)) == (1, 3180)
+    assert len(res.grid) == 3180
 
 
 def test_tc0_raises_at_once_when_the_closure_misses_tol(monkeypatch):
-    # One search on the level-0 grid and one direct closure on the level-1
+    # One search on the level-0 grid and one closure solve on the level-1
     # grid: a closure above tol raises there and names it, with no second
-    # search on a finer grid.
-    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", direct="_direct_top2")
+    # search on a finer grid: only the last solve runs on the closure grid.
+    from bcs import bs_solver
+    solves, top2 = [], bs_solver._top2
+
+    def sized(s, Y):
+        solves.append(len(s))
+        return top2(s, Y)
+    monkeypatch.setattr(bs_solver, "_top2", sized)
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange")
     with pytest.raises(SolverError, match=r"closure \|lam\*a-1\| = .* misses tol = 1e-20"):
         tc0(GAUSS3, 1.0, 3, 0.5, tol=1e-20)
-    assert counts == {"table": 1, "L": 2, "direct": 1}
+    assert counts == {"table": 1, "L": 2}
+    assert solves[:-1] == [solves[0]] * (len(solves) - 1) < [solves[-1]]
 
 
 def test_tc0_lays_one_table_when_the_lower_end_moves(monkeypatch):
@@ -373,10 +436,10 @@ def test_tc0_lays_one_table_when_the_lower_end_moves(monkeypatch):
 
 
 def test_tc0_rejects_a_sign_changing_potential(monkeypatch):
-    # Power iteration finds the eigenvalue of largest magnitude, the top
-    # only when W has no negative eigenvalues.  On this table it read -6.70
-    # at T = 1e-8 mu, where dense eigh reads lam a = 4.86, and the search
-    # reported no bracket; so tc0 refuses such a V before building anything.
+    # B^T B, B = diag(s) Y, shares the top of diag(s) W diag(s) only when
+    # W = Y Y^T has no negative eigenvalues; this table's W has some (power
+    # iteration once read lam a = -6.70 on it at T = 1e-8 mu, where dense
+    # eigh reads 4.86).  So tc0 refuses such a V before building anything.
     r = np.linspace(0.0, 8.0, 161)
     v = np.exp(-r * r) - 10.0 * np.exp(-(r - 3.0) ** 2 / 0.05)
     v[-1] = 0.0
@@ -402,8 +465,8 @@ def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatc
 
 @pytest.mark.parametrize("k", [-4, -2, -1, 1, 2, 4])
 def test_tc0_newton_evals_ignore_the_last_bits_of_w(k, monkeypatch):
-    # Wc scaled by 1 + k eps moves only the last bits of f = lam a - 1,
-    # below _newton's floor, so the counts above hold.  With the stop at
+    # Z scaled by 1 + k eps (W by 1 + 2 k eps) moves only the last bits of
+    # f = lam a - 1, below _newton's floor, so the counts above hold.  With the stop at
     # xtol = 1e-14 alone the chain read 5 at k = +1 (and 4 to 6 for |k| up
     # to 16, where the floor keeps 4).
     from bcs import bs_solver
@@ -438,10 +501,10 @@ def _slopes_and_newton_evals(V, lam, t_min, monkeypatch):
 def test_tc0_allocates_nothing_n_by_n():
     # One 3180^2 float array is 77 MiB: the quick-start chain's tc0 peaks
     # far below that, and its result, which carries W's factor, holds less.
-    # Its L (3180 x 82, 2 MiB) is the one array of size n in the factor;
-    # the closure's G sums sixteen row blocks of L.  The search grid's L
-    # (1 MiB) is released before the closure grid is built, so the peak
-    # reads 2.6 MiB (3.7 MiB when it was held).  The result holds 2.1 MiB.
+    # The closure grid's L (3180 x 82, 2 MiB) lives only while Y = L Z
+    # (3180 x 30, 0.7 MiB) is formed, and the search grid's Y is released
+    # before, so the peak reads 2.8 MiB.  The result holds Y, 0.83 MiB in
+    # all.
     tracemalloc.start()
     try:
         res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
@@ -450,7 +513,7 @@ def test_tc0_allocates_nothing_n_by_n():
         tracemalloc.stop()
     assert len(res.grid) == 3180
     assert peak <= 3 * 2 ** 20
-    assert held <= 4 * 2 ** 20
+    assert held <= 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +564,7 @@ def test_ground_state_takes_the_closure_solve_of_tc(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ground_state must not build or solve again")
-    for name in ("_power_top", "_direct_top2", "build_grid", "_w_table", "_w_lagrange"):
+    for name in ("_top2", "build_grid", "_w_table", "_w_lagrange"):
         monkeypatch.setattr(bs_solver, name, forbidden)
     state = ground_state(GAUSS3, 1.0, 3, 0.6, tc=tc)
     assert state.closure == tc.closure
@@ -545,42 +608,21 @@ def test_ground_state_is_reproducible_without_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
 def test_ground_state_top_pair_matches_dense_eigh(kind, d):
-    # On a small grid the direct pair equals the dense spectrum: with
+    # On a small grid the _top2 pair equals the dense spectrum: with
     # lam = 1/a_1 the closure is the relative error of the top eigenvalue.
     # ground_state solves nothing, so the hand-built tc carries the pair.
-    V, _ = _potential(kind, d)
-    params = KernelParams(T=1e-3, mu=1.0)
-    grid = build_grid(params, V, refine_level=0)
-    s, (L, Wc) = _bs_scale(grid, params, d), _w_factor(V, grid.nodes, grid.p_max)
-    S = s[:, None] * s[None, :] * (L @ Wc @ L.T)
-    a2, a1 = linalg.eigh(S, eigvals_only=True, subset_by_index=[len(S) - 2, len(S) - 1])
-    top, second, u = _direct_top2(s, L, Wc)
+    V, grid, s, L, (a2, a1), _ = _dense_top_pair(kind, d)
+    Y = L @ _w_table(V, grid.p_max)
+    top, second, u = _top2(s, Y)
     lam = 1.0 / a1
     tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
-                   spectral_gap=(top - second) / top, refine_level=0,
+                   spectral_gap=(top - second) / top,
                    w_builds=0, temperature_evals=0, bracket_moves=0,
-                   V=V, grid=grid, L=L, Wc=Wc, a_T=top, u=u)
+                   V=V, grid=grid, Y=Y, a_T=top, u=u)
     state = ground_state(V, 1.0, d, lam, tc=tc)
     assert state.closure <= 1e-12
     assert state.spectral_gap == pytest.approx((a1 - a2) / a1, rel=1e-12)
     assert state.eval_eq_residual <= 1e-10
-
-
-def test_direct_top2_with_more_table_points_than_nodes():
-    # nc > n leaves G = B^T B singular, as for the exponential at mu = 100
-    # (nc = 1,449 on 820 nodes): the top pair and vector still match dense
-    # eigh of the n x n matrix.
-    rng = np.random.default_rng(5)
-    n, nc = 12, 30
-    s, L, A = rng.uniform(0.5, 2.0, n), rng.normal(size=(n, nc)), rng.normal(size=(nc, nc))
-    Wc = A @ A.T
-    S = s[:, None] * (L @ Wc @ L.T) * s[None, :]
-    vals, vecs = np.linalg.eigh(S)
-    top, second, u = _direct_top2(s, L, Wc)
-    assert top == pytest.approx(vals[-1], rel=1e-13)
-    assert second == pytest.approx(vals[-2], rel=1e-13)
-    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-13)
-    assert np.linalg.norm(u - math.copysign(1.0, u @ vecs[:, -1]) * vecs[:, -1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -636,20 +678,14 @@ def test_newton_matches_brentq_on_analytic_functions(f, a, b, xtol):
 @pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
 def test_search_slope_matches_central_difference(kind, d, monkeypatch):
     # The slope of the last search's f at T_c, lam a_T sum u_i^2 g_i with
-    # power iteration's u, against a central difference of f's value with
-    # step 1e-4 in log T.  The difference takes its values from the direct
-    # solve: power iteration resolves a_T to about 1e-13, which divided by
-    # the step alone reads up to 1.3e-8.  Measured 5e-13 to 9.6e-11, the
-    # worst the step in d = 3, where the direct solve's last bits (a few
-    # eps of a_T, as dense eigh's) over the step reach that size.
-    from bcs import bs_solver
+    # _top2's u, against a central difference of f's value with step 1e-4
+    # in log T.  f is exact to a few eps of a_T, as dense eigh's; those last
+    # bits over the step are the difference's error, worst in d = 3.
     calls = _record_searches(monkeypatch)
     V, _ = _potential(kind, d)
     x = math.log(tc0(V, 1.0, d, 0.5).T_c)
     f, h = calls[-1][0], 1e-4
     slope = f(x)[1]
-    monkeypatch.setattr(bs_solver, "_power_top",
-                        lambda s, L, Wc, v0: _direct_top2(s, L, Wc)[::2])
     assert (f(x + h)[0] - f(x - h)[0]) / (2.0 * h) == pytest.approx(slope, rel=1e-9)
 
 
@@ -666,10 +702,11 @@ def test_newton_returns_an_exact_zero():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_newton_stops_on_noisy_values(seed):
-    # Power iteration resolves lam a_T - 1 to about 1e-13, which at the
-    # chain's slope of 0.03 is 3e-12 in log T, far above xtol = 1e-14.  A
-    # linear f with that noise and slope still ends within the step budget,
-    # within xtol + 1e-13 / 0.03 of the root.  Seed 0 alternates the sign
+    # _newton keeps its safeguard for an f whose last bits are noise.
+    # Noise of 1e-13 in lam a_T - 1 (power iteration's, before every solve
+    # was exact) is 3e-12 in log T at the chain's slope of 0.03, far above
+    # xtol = 1e-14.  A linear f with that noise and slope still ends within
+    # the step budget, within xtol + 1e-13 / 0.03 of the root.  Seed 0 alternates the sign
     # of the noise, the rest draw it.
     rng = np.random.default_rng(seed)
     sign = iter(np.resize([1.0, -1.0], 100) if seed == 0 else rng.uniform(-1.0, 1.0, 100))

@@ -338,7 +338,6 @@ def test_tc0_rows_report_solver_trace(capsys, tmp_path):
     assert row["w_builds"] <= 3
     assert row["temperature_evals"] >= 3
     assert row["bracket_moves"] == 0  # the first bracket holds T_c
-    assert row["refine_level"] == 1
     assert row["grid_size"] == 1660
     assert 0.0 < row["spectral_gap"] <= 1.0
     # the trace stays out of the CSV artifact
