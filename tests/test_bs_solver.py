@@ -237,10 +237,7 @@ def test_w_factor_matches_its_table_to_rounding():
 
 def test_top_eigenvalue_matches_jacobi_oracle():
     # _top2 is the one a_T route; with s = 1 it solves W = Y Y^T itself,
-    # here S = Y Y^T + I given by Y = [A I].  With k = 30 columns on n = 12
-    # rows (k > n, as the exponential's nc = 1,449 on 820 nodes at mu = 100
-    # before the rank cutoff) B^T B is singular, and the top pair and vector
-    # still match the dense spectrum.
+    # here S = Y Y^T + I given by Y = [A I].
     rng = np.random.default_rng(7)
     A = rng.normal(size=(12, 12))
     S = A @ A.T + np.eye(12)
@@ -251,10 +248,19 @@ def test_top_eigenvalue_matches_jacobi_oracle():
     assert np.linalg.norm(S @ u - a * u) < 1e-12 * a
     assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
 
+
+def test_direct_top2_with_more_table_points_than_nodes():
+    # The direct solve _top2 on a factor Y = L Z with more columns than rows
+    # (nc = 30 table points on n = 12 nodes, as the exponential's nc = 1,449
+    # on 820 nodes at mu = 100 before the rank cutoff) leaves the Gram matrix
+    # B^T B singular: the top pair and vector still match dense eigh of the
+    # n x n matrix diag(s) L Wc L^T diag(s), Wc = Z Z^T.
     rng = np.random.default_rng(5)
-    s, Y = rng.uniform(0.5, 2.0, 12), rng.normal(size=(12, 30))
-    vals, vecs = np.linalg.eigh(s[:, None] * (Y @ Y.T) * s[None, :])
-    top, second, u = _top2(s, Y)
+    n, nc = 12, 30
+    s, L, Z = rng.uniform(0.5, 2.0, n), rng.normal(size=(n, nc)), rng.normal(size=(nc, nc))
+    S = s[:, None] * (L @ (Z @ Z.T) @ L.T) * s[None, :]
+    vals, vecs = np.linalg.eigh(S)
+    top, second, u = _top2(s, L @ Z)
     assert top == pytest.approx(vals[-1], rel=1e-13)
     assert second == pytest.approx(vals[-2], rel=1e-13)
     assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-13)
