@@ -2,11 +2,11 @@
 
 The boundary density splits into four closed-form terms t1..t4 whose signed
 sums give the Dirichlet and Neumann profiles m3.  The terms and m3 are
-elementwise in x; t1 reads a Chebyshev table of its envelope on [1/4, 2^30)
-and runs one fixed Gauss rule over sine and cosine integrals elsewhere.
+elementwise in x; t1 reads per-octave Chebyshev tables of its envelope on
+[1/4, 2^30), each built on first use, and one fixed Gauss rule elsewhere.
 The criterion weighs a radial potential against m3 on the fixed radial rule
-of potentials; its sign decides whether the half-space supports pairing at
-a higher temperature than the bulk.
+of potentials, a mu sweep at once; its sign decides whether the half-space
+supports pairing at a higher temperature than the bulk.
 """
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ def _t1_rule():
 # 106 kB.
 _BLOCK = 32
 
-# t1's table: _CHEB Chebyshev coefficients in log2 x on each octave
-# [2^j, 2^(j+1)), j in _OCTAVES.
+# t1's tables: _CHEB Chebyshev coefficients in log2 x on each octave
+# [2^j, 2^(j+1)), j in _OCTAVES, each built when an x first reaches it.
 _OCTAVES = range(-2, 30)
 _CHEB = 12
 
@@ -80,7 +80,7 @@ def _t1_kernel(y):
 
 
 def _t1_tabled(x):
-    """t1 on [1/4, 2^30) from the envelope table of x L(x)."""
+    """t1 on [1/4, 2^30) from the envelope tables of x L(x)."""
     env = laplace_envelope(_t1_kernel, _OCTAVES, _CHEB, x)
     wave = np.cos(2.0 * x) * env.imag + np.sin(2.0 * x) * env.real
     return 2.0 / (math.pi * x) * (math.pi ** 2 / 8.0 + wave / x)
@@ -200,6 +200,7 @@ class CriterionReport:
 
 # Gauss nodes per panel of the criterion's radial rule, one pass per call.
 _CRITERION_NODES = 16
+_MAX_CRITERION_NODES = 10 ** 6  # nodes of one t_j call in criterion_sweep
 
 
 def _criterion_rule(V: RadialPotential, mu: float):
@@ -209,16 +210,20 @@ def _criterion_rule(V: RadialPotential, mu: float):
     return k_max, _CRITERION_NODES * int(_radial_panels(V, k_max)[1].sum())
 
 
-def _term_sums(V: RadialPotential, mu: float, n: int):
-    """m @ t_j(sqrt(mu) r) for j = 1..4 on the _criterion_rule panels with n
-    nodes each, and |m| @ (|t1| + ... + |t4|), their roundoff scale."""
-    r, m = _radial_measure(V, _criterion_rule(V, mu)[0], n)
-    terms = [f(math.sqrt(mu) * r) for f in _TERMS]
-    return [float(m @ t) for t in terms], float(np.abs(m) @ sum(np.abs(t) for t in terms))
+def _term_sums(V: RadialPotential, mus, n: int):
+    """For each mu, m @ t_j(sqrt(mu) r), j = 1..4, on the _criterion_rule panels
+    with n nodes each and |m| @ (|t1| + ... + |t4|), their roundoff scale;
+    each t_j runs once on the nodes of all the mus."""
+    rules = [_radial_measure(V, _criterion_rule(V, mu)[0], n) for mu in mus]
+    terms = [f(np.concatenate([math.sqrt(mu) * r for mu, (r, _) in zip(mus, rules)]))
+             for f in _TERMS]
+    size, ends = sum(np.abs(t) for t in terms), np.cumsum([0] + [r.size for r, _ in rules])
+    return [([float(m @ t[a:b]) for t in terms], float(np.abs(m) @ size[a:b]))
+            for (_, m), a, b in zip(rules, ends, ends[1:])]
 
 
-def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
-    """Evaluate 4 pi mu^{-1/2} int V(r) m3(sqrt(mu) r) r^2 dr, term by term.
+def criterion_sweep(V: RadialPotential, mus, bc) -> list:
+    """Evaluate 4 pi mu^{-1/2} int V(r) m3(sqrt(mu) r) r^2 dr at each mu, term by term.
 
     Each t_j is weighed against V separately on the fixed radial rule of
     potentials._radial_measure (_criterion_rule), so the report shows which
@@ -226,26 +231,44 @@ def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
     times the integral of |V| (|t1| + ... + |t4|).  No per-call check is
     needed: radial_edges keeps panels within min(range_scale, 8 / k_max),
     so 16 nodes resolve frequencies up to k_max = 4 sqrt(mu); a test checks
-    the 32-node rule against this estimate for every potential kind.
+    the 32-node rule against this estimate for every potential kind.  Each
+    t_j runs once per group of consecutive mus of at most _MAX_CRITERION_NODES
+    nodes (a mu past it alone is a group of its own).
     """
-    b = normalize_bc(bc)
+    signs = _TERM_SIGNS[normalize_bc(bc)]
     if V.d != 3:
         raise ValueError("the boundary criterion is specific to d=3 potentials")
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"chemical potential must be positive, got {mu}")
-    pref = 4.0 * math.pi / math.sqrt(mu)
-    signs = _TERM_SIGNS[b]
-    sums, scale = _term_sums(V, mu, _CRITERION_NODES)
-    per_term = {f"t{j}": pref * s * v for j, s, v in zip((1, 2, 3, 4), signs, sums)}
-    value = math.fsum(per_term.values())
-    err = pref * (1e-14 * scale)
-    if value > 3.0 * err:
-        sign = "positive"
-    elif value < -3.0 * err:
-        sign = "negative"
-    else:
-        sign = "inconclusive"
-    return CriterionReport(value=value, error_estimate=err, sign=sign, per_term=per_term)
+    groups, nodes = [], math.inf
+    for mu in mus:
+        if not (mu > 0.0 and math.isfinite(mu)):
+            raise ValueError(f"chemical potential must be positive, got {mu}")
+        count = _criterion_rule(V, mu)[1]
+        if nodes + count > _MAX_CRITERION_NODES:
+            groups.append([])
+            nodes = 0
+        groups[-1].append(mu)
+        nodes += count
+    reports = []
+    for group in groups:
+        for mu, (sums, scale) in zip(group, _term_sums(V, group, _CRITERION_NODES)):
+            pref = 4.0 * math.pi / math.sqrt(mu)
+            per_term = {f"t{j}": pref * s * v for j, s, v in zip((1, 2, 3, 4), signs, sums)}
+            value = math.fsum(per_term.values())
+            err = pref * (1e-14 * scale)
+            if value > 3.0 * err:
+                sign = "positive"
+            elif value < -3.0 * err:
+                sign = "negative"
+            else:
+                sign = "inconclusive"
+            reports.append(CriterionReport(value=value, error_estimate=err, sign=sign,
+                                           per_term=per_term))
+    return reports
+
+
+def criterion(V: RadialPotential, mu: float, bc) -> CriterionReport:
+    """The criterion at one mu: criterion_sweep(V, [mu], bc)[0]."""
+    return criterion_sweep(V, [mu], bc)[0]
 
 
 # Steps of the one-sided stencils in derivatives_at_zero, ascending.
@@ -259,7 +282,8 @@ def derivatives_at_zero(f):
     h = 0 by Neville's scheme.  The profiles live on x >= 0 and t1 jumps
     across the origin, so central stencils are not an option.
     """
-    fh = {x: f(x) for x in {0.0, *_STEPS, *(2.0 * h for h in _STEPS)}}
+    xs = sorted({0.0, *_STEPS, *(2.0 * h for h in _STEPS)})  # f is elementwise: one call
+    fh = dict(zip(xs, f(np.array(xs)).tolist()))
     f0 = fh[0.0]
 
     def _neville(nodes, vals):

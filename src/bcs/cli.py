@@ -21,19 +21,17 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .boundary3d import (NEUMANN, TABLE1_REFERENCE, _criterion_rule, criterion, m3_profile,
-                         normalize_bc, table1_values)
+from .boundary3d import (_MAX_CRITERION_NODES, NEUMANN, TABLE1_REFERENCE, _criterion_rule,
+                         criterion, criterion_sweep, m3_profile, normalize_bc, table1_values)
 from .bs_solver import SolverError, tc0
 from .diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from .kernels import KernelParams, m_mu
 from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
 from .quad import QuadratureError
 
-# Largest m3-profile row count, vmu-spectrum ell_max and node count of the
-# criterion's radial rule (boundary3d._criterion_rule) a config may ask for.
+# Largest m3-profile row count and vmu-spectrum ell_max a config may ask for.
 _MAX_PROFILE_ROWS = 10 ** 6
 _MAX_ELL = 1000
-_MAX_CRITERION_NODES = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -259,11 +257,12 @@ def cmd_m3_profile(cfg: dict, tol: float):
 def cmd_criterion(cfg: dict, tol):
     """Evaluate the half-space pairing criterion at one mu or over a sweep.
 
-    Sweeps write a `mu,value,sign` CSV to ``out``; a single-mu run writes
-    the report itself.  The sign verdict (including "inconclusive" for a
-    value inside its own error bar) is a result, not a check, so the exit
-    code stays 0.  A mu whose 16-node radial rule would pass
-    _MAX_CRITERION_NODES nodes is a config error, found before any t1 call.
+    Sweeps write a `mu,value,sign` CSV to ``out`` from one criterion_sweep;
+    a single-mu run writes the report itself.  The sign verdict (including
+    "inconclusive" for a value inside its own error bar) is a result, not a
+    check, so the exit code stays 0.  A mu whose 16-node radial rule
+    (_criterion_rule) would pass boundary3d._MAX_CRITERION_NODES nodes is a
+    config error, found before any t1 call.
     """
     V = _potential(cfg)
     if V.d != 3:
@@ -284,7 +283,7 @@ def cmd_criterion(cfg: dict, tol):
                    "per_term": dict(rep.per_term)}
         return inputs, results, [], {"value_error_estimate": rep.error_estimate}, None
 
-    reps = [criterion(V, m, bc) for m in mus]
+    reps = criterion_sweep(V, mus, bc)
     inputs["mu_sweep"] = mus
     results = {"sweep": [{"mu": m, "value": r.value, "sign": r.sign}
                          for m, r in zip(mus, reps)]}

@@ -19,43 +19,50 @@ from .quad import gauss_panels
 
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
-# The tables of laplace_envelope are built once each, under this lock, so
-# threads share them.
+# Each octave of laplace_envelope's tables is built once, under this lock,
+# so threads share it.
 _TABLE_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=None)
-def _laplace_table(h, octaves: range, terms: int):
-    """Power-basis coefficients (terms, octave) in t of the Chebyshev
-    interpolant of E(x) = int_0^inf e^-u h(u/x) du on each octave
-    [2^j, 2^(j+1)), j in octaves, where log2 x = j + (1 + t)/2.  E at a
-    node comes from 16-point Gauss panels in u that shrink by 4 toward a
-    log singularity of h at 0.  The coefficients decay like the Chebyshev
-    ones, so Horner's rule in t loses nothing."""
+def _to_power(terms: int) -> np.ndarray:
+    """Column k holds T_k in the power basis: T_k = 2t T_(k-1) - T_(k-2)."""
+    p = np.eye(terms)
+    for k in range(2, terms):
+        p[:, k] = np.append(0.0, 2.0 * p[:-1, k - 1]) - p[:, k - 2]
+    return p
+
+
+@lru_cache(maxsize=None)
+def _laplace_octave(h, j: int, terms: int):
+    """Power-basis coefficients in t of the Chebyshev interpolant of
+    E(x) = int_0^inf e^-u h(u/x) du on the octave [2^j, 2^(j+1)), where
+    log2 x = j + (1 + t)/2.  E at a node comes from 16-point Gauss panels
+    in u that shrink by 4 toward a log singularity of h at 0.  The
+    coefficients decay like the Chebyshev ones, so Horner's rule in t
+    loses nothing."""
     u, w = gauss_panels(np.concatenate(([0.0], 4.0 ** np.arange(-22, 2),
                                         np.arange(8.0, 41.0, 4.0))))
     mass = np.exp(-u) * w
 
-    def envelope(t, j):
+    def envelope(t):
         v = h(u / 2.0 ** (j + 0.5 + 0.5 * t)[:, None])
         return np.stack((v.real @ mass, v.imag @ mass), axis=1)  # real BLAS: fast
 
-    c = np.stack([chebinterpolate(envelope, terms - 1, (j,)) for j in octaves], axis=1)
-    # column k of to_power holds T_k in the power basis: T_k = 2t T_(k-1) - T_(k-2)
-    to_power = np.eye(terms)
-    for k in range(2, terms):
-        to_power[:, k] = np.append(0.0, 2.0 * to_power[:-1, k - 1]) - to_power[:, k - 2]
-    return to_power @ (c[..., 0] + 1j * c[..., 1])
+    c = _to_power(terms) @ chebinterpolate(envelope, terms - 1)
+    return c[:, 0] + 1j * c[:, 1]
 
 
 def laplace_envelope(h, octaves: range, terms: int, x):
-    """E(x) = int_0^inf e^-u h(u/x) du for x in the octaves of its table
-    (_laplace_table, built on first use): one Horner sum a point, taking
-    one degree at a time, so the work arrays stay O(points)."""
-    with _TABLE_LOCK:
-        coef = _laplace_table(h, octaves, terms)
+    """E(x) = int_0^inf e^-u h(u/x) du for x in the octaves, each tabled on
+    first use (_laplace_octave): one Horner sum a point, taking one degree
+    at a time, so the work arrays stay O(points)."""
     m, e = np.frexp(x)
     j, t = e - 1 - octaves[0], 2.0 * np.log2(m) + 1.0
+    coef = np.zeros((terms, len(octaves)), dtype=complex)
+    with _TABLE_LOCK:  # bincount, as np.unique would load numpy.ma
+        for i in np.flatnonzero(np.bincount(j, minlength=len(octaves))):
+            coef[:, i] = _laplace_octave(h, octaves[i], terms)
     out = np.take(coef[-1], j)
     for c in coef[-2::-1]:
         out *= t

@@ -11,12 +11,14 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 import oracles
-from bcs import special
+from bcs import boundary3d, special
 from bcs.boundary3d import (
     TABLE1_REFERENCE,
     _TERM_SIGNS,
+    _criterion_rule,
     _term_sums,
     criterion,
+    criterion_sweep,
     derivatives_at_zero,
     m3,
     m3_profile,
@@ -32,7 +34,9 @@ from bcs.potentials import (
     GaussianPotential,
     StepPotential,
     TabulatedPotential,
+    _radial_measure,
 )
+from bcs.special import si_cin
 
 
 def test_t1_frozen_high_precision_values():
@@ -52,8 +56,9 @@ def test_t4_sphere_product_oracle():
 
 
 # 250 points: crosses the block boundaries of t1's rule, both switches
-# between the rule and the envelope table (x = 1/4 and 2^30) and the ends
-# of every table octave, and spans 0 to large x.
+# between the rule and the envelope table (x = 1/4 and 2^30), those of
+# si_cin (x = 2 and 64) and the ends of every table octave, and spans 0 to
+# large x.
 _OCTAVE_EDGES = 2.0 ** np.arange(-2, 32)
 _XS = np.concatenate([[0.0, 1e-300, 1e-12, 1e-7], np.geomspace(1e-5, 1.0, 40),
                       np.linspace(0.05, 30.0, 100), [100.0, 1e3, 1e6, 1e9],
@@ -62,9 +67,14 @@ _XS = np.concatenate([[0.0, 1e-300, 1e-12, 1e-7], np.geomspace(1e-5, 1.0, 40),
 
 
 def test_terms_and_profiles_elementwise_equal_scalar_calls():
+    # The array calls come first and build their table octaves at once,
+    # the one-point calls after them read those tables.
+    special._laplace_octave.cache_clear()
+    si, cin = si_cin(_XS)
     for f in (t1, t2, t3, t4):
         assert f(_XS).tolist() == [f(float(x)) for x in _XS], f.__name__
         assert type(f(1.0)) is float
+    assert list(zip(si.tolist(), cin.tolist())) == [si_cin(float(x)) for x in _XS]
     for bc in ("dirichlet", "neumann"):
         assert m3(_XS, bc).tolist() == [m3(float(x), bc) for x in _XS]
     assert m3(_XS[:6].reshape(2, 3), "neumann").shape == (2, 3)
@@ -90,11 +100,16 @@ def test_t1_table_between_its_nodes_matches_turned_path_oracle():
     np.testing.assert_allclose(t1(xs), ref, rtol=1e-13, atol=0.0)
 
 
+def _octaves_reached(xs, lo, hi):
+    """Octaves j, [2^j, 2^(j+1)), that the xs in [lo, hi) reach."""
+    return set((np.frexp(xs[(xs >= lo) & (xs < hi)])[1] - 1).tolist())
+
+
 def test_t1_table_built_once_under_threads():
-    # A threaded criterion sweep builds each table once (t1's and the one
-    # si_cin reads for t4) and equals the serial sweep bit for bit; a
-    # barrier and a short switch interval make a race on the first build
-    # likely.
+    # A threaded criterion sweep builds each table octave it reaches once
+    # (t1's, and the ones si_cin reads for t4 at 2x) and equals the serial
+    # sweep bit for bit; a barrier and a short switch interval make a race
+    # on the first build likely.
     V = GaussianPotential(d=3, a=1.0, ell=1.0)
     mus = (0.5, 2.0)
     start = threading.Barrier(len(mus), timeout=60.0)
@@ -103,7 +118,11 @@ def test_t1_table_built_once_under_threads():
         start.wait()
         return criterion(V, mu, "neumann")
 
-    special._laplace_table.cache_clear()
+    xs = np.concatenate([math.sqrt(mu) * _radial_measure(V, _criterion_rule(V, mu)[0])[0]
+                         for mu in mus])
+    pairs = (len(_octaves_reached(xs, 0.25, 2.0 ** 30))
+             + len(_octaves_reached(2.0 * xs, 2.0, 64.0)))
+    special._laplace_octave.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -111,8 +130,19 @@ def test_t1_table_built_once_under_threads():
             threaded = list(pool.map(crit, mus, timeout=120.0))
     finally:
         sys.setswitchinterval(interval)
-    assert special._laplace_table.cache_info().misses == 2
+    info = special._laplace_octave.cache_info()
+    assert pairs > 2
+    assert info.misses == info.currsize == pairs
     assert threaded == [criterion(V, mu, "neumann") for mu in mus]
+
+
+def test_t1_builds_only_the_octaves_its_points_reach():
+    special._laplace_octave.cache_clear()
+    xs = np.geomspace(1.0, 8.0, 24, endpoint=False)
+    first = t1(xs)
+    assert special._laplace_octave.cache_info().misses == 3
+    assert t1(xs).tolist() == first.tolist()
+    assert special._laplace_octave.cache_info().misses == 3
 
 
 def test_t1_small_x_taylor():
@@ -327,11 +357,42 @@ def test_criterion_rule_resolves_below_its_estimate(kind, mu):
     # The estimate is the roundoff floor alone, so doubling the rule to 32
     # nodes per panel must move the value by less than it.
     V = _criterion_case(kind)[0]
-    coarse, fine = _term_sums(V, mu, 16)[0], _term_sums(V, mu, 32)[0]
+    coarse, fine = _term_sums(V, [mu], 16)[0][0], _term_sums(V, [mu], 32)[0][0]
     for bc in ("neumann", "dirichlet"):
         rep = criterion(V, mu, bc)
         assert rep.value == _value_of(coarse, mu, bc), bc
         assert abs(_value_of(fine, mu, bc) - rep.value) <= rep.error_estimate, bc
+
+
+# Shuffled, from 1e-4 to 100.
+_SWEEP_MUS = [2.0, 1e-4, 100.0, 0.25, 13.0, 0.03, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "step1",
+                                  "tabulated", "shell"])
+def test_criterion_sweep_equals_one_mu_calls(kind):
+    V = _criterion_case(kind)[0]
+    for bc in ("neumann", "dirichlet"):
+        assert criterion_sweep(V, _SWEEP_MUS, bc) == [criterion(V, mu, bc) for mu in _SWEEP_MUS]
+
+
+def test_criterion_sweep_in_groups_equals_one_group(monkeypatch):
+    # The unit Gaussian's rules hold 112 (mu <= 2), 176 (mu = 13) and 496
+    # (mu = 100) nodes.  A cap of 300 splits the sweep into groups of
+    # consecutive mus, mu = 100 past it on its own; the reports do not
+    # change.
+    V = _criterion_case("gaussian")[0]
+    whole = criterion_sweep(V, _SWEEP_MUS, "neumann")
+    groups = []
+
+    def spy(V, mus, n):
+        groups.append(list(mus))
+        return _term_sums(V, mus, n)
+
+    monkeypatch.setattr(boundary3d, "_MAX_CRITERION_NODES", 300)
+    monkeypatch.setattr(boundary3d, "_term_sums", spy)
+    assert criterion_sweep(V, _SWEEP_MUS, "neumann") == whole
+    assert groups == [[2.0, 1e-4], [100.0], [0.25, 13.0], [0.03, 1.0]]
 
 
 def test_undersized_criterion_rule_misses_its_estimate():
@@ -341,7 +402,7 @@ def test_undersized_criterion_rule_misses_its_estimate():
     V = GaussianPotential(d=3, a=1.0, ell=1.0)
     for mu in (0.5, 2.0):
         rep = criterion(V, mu, "neumann")
-        undersized = _value_of(_term_sums(V, mu, 8)[0], mu, "neumann")
+        undersized = _value_of(_term_sums(V, [mu], 8)[0][0], mu, "neumann")
         assert abs(undersized - rep.value) > 4.0 * rep.error_estimate, mu
 
 

@@ -198,8 +198,8 @@ def test_criterion_zero_potential_is_inconclusive_not_an_error(capsys, tmp_path)
 
 def test_criterion_mu_sweep_csv_in_input_order(capsys, tmp_path, monkeypatch):
     # "threads" selects nothing: 3 and 1 give one report and one CSV, and
-    # every criterion call runs on the calling thread.
-    idents = record_threads(monkeypatch, "criterion")
+    # each sweep is one criterion_sweep call on the calling thread.
+    idents = record_threads(monkeypatch, "criterion_sweep")
     out = tmp_path / "sweep.csv"
     reports, tables = [], []
     for threads in (3, 1):
@@ -213,7 +213,7 @@ def test_criterion_mu_sweep_csv_in_input_order(capsys, tmp_path, monkeypatch):
         tables.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert tables[0] == tables[1]
-    assert idents == [threading.main_thread().ident] * 6
+    assert idents == [threading.main_thread().ident] * 2
     lines = tables[0].decode("utf-8").splitlines()
     assert lines[0] == "mu,value,sign"
     mus = [float(line.split(",")[0]) for line in lines[1:]]

@@ -67,6 +67,16 @@ def _fresh_interpreter(code: str, *args: str) -> list:
     return out[1:]
 
 
+# Modules no bcs command loads: scipy, the numpy subpackages scipy.special
+# brought with it (numpy.ma also comes with np.unique), and a thread pool.
+_BANNED = ("scipy", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random",
+           "concurrent.futures")
+
+
+def _banned(module: str) -> bool:
+    return any(module == b or module.startswith(b + ".") for b in _BANNED)
+
+
 def test_cli_start_up_loads_no_scipy():
     # A fresh interpreter that imports the CLI, as every bcs command does,
     # loads no scipy, and none of the numpy subpackages scipy.special
@@ -74,9 +84,7 @@ def test_cli_start_up_loads_no_scipy():
     # Nor does it load a thread pool: every command runs on one thread.
     (line,) = _fresh_interpreter("import bcs.cli; print(bcs.cli.__file__); "
                                  "print(' '.join(sys.modules))")
-    banned = ("scipy", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random",
-              "concurrent.futures")
-    offending = sorted(m for m in line.split() for b in banned if m == b or m.startswith(b + "."))
+    offending = [m for m in line.split() if _banned(m)]
     assert not offending, f"import bcs.cli loads {offending}"
 
 
@@ -84,7 +92,7 @@ _RUN_COMMANDS = """
 import contextlib, io, json, os, tempfile
 import bcs.cli
 print(bcs.cli.__file__)
-codes = []
+codes, loaded = [], []
 with tempfile.TemporaryDirectory() as tmp:
     for i, (command, cfg) in enumerate(json.loads(sys.argv[1])):
         path = os.path.join(tmp, f"config{i}.json")
@@ -92,8 +100,9 @@ with tempfile.TemporaryDirectory() as tmp:
             json.dump(cfg, fh)
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(bcs.cli.main([command, "--config", path]))
+        loaded.append(sorted(sys.modules))
 print(json.dumps(codes))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(loaded))
 """
 
 # A tiny config of each command kind the benchmark runs.
@@ -101,6 +110,8 @@ _COMMAND_KINDS = [
     ("table1", {}),
     ("m3-profile", {"bc": "neumann", "x_max": 4.0, "step": 2.0}),
     ("criterion", {"potential": {"kind": "gaussian", "d": 3}, "bc": "neumann", "mu": 1.0}),
+    ("criterion", {"potential": {"kind": "exponential", "d": 3}, "bc": "dirichlet",
+                   "mu_sweep": [0.5, 4.0]}),
     ("vmu-spectrum", {"potential": {"kind": "exponential", "d": 2}, "mu": 1.0, "ell_max": 2}),
     ("vmu-spectrum", {"potential": {"kind": "gaussian", "d": 3}, "mu": 1.0, "ell_max": 2}),
     ("tc0", {"potential": {"kind": "gaussian", "d": 3}, "mu": 1.0, "lambdas": [0.6]}),
@@ -113,11 +124,14 @@ _COMMAND_KINDS = [
 
 def test_cli_commands_run_without_loading_scipy():
     # One fresh interpreter runs every command kind of the benchmark, and
-    # scipy is still not loaded after the last: a command that imported it
-    # lazily would pay that import inside its own time on every run.
+    # after each none of the start-up test's banned modules is loaded: a
+    # command that imported one lazily would pay that import inside its
+    # own time on every run.
     codes, loaded = _fresh_interpreter(_RUN_COMMANDS, json.dumps(_COMMAND_KINDS))
     assert json.loads(codes) == [0] * len(_COMMAND_KINDS)
-    assert json.loads(loaded) == []
+    for (command, cfg), modules in zip(_COMMAND_KINDS, json.loads(loaded), strict=True):
+        offending = [m for m in modules if _banned(m)]
+        assert not offending, f"{command} {cfg} loads {offending}"
 
 
 def _top_level_bindings(tree):
