@@ -164,10 +164,10 @@ def m3_profile(x_max: float, step: float, bc):
 
     Returns a list of (x, m3(x)) pairs of floats from one array evaluation.
     """
-    if not (step > 0.0):
-        raise ValueError("step must be positive")
-    if x_max < 0.0:
-        raise ValueError("x_max must be nonnegative")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not 0.0 <= x_max < math.inf:
+        raise ValueError("x_max must be nonnegative and finite")
     n = int(math.floor(x_max / step + 1e-9)) + 1
     xs = [i * step for i in range(n)]
     return list(zip(xs, m3(np.array(xs), bc).tolist()))

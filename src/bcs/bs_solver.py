@@ -13,10 +13,12 @@ the barycentric Lagrange matrix of X onto a grid.  Wc, positive semidefinite
 for V >= 0, has a numerical rank k far below its size nc (30 of 82 points
 for the chain), so tc0 factors it once, Wc = Z Z^T (nc x k), and each grid
 holds Y = L Z (n x k): W = Y Y^T.  The matrix is diag(s) W diag(s); W is
-never formed, and the temperature enters through s alone.  Every a_T, in
-the search and at the closure, is one exact solve, _top2: the k x k Gram
-matrix of diag(s) Y shares its nonzero spectrum.  ground_state takes the
-closure's grid, Y, top eigenpair and gap from tc0 and solves nothing.
+never formed, and the temperature enters through s alone.  tc0 searches
+its whole temperature window on one grid laid at the window's lower end.
+Every a_T, in the search and at the closure, is one exact solve, _top2:
+the k x k Gram matrix of diag(s) Y shares its nonzero spectrum.
+ground_state takes the closure's grid, Y, top eigenpair and gap from tc0
+and solves nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelParams, _fermi_shell_edges, _shell_rule, bt_log_slope, bt_radial_shifted
+from .kernels import KernelParams, _fermi_shell_edges, bt_log_slope, bt_radial_shifted
 from .potentials import RadialPotential, _radial_waves, e_mu
 from .quad import _chebyshev_count, _chebyshev_points, _lagrange, _subdivide, gauss_panels
 from .special import j_d
@@ -194,9 +196,7 @@ class Tc0Result:
     lam: float
     closure: float          # |lam * a_T - 1| on the level-1 closure grid
     spectral_gap: float     # (a_T - a_2) / a_T there
-    w_builds: int           # grids built, each with its Y; one table factor Z serves them all
     temperature_evals: int  # eigen-solves, one per temperature tried and per closure
-    bracket_moves: int      # bracket ends moved before the root search
     V: RadialPotential = field(repr=False, compare=False)
     grid: SWaveDiscretization = field(repr=False, compare=False)
     Y: np.ndarray = field(repr=False, compare=False)
@@ -204,42 +204,21 @@ class Tc0Result:
     u: np.ndarray = field(repr=False, compare=False)
 
 
-def _predicted_tc(lam_em: float, mu: float, d: int, t_min: float, t_max: float) -> float:
-    """Weak-coupling prediction: the root of lam e_mu m_mu(T) = 1 in log T,
-    clamped to [t_min, t_max].  m_mu falls monotonically in T; its slope in
-    log T is the sum of w t^(d-1) B_T g, g = d ln B_T / d ln T, on m_mu's
-    own shell rule, computed only for _newton."""
-    def f(ln_t, slope=True):
-        params = KernelParams(T=math.exp(ln_t), mu=mu)
-        t, w, a = _shell_rule(params.T, mu)
-        bt = bt_radial_shifted(a, params) * t ** (d - 1)
-        value = lam_em * float(w @ bt) - 1.0
-        return (value, lam_em * float(w @ (bt * bt_log_slope(a, params)))) if slope else value
-
-    lo, hi = math.log(t_min), math.log(t_max)
-    if (f_lo := f(lo, slope=False)) <= 0.0:
-        return t_min
-    if (f_hi := f(hi, slope=False)) >= 0.0:
-        return t_max
-    return math.exp(_newton(f, lo, hi, 1e-3, f_lo, f_hi))
-
-
 def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         t_min_factor: float = 1e-8, t_max_factor: float = 1e3,
         tol: float = 1e-8) -> Tc0Result:
     """Critical temperature of the translation-invariant problem at coupling lam.
 
-    V must be nonnegative, else ValueError: B^T B, B = diag(s) Y, shares the
-    top of diag(s) W diag(s) only when W = Y Y^T, positive semidefinite as
-    for V >= 0.  The search stays inside [t_min_factor mu, t_max_factor mu].
-    Its first bracket is [T_pred/4, 4 T_pred] around the weak-coupling
-    prediction lam e_mu m_mu(T_pred) = 1; an end that misses moves out by a
-    factor 4, never past the window; bracket_moves counts those moves.  The
-    search builds one level-0 grid at the bracket's lower end, which resolves
-    every higher T, and its Y; the table factor Z is laid once, with the
-    first grid.  A temperature only rescales W: each one is a _top2 solve.
+    mu, lam and the window must be positive and finite, else ValueError; so
+    must V be nonnegative: B^T B, B = diag(s) Y, shares the top of diag(s) W
+    diag(s) only when W = Y Y^T, positive semidefinite as for V >= 0.  The search
+    brackets T_c by its window [t_min, t_max] = [t_min_factor, t_max_factor]
+    mu: it builds one level-0 grid at t_min, which resolves every T of the
+    window, and Y = L Z on it, Z the table factor; a temperature only
+    rescales W, so each one is a _top2 solve.  f = lam a_T - 1 must fall
+    through zero on the window, else SolverError names the end that misses.
     _newton finds the root on that grid in log T, from the secant point of
-    the bracket ends' values, with the Hellmann-Feynman slope lam a_T sum
+    the window ends' values, with the Hellmann-Feynman slope lam a_T sum
     u_i^2 g_i (u the unit top eigenvector, g = d ln B_T / d ln T).  The
     closure |lam a_Tc - 1| is one more _top2 solve on the level-1 grid,
     counted in temperature_evals; it must meet tol, else SolverError names
@@ -247,72 +226,55 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
     n x n."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    for name, value in (("mu", mu), ("lam", lam)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     t_min, t_max = t_min_factor * mu, t_max_factor * mu
     if not 0.0 < t_min < t_max:
         raise ValueError("need 0 < t_min_factor < t_max_factor")
+    if t_max == math.inf:
+        raise ValueError("t_max_factor * mu must be finite")
     if not V.is_nonnegative():
         raise ValueError("tc0 needs a nonnegative potential: B^T B shares the top of "
                          "diag(s) W diag(s) only when W has no negative eigenvalues")
-    em = e_mu(V, mu)
-    if em <= 0:
+    if e_mu(V, mu) <= 0:
         raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
 
-    w_builds = temperature_evals = bracket_moves = 0
-    Z = None
+    temperature_evals = 0
+    grid = build_grid(KernelParams(T=t_min, mu=mu), V)
+    Z = _w_table(V, grid.p_max)
+    Y = _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
 
-    def level_factor(level, T):  # a grid at T and Y = L Z on it; the first lays Z
-        nonlocal w_builds, Z
-        w_builds += 1
-        g = build_grid(KernelParams(T=T, mu=mu), V, refine_level=level)
-        if Z is None:
-            Z = _w_table(V, g.p_max)
-        return g, _w_lagrange(g.nodes, len(Z), g.p_max) @ Z
+    def f(ln_t, slope=True):
+        """lam a_T - 1 in log T on the search grid, with its slope unless
+        slope=False."""
+        nonlocal temperature_evals
+        temperature_evals += 1
+        params = KernelParams(T=math.exp(ln_t), mu=mu)
+        a, _, u = _top2(_bs_scale(grid, params, d), Y)
+        if not slope:
+            return lam * a - 1.0
+        return lam * a - 1.0, lam * a * float((u * u) @ bt_log_slope(grid.shifted, params))
 
-    def on_grid(T_lo):
-        """lam a_T - 1 in log T, with its slope unless slope=False, on one
-        level-0 grid built at T_lo."""
-        grid, Y = level_factor(0, T_lo)
+    lo, hi = math.log(t_min), math.log(t_max)
+    if (f_lo := f(lo, slope=False)) <= 0.0:
+        raise SolverError(f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
+                          "the coupling may be too weak for the allowed range")
+    if (f_hi := f(hi, slope=False)) >= 0.0:
+        raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
+    T_c = math.exp(_newton(f, lo, hi, 1e-14, f_lo, f_hi))
+    del f, grid, Y  # the search grid and its Y go before the closure grid is built
 
-        def f(ln_t, slope=True):
-            nonlocal temperature_evals
-            temperature_evals += 1
-            params = KernelParams(T=math.exp(ln_t), mu=mu)
-            a, _, u = _top2(_bs_scale(grid, params, d), Y)
-            if not slope:
-                return lam * a - 1.0
-            return lam * a - 1.0, lam * a * float((u * u) @ bt_log_slope(grid.shifted, params))
-        return f
-
-    # Newton root in log T; only moving the lower end down builds a new grid and Y.
-    T_pred = _predicted_tc(lam * em, mu, d, t_min, t_max)
-    T_lo, T_hi = max(0.25 * T_pred, t_min), min(4.0 * T_pred, t_max)
-    f = on_grid(T_lo)
-    while (f_lo := f(math.log(T_lo), slope=False)) <= 0.0:
-        if T_lo <= t_min:
-            raise SolverError(
-                f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
-                "the coupling may be too weak for the allowed range")
-        T_lo, T_hi, bracket_moves = max(0.25 * T_lo, t_min), T_lo, bracket_moves + 1
-        f = on_grid(T_lo)
-    while (f_hi := f(math.log(T_hi), slope=False)) >= 0.0:
-        if T_hi >= t_max:
-            raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
-        T_lo, T_hi, bracket_moves = T_hi, min(4.0 * T_hi, t_max), bracket_moves + 1
-        f_lo = f_hi
-    T_c = math.exp(_newton(f, math.log(T_lo), math.log(T_hi), 1e-14, f_lo, f_hi))
-    del f  # the search grid and its Y go before the closure grid is built
-
-    grid, Y = level_factor(1, T_c)
+    grid = build_grid(KernelParams(T=T_c, mu=mu), V, refine_level=1)
+    Y = _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
     a, second, u = _top2(_bs_scale(grid, KernelParams(T=T_c, mu=mu), d), Y)
     closure = abs(lam * a - 1.0)
     if closure > tol:
         raise SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 grid "
                           f"misses tol = {tol}")
     return Tc0Result(T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
-                     w_builds=w_builds, temperature_evals=temperature_evals + 1,
-                     bracket_moves=bracket_moves, V=V, grid=grid, Y=Y, a_T=a, u=u)
+                     temperature_evals=temperature_evals + 1,
+                     V=V, grid=grid, Y=Y, a_T=a, u=u)
 
 
 @dataclass(frozen=True)

@@ -316,9 +316,8 @@ def cmd_tc0(cfg: dict, tol: float):
             return {"lambda": lam, "error": str(exc)}
         emm = em * m_mu(KernelParams(T=r.T_c, mu=mu), V.d) * lam
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
-                "e_mu_m_mu_lambda": emm, "grid_size": len(r.grid), "w_builds": r.w_builds,
-                "temperature_evals": r.temperature_evals, "bracket_moves": r.bracket_moves,
-                "spectral_gap": r.spectral_gap}
+                "e_mu_m_mu_lambda": emm, "grid_size": len(r.grid),
+                "temperature_evals": r.temperature_evals, "spectral_gap": r.spectral_gap}
 
     rows = [solve(lam) for lam in lambdas]
     checks = [_check(f"solved:lambda={row['lambda']:g}", "error" not in row, True,

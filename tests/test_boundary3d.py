@@ -217,6 +217,17 @@ def test_m3_profile_grid_and_threads():
         m3_profile(-1.0, 0.5, "dirichlet")
 
 
+@pytest.mark.parametrize("x_max, step, name", [
+    (math.inf, 0.5, "x_max"), (math.nan, 0.5, "x_max"),
+    (2.0, math.inf, "step"), (2.0, math.nan, "step"),
+])
+def test_m3_profile_rejects_non_finite_arguments(x_max, step, name):
+    # Unchecked, an infinite or NaN x_max makes int() of the row count fail
+    # with an unrelated error, and step = inf samples x = 0 * inf = nan.
+    with pytest.raises(ValueError, match=f"^{name} must be .* and finite$"):
+        m3_profile(x_max, step, "dirichlet")
+
+
 def test_mtilde_sphere_average_is_scaled_profile():
     # The pointwise line-integral oracle, averaged over directions, must
     # reproduce the term-sum route at chemical potential mu, which is

@@ -365,15 +365,13 @@ def test_tc0_finds_roots_anywhere_inside_the_window():
     hot = tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.0, t_max_factor=6.0)
     assert hot.T_c == pytest.approx(5.0257, rel=1e-4)
     assert hot.closure <= 1e-8
-    # The first bracket [T_pred/4, 4 T_pred] = [0.33, 5.30] holds this root;
-    # at lam = 2.5 the root 6.74 lies above it and the upper end moves once.
-    assert hot.bracket_moves == 0
     hotter = tc0(GaussianPotential(d=3, a=8.0), 1.0, 3, 2.5, t_max_factor=60.0)
     assert 6.5 < hotter.T_c < 7.0
     assert hotter.closure <= 1e-8
-    assert hotter.bracket_moves == 1
     with pytest.raises(ValueError, match="t_min_factor < t_max_factor"):
         tc0(GAUSS3, 1.0, 3, 0.5, t_min_factor=1.0, t_max_factor=0.5)
+    with pytest.raises(ValueError, match="t_max_factor \\* mu must be finite"):
+        tc0(GAUSS3, 1.0, 3, 0.5, t_max_factor=math.inf)
 
 
 def _count_calls(monkeypatch, **names):
@@ -397,18 +395,24 @@ def test_tc0_builds_one_w_per_refine_level(monkeypatch):
     # laid with the level-0 search grid, and one Lagrange matrix L for that
     # grid and one for the closure grid; every temperature only rescales W.
     # Every temperature of the search and the closure is one _top2 solve,
-    # and temperature_evals counts them all.  The weak-coupling prediction
-    # evaluates m_mu's shell rule 4 times.
-    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", solve="_top2",
-                          rule="_shell_rule")
+    # and temperature_evals counts them all.  The search brackets T_c by its
+    # window alone and never evaluates m_mu's shell rule.
+    from bcs import bs_solver, kernels
+    assert not hasattr(bs_solver, "_shell_rule")
+    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange", solve="_top2")
+    rule, shell_rule = [0], kernels._shell_rule
+
+    def counted_rule(*args):
+        rule[0] += 1
+        return shell_rule(*args)
+    monkeypatch.setattr(kernels, "_shell_rule", counted_rule)
     res = tc0(GAUSS3, 1.0, 3, 0.15, t_min_factor=1e-18)
     assert res.T_c == pytest.approx(1.0245186418036e-16, rel=1e-6)  # bench/references.json
-    assert res.w_builds == counts["L"] == 2
+    assert counts["L"] == 2
     assert counts["table"] == 1
     assert res.temperature_evals == counts["solve"]
     assert res.temperature_evals <= 12
-    assert counts["rule"] <= 5
-    assert res.bracket_moves == 0
+    assert rule[0] == 0
     assert len(res.grid) == 3180
 
 
@@ -430,15 +434,46 @@ def test_tc0_raises_at_once_when_the_closure_misses_tol(monkeypatch):
     assert solves[:-1] == [solves[0]] * (len(solves) - 1) < [solves[-1]]
 
 
-def test_tc0_lays_one_table_when_the_lower_end_moves(monkeypatch):
-    # Moving the bracket's lower end down builds a finer search grid, but
-    # the table depends on (V, mu) alone: one table, three L.
-    counts = _count_calls(monkeypatch, table="_w_table", L="_w_lagrange")
-    res = tc0(ExponentialPotential(d=1), 10.0, 1, 0.4, t_min_factor=1e-12)
-    assert res.bracket_moves == 1
-    assert res.w_builds == counts["L"] == 3
-    assert counts["table"] == 1
+@pytest.mark.parametrize("V, mu, lam, window", [
+    (GAUSS3, 1.0, 0.15, {"t_min_factor": 1e-18}),
+    (GaussianPotential(d=3, a=8.0), 1.0, 2.0, {"t_max_factor": 6.0}),
+    (GaussianPotential(d=3, a=8.0), 1.0, 2.5, {"t_max_factor": 60.0}),
+    (ExponentialPotential(d=1), 10.0, 0.4, {"t_min_factor": 1e-12}),
+], ids=["chain", "hot", "hotter", "exponential1"])
+def test_tc0_lays_one_table_and_two_grids(V, mu, lam, window, monkeypatch):
+    # The table depends on (V, mu) alone, and the window's lower end fixes
+    # the one search grid wherever T_c lies in it: one table, one L for the
+    # search grid and one for the closure grid.
+    counts = _count_calls(monkeypatch, grid="build_grid", table="_w_table", L="_w_lagrange")
+    res = tc0(V, mu, V.d, lam, **window)
+    assert counts == {"grid": 2, "table": 1, "L": 2}
     assert res.closure <= 1e-14
+
+
+@pytest.mark.parametrize("V, lam, window, solves, match", [
+    (GAUSS3, 0.28, {}, 1, "not bracketed above"),
+    (GaussianPotential(d=3, a=8.0), 2.0, {"t_max_factor": 1.0}, 2, "exceeds t_max_factor"),
+], ids=["below-t_min", "above-t_max"])
+def test_tc0_rejects_a_window_without_the_root_on_one_grid(V, lam, window, solves, match,
+                                                           monkeypatch):
+    # The sign of f at ln t_min, then at ln t_max, on the one search grid
+    # decides: the root below the window is rejected by the first solve,
+    # the one above it by the second.
+    counts = _count_calls(monkeypatch, grid="build_grid", table="_w_table", solve="_top2")
+    with pytest.raises(SolverError, match=match):
+        tc0(V, 1.0, V.d, lam, **window)
+    assert counts == {"grid": 1, "table": 1, "solve": solves}
+
+
+@pytest.mark.parametrize("mu, lam, name", [
+    (-1.0, 0.5, "mu"), (0.0, 0.5, "mu"), (math.nan, 0.5, "mu"), (math.inf, 0.5, "mu"),
+    (1.0, -0.5, "lam"), (1.0, math.nan, "lam"), (1.0, math.inf, "lam"),
+])
+def test_tc0_rejects_bad_mu_and_lam_before_any_grid(mu, lam, name, monkeypatch):
+    counts = _count_calls(monkeypatch, grid="build_grid")
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        tc0(GAUSS3, mu, 3, lam)
+    assert counts == {"grid": 0}
 
 
 def test_tc0_rejects_a_sign_changing_potential(monkeypatch):
@@ -457,15 +492,14 @@ def test_tc0_rejects_a_sign_changing_potential(monkeypatch):
 
 
 @pytest.mark.parametrize("V, lam, t_min, evals", [
-    (GAUSS3, 0.5, 1e-8, 5), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8, 6),
-    (GAUSS3, 0.15, 1e-18, 4),
+    (GAUSS3, 0.5, 1e-8, 4), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8, 5),
+    (GAUSS3, 0.15, 1e-18, 3),
 ], ids=["gaussian3", "step1", "chain"])
 def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatch):
-    # The bracket-end checks of the prediction and of each search need only
-    # the sign of f, and their values start _newton at the secant point;
-    # only _newton's evaluations compute bt_log_slope, 5, 6 and 4 per tc0
-    # on a bulk sweep row of each kind and the quick-start chain (6 each
-    # from the log-midpoint).
+    # The checks of f at the window's ends need only its sign, and their
+    # values start _newton at the secant point; only _newton's evaluations
+    # compute bt_log_slope, 4, 5 and 3 per tc0 on a bulk sweep row of each
+    # kind and the quick-start chain.
     assert _slopes_and_newton_evals(V, lam, t_min, monkeypatch) == (evals, evals)
 
 
@@ -473,15 +507,15 @@ def test_tc0_computes_slopes_only_inside_newton(V, lam, t_min, evals, monkeypatc
 def test_tc0_newton_evals_ignore_the_last_bits_of_w(k, monkeypatch):
     # Z scaled by 1 + k eps (W by 1 + 2 k eps) moves only the last bits of
     # f = lam a - 1, below _newton's floor, so the counts above hold.  With the stop at
-    # xtol = 1e-14 alone the chain read 5 at k = +1 (and 4 to 6 for |k| up
-    # to 16, where the floor keeps 4).
+    # xtol = 1e-14 alone the chain read 6 at k = -2 (and 3 to 6 for |k| up
+    # to 16, the Gaussian 4 or 5, where the floor keeps 3 and 4).
     from bcs import bs_solver
     table = bs_solver._w_table
     monkeypatch.setattr(bs_solver, "_w_table",
                         lambda V, P: table(V, P) * (1.0 + k * np.finfo(float).eps))
     assert [_slopes_and_newton_evals(V, lam, t_min, monkeypatch)[1] for V, lam, t_min in (
         (GAUSS3, 0.5, 1e-8), (StepPotential(d=1, a=1.0, R=1.0), 0.5, 1e-8),
-        (GAUSS3, 0.15, 1e-18))] == [5, 6, 4]
+        (GAUSS3, 0.15, 1e-18))] == [4, 5, 3]
 
 
 def _slopes_and_newton_evals(V, lam, t_min, monkeypatch):
@@ -622,8 +656,7 @@ def test_ground_state_top_pair_matches_dense_eigh(kind, d):
     top, second, u = _top2(s, Y)
     lam = 1.0 / a1
     tc = Tc0Result(T_c=1e-3, lam=lam, closure=abs(lam * top - 1.0),
-                   spectral_gap=(top - second) / top,
-                   w_builds=0, temperature_evals=0, bracket_moves=0,
+                   spectral_gap=(top - second) / top, temperature_evals=0,
                    V=V, grid=grid, Y=Y, a_T=top, u=u)
     state = ground_state(V, 1.0, d, lam, tc=tc)
     assert state.closure <= 1e-12
@@ -656,13 +689,13 @@ def _record_searches(monkeypatch):
 
 
 def test_newton_matches_brentq_on_the_temperature_search(monkeypatch):
-    # Every root search of tc0, the weak-coupling prediction and the search
-    # on each refine level, replayed on the same functions of log T.
+    # The one root search of each tc0, on its window, replayed on the same
+    # function of log T.
     calls = _record_searches(monkeypatch)
     for lam, t_min in ((0.6, 1e-8), (0.15, 1e-18)):
         tc0(GAUSS3, 1.0, 3, lam, t_min_factor=t_min)
-    assert {c[3] for c in calls} == {1e-3, 1e-14}
-    assert len(calls) >= 4
+    assert {c[3] for c in calls} == {1e-14}
+    assert len(calls) == 2
     for f, a, b, xtol in calls:
         _assert_lands_on_brentq(f, a, b, xtol)
 

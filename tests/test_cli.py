@@ -335,9 +335,8 @@ def test_tc0_rows_report_solver_trace(capsys, tmp_path):
     code, stdout, _ = run(capsys, "tc0", "--config", cfg, "--out", str(out))
     assert code == 0
     (row,) = json.loads(stdout)["results"]["rows"]
-    assert row["w_builds"] <= 3
     assert row["temperature_evals"] >= 3
-    assert row["bracket_moves"] == 0  # the first bracket holds T_c
+    assert "w_builds" not in row and "bracket_moves" not in row
     assert row["grid_size"] == 1660
     assert 0.0 < row["spectral_gap"] <= 1.0
     # the trace stays out of the CSV artifact

@@ -96,8 +96,8 @@ def test_bt_radial_series_branch():
 
 
 def test_bt_radial_quiet_at_tiny_temperature():
-    # The log-T solve for the weak-coupling T_c prediction reaches
-    # T = 1e-300 mu, where z = a/2T runs past 1e300: no warning may fire.
+    # tc0's window may open as low as T = 1e-300 mu, where z = a/2T runs
+    # past 1e300: no warning may fire.
     a = np.concatenate([-np.geomspace(1.0, 1e-320, 60), [0.0],
                         np.geomspace(1e-320, 200.0, 60)])
     with warnings.catch_warnings():
