@@ -11,14 +11,14 @@ potential and d: Wc is the kernel on the quad._chebyshev_count(rc, P)
 Chebyshev points X of [0, P], P = p_max, set by V and mu alone, and L is
 the barycentric Lagrange matrix of X onto a grid.  Wc, positive semidefinite
 for V >= 0, has a numerical rank k far below its size nc (30 of 82 points
-for the chain), so tc0 factors it once, Wc = Z Z^T (nc x k), and each grid
-holds Y = L Z (n x k): W = Y Y^T.  The matrix is diag(s) W diag(s); W is
-never formed, and the temperature enters through s alone.  tc0 searches
-its whole temperature window on one grid laid at the window's lower end.
-Every a_T, in the search and at the closure, is one exact solve, _top2:
-the k x k Gram matrix of diag(s) Y shares its nonzero spectrum.
-ground_state takes the closure's grid, Y, top eigenpair and gap from tc0
-and solves nothing.
+for the chain), so tc0_sweep factors it once, Wc = Z Z^T (nc x k), and each
+grid holds Y = L Z (n x k): W = Y Y^T.  The matrix is diag(s) W diag(s); W
+is never formed, and the temperature enters through s alone.  tc0_sweep
+searches every coupling's window on one grid laid at the window's lower end;
+tc0 is its one-coupling case.  Every a_T, in the search and at the closure,
+is one exact solve, _top2: the k x k Gram matrix of diag(s) Y shares its
+nonzero spectrum.  ground_state takes the closure's grid, Y, top eigenpair
+and gap from tc0 and solves nothing.
 """
 
 from __future__ import annotations
@@ -204,29 +204,31 @@ class Tc0Result:
     u: np.ndarray = field(repr=False, compare=False)
 
 
-def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
-        t_min_factor: float = 1e-8, t_max_factor: float = 1e3,
-        tol: float = 1e-8) -> Tc0Result:
-    """Critical temperature of the translation-invariant problem at coupling lam.
+def tc0_sweep(V: RadialPotential, mu: float, d: int, lams: list[float], *,
+              t_min_factor: float = 1e-8, t_max_factor: float = 1e3,
+              tol: float = 1e-8) -> list:
+    """Critical temperatures of the translation-invariant problem over the
+    couplings lams: per lam, in input order, its Tc0Result or SolverError.
 
-    mu, lam and the window must be positive and finite, else ValueError; so
-    must V be nonnegative: B^T B, B = diag(s) Y, shares the top of diag(s) W
-    diag(s) only when W = Y Y^T, positive semidefinite as for V >= 0.  The search
-    brackets T_c by its window [t_min, t_max] = [t_min_factor, t_max_factor]
-    mu: it builds one level-0 grid at t_min, which resolves every T of the
-    window, and Y = L Z on it, Z the table factor; a temperature only
-    rescales W, so each one is a _top2 solve.  f = lam a_T - 1 must fall
-    through zero on the window, else SolverError names the end that misses.
-    _newton finds the root on that grid in log T, from the secant point of
-    the window ends' values, with the Hellmann-Feynman slope lam a_T sum
-    u_i^2 g_i (u the unit top eigenvector, g = d ln B_T / d ln T).  The
-    closure |lam a_Tc - 1| is one more _top2 solve on the level-1 grid,
-    counted in temperature_evals; it must meet tol, else SolverError names
-    it.  The result carries that grid, Y, top eigenpair and gap; nothing is
-    n x n."""
+    mu, every lam and the window must be positive and finite, else
+    ValueError; so must V be nonnegative: B^T B, B = diag(s) Y, shares the
+    top of diag(s) W diag(s) only when W = Y Y^T, positive semidefinite as
+    for V >= 0.  One level-0 grid at t_min = t_min_factor mu, which resolves
+    every T of the window [t_min, t_max], and Y = L Z on it, Z the table
+    factor, serve every lam; a temperature only rescales W, so each a_T is
+    one _top2 solve, at t_min once and at t_max once, after the first lam
+    that passes t_min.  f = lam a_T - 1 must fall through zero on the window,
+    else the row's SolverError names the end that misses.  _newton finds the
+    root in log T from the secant point of the ends' values, with the
+    Hellmann-Feynman slope lam a_T sum u_i^2 g_i (u the unit top eigenvector,
+    g = d ln B_T / d ln T).  Then the search grid goes, and each closure
+    |lam a_Tc - 1| is one _top2 solve on the level-1 grid of min(T_c, 1e-3
+    mu), all build_grid reads of T, laid once per value; it must meet tol,
+    else the row's SolverError names it.  temperature_evals counts a row's
+    solves, both ends and its closure included.  Nothing is n x n."""
     if d != V.d:
         raise ValueError("potential dimension disagrees with requested d")
-    for name, value in (("mu", mu), ("lam", lam)):
+    for name, value in (("mu", mu), *(("lam", lam) for lam in lams)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite")
     t_min, t_max = t_min_factor * mu, t_max_factor * mu
@@ -238,43 +240,66 @@ def tc0(V: RadialPotential, mu: float, d: int, lam: float, *,
         raise ValueError("tc0 needs a nonnegative potential: B^T B shares the top of "
                          "diag(s) W diag(s) only when W has no negative eigenvalues")
     if e_mu(V, mu) <= 0:
-        raise SolverError("Fermi-surface coupling e_mu is not positive; no pairing instability")
+        return [SolverError("Fermi-surface coupling e_mu is not positive; "
+                            "no pairing instability") for _ in lams]
 
-    temperature_evals = 0
     grid = build_grid(KernelParams(T=t_min, mu=mu), V)
     Z = _w_table(V, grid.p_max)
     Y = _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
 
-    def f(ln_t, slope=True):
-        """lam a_T - 1 in log T on the search grid, with its slope unless
-        slope=False."""
-        nonlocal temperature_evals
-        temperature_evals += 1
+    def solve(ln_t):
+        """The params at T = exp(ln_t) and _top2 there on the search grid."""
         params = KernelParams(T=math.exp(ln_t), mu=mu)
-        a, _, u = _top2(_bs_scale(grid, params, d), Y)
-        if not slope:
-            return lam * a - 1.0
-        return lam * a - 1.0, lam * a * float((u * u) @ bt_log_slope(grid.shifted, params))
+        return params, *_top2(_bs_scale(grid, params, d), Y)
 
     lo, hi = math.log(t_min), math.log(t_max)
-    if (f_lo := f(lo, slope=False)) <= 0.0:
-        raise SolverError(f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
-                          "the coupling may be too weak for the allowed range")
-    if (f_hi := f(hi, slope=False)) >= 0.0:
-        raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
-    T_c = math.exp(_newton(f, lo, hi, 1e-14, f_lo, f_hi))
-    del f, grid, Y  # the search grid and its Y go before the closure grid is built
+    a_lo, a_hi, searched = solve(lo)[1], None, []
+    for lam in lams:
+        evals = 2  # the window ends
 
-    grid = build_grid(KernelParams(T=T_c, mu=mu), V, refine_level=1)
-    Y = _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
-    a, second, u = _top2(_bs_scale(grid, KernelParams(T=T_c, mu=mu), d), Y)
-    closure = abs(lam * a - 1.0)
-    if closure > tol:
-        raise SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 grid "
-                          f"misses tol = {tol}")
-    return Tc0Result(T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
-                     temperature_evals=temperature_evals + 1,
-                     V=V, grid=grid, Y=Y, a_T=a, u=u)
+        def f(ln_t):
+            """lam a_T - 1 in log T on the search grid, with its slope."""
+            nonlocal evals
+            evals += 1
+            params, a, _, u = solve(ln_t)
+            return lam * a - 1.0, lam * a * float((u * u) @ bt_log_slope(grid.shifted, params))
+
+        try:
+            if (f_lo := lam * a_lo - 1.0) <= 0.0:
+                raise SolverError(f"T_c not bracketed above t_min_factor*mu = {t_min:.3e}; "
+                                  "the coupling may be too weak for the allowed range")
+            a_hi = solve(hi)[1] if a_hi is None else a_hi
+            if (f_hi := lam * a_hi - 1.0) >= 0.0:
+                raise SolverError(f"T_c exceeds t_max_factor*mu = {t_max:.3e}")
+            searched.append((math.exp(_newton(f, lo, hi, 1e-14, f_lo, f_hi)), evals))
+        except SolverError as exc:
+            searched.append(exc)
+    del grid, Y  # the search grid and its Y go before any closure grid is built
+
+    closure_grids = {}
+    for i, (lam, found) in enumerate(zip(lams, searched)):
+        if isinstance(found, tuple):  # (T_c, the search's solves)
+            T_c, evals = found
+            params = KernelParams(T=T_c, mu=mu)
+            if (key := min(T_c, 1e-3 * mu)) not in closure_grids:
+                grid = build_grid(params, V, refine_level=1)
+                closure_grids[key] = grid, _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
+            grid, Y = closure_grids[key]
+            a, second, u = _top2(_bs_scale(grid, params, d), Y)
+            closure = abs(lam * a - 1.0)
+            searched[i] = SolverError(f"closure |lam*a-1| = {closure:.3e} on the level-1 "
+                                      f"grid misses tol = {tol}") if closure > tol else Tc0Result(
+                T_c=T_c, lam=lam, closure=closure, spectral_gap=(a - second) / a,
+                temperature_evals=evals + 1, V=V, grid=grid, Y=Y, a_T=a, u=u)
+    return searched
+
+
+def tc0(V: RadialPotential, mu: float, d: int, lam: float, **window) -> Tc0Result:
+    """T_c at coupling lam: tc0_sweep's one-coupling case, raising its SolverError."""
+    (row,) = tc0_sweep(V, mu, d, [lam], **window)
+    if isinstance(row, SolverError):
+        raise row
+    return row
 
 
 @dataclass(frozen=True)

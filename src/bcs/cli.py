@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .boundary3d import (_MAX_CRITERION_NODES, NEUMANN, TABLE1_REFERENCE, _criterion_rule,
                          criterion, criterion_sweep, m3_profile, normalize_bc, table1_values)
-from .bs_solver import SolverError, tc0
+from .bs_solver import SolverError, tc0_sweep
 from .diagnostics import dt_form_d1, dt_form_d2, fit_growth
 from .kernels import KernelParams, m_mu
 from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
@@ -308,18 +308,16 @@ def cmd_tc0(cfg: dict, tol: float):
     t_max_factor = _real(cfg, "t_max_factor", positive=True, default=1e3)
     em = e_mu(V, mu)
 
-    def solve(lam: float) -> dict:
-        try:
-            r = tc0(V, mu, V.d, lam, t_min_factor=t_min_factor,
-                    t_max_factor=t_max_factor, tol=tol)
-        except SolverError as exc:
-            return {"lambda": lam, "error": str(exc)}
+    def as_row(lam: float, r) -> dict:
+        if isinstance(r, SolverError):
+            return {"lambda": lam, "error": str(r)}
         emm = em * m_mu(KernelParams(T=r.T_c, mu=mu), V.d) * lam
         return {"lambda": lam, "Tc": r.T_c, "residual": r.closure,
                 "e_mu_m_mu_lambda": emm, "grid_size": len(r.grid),
                 "temperature_evals": r.temperature_evals, "spectral_gap": r.spectral_gap}
 
-    rows = [solve(lam) for lam in lambdas]
+    rows = [as_row(lam, r) for lam, r in zip(lambdas, tc0_sweep(
+        V, mu, V.d, lambdas, t_min_factor=t_min_factor, t_max_factor=t_max_factor, tol=tol))]
     checks = [_check(f"solved:lambda={row['lambda']:g}", "error" not in row, True,
                      row.get("error", "converged")) for row in rows]
     solved = [r for r in rows if "error" not in r]

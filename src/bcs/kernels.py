@@ -21,7 +21,7 @@ from .quad import _ladder, _subdivide, gauss_panels
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Temperature and chemical potential, both positive."""
+    """Temperature and chemical potential: positive, with 1 / T and mu / T finite."""
 
     T: float
     mu: float
@@ -31,6 +31,8 @@ class KernelParams:
             raise ValueError("T must be positive and finite")
         if not (self.mu > 0 and math.isfinite(self.mu)):
             raise ValueError("mu must be positive and finite")
+        if math.isinf(1.0 / self.T) or math.isinf(self.mu / self.T):
+            raise ValueError(f"T = {self.T!r} is too small: 1 / T or mu / T overflows")
 
 
 def bt_radial_shifted(a, params: KernelParams):

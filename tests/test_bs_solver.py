@@ -22,6 +22,7 @@ from bcs.bs_solver import (
     ground_state,
     position_profile,
     tc0,
+    tc0_sweep,
 )
 from bcs.kernels import KernelParams, bt_log_slope, m_mu
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
@@ -554,6 +555,70 @@ def test_tc0_allocates_nothing_n_by_n():
     assert len(res.grid) == 3180
     assert peak <= 3 * 2 ** 20
     assert held <= 2 ** 20
+
+
+def _window_ends(V, mu, t_min, t_max):
+    """a_T at t_min and at t_max on tc0's search grid, laid at t_min."""
+    grid = build_grid(KernelParams(T=t_min, mu=mu), V)
+    Z = _w_table(V, grid.p_max)
+    Y = _w_lagrange(grid.nodes, len(Z), grid.p_max) @ Z
+    return [_top2(_bs_scale(grid, KernelParams(T=T, mu=mu), V.d), Y)[0] for T in (t_min, t_max)]
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "exponential", "step", "tabulated"])
+def test_tc0_sweep_rows_equal_lone_tc0_calls(kind, d, mu):
+    # One unsorted list: a coupling below the window (f < 0 at t_min), one
+    # above it (f > 0 at t_max), two inside and a repeat.  Each row is a lone
+    # tc0 call's result bit for bit, or carries its error message.
+    V, _ = _potential(kind, d)
+    window = {"t_max_factor": 0.05}
+    lo, hi = [1.0 / a for a in _window_ends(V, mu, 1e-8 * mu, 0.05 * mu)]
+    inside = [lo ** 0.7 * hi ** 0.3, lo ** 0.3 * hi ** 0.7]
+    lams = [inside[1], 0.5 * lo, inside[0], 2.0 * hi, inside[1]]
+    rows = tc0_sweep(V, mu, d, lams, **window)
+    assert len(rows) == len(lams)
+    for lam, row in zip(lams, rows):
+        try:
+            ref = tc0(V, mu, d, lam, **window)
+        except SolverError as exc:
+            assert isinstance(row, SolverError) and str(row) == str(exc)
+            continue
+        assert (row.T_c, row.closure, row.spectral_gap, row.temperature_evals, len(row.grid)) \
+            == (ref.T_c, ref.closure, ref.spectral_gap, ref.temperature_evals, len(ref.grid))
+    assert "not bracketed above" in str(rows[1]) and "exceeds t_max_factor" in str(rows[3])
+
+
+@pytest.mark.parametrize("V, closure_grids", [
+    (GAUSS3, 3), (StepPotential(d=1, a=1.0, R=1.0), 1),
+], ids=["gaussian3", "step1"])
+def test_tc0_sweep_shares_the_search_and_equal_closure_grids(V, closure_grids, monkeypatch):
+    # A bulk sweep: one table and one level-0 grid; _top2 at the two window
+    # ends once, at each Newton step and at each closure.  The step's T_c
+    # (0.017-0.07) all lie above 1e-3 mu, where build_grid stops reading T,
+    # so its three closures share one level-1 grid; the Gaussian's do not.
+    from bcs import bs_solver
+    counts = _count_calls(monkeypatch, grid="build_grid", table="_w_table", solve="_top2")
+    steps, newton = [0], _newton
+
+    def counted_newton(f, a, b, xtol, f_a, f_b):
+        def g(x):
+            steps[0] += 1
+            return f(x)
+        return newton(g, a, b, xtol, f_a, f_b)
+    monkeypatch.setattr(bs_solver, "_newton", counted_newton)
+    tracemalloc.start()
+    try:
+        rows = tc0_sweep(V, 1.0, V.d, [0.4, 0.5, 0.6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.closure <= 1e-8 for row in rows)
+    assert counts == {"grid": 1 + closure_grids, "table": 1, "solve": 2 + steps[0] + 3}
+    assert sum(row.temperature_evals for row in rows) == 3 * 2 + steps[0] + 3
+    assert len({id(row.grid) for row in rows}) == closure_grids
+    assert peak <= 3 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

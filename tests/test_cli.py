@@ -372,6 +372,21 @@ def test_tc0_library_error_exits_2_with_error_prefix(capsys, tmp_path):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("tc0", {"potential": GAUSS3, "mu": 1.0, "lambdas": [0.5], "t_min_factor": 1e-320}),
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 1}, "mu": 1.0,
+                   "t_factors": [1e-320, 1e-2, 1e-3]}),
+], ids=["tc0", "dt-growth"])
+def test_subnormal_temperature_exits_2_naming_t(capsys, tmp_path, command, payload):
+    # 0.5 mu / T overflows at T = 1e-320: the run stops with the library's
+    # reason instead of numpy's "Maximum allowed size exceeded".
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    code, stdout, err = run(capsys, command, "--config", cfg)
+    assert code == 2
+    assert err == "error: T = 1e-320 is too small: 1 / T or mu / T overflows\n"
+    assert stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # dt-growth
 # ---------------------------------------------------------------------------
@@ -483,7 +498,7 @@ def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
     # Each config runs with "threads" 3, then 1, which selects nothing: the
     # reports (tc0's rows, solver trace and gaps included) and the tc0 CSV
     # match, and every library call runs on the calling thread.
-    idents = record_threads(monkeypatch, "criterion", "tc0", "dt_form_d1")
+    idents = record_threads(monkeypatch, "criterion", "tc0_sweep", "dt_form_d1")
     out = tmp_path / "artifact"
     for command, payload in (
             ("criterion", {"potential": GAUSS3, "bc": "neumann", "mu": 1.0}),
@@ -499,7 +514,7 @@ def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
         assert runs[0][0] == runs[1][0]
         if command == "tc0":
             assert runs[0][1].startswith(b"lambda,Tc,") and runs[0][1] == runs[1][1]
-    assert idents == [threading.main_thread().ident] * 2 * (1 + 2 + 3)
+    assert idents == [threading.main_thread().ident] * 2 * (1 + 1 + 3)
 
 
 def test_cli_flags_override_config_keys(capsys, tmp_path):

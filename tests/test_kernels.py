@@ -23,6 +23,24 @@ def test_params_validation():
         KernelParams(T=0.0, mu=1.0)
     with pytest.raises(ValueError, match="mu must be positive"):
         KernelParams(T=1.0, mu=-1.0)
+    with pytest.raises(ValueError, match="T = 1e-310 is too small"):
+        KernelParams(T=1e-310, mu=1e-10)  # mu / T is finite, 0.5 / T is not
+
+
+@pytest.mark.parametrize("route", ["tc0", "m_mu", "dt_form_d1", "dt_form_d2"])
+def test_subnormal_temperature_is_rejected_by_name(route):
+    # At mu = 1, T = 1e-320 makes 0.5 mu / T overflow: the Fermi-shell
+    # ladder asked np.arange for inf entries ("Maximum allowed size
+    # exceeded"), and dt_form_d2 returned NaN.  KernelParams stops each route.
+    from bcs.bs_solver import tc0
+    from bcs.diagnostics import dt_form_d1, dt_form_d2
+    from bcs.potentials import GaussianPotential
+    call = {"tc0": lambda: tc0(GaussianPotential(d=3), 1.0, 3, 0.5, t_min_factor=1e-320),
+            "m_mu": lambda: m_mu(KernelParams(T=1e-320, mu=1.0), 3),
+            "dt_form_d1": lambda: dt_form_d1(GaussianPotential(d=1), 1e-320, 1.0),
+            "dt_form_d2": lambda: dt_form_d2(GaussianPotential(d=2), 1e-320, 1.0)}[route]
+    with pytest.raises(ValueError, match=r"^T = 1e-320 is too small: 1 / T or mu / T overflows$"):
+        call()
 
 
 def test_kt_matches_textbook_form():
