@@ -135,9 +135,7 @@ def _w_table(V: RadialPotential, P: float) -> np.ndarray:
 def _w_lagrange(p: np.ndarray, nc: int, P: float) -> np.ndarray:
     """L, the barycentric Lagrange matrix of the nc Chebyshev points of [0, P]
     onto p <= P, so W = L Wc L^T on p: n x nc, 2 MiB for the chain."""
-    _, K, s = _lagrange(p, np.zeros(1), *_chebyshev_points(nc, P))
-    K /= s
-    return K.T
+    return _lagrange(p, *_chebyshev_points(nc, P)).T
 
 
 def _bs_scale(grid: SWaveDiscretization, params: KernelParams, d: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from . import __version__
 from .boundary3d import (_MAX_CRITERION_NODES, NEUMANN, TABLE1_REFERENCE, _criterion_rule,
                          criterion, criterion_sweep, m3_profile, normalize_bc, table1_values)
 from .bs_solver import SolverError, tc0_sweep
-from .diagnostics import dt_form_d1, dt_form_d2, fit_growth
+from .diagnostics import dt_form_d1_sweep, dt_form_d2, fit_growth
 from .kernels import KernelParams, m_mu
 from .potentials import RadialPotential, e_mu, from_config, to_config, vmu_spectrum
 from .quad import QuadratureError
@@ -341,9 +341,10 @@ def cmd_tc0(cfg: dict, tol: float):
 def cmd_dt_growth(cfg: dict, tol: float):
     """Boundary pairing form over a temperature sweep plus its growth fit.
 
-    d = 1 potentials fit value ~ C/T, d = 2 fit C ln(mu/T)^3.  The fit
-    quality check (worst relative deviation <= tol, default 0.25) is
-    observational; the numbers themselves are the point.
+    d = 1 potentials fit value ~ C/T from one dt_form_d1_sweep, d = 2 fit
+    C ln(mu/T)^3 from one dt_form_d2 call per T.  The fit quality check
+    (worst relative deviation <= tol, default 0.25) is observational; the
+    numbers themselves are the point.
     """
     V = _potential(cfg)
     if V.d not in (1, 2):
@@ -359,10 +360,11 @@ def cmd_dt_growth(cfg: dict, tol: float):
 
     temps = [f * mu for f in t_factors]
     if V.d == 1:
-        form, model, basis = dt_form_d1, "inverse_T", [1.0 / t for t in temps]
+        values, model = dt_form_d1_sweep(V, temps, mu), "inverse_T"
+        basis = [1.0 / t for t in temps]
     else:
-        form, model, basis = dt_form_d2, "log_cubed", [math.log(mu / t) ** 3 for t in temps]
-    values = [form(V, T, mu) for T in temps]
+        values, model = [dt_form_d2(V, T, mu) for T in temps], "log_cubed"
+        basis = [math.log(mu / t) ** 3 for t in temps]
     c, dev = fit_growth(values, basis)
 
     checks = [_check("growth_fit_within_tol", dev <= tol, False,

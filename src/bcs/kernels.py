@@ -40,11 +40,16 @@ def bt_radial_shifted(a, params: KernelParams):
 
     The quotient tanh(z)/z, z = a/2T, is accurate to an ulp down to the
     smallest z, so only z = 0 takes the limit, 1/(2T), as special._sinc does.
+    It is formed in place on one array; a scalar a gives a float.
     """
-    z = np.asarray(a, dtype=float) * (0.5 / params.T)
+    c = 0.5 / params.T
+    z = np.multiply(np.atleast_1d(a), c, dtype=float)
+    out = np.tanh(z)
     with np.errstate(invalid="ignore"):
-        out = np.where(z == 0.0, 1.0, np.tanh(z) / z) * (0.5 / params.T)
-    return out if out.ndim else float(out)
+        out /= z
+    out[z == 0.0] = 1.0
+    out *= c
+    return out if np.ndim(a) else float(out[0])
 
 
 def bt_log_slope(a, params: KernelParams) -> np.ndarray:

@@ -1,9 +1,11 @@
 """1-D quadrature: the fixed Gauss-Legendre panel rule that every integral in
 the library runs on, alone or on rows laid back to back (gauss_rows), the two
 panel layouts every caller builds its edges from (_subdivide, _ladder), the
-one Chebyshev interpolation of band-limited functions (_chebyshev_count,
-_chebyshev_points, _lagrange), and the error its callers raise when a fixed
-rule cannot meet its contract."""
+Chebyshev points that interpolate band-limited functions (_chebyshev_count,
+_chebyshev_points) with the barycentric Lagrange matrix W's factor takes onto
+its grids (_lagrange; the d = 2 pairing form reaches the same points through
+Chebyshev moments instead), and the error its callers raise when a fixed rule
+cannot meet its contract or a layout would pass _MAX_NODES."""
 
 from __future__ import annotations
 
@@ -15,6 +17,12 @@ import numpy as np
 
 class QuadratureError(Exception):
     """Integral could not be computed under the requested contract."""
+
+
+# The most nodes one panel layout may hold at 16 a panel (2^24 nodes, 128 MiB each for the
+# nodes and weights): a layout sized by an input such as a huge mu is refused before its
+# edges are allocated.
+_MAX_NODES = 1 << 24
 
 
 @lru_cache(maxsize=64)
@@ -46,10 +54,15 @@ def gauss_rows(edges, width: float):
 def _subdivide(edges, counts):
     """``edges`` with panel i split into max(1, counts[i]) equal parts (one
     scalar count splits every panel alike), at lo_i + k * (width_i / n_i),
-    the points np.linspace places, so each panel keeps its own ends."""
+    the points np.linspace places, so each panel keeps its own ends.  Raises
+    QuadratureError before laying more than _MAX_NODES nodes."""
     e = np.asarray(edges, dtype=float)
-    n = np.empty(len(e) - 1, dtype=int)
+    n = np.empty(len(e) - 1)
     n[:] = np.maximum(1, counts)
+    if not 16.0 * n.sum() <= _MAX_NODES:
+        raise QuadratureError(f"a rule of {16.0 * n.sum():.4g} nodes is past the cap of "
+                              f"{_MAX_NODES} nodes")
+    n = n.astype(int)
     i = np.repeat(np.arange(len(n)), n)
     k = np.arange(len(i)) - (np.cumsum(n) - n)[i]
     return np.append(k * (np.diff(e) / n)[i] + e[i], e[-1])
@@ -78,16 +91,15 @@ def _chebyshev_points(n: int, width: float):
     return 0.5 * width * (1.0 - np.cos(theta)), np.sin(theta) * (-1.0) ** np.arange(n)
 
 
-def _lagrange(q, starts, xi, b, out=None):
-    """Each q's piece (q = P is the last's), K[l, j] = b_l / (t_j - xi_l) at t = q - its start,
-    into ``out`` if given, and K's column sums s: K / s is the barycentric Lagrange matrix
-    of the pieces' points starts + xi onto q."""
-    piece = np.searchsorted(starts, q, side="right") - 1
-    t = q - starts[piece]
-    at = np.searchsorted(xi, t).clip(max=len(xi) - 1)
-    hit = xi[at] == t
-    K = np.subtract(t, xi[:, None], out=out)
+def _lagrange(q, xi, b):
+    """The barycentric Lagrange matrix L of the points xi, with weights b, onto q:
+    L[l, j] = K[l, j] / sum_m K[m, j], K[l, j] = b_l / (q_j - xi_l), and a q on a point
+    takes that point's unit column."""
+    at = np.searchsorted(xi, q).clip(max=len(xi) - 1)
+    hit = xi[at] == q
+    K = np.subtract(q, xi[:, None])
     with np.errstate(divide="ignore"):
         np.divide(b[:, None], K, out=K)
     K[:, hit] = at[hit] == np.arange(len(xi))[:, None]
-    return piece, K, K.sum(axis=0)
+    K /= K.sum(axis=0)
+    return K

@@ -437,6 +437,44 @@ def test_dt_growth_validation(capsys, tmp_path):
     assert "t_factors below 1" in err
 
 
+HUGE_MU_CASES = [
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 1}, "mu": 1e30,
+                   "t_factors": [1e-2, 1e-3, 1e-4]}),
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 1}, "mu": 1e300,
+                   "t_factors": [1e-2, 1e-3, 1e-4]}),
+    ("dt-growth", {"potential": {"kind": "gaussian", "d": 2}, "mu": 1e30,
+                   "t_factors": [1e-2, 1e-3, 1e-4]}),
+    ("tc0", {"potential": GAUSS3, "mu": 1e30, "lambdas": [0.5]}),
+]
+
+
+@pytest.mark.parametrize("command, payload", HUGE_MU_CASES,
+                         ids=["dt-growth-d1", "dt-growth-d1-1e300", "dt-growth-d2", "tc0"])
+def test_huge_mu_exits_2_naming_the_node_count(capsys, tmp_path, command, payload):
+    # A rule sized by mu = 1e30 asked numpy for petabytes (a MemoryError
+    # traceback, exit 1), and mu = 1e300 for a negative count; now the
+    # layout is refused before it is allocated, by its node count.
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, command, "--config", cfg)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: a rule of ")
+    assert err.endswith(" nodes is past the cap of 16777216 nodes\n")
+
+
+def test_dt_growth_below_the_d2_floor_or_at_d1_overflow_exits_2(capsys, tmp_path):
+    # T = 1e-18 mu is below the d = 2 form's floor; T = 1e-160 mu overflows
+    # (B_T w)^2 in d = 1.  Each exits 2 with its reason and no report.
+    for d, t, reason in ((2, 1e-18, "cannot resolve the thermal layer at T = 1e-18"),
+                         (1, 1e-160, "(B_T w)^2 overflows at T = 1e-160")):
+        cfg = write_config(tmp_path, "cfg.json", {"potential": {"kind": "gaussian", "d": d},
+                                                  "mu": 1.0, "t_factors": [1e-2, 1e-3, t]})
+        code, stdout, err = run(capsys, "dt-growth", "--config", cfg)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and reason in err
+
+
 # ---------------------------------------------------------------------------
 # vmu-spectrum
 # ---------------------------------------------------------------------------
@@ -498,7 +536,7 @@ def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
     # Each config runs with "threads" 3, then 1, which selects nothing: the
     # reports (tc0's rows, solver trace and gaps included) and the tc0 CSV
     # match, and every library call runs on the calling thread.
-    idents = record_threads(monkeypatch, "criterion", "tc0_sweep", "dt_form_d1")
+    idents = record_threads(monkeypatch, "criterion", "tc0_sweep", "dt_form_d1_sweep")
     out = tmp_path / "artifact"
     for command, payload in (
             ("criterion", {"potential": GAUSS3, "bc": "neumann", "mu": 1.0}),
@@ -514,7 +552,7 @@ def test_report_is_deterministic_and_key_sorted(capsys, tmp_path, monkeypatch):
         assert runs[0][0] == runs[1][0]
         if command == "tc0":
             assert runs[0][1].startswith(b"lambda,Tc,") and runs[0][1] == runs[1][1]
-    assert idents == [threading.main_thread().ident] * 2 * (1 + 1 + 3)
+    assert idents == [threading.main_thread().ident] * 2 * (1 + 1 + 1)
 
 
 def test_cli_flags_override_config_keys(capsys, tmp_path):

@@ -4,6 +4,7 @@ weak-coupling boundary energy oracle against the criterion."""
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,10 +18,10 @@ from scipy.special import j0, j1, zeta
 import oracles
 from bcs import diagnostics
 from bcs.boundary3d import criterion
-from bcs.diagnostics import dt_form_d1, dt_form_d2, fit_growth
+from bcs.diagnostics import dt_form_d1, dt_form_d1_sweep, dt_form_d2, fit_growth
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, _radial_measure)
-from bcs.quad import QuadratureError, gauss_panels
+from bcs.quad import QuadratureError, _chebyshev_count, _chebyshev_points, _lagrange, gauss_panels
 from bcs.special import j_d
 
 GAUSS1 = GaussianPotential(d=1, a=1.0, ell=1.0)
@@ -107,6 +108,51 @@ def test_dt_d1_rejects_uncertified_integral(monkeypatch):
     monkeypatch.setattr(diagnostics, "_MAX_P_RC", 4.0)
     with pytest.raises(QuadratureError, match="tail bound still above tolerance"):
         dt_form_d1(StepPotential(d=1, a=1.0, R=1.0), 1e-2, 1.0)
+
+
+D1_KINDS = pytest.mark.parametrize(
+    "V", [GAUSS1, StepPotential(d=1, a=1.0, R=1.0), ExponentialPotential(d=1, a=1.0, ell=1.0),
+          _table(1)], ids=["gaussian", "step", "exponential", "tabulated"])
+
+
+@D1_KINDS
+@pytest.mark.parametrize("mu", [1.0, 0.3])
+def test_dt_d1_sweep_equals_lone_calls(V, mu):
+    # One octave ladder serves the whole sweep, and each T stops at its own
+    # octave: every value is the lone call's, bit for bit, for an unsorted
+    # list whose temperatures stop at different octaves.
+    temps = [1e-2 * mu, 0.3 * mu, 1e-4 * mu, 2e-3 * mu]
+    assert dt_form_d1_sweep(V, temps, mu) == [dt_form_d1(V, T, mu) for T in temps]
+
+
+def test_dt_d1_sweep_raises_the_lone_calls_error(monkeypatch):
+    # Under the cap of test_dt_d1_rejects_uncertified_integral the sweep
+    # raises what a lone call at any of its temperatures raises.
+    V = StepPotential(d=1, a=1.0, R=1.0)
+    monkeypatch.setattr(diagnostics, "_MAX_P_RC", 4.0)
+    temps = [1e-1, 1e-2, 1e-3]
+    errors = []
+    for call in [lambda: dt_form_d1_sweep(V, temps, 1.0)] + [
+            lambda T=T: dt_form_d1(V, T, 1.0) for T in temps]:
+        with pytest.raises(QuadratureError) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors == ["dt_form_d1 tail bound still above tolerance at p = 5.65685"] * 4
+
+
+def test_dt_d1_overflow_at_tiny_temperature_is_an_error():
+    # T dt_form_d1 holds 0.1795246546087536 from T = 1e-16 down to 1e-154;
+    # below, (B_T w)^2 overflows, and the form raises instead of returning
+    # inf behind a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 1e-150 * dt_form_d1(GAUSS1, 1e-150, 1.0) == pytest.approx(
+            0.1795246546087536, rel=1e-14)
+        with pytest.raises(QuadratureError,
+                           match=r"^dt_form_d1: \(B_T w\)\^2 overflows at T = 1e-160$"):
+            dt_form_d1(GAUSS1, 1e-160, 1.0)
+        with pytest.raises(QuadratureError, match="overflows at T = 1e-160"):
+            dt_form_d1_sweep(GAUSS1, [1e-2, 1e-160], 1.0)
 
 
 @pytest.mark.parametrize("V, t_factors",
@@ -250,13 +296,24 @@ D2_TABLE_CASES = pytest.mark.parametrize(
     ids=["gaussian", "step", "tabulated", "exponential", "gaussian-mu100"])
 
 
+def _node_values(table):
+    """The values f and slopes f' at every node k h that the coefficient table (h, c) of
+    _d2_tables was built from: c holds each interval's cubic in t = s / h - k from t^3
+    down, so f = c[3] and h f' = c[2] at its left end, and the last node closes the last
+    interval at t = 1."""
+    h, c = table
+    f = np.append(c[3], c[:, -1].sum())
+    df = np.append(c[2], 3.0 * c[0, -1] + 2.0 * c[1, -1] + c[2, -1]) / h
+    return h, f, df
+
+
 @D2_TABLE_CASES
 def test_dt_d2_vj2_table_matches_position_space_oracle(V, mu):
-    # The table's own target: (V j2)^(s) within 1e-9 of its peak, at 11
-    # evenly spaced s in [0, P], each certified by the oracle (a warning
-    # fails the test).
+    # The table's own target: (V j2)^(s) within 1e-9 of its peak over the
+    # nodes, at 11 evenly spaced s in [0, P], each certified by the oracle (a
+    # warning fails the test).
     P, table = diagnostics._d2_tables(V, mu)[:2]
-    peak = np.abs(table[1]).max()
+    peak = np.abs(_node_values(table)[1]).max()
     for s in np.linspace(0.0, P, 11):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -271,8 +328,10 @@ def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
     # worst, the table is within 1e-9 of its peak of the direct product
     # g @ J0(s r) on a radial measure sized to the table's end.  The slopes
     # it stores match the direct product -(r g) @ J1(s r) at every node,
-    # and a fourth-order central difference of the values' product.
-    h, f, df = table = diagnostics._d2_tables(V, mu)[1]
+    # and a fourth-order central difference of the values' product.  Values
+    # and slopes are read from the table's coefficients (_node_values).
+    table = diagnostics._d2_tables(V, mu)[1]
+    h, f, df = _node_values(table)
     r, m = _radial_measure(V, h * (len(f) - 1) + math.sqrt(mu))
     g = m * j_d(r, mu, 2)
 
@@ -295,13 +354,14 @@ def test_dt_d2_vj2_hermite_table_matches_direct_product(V, mu):
 @D2_TABLE_CASES
 def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
     # Every row of the form reaches the transverse rule through the
-    # Chebyshev points of the pieces of [0, P]: C @ a, with a the sum over
-    # each piece's q of L^T u, must equal the plain cosine sum cos(y q) @ u,
-    # on an inside row's q grid refined at its Fermi crossing (T/mu = 1e-3)
-    # and on the grid the rows outside the circle share.  The grid comes
-    # with the tables, read-only, since threads share it.
-    P, _, y, _, (starts, xi, b, cos_y) = diagnostics._d2_tables(V, mu)
-    assert not any(a.flags.writeable for a in (y, starts, xi, b, cos_y))
+    # Chebyshev points of the pieces of [0, P]: C @ a, with a the moments
+    # sum u T_j(tau) of each piece's q times the matrix C, must equal the plain
+    # cosine sum cos(y q) @ u, on an inside row's q grid refined at its Fermi
+    # crossing (T/mu = 1e-3) and on the grid the rows outside the circle
+    # share.  The grid comes with the tables, read-only, since threads share it.
+    P, _, y, _, (k, C, cos_y) = diagnostics._d2_tables(V, mu)
+    assert not any(a.flags.writeable for a in (y, C, cos_y))
+    n = len(C)
     T, root_mu = 1e-3 * mu, math.sqrt(mu)
     base = diagnostics._PANEL_RC / V.cutoff_radius()
     rng = np.random.default_rng(11)
@@ -309,11 +369,57 @@ def test_dt_d2_chebyshev_contraction_matches_plain_cosines(V, mu):
                          (0.0, 0.5 * math.sqrt(T))):
         q = diagnostics._refined_rows(P, base, [qstar], [width])[0]
         u = rng.normal(size=len(q))
-        piece, K, s = diagnostics._lagrange(q, starts, xi, b)
-        a = np.zeros((len(starts), len(xi)))
-        np.add.at(a, piece, (K * (u / s)).T)
-        got = cos_y @ a.ravel()
+        piece, M = diagnostics._moments(q, P, k, u, np.empty((n, len(q))))
+        a = np.zeros((k, n))
+        np.add.at(a, piece, M.T)
+        got = cos_y @ (a @ C).ravel()
         assert np.abs(got - np.cos(np.outer(y, q)) @ u).max() <= 1e-14 * np.abs(u).sum()
+
+
+def test_dt_d2_moment_recurrence_meets_cosines():
+    # The three-term recurrence of _moments holds T_j(tau) = cos(j arccos tau)
+    # to within 2 (j^2 + 1) eps at every degree j up to n - 1 (33 points for
+    # the step at mu = 1, 66 and 130 beyond): its rounding grows like j^2
+    # toward tau = +/-1, measured at most 1.52 j^2 eps, 2.8e-14 at j = 32.
+    # Dearer rows meet small Chebyshev coefficients of cos(q y), so the
+    # contraction above keeps 1e-14.  The taus are dyadic, so q = (1 + tau)
+    # on [0, 2) and 3 + tau on [2, 4] (q = 4 the last piece's end) give them
+    # back exactly.
+    eps = np.finfo(float).eps
+    ends = 1.0 - 2.0 ** -np.arange(1.0, 40.0)
+    tau = np.concatenate([np.linspace(-1.0, 1.0, 4097), ends, -ends])
+    first = tau[tau < 1.0]
+    for n in (33, 66, 130):
+        q = np.concatenate([1.0 + first, 3.0 + tau])
+        piece, M = diagnostics._moments(q, 4.0, 2, np.ones(len(q)), np.empty((n, len(q))))
+        assert piece.tolist() == [0] * len(first) + [1] * len(tau)
+        j = np.arange(n)
+        ref = np.cos(j[:, None] * np.arccos(np.concatenate([first, tau])))
+        err = np.abs(M - ref).max(axis=1)
+        assert np.all(err <= 2.0 * (j * j + 1.0) * eps), (n, (err / (j * j + 1.0) / eps).max())
+
+
+def test_dt_d2_moment_weights_are_lagrange_rows():
+    # C's columns are the pieces' Lagrange polynomials in the T_j basis: a q
+    # on a Chebyshev point of its piece gets that point's unit row to within
+    # 1e-14 (the barycentric route needed a branch for this exact hit), and
+    # every row sums to 1.
+    y, P = np.linspace(0.0, 6.0, 40), 11.0
+    k, C, cos_y = diagnostics._chebyshev_grid(y, P)
+    n = len(C)
+    assert (k, n) == (4, 33)
+    xi = _chebyshev_points(n, P / k)[0]
+    q = np.array([xi[0], (P / k) + xi[8], 2.0 * (P / k) + xi[22], 0.37, 5.5, P])
+    piece, M = diagnostics._moments(q, P, k, np.ones(len(q)), np.empty((n, len(q))))
+    L = M.T @ C
+    assert piece.tolist() == [0, 1, 2, 0, 2, 3]
+    eye = np.eye(n)
+    for j, l in ((0, 0), (1, 8), (2, 22)):
+        assert np.abs(L[j] - eye[l]).max() <= 1e-14
+    assert np.abs(L.sum(axis=1) - 1.0).max() <= 1e-14
+    for j in range(len(q)):
+        own = cos_y[:, piece[j] * n:(piece[j] + 1) * n]
+        assert np.abs(own @ L[j] - np.cos(y * q[j])).max() <= 1e-14
 
 
 @D2_TABLE_CASES
@@ -344,11 +450,12 @@ def test_dt_d2_row_rules_match_per_row_layout(V, mu):
                           (ExponentialPotential(d=2, a=1.0, ell=1.0), 0.01, 8.0)],
                          ids=["gaussian", "exponential"])
 def test_dt_d2_memory_peak_at_low_temperature(V, mu, cap_mib):
-    # The inside rows' Lagrange matrices go through one buffer of about
-    # 2^18 entries, group by group, and cos(y X) is built with the tables,
-    # so one call at T/mu = 1e-3 (tables built first) peaks at 4.4 and
-    # 5.9 MiB; with every inside row's K laid at once it peaked at 71 and
-    # 280 MiB on one grid of [0, P].
+    # The inside rows' moments go through one buffer of about 2^18 entries,
+    # group by group, and cos(y X) is built with the tables, so one call at
+    # T/mu = 1e-3 (tables built first) peaks at 4.2 and 6.4 MiB (4.4 and
+    # 5.9 with barycentric Lagrange matrices in the buffer; the moments' C
+    # maps all rows at once); with every inside row's Lagrange matrix laid
+    # at once it peaked at 71 and 280 MiB on one grid of [0, P].
     diagnostics._d2_tables(V, mu)
     tracemalloc.start()
     try:
@@ -434,40 +541,35 @@ def test_line_integrals_match_quadpack(V, mu):
 
 
 def test_dt_d2_lagrange_row_on_a_chebyshev_point_is_a_unit_row():
-    # The barycentric quotient divides by zero at a q whose offset into its
-    # piece is a Chebyshev point; that q's column must come out as the
-    # point's unit column, with no warning.  A q on a piece boundary belongs
-    # to the piece it starts and q = P to the last piece, and there the
-    # columns interpolate cos(y q) from their own piece's points.
+    # The barycentric quotient of quad._lagrange, which W's factor takes onto
+    # its grids in one piece of [0, P], divides by zero at a q on a
+    # Chebyshev point; that q's column must come out as the point's unit
+    # column, with no warning.  Elsewhere, q = 0 and q = P included, the
+    # columns interpolate cos(y q) from the points.
     y, P = np.linspace(0.0, 6.0, 40), 11.0
-    starts, xi, b, cos_y = diagnostics._chebyshev_grid(y, P)
+    xi, b = _chebyshev_points(_chebyshev_count(y[-1], P), P)
     n = len(xi)
-    assert (len(starts), n) == (4, 33)
-    # offsets 8 and 22 survive the round trip starts[p] + xi[l] - starts[p]
-    q = np.array([0.0, xi[0], 0.37, starts[1] + xi[8], starts[2], 5.5, starts[3] + xi[22], P])
+    q = np.array([0.0, xi[0], 0.37, xi[8], 5.5, xi[22], xi[-1], P])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        piece, K, s = diagnostics._lagrange(q, starts, xi, b)
-    L = K / s
-    assert np.isfinite(L).all()
-    assert piece.tolist() == [0, 0, 0, 1, 2, 2, 3, 3]
+        L = _lagrange(q, xi, b)
+    assert L.shape == (n, len(q)) and np.isfinite(L).all()
     eye = np.eye(n)
-    for j, l in ((1, 0), (3, 8), (6, 22)):
+    for j, l in ((1, 0), (3, 8), (5, 22), (6, n - 1)):
         assert np.array_equal(L[:, j], eye[l])
     assert np.abs(L.sum(axis=0) - 1.0).max() <= 1e-14
-    for j in (4, 7):
-        own = cos_y[:, piece[j] * n:(piece[j] + 1) * n]
-        assert np.abs(own @ L[:, j] - np.cos(y * q[j])).max() <= 1e-14
+    for j in (0, 2, 4, 7):
+        assert np.abs(np.cos(np.outer(y, xi)) @ L[:, j] - np.cos(y * q[j])).max() <= 1e-14
 
 
 @pytest.mark.parametrize("block", [1 << 12, 1 << 22], ids=["small", "large"])
 def test_dt_d2_lagrange_block_leaves_the_form_bit_identical(monkeypatch, block):
-    # The buffer's size only decides which inside rows share a group; each
-    # row's sums over its nodes in each piece must not depend on it.  At
-    # 2^12 entries every group is one row; at 2^22 all rows share one.
+    # The moment buffer's size only decides which inside rows share a group;
+    # each row's moments over its nodes in each piece must not depend on it.
+    # At 2^12 entries every group is one row; at 2^22 all rows share one.
     V = StepPotential(d=2, a=1.0, R=1.0)
     form = dt_form_d2(V, 1e-3, 1.0)
-    monkeypatch.setattr(diagnostics, "_LAGRANGE_BLOCK", block)
+    monkeypatch.setattr(diagnostics, "_MOMENT_BLOCK", block)
     assert dt_form_d2(V, 1e-3, 1.0) == form
 
 
@@ -539,6 +641,28 @@ def test_dt_d2_integrand_symmetric_in_transverse_momenta():
         a = oracles.d2_integrand(GAUSS2, 1e-2, 1.0, p1, p2, q2)
         b = oracles.d2_integrand(GAUSS2, 1e-2, 1.0, p1, q2, p2)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1.0, 100.0])
+def test_dt_d2_rejects_a_thermal_layer_below_the_rules_floor(mu):
+    # _refined_rows floors its widths at 1e-14 P, so below T = 4e-14 P
+    # sqrt(mu) (4.4e-13 for the unit Gaussian at mu = 1) the p1 ladder no
+    # longer resolves the thermal layer: form / ln(mu/T)^3, 0.0864 at 1e-12
+    # and 0.0813 at 1e-16, jumped to 0.366 at 1e-18 and 1,218 at 1e-20,
+    # each returned with exit 0 by dt-growth.  Such a T is refused before
+    # any rule is laid, in well under 0.1 s once the tables exist, while
+    # T = 1e-8 mu, the lowest the other tests use, keeps its value.
+    V = GaussianPotential(d=2, a=1.0, ell=1.0)
+    P = diagnostics._d2_tables(V, mu)[0]
+    floor = 4e-14 * P * math.sqrt(mu)
+    if mu == 1.0:
+        assert floor == pytest.approx(4.4e-13, rel=1e-12)
+        assert dt_form_d2(V, 1e-8, 1.0) == pytest.approx(596.7530595374463, rel=1e-14)
+    for T in (1e-18 * mu, 0.99 * floor):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="cannot resolve the thermal layer"):
+            dt_form_d2(V, T, mu)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_dt_d2_wrong_dimension_rejected():

@@ -100,6 +100,8 @@ def test_bt_radial_series_branch():
     # nodes need no series.
     par = KernelParams(T=0.8, mu=1.0)
     assert bt_radial_shifted(0.0, par) == 0.5 / par.T
+    for a in (0.0, 0.3, -2, np.float64(1.5), np.array(0.7)):  # a scalar gives a float
+        assert type(bt_radial_shifted(a, par)) is float
     unit = KernelParams(T=0.5, mu=1.0)  # 0.5/T = 1, so B_T = tanh(a)/a
     z = np.geomspace(1e-300, 1e-6, 2941)  # ten points a decade
     z = np.concatenate([z, -z])

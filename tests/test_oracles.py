@@ -154,8 +154,9 @@ def test_library_keeps_only_what_it_calls():
     # Every top-level function, class, constant and import under src/bcs,
     # private ones included, is loaded in its own module or imported from it
     # by another one.  The exceptions are the entry points: the quick
-    # start's tc0, ground_state and position_profile, and the CLI's cmd_*,
-    # which reach the parser through their registration.
+    # start's tc0, ground_state and position_profile, the one-temperature
+    # dt_form_d1, and the CLI's cmd_*, which reach the parser through their
+    # registration.
     bound, loaded = {}, {}
     for path in sorted(pathlib.Path(bcs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -170,7 +171,7 @@ def test_library_keeps_only_what_it_calls():
                 source = loaded.setdefault(node.module or "__init__", set())
                 source.update(a.name for a in node.names)
     assert "tc0" in bound["bs_solver"], "the walk missed the bcs modules"
-    entry = {"tc0", "ground_state", "position_profile"}
+    entry = {"tc0", "ground_state", "position_profile", "dt_form_d1"}
     unused = sorted(f"{module}: {name}" for module, names in bound.items()
                     for name in names - loaded[module] - entry
                     if not name.startswith("cmd_"))

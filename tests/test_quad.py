@@ -4,13 +4,14 @@ builds its edges from, and the oracles' tail routes against closed forms."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracles
 from bcs.potentials import (ExponentialPotential, GaussianPotential, StepPotential,
                             TabulatedPotential, radial_edges)
-from bcs.quad import _ladder, _subdivide, gauss_panels, gauss_rows
+from bcs.quad import _MAX_NODES, QuadratureError, _ladder, _subdivide, gauss_panels, gauss_rows
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,17 @@ def test_subdivide_matches_linspace_per_panel():
         assert np.array_equal(_subdivide(edges, n), _looped_split(edges, [n] * 12))
     # one panel split n ways is np.linspace with n + 1 points
     assert np.array_equal(_subdivide([0.1, 2.9], 5), np.linspace(0.1, 2.9, 6))
+
+
+def test_subdivide_refuses_a_layout_past_the_node_cap():
+    # At 16 nodes a panel, 2^20 panels fill the cap and one more passes it.
+    # A count that a huge mu made infinite, NaN or huge is refused the same
+    # way, before any edge is allocated (mu = 1e30 asked numpy for 2.79 PiB).
+    assert len(_subdivide([0.0, 1.0], _MAX_NODES // 16)) == _MAX_NODES // 16 + 1
+    for edges, counts in (([0.0, 1.0, 2.0], [_MAX_NODES // 16, 1]), ([0.0, 1.0], math.inf),
+                          ([0.0, 1.0], [math.nan]), ([0.0, 1.0, 2.0], 1e20)):
+        with pytest.raises(QuadratureError, match=r"nodes is past the cap of 16777216 nodes$"):
+            _subdivide(edges, counts)
 
 
 def test_ladder_matches_doubling_loop():
